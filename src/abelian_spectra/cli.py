@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .algebra import DualFunction, GroupFunction, fourier, inverse_fourier, is_positive_type
+from .algebra import DualFunction, GroupFunction, fourier, inverse_fourier
 from .errors import (
     DegenerateComponentError,
     FileFormatError,
@@ -252,9 +252,8 @@ def cmd_gns(args: argparse.Namespace, tol: float):
     f = function_from_payload(load_json(args.input), size_cap=_size_cap(args))
     if not isinstance(f, GroupFunction):
         raise FileFormatError("quotient construction needs field 'domain' == 'group'")
-    positivity = is_positive_type(f)
     space = gns_construct(f)
-    space.representation()  # raises if images fail unitarity/commutation/order
+    rep = space.representation()  # raises if images fail unitarity/commutation/order
     recon = float(np.abs(reconstruct_phi(space).values - f.values).max())
     residuals = {"reconstruction": recon}
     passed = recon <= tol
@@ -262,10 +261,9 @@ def cmd_gns(args: argparse.Namespace, tol: float):
     results = {
         "rank": space.rank,
         "gram_eigenvalues": [float(x) for x in space.eigenvalues],
-        "generator_images": [complex_matrix_payload(m)
-                             for m in space.generator_images()],
+        "generator_images": [complex_matrix_payload(m) for m in rep.generators],
         "eta": complex_vector_payload(space.eta),
-        "positivity": positivity.as_dict(),
+        "positivity": space.positivity.as_dict(),
     }
     report = _report_skeleton(
         "gns", args, tol,

@@ -19,49 +19,6 @@ from .errors import FileFormatError
 from .groups import DEFAULT_SIZE_CAP, Group, make_group
 from .representations import UnitaryRep, make_representation
 
-_COMPLEX_PAIR = {
-    "type": "array",
-    "minItems": 2,
-    "maxItems": 2,
-    "items": {"type": "number"},
-}
-
-GROUP_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["orders"],
-    "properties": {
-        "orders": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "integer", "minimum": 1},
-        },
-    },
-}
-
-FUNCTION_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["group", "domain", "values"],
-    "properties": {
-        "group": GROUP_SCHEMA,
-        "domain": {"enum": ["group", "dual"]},
-        "values": {"type": "array", "items": _COMPLEX_PAIR},
-    },
-}
-
-REPRESENTATION_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "required": ["group", "dim", "generators"],
-    "properties": {
-        "group": GROUP_SCHEMA,
-        "dim": {"type": "integer", "minimum": 1},
-        # one flat row-major array of [re, im] pairs per cyclic factor
-        "generators": {
-            "type": "array",
-            "items": {"type": "array", "items": _COMPLEX_PAIR},
-        },
-    },
-}
-
 
 def load_json(path: str | Path) -> Any:
     try:
@@ -69,7 +26,7 @@ def load_json(path: str | Path) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and over-long integer literals
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -125,7 +82,15 @@ def parse_complex_array(raw: Any, field: str, expected: int | None = None) -> np
             raise FileFormatError(
                 f"field '{field}' entry {i} must be a [re, im] number pair, "
                 f"got {entry!r}")
-        out[i] = complex(entry[0], entry[1])
+        try:
+            out[i] = complex(entry[0], entry[1])
+        except OverflowError as exc:
+            raise FileFormatError(f"field '{field}' entry {i} must be finite") from exc
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        i = int(bad[0])
+        raise FileFormatError(
+            f"field '{field}' entry {i} must be finite, got {raw[i]!r}")
     return out
 
 

@@ -17,6 +17,8 @@ import numpy as np
 from .algebra import (
     POSITIVITY_TOL,
     GroupFunction,
+    PositivityReport,
+    _transform,
     delta,
     hermitian_form,
     is_positive_type,
@@ -33,7 +35,8 @@ class GNSSpace:
     ``quotient_basis`` Q holds coordinates of an orthonormal basis for the
     form <h|f> = h^dagger gram f (columns are eigenvectors of gram scaled
     by inverse square-root eigenvalues); ``eta`` is the class of the
-    identity point mass in those coordinates.
+    identity point mass in those coordinates.  ``positivity`` is the
+    two-route positive-type report the construction was admitted on.
     """
 
     group: Group
@@ -44,6 +47,7 @@ class GNSSpace:
     quotient_basis: np.ndarray
     null_basis: np.ndarray
     eta: np.ndarray
+    positivity: PositivityReport
 
     @cached_property
     def _gram_q(self) -> np.ndarray:
@@ -111,7 +115,8 @@ def gns_construct(phi: GroupFunction, tol: float = POSITIVITY_TOL,
     eta = gram_q.conj().T @ delta(group).values / group.haar_weight
 
     space = GNSSpace(group=group, phi=phi, gram=gram, eigenvalues=eigvals, rank=rank,
-                     quotient_basis=quotient_basis, null_basis=null_basis, eta=eta)
+                     quotient_basis=quotient_basis, null_basis=null_basis, eta=eta,
+                     positivity=report)
     _check_null_invariance(space)
     return space
 
@@ -146,13 +151,10 @@ def gns_algebra_action(space: GNSSpace, f: GroupFunction) -> np.ndarray:
     group = space.group
     if f.group != group:
         raise GroupMismatchError("function lives on a different group")
-    conv = np.empty((group.size, group.size), dtype=complex)
-    for start in range(0, group.size, 1024):
-        stop = min(start + 1024, group.size)
-        idx = group.difference_indices(slice(start, stop))
-        conv[start:stop] = f.values[idx]
-    conv *= group.haar_weight
-    return space._gram_q.conj().T @ (conv @ space.quotient_basis)
+    # Convolution by f, applied to every column of Q at once.
+    spectrum = _transform(group, f.values)[:, None] * _transform(group, space.quotient_basis)
+    conv_q = _transform(group, spectrum, inverse=True) * (group.haar_weight / group.size)
+    return space._gram_q.conj().T @ conv_q
 
 
 def reconstruct_phi(space: GNSSpace) -> GroupFunction:

@@ -19,11 +19,6 @@ from .errors import InvalidGroupError, ShapeMismatchError
 
 DEFAULT_SIZE_CAP = 65536
 
-# Row-block size for the streamed pairing-table products used by the
-# transform code.  One block of 1024 rows over a size-65536 group costs
-# ~0.5 GiB transiently instead of materialising the full quadratic table.
-_BLOCK_ROWS = 1024
-
 
 def _coerce_coords(coords: Iterable[int]) -> tuple[int, ...]:
     try:
@@ -215,12 +210,12 @@ class Group:
         mat[np.arange(self.size), idx] = 1.0
         return mat
 
-    def difference_indices(self, rows: slice | None = None) -> np.ndarray:
-        """Index table D[i, j] = index(g_i - g_j) for the requested rows."""
-        coords = self._coords if rows is None else self._coords[rows]
-        out = np.zeros((coords.shape[0], self.size), dtype=np.int64)
+    def difference_indices(self) -> np.ndarray:
+        """Full |G| x |G| index table D[i, j] = index(g_i - g_j)."""
+        coords = self._coords
+        out = np.zeros((self.size, self.size), dtype=np.int64)
         for k, n in enumerate(self.orders):
-            out += ((coords[:, k, None] - self._coords[None, :, k]) % n) * self._strides[k]
+            out += ((coords[:, k, None] - coords[None, :, k]) % n) * self._strides[k]
         return out
 
 

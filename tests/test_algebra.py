@@ -21,7 +21,7 @@ from abelian_spectra import (
     is_positive_type,
     make_group,
 )
-from conftest import random_function, random_positive_type
+from conftest import SMALL_ORDER_LISTS, random_function, random_positive_type
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +184,24 @@ def test_transform_scales_with_the_haar_weight():
     # and the inverse compensates
     f = GroupFunction(G, np.array([1.0, -0.5], dtype=complex))
     np.testing.assert_allclose(inverse_fourier(fourier(f)).values, f.values, atol=1e-14)
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.5])
+@pytest.mark.parametrize("orders", SMALL_ORDER_LISTS + [(6,), (3, 5, 2)],
+                         ids=lambda o: "x".join(map(str, o)))
+def test_fft_engine_matches_direct_sums(orders, weight, rng):
+    """The FFT route equals the dense sums over the pairing and difference tables."""
+    G = Group(orders, haar_weight=weight)
+    f, h = random_function(G, rng), random_function(G, rng)
+    table = G.pairing_table()
+    diff = G.difference_indices()
+    np.testing.assert_allclose(fourier(f).values, weight * np.conj(table) @ f.values,
+                               rtol=0, atol=1e-12)
+    F = DualFunction(G, f.values)
+    np.testing.assert_allclose(inverse_fourier(F).values,
+                               table @ F.values / (weight * G.size), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(convolve(f, h).values, weight * h.values[diff] @ f.values,
+                               rtol=0, atol=1e-12)
 
 
 def test_plancherel_identity(small_group, rng):

@@ -425,6 +425,25 @@ def test_version_flag(capsys):
     assert "abelian-spectra" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+@pytest.mark.parametrize("command", ["fourier", "gns", "decompose", "rig"])
+def test_non_finite_input_is_an_input_error(tmp_path, command, bad):
+    if command in ("fourier", "gns"):
+        payload = function_to_payload(delta(make_group((4,))))
+        payload["values"][1][0] = float(bad)
+    else:
+        payload = representation_to_payload(regular_representation(make_group((3,))))
+        payload["generators"][0][1][1] = float(bad)
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "abelian_spectra.cli", command, "--input", str(src)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "must be finite" in proc.stderr
+
+
 def test_module_entry_point_runs_as_a_process(tmp_path):
     src = write_function(tmp_path / "f.json", (2,), [1, 0])
     proc = subprocess.run(

@@ -60,6 +60,17 @@ def test_parse_complex_array_rejects_malformed_entries(raw, message):
         parse_complex_array(raw, "values")
 
 
+@pytest.mark.parametrize("raw,message", [
+    ([[1.0, 0.0], [float("nan"), 0.0]], "entry 1 must be finite"),
+    ([[0.0, float("inf")]], "entry 0 must be finite"),
+    ([[0.0, 0.0], [-float("inf"), 1.0]], "entry 1 must be finite"),
+    ([[10 ** 400, 0.0]], "entry 0 must be finite"),
+])
+def test_parse_complex_array_rejects_non_finite_entries(raw, message):
+    with pytest.raises(FileFormatError, match=message):
+        parse_complex_array(raw, "values")
+
+
 def test_parse_complex_array_checks_length():
     with pytest.raises(FileFormatError, match="has 1 entries, expected 2"):
         parse_complex_array([[1.0, 0.0]], "values", expected=2)
@@ -204,6 +215,15 @@ def test_load_json_reports_missing_files(tmp_path):
 def test_load_json_reports_syntax_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    with pytest.raises(FileFormatError, match="not valid JSON"):
+        load_json(bad)
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" + b"1" * 5000 + b"]"],
+                         ids=["bad-utf8", "over-long-integer"])
+def test_load_json_reports_undecodable_content(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
     with pytest.raises(FileFormatError, match="not valid JSON"):
         load_json(bad)
 

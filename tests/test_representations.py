@@ -184,6 +184,18 @@ def test_measure_matches_independent_eigenstructure(rng):
         np.testing.assert_allclose(pvm.projection(chi), Q @ mask @ Q.conj().T, atol=1e-9)
 
 
+@pytest.mark.parametrize("orders", [(4,), (2, 3), (3, 5, 2)])
+def test_measure_matches_dense_character_average(orders, rng):
+    """The FFT route equals the dense einsum over the pairing table."""
+    G = make_group(orders)
+    slots = [G.characters[i] for i in rng.integers(G.size, size=5)]
+    rep, _ = conjugated_diagonal_rep(G, slots, rng)
+    pvm = spectral_measure(rep)
+    dense = np.einsum("gx,gij->xij", np.conj(G.pairing_table()), rep.operators) / G.size
+    for chi, P in zip(G.characters, dense):
+        np.testing.assert_allclose(pvm.projection(chi), P, rtol=0, atol=1e-12)
+
+
 def test_reconstruction_residual_is_tiny(small_group):
     pvm = spectral_measure(regular_representation(small_group))
     assert reconstruction_residual(pvm) < 1e-12
