@@ -133,15 +133,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_tol(args: argparse.Namespace) -> float:
     if args.tol is not None:
-        return float(args.tol)
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is not None:
-        try:
-            return float(raw)
-        except ValueError:
-            raise FileFormatError(
-                f"environment variable {TOL_ENV_VAR}={raw!r} is not a number")
-    return DEFAULT_TOL
+        source, raw = "--tol", args.tol
+    else:
+        raw = os.environ.get(TOL_ENV_VAR)
+        if raw is None:
+            return DEFAULT_TOL
+        source = f"environment variable {TOL_ENV_VAR}"
+    try:
+        tol = float(raw)
+    except ValueError:
+        raise FileFormatError(f"{source}={raw!r} is not a number")
+    if not 0.0 <= tol < np.inf:
+        raise FileFormatError(f"{source}={raw!r} must be a finite number >= 0")
+    return tol
 
 
 def _size_cap(args: argparse.Namespace, default: int = DEFAULT_SIZE_CAP) -> int:

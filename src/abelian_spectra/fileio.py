@@ -31,7 +31,7 @@ def load_json(path: str | Path) -> Any:
 
 
 def dump_json(payload: Any, path: str | Path | None = None) -> str:
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

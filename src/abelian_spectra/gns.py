@@ -1,14 +1,18 @@
 """Quotient Hilbert space and representation induced by a positive-type function.
 
-The Hermitian form of a positive-type function phi is diagonalised; the
-quotient by its null space carries left translation as a unitary
-representation with the class of the identity point mass as cyclic
-vector, whose diagonal matrix coefficient recovers phi exactly.
+On a finite abelian group the characters diagonalise the Hermitian form
+of phi: the conjugated character psi is an eigenvector with eigenvalue
+lambda_psi = weight * F(psi), F the transform of phi (Bochner).  The
+quotient by the form's null space is therefore spanned by the characters
+in the support of F, each scaled to unit form norm.  Left translation by
+g acts on it diagonally through the pairing <g|psi>, and the class of the
+identity point mass is a cyclic vector whose diagonal matrix coefficient
+recovers phi.  Everything follows from one transform of phi; the dense
+form is kept as the oracle the closed form is checked against once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +23,7 @@ from .algebra import (
     GroupFunction,
     PositivityReport,
     _transform,
-    delta,
+    fourier,
     hermitian_form,
     is_positive_type,
 )
@@ -32,11 +36,15 @@ from .representations import RANK_TOL, UnitaryRep, make_representation
 class GNSSpace:
     """Quotient space data for a positive-type function.
 
-    ``quotient_basis`` Q holds coordinates of an orthonormal basis for the
-    form <h|f> = h^dagger gram f (columns are eigenvectors of gram scaled
-    by inverse square-root eigenvalues); ``eta`` is the class of the
-    identity point mass in those coordinates.  ``positivity`` is the
-    two-route positive-type report the construction was admitted on.
+    ``eigenvalues`` are the form's eigenvalues weight * Re F over all
+    characters, in descending order (ties keep enumeration order); the
+    first ``rank`` of those characters are the support, whose indices
+    ``support`` holds.  ``characters`` holds the support characters as
+    columns, characters[g, s] = <g|psi_s>, and ``quotient_basis`` Q their
+    conjugates scaled to unit form norm, an orthonormal basis for
+    <h|f> = h^dagger gram f.  ``eta`` is the class of the identity point
+    mass in those coordinates; ``positivity`` is the two-route
+    positive-type report the construction was admitted on.
     """
 
     group: Group
@@ -44,14 +52,15 @@ class GNSSpace:
     gram: np.ndarray
     eigenvalues: np.ndarray
     rank: int
+    support: np.ndarray
+    characters: np.ndarray
     quotient_basis: np.ndarray
-    null_basis: np.ndarray
     eta: np.ndarray
     positivity: PositivityReport
 
     @cached_property
     def _gram_q(self) -> np.ndarray:
-        return self.gram @ self.quotient_basis
+        return self.quotient_basis * self.eigenvalues[:self.rank]
 
     def class_coordinates(self, f: GroupFunction) -> np.ndarray:
         """Coordinates of the class of f in the orthonormal quotient basis."""
@@ -60,17 +69,12 @@ class GNSSpace:
         return self._gram_q.conj().T @ f.values
 
     def operator(self, g: Element) -> np.ndarray:
-        """Image of g: left translation compressed to the quotient."""
-        idx = self.group.translate_indices(g)
-        return self._gram_q.conj().T @ self.quotient_basis[idx]
+        """Image of g: the support characters evaluated at g, on the diagonal."""
+        return np.diag(self.characters[self.group.element_index(g)])
 
     def generator_images(self) -> list[np.ndarray]:
-        images = []
-        for j in range(self.group.num_factors):
-            coords = [0] * self.group.num_factors
-            coords[j] = 1 % self.group.orders[j]
-            images.append(self.operator(self.group.element(coords)))
-        return images
+        gens = np.eye(self.group.num_factors, dtype=np.int64) % self.group._orders_arr
+        return [self.operator(self.group.element(coords)) for coords in gens]
 
     def representation(self) -> UnitaryRep:
         """The quotient representation, validated as a UnitaryRep."""
@@ -79,12 +83,14 @@ class GNSSpace:
 
 def gns_construct(phi: GroupFunction, tol: float = POSITIVITY_TOL,
                   rank_tol: float = RANK_TOL) -> GNSSpace:
-    """Build the quotient space of a positive-type function.
+    """Build the quotient space of a positive-type function in closed form.
 
     Raises PositiveTypeError when phi fails the positivity test at
     ``tol``.  The quotient rank is the number of eigenvalues of the form
     above ``rank_tol`` relative to the largest one, which equals the size
-    of the transform's support.
+    of the transform's support.  Raises InconsistencyError when the
+    support characters are not eigenvectors of the dense form to
+    round-off, which only an algebra bug can cause.
     """
     report = is_positive_type(phi, tol)
     if not report.verdict:
@@ -97,69 +103,51 @@ def gns_construct(phi: GroupFunction, tol: float = POSITIVITY_TOL,
     group = phi.group
     gram = hermitian_form(phi)
     gram = (gram + gram.conj().T) / 2.0  # kill round-off skew; exact for positive type
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    order = np.argsort(eigvals, kind="stable")[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
+    lam = group.haar_weight * fourier(phi).values.real
+    order = np.argsort(-lam, kind="stable")
+    eigvals = lam[order]
 
-    lam_max = float(eigvals[0]) if eigvals.size else 0.0
-    if lam_max <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(eigvals > rank_tol * lam_max))
-    quotient_basis = eigvecs[:, :rank] / np.sqrt(eigvals[:rank])
-    null_basis = eigvecs[:, rank:]
+    lam_max = float(eigvals[0])
+    rank = 0 if lam_max <= 0.0 else int(np.count_nonzero(eigvals > rank_tol * lam_max))
+    lam_s = eigvals[:rank]
+    support = order[:rank]
+    characters = group.pairing_rows(support).T
+    conj_chars = characters.conj()
 
-    # Class of the identity point mass delta_e / weight.
-    gram_q = gram @ quotient_basis
-    eta = gram_q.conj().T @ delta(group).values / group.haar_weight
+    # |gram entries| <= weight^2 phi(e) <= lam_max, so each entry of
+    # gram @ conj_chars is a |G|-term sum whose round-off stays far below
+    # the bound.
+    residual = float(np.abs(gram @ conj_chars - conj_chars * lam_s).max(initial=0.0))
+    bound = 1e-12 * group.size * max(lam_max, 0.0)
+    if residual > bound:
+        raise InconsistencyError(
+            f"support characters are not eigenvectors of the form "
+            f"(residual {residual:.3e}, bound {bound:.3e})")
 
-    space = GNSSpace(group=group, phi=phi, gram=gram, eigenvalues=eigvals, rank=rank,
-                     quotient_basis=quotient_basis, null_basis=null_basis, eta=eta,
-                     positivity=report)
-    _check_null_invariance(space)
-    return space
-
-
-def _check_null_invariance(space: GNSSpace) -> None:
-    """Translations must map the null space into itself.
-
-    The form matrix is translation invariant entry-for-entry, so for a
-    discarded eigenvector n with eigenvalue lam_n the quotient leakage of
-    any translate is lam_n / sqrt(min kept eigenvalue); the check uses
-    twice that bound, which only an algebra bug can exceed.
-    """
-    if space.rank == 0 or space.null_basis.shape[1] == 0:
-        return
-    lam_null = float(max(np.max(space.eigenvalues[space.rank:]), 0.0))
-    lam_kept_min = float(space.eigenvalues[space.rank - 1])
-    bound = 2.0 * lam_null * math.sqrt(space.null_basis.shape[1] / lam_kept_min) + 1e-12
-    gq = space._gram_q
-    for j in range(space.group.num_factors):
-        coords = [0] * space.group.num_factors
-        coords[j] = 1 % space.group.orders[j]
-        idx = space.group.translate_indices(space.group.element(coords))
-        leak = float(np.linalg.norm(gq.conj().T @ space.null_basis[idx]))
-        if leak > bound:
-            raise InconsistencyError(
-                f"translation by generator {j} leaks the null space into the quotient "
-                f"(leak {leak:.3e}, bound {bound:.3e})")
+    return GNSSpace(group=group, phi=phi, gram=gram, eigenvalues=eigvals, rank=rank,
+                    support=support, characters=characters,
+                    quotient_basis=conj_chars / np.sqrt(group.size * lam_s),
+                    eta=np.sqrt(lam_s / group.size) / group.haar_weight,
+                    positivity=report)
 
 
 def gns_algebra_action(space: GNSSpace, f: GroupFunction) -> np.ndarray:
-    """Quotient image of convolution by f (the lift of the algebra)."""
-    group = space.group
-    if f.group != group:
+    """Quotient image of convolution by f (the lift of the algebra).
+
+    Convolution by f scales the support character psi by
+    weight * sum_g f(g) <g|psi>, so the image is diagonal.
+    """
+    if f.group != space.group:
         raise GroupMismatchError("function lives on a different group")
-    # Convolution by f, applied to every column of Q at once.
-    spectrum = _transform(group, f.values)[:, None] * _transform(group, space.quotient_basis)
-    conv_q = _transform(group, spectrum, inverse=True) * (group.haar_weight / group.size)
-    return space._gram_q.conj().T @ conv_q
+    return np.diag(space.group.haar_weight * (f.values @ space.characters))
 
 
 def reconstruct_phi(space: GNSSpace) -> GroupFunction:
-    """Diagonal matrix coefficient of the cyclic vector; equals phi."""
-    values = np.empty(space.group.size, dtype=complex)
-    for i, g in enumerate(space.group.elements):
-        values[i] = np.vdot(space.eta, space.operator(g) @ space.eta)
-    return GroupFunction(space.group, values)
+    """Diagonal matrix coefficient of the cyclic vector; equals phi.
+
+    <eta, pi(g) eta> = sum over the support of |eta_psi|^2 <g|psi>, for
+    every g at once: one inverse transform of |eta|^2 placed on the support.
+    """
+    weights = np.zeros(space.group.size)
+    weights[space.support] = np.abs(space.eta) ** 2
+    return GroupFunction(space.group, _transform(space.group, weights, inverse=True))

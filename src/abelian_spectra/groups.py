@@ -179,17 +179,22 @@ class Group:
             num += x * c * (L // n)
         return complex(np.exp(2j * np.pi * ((num % L) / L)))
 
-    def pairing_block(self, start: int, stop: int) -> np.ndarray:
-        """Rows [start, stop) of the pairing table T[i, j] = <g_i|chi_j>.
+    def pairing_rows(self, rows) -> np.ndarray:
+        """Rows T[rows] of the pairing table T[i, j] = <g_i|chi_j>.
 
-        The table is symmetric, so the same call also yields character
-        columns.  Phases use exact integer arithmetic as in ``pairing``.
+        ``rows`` is anything that indexes the enumeration (a slice or an
+        index array).  The table is symmetric, so the same call also
+        yields character columns.  Phases use exact integer arithmetic as
+        in ``pairing``.
         """
         L = self._lcm
-        mult = (L // self._orders_arr)
-        left = self._coords[start:stop] * mult  # (b, k)
+        left = self._coords[rows] * (L // self._orders_arr)  # (b, k)
         num = left @ self._coords.T % L
         return np.exp((2j * np.pi / L) * num)
+
+    def pairing_block(self, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop) of the pairing table."""
+        return self.pairing_rows(slice(start, stop))
 
     def pairing_table(self) -> np.ndarray:
         """Full |G| x |G| pairing table; quadratic memory, use with care."""

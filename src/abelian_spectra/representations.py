@@ -263,7 +263,7 @@ def reconstruction_residual(pvm: ProjectionValuedMeasure) -> float:
     """max_g || pi(g) - sum_chi <g|chi> P(chi) ||."""
     group = pvm.group
     cols = [group.character_index(chi) for chi in pvm.support]
-    table = np.column_stack([group.pairing_block(j, j + 1)[0] for j in cols])
+    table = group.pairing_rows(cols).T
     stack = np.array([pvm.projections[chi] for chi in pvm.support])
     rebuilt = np.einsum("gx,xij->gij", table, stack)
     return float(np.max(np.linalg.norm(pvm.rep.operators - rebuilt, axis=(1, 2))))
@@ -362,7 +362,7 @@ def diagonalize(component: CyclicComponent, pvm: ProjectionValuedMeasure, *,
                 f"{degenerate_tol:.1e}; the component is degenerate on its support")
     group = pvm.group
     cols = [group.character_index(chi) for chi in component.support]
-    table = np.column_stack([group.pairing_block(j, j + 1)[0] for j in cols])
+    table = group.pairing_rows(cols).T
     table.setflags(write=False)
     return DiagonalModel(group=group, support=component.support,
                          isometry=component.isometry, table=table)

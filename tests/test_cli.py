@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, routing, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -209,6 +210,18 @@ def test_gns_of_point_mass(tmp_path, capsys):
     assert report["residuals"]["reconstruction"] == 0.0
 
 
+def test_gns_of_the_zero_function_has_rank_zero(tmp_path, capsys):
+    src = write_function(tmp_path / "phi.json", (2, 3), [0] * 6)
+    code, report, _ = stdout_report(capsys, ["gns", "--input", str(src)])
+    assert code == 0
+    results = report["results"]
+    assert results["rank"] == 0
+    assert results["gram_eigenvalues"] == [0.0] * 6
+    assert results["eta"] == []
+    assert results["generator_images"] == [[], []]  # two 0x0 matrices
+    assert report["passed"] is True
+
+
 def test_gns_rejects_non_positive_functions(tmp_path, capsys):
     src = write_function(tmp_path / "phi.json", (2,), [1, 2])
     code, _, err = run_cli(capsys, ["gns", "--input", str(src)])
@@ -402,6 +415,21 @@ def test_unparsable_tolerance_env_is_an_input_error(tmp_path, capsys, monkeypatc
     code, _, err = run_cli(capsys, ["gns", "--input", str(src)])
     assert code == 2
     assert cli.TOL_ENV_VAR in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_non_finite_or_negative_tolerance_is_an_input_error(source, value):
+    argv = [sys.executable, "-m", "abelian_spectra.cli", "selftest"]
+    env = dict(os.environ)
+    if source == "flag":
+        argv.append(f"--tol={value}")
+    else:
+        env[cli.TOL_ENV_VAR] = value
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "must be a finite number >= 0" in proc.stderr
 
 
 def test_unwritable_output_is_an_input_error(tmp_path, capsys):

@@ -8,14 +8,17 @@ from abelian_spectra import (
     Group,
     GroupFunction,
     GroupMismatchError,
+    InconsistencyError,
     PositiveTypeError,
     delta,
     gns_algebra_action,
     gns_construct,
+    hermitian_form,
     inverse_fourier,
     make_group,
     reconstruct_phi,
 )
+from abelian_spectra import gns
 from conftest import random_function, random_positive_type
 
 
@@ -36,7 +39,6 @@ def test_point_mass_gives_the_full_quotient():
     np.testing.assert_allclose(space.gram, np.eye(4), atol=1e-15)
     assert space.rank == 4
     np.testing.assert_allclose(space.eigenvalues, np.ones(4), atol=1e-12)
-    assert space.null_basis.shape == (4, 0)
 
 
 def test_constant_function_gives_a_line():
@@ -73,11 +75,41 @@ def test_non_positive_function_is_rejected_with_diagnostics():
     assert "not of positive type" in str(exc.value)
 
 
+def assert_closed_form_matches_the_dense_form(orders, rng):
+    for weight in (1.0, 0.5):
+        G = Group(orders, haar_weight=weight)
+        mask = rng.choice(G.size, size=max(1, 2 * G.size // 3), replace=False)
+        phi = masked_positive_type(G, mask, rng)
+        space = gns_construct(phi)
+        gram = hermitian_form(phi)
+        dense = np.linalg.eigvalsh(gram)[::-1]
+        scale = float(np.max(np.abs(dense)))
+        np.testing.assert_allclose(space.eigenvalues, dense, rtol=0, atol=1e-12 * scale)
+        assert space.rank == len(mask)
+        Q = space.quotient_basis
+        np.testing.assert_allclose(Q.conj().T @ gram @ Q, np.eye(space.rank), atol=1e-9)
+
+
 def test_quotient_basis_is_orthonormal_for_the_form(small_group, rng):
-    phi = random_positive_type(small_group, rng)
-    space = gns_construct(phi)
-    Q = space.quotient_basis
-    np.testing.assert_allclose(Q.conj().T @ space.gram @ Q, np.eye(space.rank), atol=1e-9)
+    assert_closed_form_matches_the_dense_form(small_group.orders, rng)
+
+
+@pytest.mark.parametrize("orders", [(4,), (6,), (2, 4), (3, 5, 2)])
+def test_closed_form_matches_the_dense_form_on_mixed_shapes(orders, rng):
+    assert_closed_form_matches_the_dense_form(orders, rng)
+
+
+def test_construction_check_catches_a_wrong_spectrum(monkeypatch):
+    G = make_group((4,))
+    exact = gns.fourier
+
+    def skewed(f):
+        F = exact(f)
+        return DualFunction(F.group, F.values * np.array([1.0, 1.0 + 1e-6, 1.0, 1.0]))
+
+    monkeypatch.setattr(gns, "fourier", skewed)
+    with pytest.raises(InconsistencyError, match="not eigenvectors of the form"):
+        gns_construct(delta(G))
 
 
 def test_class_coordinates_requires_the_same_group():

@@ -196,6 +196,12 @@ def test_pairing_block_matches_table(small_group):
     np.testing.assert_array_equal(G.pairing_block(mid, G.size), tbl[mid:])
 
 
+def test_pairing_rows_match_the_table(small_group):
+    G = small_group
+    rows = np.arange(G.size)[::-1]
+    np.testing.assert_array_equal(G.pairing_rows(rows), G.pairing_table()[rows])
+
+
 def test_pairing_is_multiplicative_in_the_element():
     G = make_group((3, 4))
     chi = G.character((2, 3))

@@ -1,0 +1,47 @@
+"""The benchmark's per-layer tracer still finds every name it patches.
+
+``perfbench/tracer.py`` wraps package functions, methods and cached
+properties by name; a rename in the package would break traced benchmark
+runs without failing any other test.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+from abelian_spectra import cli, delta, make_group, regular_representation
+from abelian_spectra.fileio import dump_json, function_to_payload, representation_to_payload
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from tracer import METHODS, MODULES, PROPERTIES, Tracer  # noqa: E402
+
+
+def _patchable_state() -> dict:
+    """Every attribute the tracer may rebind, keyed by owner and name."""
+    modules = {name: importlib.import_module(f"abelian_spectra.{name}") for name in MODULES}
+    owners = list(modules.values()) + [
+        getattr(modules[module], cls) for module, cls, *_ in METHODS + PROPERTIES]
+    state = {(id(owner), key): value for owner in owners for key, value in vars(owner).items()}
+    state.update({("commands", key): value for key, value in cli._COMMANDS.items()})
+    return state
+
+
+def test_tracer_records_quotient_spans_and_restores_the_package(tmp_path, capsys):
+    phi = tmp_path / "phi.json"
+    dump_json(function_to_payload(delta(make_group((4,)))), phi)
+    rep = tmp_path / "rep.json"
+    dump_json(representation_to_payload(regular_representation(make_group((2, 2)))), rep)
+    before = _patchable_state()
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["gns", "--input", str(phi), "--output", str(tmp_path / "g.json")]) == 0
+        assert cli.main(["rig", "--input", str(rep), "--output", str(tmp_path / "r.json")]) == 0
+    finally:
+        tracer.uninstall()
+
+    assert {"gns.gns_construct", "gns.operator", "cli.gns", "cli.rig"} <= set(tracer.names)
+    after = _patchable_state()
+    changed = [key for key, value in before.items() if after.get(key) is not value]
+    assert changed == []
