@@ -168,7 +168,7 @@ class PositivityReport:
         }
 
 
-def is_positive_type(phi: GroupFunction, tol: float = POSITIVITY_TOL) -> PositivityReport:
+def is_positive_type(phi: GroupFunction) -> PositivityReport:
     """Test whether phi is of positive type, by two independent routes.
 
     Route (a) examines the eigenvalues of the Hermitian form's matrix;
@@ -176,8 +176,9 @@ def is_positive_type(phi: GroupFunction, tol: float = POSITIVITY_TOL) -> Positiv
     characterisation of positive-type functions).  The two routes agree
     for exact data; a disagreement beyond tolerance raises
     InconsistencyError because it indicates a bug rather than bad input.
-    Eigenvalues in [-tol, 0) are accepted as zero.
+    Eigenvalues in [-POSITIVITY_TOL, 0) are accepted as zero.
     """
+    tol = POSITIVITY_TOL
     F = fourier(phi).values
     min_fourier = float(np.min(F.real))
     max_fourier_imag = float(np.max(np.abs(F.imag)))

@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
-    POSITIVITY_TOL,
     GroupFunction,
     PositivityReport,
     _transform,
@@ -81,18 +80,17 @@ class GNSSpace:
         return make_representation(self.group, self.generator_images())
 
 
-def gns_construct(phi: GroupFunction, tol: float = POSITIVITY_TOL,
-                  rank_tol: float = RANK_TOL) -> GNSSpace:
+def gns_construct(phi: GroupFunction) -> GNSSpace:
     """Build the quotient space of a positive-type function in closed form.
 
-    Raises PositiveTypeError when phi fails the positivity test at
-    ``tol``.  The quotient rank is the number of eigenvalues of the form
-    above ``rank_tol`` relative to the largest one, which equals the size
+    Raises PositiveTypeError when phi fails the positivity test.  The
+    quotient rank is the number of eigenvalues of the form above
+    RANK_TOL relative to the largest one, which equals the size
     of the transform's support.  Raises InconsistencyError when the
     support characters are not eigenvectors of the dense form to
     round-off, which only an algebra bug can cause.
     """
-    report = is_positive_type(phi, tol)
+    report = is_positive_type(phi)
     if not report.verdict:
         raise PositiveTypeError(
             f"function is not of positive type (min transform {report.min_fourier:.6e}, "
@@ -108,7 +106,7 @@ def gns_construct(phi: GroupFunction, tol: float = POSITIVITY_TOL,
     eigvals = lam[order]
 
     lam_max = float(eigvals[0])
-    rank = 0 if lam_max <= 0.0 else int(np.count_nonzero(eigvals > rank_tol * lam_max))
+    rank = 0 if lam_max <= 0.0 else int(np.count_nonzero(eigvals > RANK_TOL * lam_max))
     lam_s = eigvals[:rank]
     support = order[:rank]
     characters = group.pairing_rows(support).T

@@ -32,6 +32,8 @@ COMMUTE_TOL = 1e-10
 ORDER_TOL = 1e-9
 PVM_TOL = 1e-9
 RANK_TOL = 1e-9
+RANGE_ACCEPT_TOL = 1e-6
+DEGENERATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,7 @@ class UnitaryRep:
         return np.array(stack)
 
 
-def make_representation(group: Group, generator_images: Sequence[np.ndarray], *,
-                        unitary_tol: float = UNITARY_TOL,
-                        commute_tol: float = COMMUTE_TOL,
-                        order_tol: float = ORDER_TOL) -> UnitaryRep:
+def make_representation(group: Group, generator_images: Sequence[np.ndarray]) -> UnitaryRep:
     """Validate generator images and assemble a UnitaryRep.
 
     Checks, in order: one square image per cyclic factor with a common
@@ -87,20 +86,20 @@ def make_representation(group: Group, generator_images: Sequence[np.ndarray], *,
     eye = np.eye(dim)
     for j, U in enumerate(mats):
         residual = float(np.linalg.norm(U.conj().T @ U - eye))
-        if not (residual <= unitary_tol):
+        if not (residual <= UNITARY_TOL):
             raise RepresentationValidationError(
                 f"generator {j} not unitary (residual {residual:.3e})",
                 relation=f"unitary[{j}]", residual=residual)
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             residual = float(np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i]))
-            if not (residual <= commute_tol):
+            if not (residual <= COMMUTE_TOL):
                 raise RepresentationValidationError(
                     f"generators {i} and {j} do not commute (residual {residual:.3e})",
                     relation=f"commute[{i},{j}]", residual=residual)
     for j, (U, n) in enumerate(zip(mats, group.orders)):
         residual = float(np.linalg.norm(np.linalg.matrix_power(U, n) - eye))
-        if not (residual <= order_tol):
+        if not (residual <= ORDER_TOL):
             raise RepresentationValidationError(
                 f"generator {j} does not have order dividing {n} (residual {residual:.3e})",
                 relation=f"order[{j}]", residual=residual)
@@ -124,12 +123,12 @@ def trivial_representation(group: Group, dim: int = 1) -> UnitaryRep:
     return make_representation(group, [np.eye(dim, dtype=complex)] * group.num_factors)
 
 
-def _orthonormal_range_basis(P: np.ndarray, accept_tol: float = 1e-6) -> np.ndarray:
+def _orthonormal_range_basis(P: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of range(P) for a projection P.
 
     Modified Gram-Schmidt over the columns of P in enumeration order with
     one re-orthogonalisation pass; a column is accepted when its residual
-    exceeds ``accept_tol``, which for honest projections (singular values
+    exceeds RANGE_ACCEPT_TOL, which for honest projections (singular values
     near 0 or 1) selects exactly rank(P) columns.
     """
     basis: list[np.ndarray] = []
@@ -138,7 +137,7 @@ def _orthonormal_range_basis(P: np.ndarray, accept_tol: float = 1e-6) -> np.ndar
         for b in basis:
             v -= b * (b.conj() @ v)
         norm = np.linalg.norm(v)
-        if norm <= accept_tol:
+        if norm <= RANGE_ACCEPT_TOL:
             continue
         v /= norm
         for b in basis:  # second pass for crisp orthogonality
@@ -181,8 +180,7 @@ class ProjectionValuedMeasure:
         return int(self.multiplicities.get(chi, 0))
 
 
-def spectral_measure(rep: UnitaryRep, *, tol: float = PVM_TOL,
-                     rank_tol: float = RANK_TOL) -> ProjectionValuedMeasure:
+def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     """Projection-valued measure by character averaging.
 
     P(chi) = (1/|G|) sum_g conj(<g|chi>) pi(g), the closed-form inversion
@@ -204,9 +202,9 @@ def spectral_measure(rep: UnitaryRep, *, tol: float = PVM_TOL,
     for chi, P in zip(group.characters, stack):
         svals = np.linalg.svd(P, compute_uv=False)
         top = float(svals[0]) if svals.size else 0.0
-        if top <= rank_tol:
+        if top <= RANK_TOL:
             continue
-        mult = int(np.count_nonzero(svals > rank_tol * top))
+        mult = int(np.count_nonzero(svals > RANK_TOL * top))
         idem = max(idem, float(np.linalg.norm(P @ P - P)))
         herm = max(herm, float(np.linalg.norm(P - P.conj().T)))
         basis = _orthonormal_range_basis(P)
@@ -241,7 +239,7 @@ def spectral_measure(rep: UnitaryRep, *, tol: float = PVM_TOL,
         "completeness": complete,
         "multiplicity_sum": float(abs(mult_total - rep.dim)),
     }
-    if max(idem, herm, ortho, complete) > tol or mult_total != rep.dim:
+    if max(idem, herm, ortho, complete) > PVM_TOL or mult_total != rep.dim:
         raise NumericalDegeneracyError(
             "projection-valued measure violates its invariants "
             f"(idempotency {idem:.3e}, hermiticity {herm:.3e}, orthogonality {ortho:.3e}, "
@@ -348,18 +346,17 @@ class DiagonalModel:
         return self.table[self.group.element_index(g)]
 
 
-def diagonalize(component: CyclicComponent, pvm: ProjectionValuedMeasure, *,
-                degenerate_tol: float = 1e-12) -> DiagonalModel:
+def diagonalize(component: CyclicComponent, pvm: ProjectionValuedMeasure) -> DiagonalModel:
     """Diagonal model of a cyclic component.
 
     Raises DegenerateComponentError when a projection of the cyclic
     vector on the declared support is numerically zero.
     """
     for chi, norm in zip(component.support, component.projection_norms):
-        if norm < degenerate_tol:
+        if norm < DEGENERATE_TOL:
             raise DegenerateComponentError(
                 f"projection norm {norm:.3e} at character {chi.coords} is below "
-                f"{degenerate_tol:.1e}; the component is degenerate on its support")
+                f"{DEGENERATE_TOL:.1e}; the component is degenerate on its support")
     group = pvm.group
     cols = [group.character_index(chi) for chi in component.support]
     table = group.pairing_rows(cols).T

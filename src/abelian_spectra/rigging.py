@@ -34,6 +34,7 @@ from .representations import DiagonalModel
 
 WEIGHT_FLOOR = 1e-12
 IDENTITY_TOL = 1e-9
+IDENTITY_CHECK_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,20 @@ class GeneralizedEigenvector:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Complete system of generalized eigenvectors of a quotient representation."""
+    """Complete system of generalized eigenvectors of a quotient representation.
+
+    ``reconstruction_residual`` and ``eigen_equation_residual`` are the worst
+    gaps over all of G of the relations ``reconstruct_operator`` and
+    ``eigen_residual`` give for one element.
+    """
 
     group: Group
     support: tuple[Character, ...]
     eigenvectors: tuple[GeneralizedEigenvector, ...]
     nu: dict
     identity_residual: float
+    reconstruction_residual: float
+    eigen_equation_residual: float
 
     def eigenvector(self, chi: Character) -> GeneralizedEigenvector:
         for vec in self.eigenvectors:
@@ -72,32 +80,27 @@ class SpectralDecomposition:
         raise SupportError(f"character {chi.coords} is outside the decomposition support")
 
 
-def _support_of(xi: DualFunction, weight_floor: float) -> list[Character]:
-    group = xi.group
-    return [chi for chi, v in zip(group.characters, xi.values)
-            if abs(v) > weight_floor]
+def _cyclic_amplitudes(model: DiagonalModel, xi: DualFunction) -> np.ndarray:
+    """xi on the model support; NotCyclicError where it vanishes there."""
+    group = model.group
+    amps = xi.values[[group.character_index(chi) for chi in model.support]]
+    for chi, amp in zip(model.support, amps):
+        if abs(amp) <= WEIGHT_FLOOR:
+            raise NotCyclicError(f"cyclic amplitude vanishes at support character "
+                                 f"{chi.coords} (|xi| = {abs(amp):.3e})")
+    return amps
 
 
-def phi_from_cyclic(model: DiagonalModel, xi: DualFunction, *,
-                    weight_floor: float = WEIGHT_FLOOR) -> GroupFunction:
+def phi_from_cyclic(model: DiagonalModel, xi: DualFunction) -> GroupFunction:
     """Positive-type function of the cyclic vector xi in a diagonal model.
 
     phi(g) = sum over the model support of <g|chi> |xi(chi)|^2 with the
     weight-1 counting measure.  Raises NotCyclicError when xi vanishes on
     a support character (it would not be cyclic there).
     """
-    group = model.group
-    if xi.group != group:
+    if xi.group != model.group:
         raise GroupMismatchError("cyclic amplitude lives on a different group")
-    values = np.zeros(group.size, dtype=complex)
-    for s, chi in enumerate(model.support):
-        amp = xi.values[group.character_index(chi)]
-        if abs(amp) <= weight_floor:
-            raise NotCyclicError(
-                f"cyclic amplitude vanishes at support character {chi.coords} "
-                f"(|xi| = {abs(amp):.3e})")
-        values += (abs(amp) ** 2) * model.table[:, s]
-    return GroupFunction(group, values)
+    return GroupFunction(model.group, model.table @ np.abs(_cyclic_amplitudes(model, xi)) ** 2)
 
 
 def _eigenvector_coords(space: GNSSpace, chi: Character) -> np.ndarray:
@@ -118,55 +121,76 @@ def _eigenvector_coords(space: GNSSpace, chi: Character) -> np.ndarray:
     return v / norm
 
 
+# One formula per operator relation, over rows m of element data: C stacks
+# the eigenvector coordinates as rows, P[m, k] = <g_m|chi_k>, and D[m] is the
+# diagonal of pi(g_m) in quotient coordinates.  A stack of one rank x rank
+# block per element is never larger than the representation's operator stack.
+
+def _resolve(C: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """C^T diag(P[m]) conj(C) = sum_k P[m, k] |c_k><c_k| for every m."""
+    return (C.T * P[:, None, :]) @ C.conj()
+
+
+def _reconstruction_gaps(C: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """|| C^T diag(P[m]) conj(C) - diag(D[m]) ||_F for every m."""
+    return np.linalg.norm(_resolve(C, P) - D[:, :, None] * np.eye(D.shape[1]), axis=(1, 2))
+
+
+def _eigen_gaps(C: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """|| pi(g_m)^dagger c_k - conj(P[m, k]) c_k || = || (conj D[m] - conj P[m, k]) c_k ||."""
+    return np.linalg.norm((D.conj()[:, None, :] - P.conj()[:, :, None]) * C, axis=2)
+
+
 def build_decomposition(space: GNSSpace, xi: DualFunction, *,
                         tol: float = IDENTITY_TOL,
-                        weight_floor: float = WEIGHT_FLOOR,
-                        rng: np.random.Generator | None = None,
-                        check_pairs: int = 8) -> SpectralDecomposition:
+                        rng: np.random.Generator | None = None) -> SpectralDecomposition:
     """Generalized-eigenvector system of the quotient space of phi(xi).
 
     One eigenvector per character where xi does not vanish; their count
     must equal the quotient rank (InconsistencyError otherwise).  The
     inner-product identity <f|h>_phi = sum_chi conj(F(chi^{-1})) H(chi^{-1})
-    |xi(chi)|^2 is verified on random pairs within ``tol``.
+    |xi(chi)|^2 is verified on random pairs within ``tol``.  The operator
+    reconstruction and the eigenvalue equation are evaluated over the
+    whole group at once and their worst gaps stored.
     """
     group = space.group
     if xi.group != group:
         raise GroupMismatchError("cyclic amplitude lives on a different group")
-    support = _support_of(xi, weight_floor)
+    support = [chi for chi, v in zip(group.characters, xi.values) if abs(v) > WEIGHT_FLOOR]
     if len(support) != space.rank:
         raise InconsistencyError(
             f"cyclic amplitude is supported on {len(support)} characters but the "
             f"quotient rank is {space.rank}")
 
-    eigenvectors = []
-    for chi in support:
-        weight = float(abs(xi.values[group.character_index(chi)]))
-        coords = _eigenvector_coords(space, chi)
-        coords.setflags(write=False)
-        eigenvectors.append(GeneralizedEigenvector(
-            character=chi, weight=weight, coords=coords))
+    C = np.reshape([_eigenvector_coords(space, chi) for chi in support],
+                   (len(support), space.rank))
+    C.setflags(write=False)
+    eigenvectors = [GeneralizedEigenvector(character=chi, weight=float(abs(xi(chi))), coords=c)
+                    for chi, c in zip(support, C)]
 
     residual = _identity_residual(space, eigenvectors,
-                                  rng if rng is not None else np.random.default_rng(0),
-                                  check_pairs)
+                                  rng if rng is not None else np.random.default_rng(0))
     if residual > tol:
         raise InconsistencyError(
             f"inner-product identity residual {residual:.3e} exceeds {tol:.1e}; "
             "the quotient space does not match the cyclic amplitude")
 
+    P = group.pairing_rows([group.character_index(chi) for chi in support]).T  # table is symmetric
     return SpectralDecomposition(
         group=group,
         support=tuple(support),
         eigenvectors=tuple(eigenvectors),
         nu={chi: 1.0 for chi in support},
         identity_residual=residual,
+        reconstruction_residual=float(
+            _reconstruction_gaps(C, P, space.characters).max(initial=0.0)),
+        eigen_equation_residual=float(_eigen_gaps(C, P, space.characters).max(initial=0.0)),
     )
 
 
 def _identity_residual(space: GNSSpace,
                        eigenvectors: list[GeneralizedEigenvector],
-                       rng: np.random.Generator, check_pairs: int) -> float:
+                       rng: np.random.Generator) -> float:
     """Worst deviation of <f|h>_phi from sum_chi F_chi(f) conj(F_chi(h)).
 
     Deliberately evaluated through the functionals' own action so that a
@@ -174,7 +198,7 @@ def _identity_residual(space: GNSSpace,
     """
     group = space.group
     worst = 0.0
-    for _ in range(check_pairs):
+    for _ in range(IDENTITY_CHECK_PAIRS):
         f = GroupFunction(group, rng.standard_normal(group.size)
                           + 1j * rng.standard_normal(group.size))
         h = GroupFunction(group, rng.standard_normal(group.size)
@@ -192,11 +216,9 @@ def reconstruct_operator(decomp: SpectralDecomposition, space: GNSSpace,
     Returns sum_chi <g|chi> |F_chi><F_chi| nu(chi) in quotient
     coordinates; equals the quotient image of g.
     """
-    group = space.group
-    out = np.zeros((space.rank, space.rank), dtype=complex)
-    for vec in decomp.eigenvectors:
-        out += group.pairing(g, vec.character) * np.outer(vec.coords, vec.coords.conj())
-    return out
+    C = np.reshape([vec.coords for vec in decomp.eigenvectors], (len(decomp.support), space.rank))
+    P = np.array([[space.group.pairing(g, chi) for chi in decomp.support]])
+    return _resolve(C, P)[0]
 
 
 def eigen_residual(decomp: SpectralDecomposition, space: GNSSpace,
@@ -206,10 +228,10 @@ def eigen_residual(decomp: SpectralDecomposition, space: GNSSpace,
     The adjoint action extends the representation to the eigenvector
     functionals; its eigenvalue at chi is the conjugated pairing.
     """
-    vec = decomp.eigenvector(chi)
-    op = space.operator(g)
-    eigval = np.conj(space.group.pairing(g, chi))
-    return float(np.linalg.norm(op.conj().T @ vec.coords - eigval * vec.coords))
+    group = space.group
+    D = space.characters[[group.element_index(g)]]
+    C = decomp.eigenvector(chi).coords[None]
+    return float(_eigen_gaps(C, np.array([[group.pairing(g, chi)]]), D)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -221,8 +243,8 @@ class IntertwinerResult:
     intertwining_residual: float
 
 
-def intertwiner(space: GNSSpace, model: DiagonalModel, xi: DualFunction, *,
-                weight_floor: float = WEIGHT_FLOOR) -> IntertwinerResult:
+def intertwiner(space: GNSSpace, model: DiagonalModel,
+                xi: DualFunction) -> IntertwinerResult:
     """Unitary W with W pi_phi(g) W^dagger = diag(<g|chi>) on the model support.
 
     Rows of W are the eigenvector coordinates, so W maps the class of f to
@@ -236,19 +258,13 @@ def intertwiner(space: GNSSpace, model: DiagonalModel, xi: DualFunction, *,
         raise InconsistencyError(
             f"diagonal model has {len(model.support)} support characters but the "
             f"quotient rank is {space.rank}")
-    for chi in model.support:
-        if abs(xi.values[group.character_index(chi)]) <= weight_floor:
-            raise NotCyclicError(
-                f"cyclic amplitude vanishes at support character {chi.coords}")
+    _cyclic_amplitudes(model, xi)
 
-    rows = [np.conj(_eigenvector_coords(space, chi)) for chi in model.support]
-    W = np.array(rows)
+    W = np.array([np.conj(_eigenvector_coords(space, chi)) for chi in model.support])
     unitarity = float(np.linalg.norm(W.conj().T @ W - np.eye(space.rank)))
 
-    worst = 0.0
-    for i, g in enumerate(group.elements):
-        lhs = W @ space.operator(g)
-        rhs = np.diag(model.table[i]) @ W
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return IntertwinerResult(matrix=W, unitarity_residual=unitarity,
-                             intertwining_residual=worst)
+    # W pi(g_m) - diag(table[m]) W for every m, with pi(g_m) = diag(characters[m])
+    gaps = W * space.characters[:, None, :] - model.table[:, :, None] * W
+    return IntertwinerResult(
+        matrix=W, unitarity_residual=unitarity,
+        intertwining_residual=float(np.linalg.norm(gaps, axis=(1, 2)).max(initial=0.0)))

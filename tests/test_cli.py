@@ -482,3 +482,27 @@ def test_module_entry_point_runs_as_a_process(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["domain"] == "dual"
     assert "fourier" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["fourier", "decompose", "gns", "rig", "selftest"])
+def test_negative_seed_is_an_input_error(tmp_path, command):
+    argv = [sys.executable, "-m", "abelian_spectra.cli", command, "--seed", "-1"]
+    if command in ("fourier", "gns"):
+        argv += ["--input", str(write_function(tmp_path / "f.json", (2,), [1, 1]))]
+    elif command in ("decompose", "rig"):
+        rep = regular_representation(make_group((2,)))
+        argv += ["--input", str(write_representation(tmp_path / "rep.json", rep))]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--seed must be >= 0" in proc.stderr
+
+
+def test_dense_form_commands_cap_the_group_at_4096(tmp_path, capsys):
+    # only the header is parsed: the cap rejects the group before any allocation
+    src = write_function(tmp_path / "f.json", (4097,), np.zeros(4097))
+    code, _, err = run_cli(capsys, ["gns", "--input", str(src)])
+    assert code == 2
+    assert "size cap 4096" in err
+    code, _, err = run_cli(capsys, ["fourier", "--input", str(src)])
+    assert code == 0

@@ -27,6 +27,7 @@ from abelian_spectra import (
     spectral_measure,
     trivial_representation,
 )
+from abelian_spectra import rigging
 from conftest import random_function
 
 
@@ -361,3 +362,82 @@ def test_pipeline_respects_the_haar_weight(rng):
     result = intertwiner(space, model, xi)
     assert result.unitarity_residual < 1e-10
     assert result.intertwining_residual < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# one-pass residuals over the whole group
+# ---------------------------------------------------------------------------
+
+def random_multiplicity_free_system(rng):
+    """Conjugated diagonal rep of Z_3 x Z_4 on 5 distinct characters."""
+    G = make_group((3, 4))
+    chosen = rng.choice(G.size, size=5, replace=False)
+    slots = [G.characters[i] for i in sorted(chosen)]
+    Q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    gens = []
+    for coords in [(1, 0), (0, 1)]:
+        eig = np.array([G.pairing(G.element(coords), chi) for chi in slots])
+        gens.append(Q @ np.diag(eig) @ Q.conj().T)
+    pvm = spectral_measure(make_representation(G, gens))
+    (component,) = cyclic_decomposition(pvm)
+    model = diagonalize(component, pvm)
+    vals = np.zeros(G.size, dtype=complex)
+    for chi in model.support:
+        vals[G.character_index(chi)] = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
+    xi = DualFunction(G, vals)
+    space = gns_construct(phi_from_cyclic(model, xi))
+    return model, xi, space, build_decomposition(space, xi, rng=rng)
+
+
+def regular_2x2_system(rng):
+    G = make_group((2, 2))
+    xi = DualFunction(G, np.array([1.0, 2.0, 0.5, 1.5], dtype=complex))
+    model, _, space, decomp = rigged_system(G, xi, rng=rng)
+    return model, xi, space, decomp
+
+
+@pytest.mark.parametrize("system", [random_multiplicity_free_system, regular_2x2_system])
+def test_stored_maxima_equal_the_per_element_relations(system, rng):
+    _, _, space, decomp = system(rng)
+    G = space.group
+    recon = max(float(np.linalg.norm(reconstruct_operator(decomp, space, g)
+                                     - space.operator(g))) for g in G.elements)
+    eig = max(eigen_residual(decomp, space, g, chi)
+              for g in G.elements for chi in decomp.support)
+    assert decomp.reconstruction_residual == pytest.approx(recon, abs=1e-12)
+    assert decomp.eigen_equation_residual == pytest.approx(eig, abs=1e-12)
+
+
+def test_stored_maxima_see_mixed_eigenvector_coordinates(monkeypatch, rng):
+    model, xi, space, _ = random_multiplicity_free_system(rng)
+    original = rigging._eigenvector_coords
+
+    def mixed(space, chi):
+        v = original(space, chi).copy()
+        v[0], v[1] = v[0] + 1e-3 * v[1], v[1] - 1e-3 * v[0]
+        return v
+
+    monkeypatch.setattr(rigging, "_eigenvector_coords", mixed)
+    decomp = build_decomposition(space, xi, tol=1.0)
+    assert decomp.reconstruction_residual > 1e-6
+    assert decomp.eigen_equation_residual > 1e-6
+
+
+@pytest.mark.parametrize("system", [random_multiplicity_free_system, regular_2x2_system])
+def test_intertwining_residual_equals_the_per_element_loop(system, rng):
+    model, xi, space, _ = system(rng)
+    result = intertwiner(space, model, xi)
+    W = result.matrix
+    expected = max(
+        float(np.linalg.norm(W @ space.operator(g) - np.diag(model.table[i]) @ W))
+        for i, g in enumerate(space.group.elements))
+    assert result.intertwining_residual == pytest.approx(expected, abs=1e-12)
+
+
+def test_phi_from_cyclic_equals_the_per_character_sum(rng):
+    model, xi, _, _ = random_multiplicity_free_system(rng)
+    G = model.group
+    expected = np.zeros(G.size, dtype=complex)
+    for chi in model.support:
+        expected += abs(xi(chi)) ** 2 * np.array([G.pairing(g, chi) for g in G.elements])
+    np.testing.assert_allclose(phi_from_cyclic(model, xi).values, expected, rtol=0, atol=1e-12)

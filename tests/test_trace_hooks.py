@@ -45,3 +45,19 @@ def test_tracer_records_quotient_spans_and_restores_the_package(tmp_path, capsys
     after = _patchable_state()
     changed = [key for key, value in before.items() if after.get(key) is not value]
     assert changed == []
+
+
+def test_traced_rig_checks_the_operator_relations_in_one_pass(tmp_path):
+    rep = tmp_path / "rep.json"
+    dump_json(representation_to_payload(regular_representation(make_group((2, 2)))), rep)
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["rig", "--input", str(rep), "--output", str(tmp_path / "r.json")]) == 0
+    finally:
+        tracer.uninstall()
+
+    names = set(tracer.names)
+    assert {"rigging.build_decomposition", "rigging.intertwiner"} <= names
+    assert not {"rigging.eigen_residual", "rigging.reconstruct_operator"} & names
