@@ -50,6 +50,7 @@ from .representations import (
     diagonalization_residual,
     diagonalize,
     dirac_kets,
+    invariance_residual,
     reconstruction_residual,
     spectral_measure,
 )
@@ -60,6 +61,9 @@ DEFAULT_TOL = 1e-9
 # gns and rig build the dense |G| x |G| form (256 MiB at this order) and
 # run the positivity test's dense eigen-solver on it
 DENSE_FORM_SIZE_CAP = 4096
+# decompose and rig stack all |G| operators (16 |G| dim^2 bytes, the dense
+# form's size at that cap); their batched residuals hold about three stacks
+OPERATOR_STACK_BUDGET = 256 * 2**20
 TOL_ENV_VAR = "ABELIAN_SPECTRA_TOL"
 
 EXIT_OK = 0
@@ -158,6 +162,14 @@ def _check_seed(args: argparse.Namespace) -> None:
         raise FileFormatError("--seed must be >= 0")
 
 
+def _check_stack_budget(rep) -> None:
+    estimate = 16 * rep.group.size * rep.dim ** 2
+    if estimate > OPERATOR_STACK_BUDGET:
+        raise InvalidGroupError(
+            f"operator stack needs {estimate} bytes (16 |G| dim^2), over the "
+            f"budget of {OPERATOR_STACK_BUDGET} bytes")
+
+
 def _report_skeleton(command: str, args: argparse.Namespace, tol: float,
                      inputs: dict, results: dict, residuals: dict,
                      passed: bool) -> dict:
@@ -194,22 +206,19 @@ def cmd_fourier(args: argparse.Namespace, tol: float):
 def cmd_decompose(args: argparse.Namespace, tol: float):
     rep = representation_from_payload(load_json(args.input),
                                       size_cap=_size_cap(args))
+    _check_stack_budget(rep)
     group = rep.group
     pvm = spectral_measure(rep)
     recon = reconstruction_residual(pvm)
 
     components = cyclic_decomposition(pvm)
-    eye = np.eye(rep.dim)
     diag_res = 0.0
     invariance = 0.0
     comp_payloads = []
     for comp in components:
         model = diagonalize(comp, pvm)
         diag_res = max(diag_res, diagonalization_residual(model, rep))
-        proj = comp.isometry @ comp.isometry.conj().T
-        for op in rep.operators:
-            invariance = max(invariance, float(np.linalg.norm(
-                (eye - proj) @ op @ proj)))
+        invariance = max(invariance, invariance_residual(comp, rep))
         comp_payloads.append({
             "support": [list(chi.coords) for chi in comp.support],
             "cyclic_vector": complex_vector_payload(comp.cyclic_vector),
@@ -288,6 +297,7 @@ def cmd_gns(args: argparse.Namespace, tol: float):
 def cmd_rig(args: argparse.Namespace, tol: float):
     size_cap = _size_cap(args, default=DENSE_FORM_SIZE_CAP)
     rep = representation_from_payload(load_json(args.input), size_cap=size_cap)
+    _check_stack_budget(rep)
     group = rep.group
     xi_global = None
     if args.xi:

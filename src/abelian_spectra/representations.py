@@ -56,13 +56,14 @@ class UnitaryRep:
     @cached_property
     def operators(self) -> np.ndarray:
         """All |G| operators stacked in element enumeration order."""
-        stack = [np.eye(self.dim, dtype=complex)]
+        d = self.dim
+        stack = np.eye(d, dtype=complex)[None]
         for U, n in zip(self.generators, self.group.orders):
-            powers = [np.eye(self.dim, dtype=complex)]
+            powers = [np.eye(d, dtype=complex)]
             for _ in range(n - 1):
                 powers.append(powers[-1] @ U)
-            stack = [m @ p for m in stack for p in powers]
-        return np.array(stack)
+            stack = (stack[:, None] @ np.array(powers)[None]).reshape(-1, d, d)
+        return stack
 
 
 def make_representation(group: Group, generator_images: Sequence[np.ndarray]) -> UnitaryRep:
@@ -186,39 +187,39 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     P(chi) = (1/|G|) sum_g conj(<g|chi>) pi(g), the closed-form inversion
     of the reconstruction identity pi(g) = sum_chi <g|chi> P(chi) through
     character orthogonality.  The sum is one FFT of the operator stack
-    along the element axis, O(|G| log |G| d^2).  Construction validates
-    idempotency, hermiticity, completeness, mutual orthogonality of the
-    ranges, and that multiplicities add up to the dimension; a violation
-    raises NumericalDegeneracyError carrying the residuals.
+    along the element axis, O(|G| log |G| d^2), and one stacked SVD gives
+    every rank, O(|G| d^3).  The projections are copied out of the
+    transformed stack, so the measure holds only its support.
+    Construction validates idempotency, hermiticity, completeness, mutual
+    orthogonality of the ranges, and that multiplicities add up to the
+    dimension; a violation raises NumericalDegeneracyError carrying the
+    residuals.
     """
     group = rep.group
     stack = _transform(group, rep.operators) / group.size
+    svals = np.linalg.svd(stack, compute_uv=False)
+    top = svals.max(axis=1, initial=0.0)
+    keep = np.flatnonzero(top > RANK_TOL)
+    P = stack[keep]
+    mults = np.count_nonzero(svals[keep] > RANK_TOL * top[keep, None], axis=1)
+    idem = float(np.max(np.linalg.norm(P @ P - P, axis=(1, 2)), initial=0.0))
+    herm = float(np.max(np.linalg.norm(P - P.conj().swapaxes(1, 2), axis=(1, 2)),
+                        initial=0.0))
+    P.setflags(write=False)
+    support = [group.characters[k] for k in keep]
 
-    projections: dict = {}
-    multiplicities: dict = {}
     bases: dict = {}
-    support: list[Character] = []
-    idem = herm = 0.0
-    for chi, P in zip(group.characters, stack):
-        svals = np.linalg.svd(P, compute_uv=False)
-        top = float(svals[0]) if svals.size else 0.0
-        if top <= RANK_TOL:
-            continue
-        mult = int(np.count_nonzero(svals > RANK_TOL * top))
-        idem = max(idem, float(np.linalg.norm(P @ P - P)))
-        herm = max(herm, float(np.linalg.norm(P - P.conj().T)))
-        basis = _orthonormal_range_basis(P)
+    for chi, proj, mult in zip(support, P, mults):
+        basis = _orthonormal_range_basis(proj)
         if basis.shape[1] != mult:
             raise NumericalDegeneracyError(
                 f"range basis of P({chi.coords}) found {basis.shape[1]} directions "
                 f"for multiplicity {mult}",
                 residuals={"multiplicity": float(mult), "basis_rank": float(basis.shape[1])})
-        P.setflags(write=False)
         basis.setflags(write=False)
-        projections[chi] = P
-        multiplicities[chi] = mult
         bases[chi] = basis
-        support.append(chi)
+    projections = dict(zip(support, P))
+    multiplicities = dict(zip(support, mults.tolist()))
 
     # Orthogonality of the ranges via the stacked basis Gram matrix; this
     # bounds max ||P(chi) P(chi')|| without forming all pairwise products.
@@ -226,10 +227,9 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
         B = np.column_stack([bases[chi] for chi in support])
         gram = B.conj().T @ B
         ortho = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-        complete = float(np.linalg.norm(sum(projections.values()) - np.eye(rep.dim)))
     else:
         ortho = 0.0
-        complete = float(np.linalg.norm(np.eye(rep.dim))) if rep.dim else 0.0
+    complete = float(np.linalg.norm(P.sum(axis=0) - np.eye(rep.dim)))
 
     mult_total = sum(multiplicities.values())
     residuals = {
@@ -258,13 +258,13 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
 
 
 def reconstruction_residual(pvm: ProjectionValuedMeasure) -> float:
-    """max_g || pi(g) - sum_chi <g|chi> P(chi) ||."""
+    """max_g || pi(g) - sum_chi <g|chi> P(chi) ||, one product over all of G."""
     group = pvm.group
-    cols = [group.character_index(chi) for chi in pvm.support]
-    table = group.pairing_rows(cols).T
+    table = group.pairing_rows([group.character_index(chi) for chi in pvm.support]).T
     stack = np.array([pvm.projections[chi] for chi in pvm.support])
-    rebuilt = np.einsum("gx,xij->gij", table, stack)
-    return float(np.max(np.linalg.norm(pvm.rep.operators - rebuilt, axis=(1, 2))))
+    gap = table @ stack.reshape(len(stack), -1)
+    gap -= pvm.rep.operators.reshape(group.size, -1)
+    return float(np.max(np.linalg.norm(gap, axis=1)))
 
 
 def apply_algebra(pvm: ProjectionValuedMeasure, f: GroupFunction) -> np.ndarray:
@@ -366,13 +366,22 @@ def diagonalize(component: CyclicComponent, pvm: ProjectionValuedMeasure) -> Dia
 
 
 def diagonalization_residual(model: DiagonalModel, rep: UnitaryRep) -> float:
-    """max_g || V^dagger pi(g) V - diag(<g|chi>) ||."""
+    """max_g || V^dagger pi(g) V - diag(<g|chi>) ||, over the whole stack."""
     V = model.isometry
-    worst = 0.0
-    for i, op in enumerate(rep.operators):
-        D = V.conj().T @ op @ V
-        worst = max(worst, float(np.linalg.norm(D - np.diag(model.table[i]))))
-    return worst
+    D = V.conj().T @ rep.operators @ V
+    diag = np.arange(V.shape[1])
+    D[:, diag, diag] -= model.table
+    return float(np.max(np.linalg.norm(D, axis=(1, 2))))
+
+
+def invariance_residual(component: CyclicComponent, rep: UnitaryRep) -> float:
+    """max_g || (I - V V^dagger) pi(g) V V^dagger ||, over the whole stack.
+
+    Zero when pi(G) leaves the component's range invariant.
+    """
+    proj = component.isometry @ component.isometry.conj().T
+    leak = (np.eye(rep.dim) - proj) @ rep.operators @ proj
+    return float(np.max(np.linalg.norm(leak, axis=(1, 2))))
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .representations import (
     diagonalize,
     dirac_kets,
     functional_calculus,
+    invariance_residual,
     make_representation,
     reconstruction_residual,
     spectral_measure,
@@ -513,11 +514,8 @@ def _prop_component_invariance(rng, cfg):
             iso = comp.isometry
             r = max(r, float(np.linalg.norm(
                 iso.conj().T @ iso - np.eye(iso.shape[1]))))
-            proj = iso @ iso.conj().T
-            total += proj
-            for op in rep.operators:
-                r = max(r, float(np.linalg.norm(
-                    (np.eye(rep.dim) - proj) @ op @ proj)))
+            total += iso @ iso.conj().T
+            r = max(r, invariance_residual(comp, rep))
         for a in range(len(comps)):
             for b in range(a + 1, len(comps)):
                 r = max(r, float(np.linalg.norm(

@@ -24,6 +24,25 @@ def random_positive_type(group: Group, rng: np.random.Generator) -> GroupFunctio
     return inverse_fourier(DualFunction(group, spectrum.astype(complex)))
 
 
+@pytest.fixture
+def non_idempotent_measure(monkeypatch):
+    """Scale the unit character's projection by 1 + 1e-6 inside spectral_measure.
+
+    That character is in the support of a regular representation, so its
+    P(chi) stops being idempotent while its rank stays the same.
+    """
+    from abelian_spectra import representations
+
+    transform = representations._transform
+
+    def perturbed(group, values):
+        out = transform(group, values)
+        out[0] *= 1 + 1e-6
+        return out
+
+    monkeypatch.setattr(representations, "_transform", perturbed)
+
+
 SMALL_ORDER_LISTS = [(1,), (2,), (3,), (4,), (5,), (2, 2), (2, 3), (2, 4), (2, 2, 2), (3, 3)]
 
 

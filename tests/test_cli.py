@@ -506,3 +506,34 @@ def test_dense_form_commands_cap_the_group_at_4096(tmp_path, capsys):
     assert "size cap 4096" in err
     code, _, err = run_cli(capsys, ["fourier", "--input", str(src)])
     assert code == 0
+
+
+def test_decompose_and_rig_refuse_an_operator_stack_over_budget(tmp_path, capsys, monkeypatch):
+    # the regular rep of Z_4 stacks 4 operators of 4 x 4: 16 * 4 * 16 = 1024 bytes
+    src = write_representation(tmp_path / "rep.json", regular_representation(make_group((4,))))
+    calls = []
+    measure = cli.spectral_measure
+    monkeypatch.setattr(cli, "spectral_measure", lambda rep: calls.append(rep) or measure(rep))
+    budget = cli.OPERATOR_STACK_BUDGET
+    monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", 1000)
+    for command in ("decompose", "rig"):
+        code, _, err = run_cli(capsys, [command, "--input", str(src)])
+        assert code == 2
+        assert "1024 bytes" in err and "budget of 1000 bytes" in err
+        assert "Traceback" not in err
+    assert calls == []
+
+    monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", budget)
+    for command in ("decompose", "rig"):
+        code, _, _ = run_cli(capsys, [command, "--input", str(src)])
+        assert code == 0
+    assert len(calls) == 2
+
+
+def test_decompose_exits_4_when_the_measure_breaks_its_invariants(
+        tmp_path, capsys, non_idempotent_measure):
+    src = write_representation(tmp_path / "rep.json", regular_representation(make_group((4,))))
+    code, _, err = run_cli(capsys, ["decompose", "--input", str(src)])
+    assert code == 4
+    assert "idempotency" in err
+    assert "Traceback" not in err

@@ -1,5 +1,7 @@
 """Unitary representations, spectral projections, diagonal models, kets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from abelian_spectra import (
     Group,
     GroupFunction,
     NotSelfAdjointError,
+    NumericalDegeneracyError,
     RepresentationValidationError,
     ShapeMismatchError,
     SupportError,
@@ -18,6 +21,7 @@ from abelian_spectra import (
     diagonalize,
     dirac_kets,
     functional_calculus,
+    invariance_residual,
     make_group,
     make_representation,
     reconstruction_residual,
@@ -25,6 +29,7 @@ from abelian_spectra import (
     spectral_measure,
     trivial_representation,
 )
+from abelian_spectra import representations
 from conftest import random_function
 
 
@@ -436,3 +441,116 @@ def test_functional_calculus_rejects_incomplete_labels():
         functional_calculus(pvm, {G.character((0,)): 1.0}, lambda a: a)
     with pytest.raises(ShapeMismatchError):
         functional_calculus(pvm, (1.0,), lambda a: a)
+
+
+# ---------------------------------------------------------------------------
+# one-pass residuals over the whole group
+# ---------------------------------------------------------------------------
+
+def multiplicity_two_rep(rng):
+    """Random dim-5 rep of Z_3 x Z_4: two characters of multiplicity 2, one of 1."""
+    G = make_group((3, 4))
+    a, b, c = (G.characters[i] for i in rng.choice(G.size, size=3, replace=False))
+    rep, _ = conjugated_diagonal_rep(G, [a, a, b, c, c], rng)
+    return rep
+
+
+def loop_reconstruction_residual(pvm):
+    G = pvm.group
+    worst = 0.0
+    for g in G.elements:
+        rebuilt = sum(G.pairing(g, chi) * pvm.projections[chi] for chi in pvm.support)
+        worst = max(worst, np.linalg.norm(pvm.rep.apply(g) - rebuilt))
+    return worst
+
+
+def loop_diagonalization_residual(model, rep):
+    G, V = rep.group, model.isometry
+    worst = 0.0
+    for g in G.elements:
+        symbol = np.diag([G.pairing(g, chi) for chi in model.support])
+        worst = max(worst, np.linalg.norm(V.conj().T @ rep.apply(g) @ V - symbol))
+    return worst
+
+
+def loop_invariance_residual(component, rep):
+    proj = component.isometry @ component.isometry.conj().T
+    leak = np.eye(rep.dim) - proj
+    return max(np.linalg.norm(leak @ rep.apply(g) @ proj) for g in rep.group.elements)
+
+
+def mixed_components(pvm):
+    """The first component with one isometry column mixed, by 1e-3, with a
+    column of the second component that belongs to a different character."""
+    first, second = cyclic_decomposition(pvm)[:2]
+    k = next(i for i, chi in enumerate(second.support) if chi != first.support[0])
+    iso = first.isometry.copy()
+    iso[:, 0] += 1e-3 * second.isometry[:, k]
+    return replace(first, isometry=iso)
+
+
+def test_operators_match_apply_on_a_random_unitary_rep(rng):
+    G = make_group((3, 5, 2))
+    slots = [G.characters[i] for i in rng.integers(G.size, size=4)]
+    rep, _ = conjugated_diagonal_rep(G, slots, rng)
+    assert rep.operators.shape == (G.size, 4, 4)
+    for i, g in enumerate(G.elements):
+        np.testing.assert_allclose(rep.operators[i], rep.apply(g), rtol=0, atol=1e-12)
+
+
+def test_one_pass_residuals_equal_per_element_loops(rng):
+    for rep in (regular_representation(make_group((2, 2, 2))), multiplicity_two_rep(rng)):
+        pvm = spectral_measure(rep)
+        assert abs(reconstruction_residual(pvm) - loop_reconstruction_residual(pvm)) < 1e-12
+        for comp in cyclic_decomposition(pvm):
+            model = diagonalize(comp, pvm)
+            assert abs(diagonalization_residual(model, rep)
+                       - loop_diagonalization_residual(model, rep)) < 1e-12
+            assert abs(invariance_residual(comp, rep)
+                       - loop_invariance_residual(comp, rep)) < 1e-12
+
+
+def test_mixing_components_breaks_invariance_and_diagonalization(rng):
+    rep = multiplicity_two_rep(rng)
+    pvm = spectral_measure(rep)
+    mixed = mixed_components(pvm)
+    model = diagonalize(mixed, pvm)
+    invariance = invariance_residual(mixed, rep)
+    diag = diagonalization_residual(model, rep)
+    assert invariance > 1e-6
+    assert diag > 1e-6
+    assert abs(invariance - loop_invariance_residual(mixed, rep)) < 1e-12
+    assert abs(diag - loop_diagonalization_residual(model, rep)) < 1e-12
+
+
+def test_perturbed_projection_breaks_the_reconstruction(rng):
+    pvm = spectral_measure(multiplicity_two_rep(rng))
+    chi = pvm.support[0]
+    bumped = pvm.projections[chi].copy()
+    bumped[0, 0] += 1e-6
+    broken = replace(pvm, projections={**pvm.projections, chi: bumped})
+    residual = reconstruction_residual(broken)
+    assert residual > 1e-7
+    assert abs(residual - loop_reconstruction_residual(broken)) < 1e-12
+
+
+def test_measure_keeps_no_view_of_the_transformed_stack(rng):
+    rep = multiplicity_two_rep(rng)
+    pvm = spectral_measure(rep)
+    assert len(pvm.support) < rep.group.size
+    for P in pvm.projections.values():
+        assert P.base is None or P.base.size < rep.group.size * rep.dim ** 2
+
+
+def test_measure_raises_when_a_projection_is_not_idempotent(non_idempotent_measure):
+    with pytest.raises(NumericalDegeneracyError) as info:
+        spectral_measure(regular_representation(make_group((4,))))
+    assert info.value.residuals["idempotency"] > representations.PVM_TOL
+
+
+def test_measure_raises_when_a_range_basis_falls_short(monkeypatch):
+    monkeypatch.setattr(representations, "RANGE_ACCEPT_TOL", 2.0)
+    with pytest.raises(NumericalDegeneracyError) as info:
+        spectral_measure(regular_representation(make_group((4,))))
+    assert info.value.residuals["multiplicity"] == 1.0
+    assert info.value.residuals["basis_rank"] == 0.0

@@ -61,3 +61,24 @@ def test_traced_rig_checks_the_operator_relations_in_one_pass(tmp_path):
     names = set(tracer.names)
     assert {"rigging.build_decomposition", "rigging.intertwiner"} <= names
     assert not {"rigging.eigen_residual", "rigging.reconstruct_operator"} & names
+
+
+def test_traced_decompose_records_the_spectral_spans_and_restores_the_package(tmp_path):
+    rep = tmp_path / "rep.json"
+    dump_json(representation_to_payload(regular_representation(make_group((2, 2)))), rep)
+    before = _patchable_state()
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["decompose", "--input", str(rep),
+                         "--output", str(tmp_path / "d.json")]) == 0
+    finally:
+        tracer.uninstall()
+
+    assert {"representations.operators", "representations.spectral_measure",
+            "representations.reconstruction_residual",
+            "representations.diagonalization_residual", "cli.decompose"} <= set(tracer.names)
+    after = _patchable_state()
+    changed = [key for key, value in before.items() if after.get(key) is not value]
+    assert changed == []
