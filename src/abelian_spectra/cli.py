@@ -12,6 +12,7 @@ property breach, 5 mathematical precondition failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -58,11 +59,9 @@ from .rigging import build_decomposition, intertwiner, phi_from_cyclic
 from .selftest import SelftestConfig, run_selftest
 
 DEFAULT_TOL = 1e-9
-# gns and rig build the dense |G| x |G| form (256 MiB at this order) and
-# run the positivity test's dense eigen-solver on it
-DENSE_FORM_SIZE_CAP = 4096
-# decompose and rig stack all |G| operators (16 |G| dim^2 bytes, the dense
-# form's size at that cap); their batched residuals hold about three stacks
+# The memory budget: bytes of the largest array a command may allocate (the
+# dense |G| x |G| form, the |G| x dim x dim operator stack, gns's generator
+# images, the self-test's oracles), each estimated before it is allocated.
 OPERATOR_STACK_BUDGET = 256 * 2**20
 TOL_ENV_VAR = "ABELIAN_SPECTRA_TOL"
 
@@ -102,10 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"pass/fail residual threshold (default {DEFAULT_TOL:g}; "
                              f"env {TOL_ENV_VAR} overrides)")
         sp.add_argument("--max-group-size", type=int, default=None,
-                        help=f"largest admitted group order (default {DEFAULT_SIZE_CAP}; "
-                             f"{DENSE_FORM_SIZE_CAP} for gns and rig, 16 for selftest)")
-        sp.add_argument("--format", choices=["json"], default="json",
-                        help="payload format (json only)")
+                        help=f"largest admitted group order (default {DEFAULT_SIZE_CAP}, "
+                             "16 for selftest; gns and rig never admit a dense "
+                             "form over the memory budget)")
 
     sp = sub.add_parser("fourier", help="transform a function file")
     common(sp)
@@ -162,11 +160,15 @@ def _check_seed(args: argparse.Namespace) -> None:
         raise FileFormatError("--seed must be >= 0")
 
 
-def _check_stack_budget(rep) -> None:
-    estimate = 16 * rep.group.size * rep.dim ** 2
+def _dense_form_cap(args: argparse.Namespace) -> int:
+    """Size cap of gns and rig: their dense form takes 16 |G|^2 bytes."""
+    return min(_size_cap(args), math.isqrt(OPERATOR_STACK_BUDGET // 16))
+
+
+def _check_budget(what: str, estimate: int) -> None:
     if estimate > OPERATOR_STACK_BUDGET:
         raise InvalidGroupError(
-            f"operator stack needs {estimate} bytes (16 |G| dim^2), over the "
+            f"{what} would take {estimate} bytes, over the memory "
             f"budget of {OPERATOR_STACK_BUDGET} bytes")
 
 
@@ -206,7 +208,7 @@ def cmd_fourier(args: argparse.Namespace, tol: float):
 def cmd_decompose(args: argparse.Namespace, tol: float):
     rep = representation_from_payload(load_json(args.input),
                                       size_cap=_size_cap(args))
-    _check_stack_budget(rep)
+    _check_budget("operator stack (16 |G| dim^2)", 16 * rep.group.size * rep.dim ** 2)
     group = rep.group
     pvm = spectral_measure(rep)
     recon = reconstruction_residual(pvm)
@@ -230,6 +232,8 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
         })
 
     kets = dirac_kets(pvm)
+    mults = np.zeros(group.size, dtype=int)
+    mults[list(map(group.character_index, pvm.multiplicities))] = list(pvm.multiplicities.values())
     residuals = {f"pvm_{k}": v for k, v in sorted(pvm.residuals.items())}
     residuals.update({
         "reconstruction": recon,
@@ -240,7 +244,7 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
 
     results = {
         "support": [list(chi.coords) for chi in pvm.support],
-        "multiplicities": [pvm.multiplicity(chi) for chi in group.characters],
+        "multiplicities": mults.tolist(),
         "components": comp_payloads,
         "kets": [
             {
@@ -265,11 +269,12 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
 
 
 def cmd_gns(args: argparse.Namespace, tol: float):
-    f = function_from_payload(load_json(args.input),
-                              size_cap=_size_cap(args, default=DENSE_FORM_SIZE_CAP))
+    f = function_from_payload(load_json(args.input), size_cap=_dense_form_cap(args))
     if not isinstance(f, GroupFunction):
         raise FileFormatError("quotient construction needs field 'domain' == 'group'")
     space = gns_construct(f)
+    _check_budget("generator images (16 factors rank^2)",
+                  16 * f.group.num_factors * space.rank ** 2)
     rep = space.representation()  # raises if images fail unitarity/commutation/order
     recon = float(np.abs(reconstruct_phi(space).values - f.values).max())
     residuals = {"reconstruction": recon}
@@ -295,9 +300,9 @@ def cmd_gns(args: argparse.Namespace, tol: float):
 
 
 def cmd_rig(args: argparse.Namespace, tol: float):
-    size_cap = _size_cap(args, default=DENSE_FORM_SIZE_CAP)
+    size_cap = _dense_form_cap(args)
     rep = representation_from_payload(load_json(args.input), size_cap=size_cap)
-    _check_stack_budget(rep)
+    _check_budget("operator stack (16 |G| dim^2)", 16 * rep.group.size * rep.dim ** 2)
     group = rep.group
     xi_global = None
     if args.xi:
@@ -367,6 +372,8 @@ def cmd_selftest(args: argparse.Namespace, tol: float):
     )
     if cfg.max_dim < 1:
         raise FileFormatError("--max-dim must be positive")
+    _check_budget("self-test oracles (16 N max(N, dim^2))",
+                  16 * cfg.max_group_size * max(cfg.max_group_size, cfg.max_dim ** 2))
     results, report = run_selftest(cfg)
     lines = [res.line() for res in results]
     npass = sum(res.passed for res in results)

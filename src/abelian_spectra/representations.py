@@ -206,7 +206,7 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     herm = float(np.max(np.linalg.norm(P - P.conj().swapaxes(1, 2), axis=(1, 2)),
                         initial=0.0))
     P.setflags(write=False)
-    support = [group.characters[k] for k in keep]
+    support = [Character(tuple(group._coords[k])) for k in keep]
 
     bases: dict = {}
     for chi, proj, mult in zip(support, P, mults):

@@ -156,7 +156,8 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
     group = space.group
     if xi.group != group:
         raise GroupMismatchError("cyclic amplitude lives on a different group")
-    support = [chi for chi, v in zip(group.characters, xi.values) if abs(v) > WEIGHT_FLOOR]
+    keep = np.flatnonzero(np.abs(xi.values) > WEIGHT_FLOOR)
+    support = [Character(tuple(group._coords[k])) for k in keep]
     if len(support) != space.rank:
         raise InconsistencyError(
             f"cyclic amplitude is supported on {len(support)} characters but the "
@@ -175,7 +176,7 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
             f"inner-product identity residual {residual:.3e} exceeds {tol:.1e}; "
             "the quotient space does not match the cyclic amplitude")
 
-    P = group.pairing_rows([group.character_index(chi) for chi in support]).T  # table is symmetric
+    P = group.pairing_rows(keep).T  # table is symmetric
     return SpectralDecomposition(
         group=group,
         support=tuple(support),

@@ -23,6 +23,7 @@ from abelian_spectra import (
     spectral_measure,
 )
 from abelian_spectra import cli, rigging
+from abelian_spectra.gns import GNSSpace
 from abelian_spectra.fileio import (
     dump_json,
     function_to_payload,
@@ -537,3 +538,62 @@ def test_decompose_exits_4_when_the_measure_breaks_its_invariants(
     assert code == 4
     assert "idempotency" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gns", "rig"])
+def test_the_flag_cannot_raise_the_dense_form_cap(tmp_path, capsys, monkeypatch, command):
+    if command == "gns":
+        payload = {"group": {"orders": [4097]}, "domain": "group", "values": []}
+    else:
+        payload = {"group": {"orders": [4097]}, "dim": 1, "generators": [[[1.0, 0.0]]]}
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, [command, "--input", str(src), "--max-group-size", "8192"])
+    assert code == 2
+    assert "size cap 4096" in err
+    # the cap follows the budget at call time: isqrt(2000 // 16) = 11
+    monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", 2000)
+    code, _, err = run_cli(capsys, [command, "--input", str(src)])
+    assert code == 2
+    assert "size cap 11" in err
+    # and the flag still lowers it
+    code, _, err = run_cli(capsys, [command, "--input", str(src), "--max-group-size", "3"])
+    assert code == 2
+    assert "size cap 3" in err
+
+
+def test_gns_refuses_generator_images_over_budget(tmp_path, capsys, monkeypatch):
+    # delta on (2,2,2) has rank 8: three 8 x 8 images take 16 * 3 * 64 = 3072 bytes
+    src = tmp_path / "phi.json"
+    dump_json(function_to_payload(delta(make_group((2, 2, 2)))), src)
+    calls = []
+    representation = GNSSpace.representation
+    monkeypatch.setattr(GNSSpace, "representation",
+                        lambda self: calls.append(self) or representation(self))
+    budget = cli.OPERATOR_STACK_BUDGET
+    monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", 2000)
+    code, _, err = run_cli(capsys, ["gns", "--input", str(src)])
+    assert code == 2
+    assert "3072 bytes" in err and "budget of 2000 bytes" in err
+    assert "Traceback" not in err
+    assert calls == []
+
+    monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", budget)
+    code, report, _ = stdout_report(capsys, ["gns", "--input", str(src)])
+    assert code == 0
+    assert report["results"]["rank"] == 8
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flags, estimate", [
+    (["--max-group-size", "8192"], 16 * 8192 * 8192),
+    (["--max-dim", "100000"], 16 * 16 * 100000 ** 2),
+])
+def test_selftest_refuses_oracles_over_budget(capsys, monkeypatch, flags, estimate):
+    calls = []
+    monkeypatch.setattr(cli, "run_selftest", lambda cfg: calls.append(cfg))
+    code, _, err = run_cli(capsys, ["selftest", *flags])
+    assert code == 2
+    assert f"{estimate} bytes" in err
+    assert "Traceback" not in err
+    assert calls == []

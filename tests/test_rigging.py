@@ -441,3 +441,11 @@ def test_phi_from_cyclic_equals_the_per_character_sum(rng):
     for chi in model.support:
         expected += abs(xi(chi)) ** 2 * np.array([G.pairing(g, chi) for g in G.elements])
     np.testing.assert_allclose(phi_from_cyclic(model, xi).values, expected, rtol=0, atol=1e-12)
+
+
+def test_measure_and_decomposition_never_enumerate_the_characters():
+    # the supports are built from index arrays, not from |G| Character tuples
+    G = make_group((3, 4))
+    model, _, _, decomp = rigged_system(G, rng=np.random.default_rng(0))
+    assert len(decomp.support) == G.size == len(model.support)
+    assert "characters" not in G.__dict__
