@@ -59,8 +59,8 @@ from .rigging import build_decomposition, intertwiner, phi_from_cyclic
 from .selftest import SelftestConfig, run_selftest
 
 DEFAULT_TOL = 1e-9
-# The memory budget: bytes of the largest array a command may allocate (the
-# dense |G| x |G| form, the |G| x dim x dim operator stack, gns's generator
+# The memory budget: bytes of the largest array a command may allocate (gns's
+# |G| x rank characters, the |G| x dim x dim operator stack, gns's generator
 # images, the self-test's oracles), each estimated before it is allocated.
 OPERATOR_STACK_BUDGET = 256 * 2**20
 TOL_ENV_VAR = "ABELIAN_SPECTRA_TOL"
@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                              f"env {TOL_ENV_VAR} overrides)")
         sp.add_argument("--max-group-size", type=int, default=None,
                         help=f"largest admitted group order (default {DEFAULT_SIZE_CAP}, "
-                             "16 for selftest; gns and rig never admit a dense "
-                             "form over the memory budget)")
+                             "16 for selftest; gns never admits a full-rank "
+                             "character table over the memory budget)")
 
     sp = sub.add_parser("fourier", help="transform a function file")
     common(sp)
@@ -160,8 +160,8 @@ def _check_seed(args: argparse.Namespace) -> None:
         raise FileFormatError("--seed must be >= 0")
 
 
-def _dense_form_cap(args: argparse.Namespace) -> int:
-    """Size cap of gns and rig: their dense form takes 16 |G|^2 bytes."""
+def _gns_size_cap(args: argparse.Namespace) -> int:
+    """Size cap of gns: its |G| x rank character table takes 16 |G|^2 bytes at full rank."""
     return min(_size_cap(args), math.isqrt(OPERATOR_STACK_BUDGET // 16))
 
 
@@ -269,7 +269,7 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
 
 
 def cmd_gns(args: argparse.Namespace, tol: float):
-    f = function_from_payload(load_json(args.input), size_cap=_dense_form_cap(args))
+    f = function_from_payload(load_json(args.input), size_cap=_gns_size_cap(args))
     if not isinstance(f, GroupFunction):
         raise FileFormatError("quotient construction needs field 'domain' == 'group'")
     space = gns_construct(f)
@@ -300,7 +300,7 @@ def cmd_gns(args: argparse.Namespace, tol: float):
 
 
 def cmd_rig(args: argparse.Namespace, tol: float):
-    size_cap = _dense_form_cap(args)
+    size_cap = _size_cap(args)
     rep = representation_from_payload(load_json(args.input), size_cap=size_cap)
     _check_budget("operator stack (16 |G| dim^2)", 16 * rep.group.size * rep.dim ** 2)
     group = rep.group

@@ -7,14 +7,14 @@ quotient by the form's null space is therefore spanned by the characters
 in the support of F, each scaled to unit form norm.  Left translation by
 g acts on it diagonally through the pairing <g|psi>, and the class of the
 identity point mass is a cyclic vector whose diagonal matrix coefficient
-recovers phi.  Everything follows from one transform of phi; the dense
-form is kept as the oracle the closed form is checked against once.
+recovers phi.  Everything, the positivity verdict (F >= 0) included,
+follows from one transform of phi, checked once against the form applied
+by FFT; the dense form stays in ``algebra`` as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from .algebra import (
     GroupFunction,
     PositivityReport,
     _transform,
+    apply_hermitian_form,
     fourier,
-    hermitian_form,
-    is_positive_type,
+    transform_positivity,
 )
 from .errors import GroupMismatchError, InconsistencyError, PositiveTypeError
 from .groups import Element, Group
@@ -41,14 +41,13 @@ class GNSSpace:
     ``support`` holds.  ``characters`` holds the support characters as
     columns, characters[g, s] = <g|psi_s>, and ``quotient_basis`` Q their
     conjugates scaled to unit form norm, an orthonormal basis for
-    <h|f> = h^dagger gram f.  ``eta`` is the class of the identity point
-    mass in those coordinates; ``positivity`` is the two-route
-    positive-type report the construction was admitted on.
+    <h|f> = h^dagger hermitian_form(phi) f.  ``eta`` is the class of the
+    identity point mass in those coordinates; ``positivity`` is the
+    closed-form report, read off the transform, it was admitted on.
     """
 
     group: Group
     phi: GroupFunction
-    gram: np.ndarray
     eigenvalues: np.ndarray
     rank: int
     support: np.ndarray
@@ -57,15 +56,11 @@ class GNSSpace:
     eta: np.ndarray
     positivity: PositivityReport
 
-    @cached_property
-    def _gram_q(self) -> np.ndarray:
-        return self.quotient_basis * self.eigenvalues[:self.rank]
-
     def class_coordinates(self, f: GroupFunction) -> np.ndarray:
         """Coordinates of the class of f in the orthonormal quotient basis."""
         if f.group != self.group:
             raise GroupMismatchError("function lives on a different group")
-        return self._gram_q.conj().T @ f.values
+        return (self.quotient_basis * self.eigenvalues[:self.rank]).conj().T @ f.values
 
     def operator(self, g: Element) -> np.ndarray:
         """Image of g: the support characters evaluated at g, on the diagonal."""
@@ -83,14 +78,16 @@ class GNSSpace:
 def gns_construct(phi: GroupFunction) -> GNSSpace:
     """Build the quotient space of a positive-type function in closed form.
 
-    Raises PositiveTypeError when phi fails the positivity test.  The
-    quotient rank is the number of eigenvalues of the form above
-    RANK_TOL relative to the largest one, which equals the size
-    of the transform's support.  Raises InconsistencyError when the
-    support characters are not eigenvectors of the dense form to
-    round-off, which only an algebra bug can cause.
+    Raises PositiveTypeError when the transform of phi is not
+    non-negative.  The quotient rank is the number of eigenvalues of the
+    form above RANK_TOL relative to the largest one, which equals the
+    size of the transform's support.  Raises InconsistencyError when the
+    support characters are not eigenvectors of the form to round-off,
+    which only an algebra bug can cause.
     """
-    report = is_positive_type(phi)
+    group = phi.group
+    F = fourier(phi).values
+    report = transform_positivity(F, group.haar_weight)
     if not report.verdict:
         raise PositiveTypeError(
             f"function is not of positive type (min transform {report.min_fourier:.6e}, "
@@ -98,10 +95,7 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
             min_fourier=report.min_fourier,
             min_gram_eigenvalue=report.min_gram_eigenvalue)
 
-    group = phi.group
-    gram = hermitian_form(phi)
-    gram = (gram + gram.conj().T) / 2.0  # kill round-off skew; exact for positive type
-    lam = group.haar_weight * fourier(phi).values.real
+    lam = group.haar_weight * F.real
     order = np.argsort(-lam, kind="stable")
     eigvals = lam[order]
 
@@ -112,17 +106,17 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
     characters = group.pairing_rows(support).T
     conj_chars = characters.conj()
 
-    # |gram entries| <= weight^2 phi(e) <= lam_max, so each entry of
-    # gram @ conj_chars is a |G|-term sum whose round-off stays far below
-    # the bound.
-    residual = float(np.abs(gram @ conj_chars - conj_chars * lam_s).max(initial=0.0))
+    # The form scales each conjugated character by weight * F (lam_s is the
+    # real part); the FFT's O(eps log |G| lam_max) round-off is far below the bound.
+    gap = apply_hermitian_form(phi, conj_chars) - conj_chars * (group.haar_weight * F[support])
+    residual = float(np.abs(gap).max(initial=0.0))
     bound = 1e-12 * group.size * max(lam_max, 0.0)
     if residual > bound:
         raise InconsistencyError(
             f"support characters are not eigenvectors of the form "
             f"(residual {residual:.3e}, bound {bound:.3e})")
 
-    return GNSSpace(group=group, phi=phi, gram=gram, eigenvalues=eigvals, rank=rank,
+    return GNSSpace(group=group, phi=phi, eigenvalues=eigvals, rank=rank,
                     support=support, characters=characters,
                     quotient_basis=conj_chars / np.sqrt(group.size * lam_s),
                     eta=np.sqrt(lam_s / group.size) / group.haar_weight,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DualFunction, GroupFunction, fourier
+from .algebra import DualFunction, GroupFunction, apply_hermitian_form, fourier
 from .errors import (
     GroupMismatchError,
     InconsistencyError,
@@ -204,7 +204,7 @@ def _identity_residual(space: GNSSpace,
                           + 1j * rng.standard_normal(group.size))
         h = GroupFunction(group, rng.standard_normal(group.size)
                           + 1j * rng.standard_normal(group.size))
-        lhs = complex(f.values.conj() @ (space.gram @ h.values))
+        lhs = complex(f.values.conj() @ apply_hermitian_form(space.phi, h.values))
         rhs = sum(vec.act(f) * np.conj(vec.act(h)) for vec in eigenvectors)
         worst = max(worst, abs(lhs - rhs))
     return worst

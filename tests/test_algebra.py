@@ -21,6 +21,7 @@ from abelian_spectra import (
     is_positive_type,
     make_group,
 )
+from abelian_spectra.algebra import apply_hermitian_form, transform_positivity
 from conftest import SMALL_ORDER_LISTS, random_function, random_positive_type
 
 
@@ -285,6 +286,33 @@ def test_hermitian_form_of_positive_type_function_is_psd(small_group, rng):
     phi = random_positive_type(small_group, rng)
     eigs = np.linalg.eigvalsh(hermitian_form(phi))
     assert eigs.min() > -1e-10
+
+
+@pytest.mark.parametrize("orders", [(4,), (6,), (2, 4), (3, 5, 2)])
+@pytest.mark.parametrize("weight", [1.0, 0.5])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_form_applied_by_fft_equals_the_dense_product(orders, weight, hermitian, rng):
+    G = Group(orders, haar_weight=weight)
+    f = random_function(G, rng)
+    phi = GroupFunction(G, (f.values + involution(f).values) / 2) if hermitian else f
+    M = hermitian_form(phi)
+    v = rng.normal(size=(G.size, 3)) + 1j * rng.normal(size=(G.size, 3))
+    np.testing.assert_allclose(apply_hermitian_form(phi, v), M @ v, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(apply_hermitian_form(phi, v[:, 0]), M @ v[:, 0],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.5])
+def test_closed_form_report_matches_the_dense_route(weight, rng):
+    G = Group((3, 4), haar_weight=weight)
+    for phi in (random_positive_type(G, rng), random_function(G, rng)):
+        dense = is_positive_type(phi)
+        closed = transform_positivity(fourier(phi).values, weight)
+        assert closed.verdict == dense.verdict
+        assert closed.min_fourier == dense.min_fourier
+        assert closed.max_fourier_imag == dense.max_fourier_imag
+        assert closed.min_gram_eigenvalue == pytest.approx(dense.min_gram_eigenvalue, abs=1e-10)
+        assert closed.max_gram_imag == pytest.approx(dense.max_gram_imag, abs=1e-10)
 
 
 def test_positive_type_accepts_constant_one():

@@ -549,13 +549,19 @@ def test_the_flag_cannot_raise_the_dense_form_cap(tmp_path, capsys, monkeypatch,
     src = tmp_path / "input.json"
     src.write_text(json.dumps(payload))
     code, _, err = run_cli(capsys, [command, "--input", str(src), "--max-group-size", "8192"])
-    assert code == 2
-    assert "size cap 4096" in err
-    # the cap follows the budget at call time: isqrt(2000 // 16) = 11
+    if command == "gns":
+        assert code == 2
+        assert "size cap 4096" in err
+    else:  # rig builds no dense form: only the operator stack bounds it
+        assert code == 0
     monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", 2000)
     code, _, err = run_cli(capsys, [command, "--input", str(src)])
     assert code == 2
-    assert "size cap 11" in err
+    if command == "gns":
+        # the cap follows the budget at call time: isqrt(2000 // 16) = 11
+        assert "size cap 11" in err
+    else:
+        assert "operator stack (16 |G| dim^2) would take 65552 bytes" in err
     # and the flag still lowers it
     code, _, err = run_cli(capsys, [command, "--input", str(src), "--max-group-size", "3"])
     assert code == 2

@@ -18,6 +18,7 @@ from abelian_spectra import (
     eigen_residual,
     fourier,
     gns_construct,
+    hermitian_form,
     intertwiner,
     make_group,
     make_representation,
@@ -150,7 +151,7 @@ def test_functional_action_is_the_weighted_transform_at_the_inverse():
 
 def test_functional_action_agrees_with_quotient_coordinates(rng):
     G = make_group((2, 3))
-    _, _, space, decomp = rigged_system(G)
+    _, phi, space, decomp = rigged_system(G)
     for _ in range(5):
         f = random_function(G, rng)
         coords = space.class_coordinates(f)
@@ -160,7 +161,7 @@ def test_functional_action_agrees_with_quotient_coordinates(rng):
     # the inner-product identity over fresh pairs
     for _ in range(20):
         f, h = random_function(G, rng), random_function(G, rng)
-        lhs = complex(f.values.conj() @ (space.gram @ h.values))
+        lhs = complex(f.values.conj() @ (hermitian_form(phi) @ h.values))
         rhs = sum(vec.act(f) * np.conj(vec.act(h)) for vec in decomp.eigenvectors)
         assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(lhs)))
 

@@ -42,6 +42,9 @@ def test_tracer_records_quotient_spans_and_restores_the_package(tmp_path, capsys
         tracer.uninstall()
 
     assert {"gns.gns_construct", "gns.operator", "cli.gns", "cli.rig"} <= set(tracer.names)
+    # production quotients never build the dense form or run its eigenvalue route
+    assert not {"algebra.hermitian_form", "algebra.is_positive_type",
+                "groups.difference_indices"} & set(tracer.names)
     after = _patchable_state()
     changed = [key for key, value in before.items() if after.get(key) is not value]
     assert changed == []
