@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                              f"env {TOL_ENV_VAR} overrides)")
         sp.add_argument("--max-group-size", type=int, default=None,
                         help=f"largest admitted group order (default {DEFAULT_SIZE_CAP}, "
-                             "16 for selftest; gns never admits a full-rank "
-                             "character table over the memory budget)")
+                             "16 for selftest; gns and rig never admit a group "
+                             "over sqrt(budget / 16) = 4096)")
 
     sp = sub.add_parser("fourier", help="transform a function file")
     common(sp)
@@ -160,8 +160,10 @@ def _check_seed(args: argparse.Namespace) -> None:
         raise FileFormatError("--seed must be >= 0")
 
 
-def _gns_size_cap(args: argparse.Namespace) -> int:
-    """Size cap of gns: its |G| x rank character table takes 16 |G|^2 bytes at full rank."""
+def _quotient_size_cap(args: argparse.Namespace) -> int:
+    """Size cap of gns and rig: gns's |G| x rank table takes 16 |G|^2 bytes at
+    full rank.  rig keeps the cap while its stack check leaves out the two
+    transform buffers spectral_measure holds beside the operator stack."""
     return min(_size_cap(args), math.isqrt(OPERATOR_STACK_BUDGET // 16))
 
 
@@ -269,7 +271,7 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
 
 
 def cmd_gns(args: argparse.Namespace, tol: float):
-    f = function_from_payload(load_json(args.input), size_cap=_gns_size_cap(args))
+    f = function_from_payload(load_json(args.input), size_cap=_quotient_size_cap(args))
     if not isinstance(f, GroupFunction):
         raise FileFormatError("quotient construction needs field 'domain' == 'group'")
     space = gns_construct(f)
@@ -300,7 +302,7 @@ def cmd_gns(args: argparse.Namespace, tol: float):
 
 
 def cmd_rig(args: argparse.Namespace, tol: float):
-    size_cap = _size_cap(args)
+    size_cap = _quotient_size_cap(args)
     rep = representation_from_payload(load_json(args.input), size_cap=size_cap)
     _check_budget("operator stack (16 |G| dim^2)", 16 * rep.group.size * rep.dim ** 2)
     group = rep.group

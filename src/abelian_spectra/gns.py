@@ -15,6 +15,7 @@ by FFT; the dense form stays in ``algebra`` as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,11 +57,15 @@ class GNSSpace:
     eta: np.ndarray
     positivity: PositivityReport
 
+    @cached_property
+    def _gram_q(self) -> np.ndarray:
+        return self.quotient_basis * self.eigenvalues[:self.rank]
+
     def class_coordinates(self, f: GroupFunction) -> np.ndarray:
         """Coordinates of the class of f in the orthonormal quotient basis."""
         if f.group != self.group:
             raise GroupMismatchError("function lives on a different group")
-        return (self.quotient_basis * self.eigenvalues[:self.rank]).conj().T @ f.values
+        return self._gram_q.conj().T @ f.values
 
     def operator(self, g: Element) -> np.ndarray:
         """Image of g: the support characters evaluated at g, on the diagonal."""

@@ -149,9 +149,9 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
     One eigenvector per character where xi does not vanish; their count
     must equal the quotient rank (InconsistencyError otherwise).  The
     inner-product identity <f|h>_phi = sum_chi conj(F(chi^{-1})) H(chi^{-1})
-    |xi(chi)|^2 is verified on random pairs within ``tol``.  The operator
-    reconstruction and the eigenvalue equation are evaluated over the
-    whole group at once and their worst gaps stored.
+    |xi(chi)|^2 is verified on random pairs within a relative ``tol``.  The
+    operator reconstruction and the eigenvalue equation are evaluated over
+    the whole group at once and their worst gaps stored.
     """
     group = space.group
     if xi.group != group:
@@ -196,6 +196,8 @@ def _identity_residual(space: GNSSpace,
 
     Deliberately evaluated through the functionals' own action so that a
     corrupted eigenvector formula is caught here, not compensated for.
+    Both sides grow with |G| and |xi|^2, so each gap is divided by the
+    Cauchy-Schwarz bound sqrt(<f|f>_phi <h|h>_phi) when that exceeds 1.
     """
     group = space.group
     worst = 0.0
@@ -205,8 +207,10 @@ def _identity_residual(space: GNSSpace,
         h = GroupFunction(group, rng.standard_normal(group.size)
                           + 1j * rng.standard_normal(group.size))
         lhs = complex(f.values.conj() @ apply_hermitian_form(space.phi, h.values))
-        rhs = sum(vec.act(f) * np.conj(vec.act(h)) for vec in eigenvectors)
-        worst = max(worst, abs(lhs - rhs))
+        act_f = np.array([vec.act(f) for vec in eigenvectors], dtype=complex)
+        act_h = np.array([vec.act(h) for vec in eigenvectors], dtype=complex)
+        scale = max(1.0, float(np.linalg.norm(act_f) * np.linalg.norm(act_h)))
+        worst = max(worst, abs(lhs - act_f @ act_h.conj()) / scale)
     return worst
 
 

@@ -235,6 +235,10 @@ def _fail_detail(**payloads) -> str:
     return json.dumps(payloads, separators=(",", ":"))
 
 
+def _function_replay(f) -> dict:
+    return function_to_payload(f)
+
+
 class _Tracker:
     """Accumulates the worst residual and the instance that produced it."""
 
@@ -328,7 +332,7 @@ def _prop_transform_roundtrip(rng, cfg):
                          + 1j * rng.standard_normal(group.size))
         again = fourier(inverse_fourier(F))
         r = max(r, np.abs(again.values - F.values).max())
-        t.add(r, _fail_detail(function=function_to_payload(f)))
+        t.add(r, _fail_detail(function=_function_replay(f)))
     return t.result("transform-roundtrip", 1e-12)
 
 
@@ -340,7 +344,7 @@ def _prop_plancherel(rng, cfg):
         lhs = w * float(np.sum(np.abs(f.values) ** 2))
         rhs = float(np.sum(np.abs(fourier(f).values) ** 2)) / (w * group.size)
         t.add(abs(lhs - rhs) / max(lhs, 1e-30),
-              _fail_detail(function=function_to_payload(f)))
+              _fail_detail(function=_function_replay(f)))
     return t.result("plancherel", 1e-12)
 
 
@@ -353,7 +357,7 @@ def _prop_convolution_theorem(rng, cfg):
         lhs = fourier(convolve(f, h)).values
         rhs = fourier(f).values * fourier(h).values
         t.add(np.abs(lhs - rhs).max(),
-              _fail_detail(f=function_to_payload(f), h=function_to_payload(h)))
+              _fail_detail(f=_function_replay(f), h=_function_replay(h)))
     return t.result("convolution-theorem", 1e-10)
 
 
@@ -371,7 +375,7 @@ def _prop_convolution_algebra(rng, cfg):
         assoc_l = convolve(convolve(f, h), k).values
         assoc_r = convolve(f, convolve(h, k)).values
         r = max(r, np.abs(assoc_l - assoc_r).max())
-        t.add(r, _fail_detail(f=function_to_payload(f)))
+        t.add(r, _fail_detail(f=_function_replay(f)))
     return t.result("convolution-algebra", cfg.tol)
 
 
@@ -386,7 +390,7 @@ def _prop_involution_transform(rng, cfg):
         lhs = involution(convolve(f, h)).values
         rhs = convolve(involution(h), involution(f)).values
         r = max(r, np.abs(lhs - rhs).max())
-        t.add(r, _fail_detail(f=function_to_payload(f)))
+        t.add(r, _fail_detail(f=_function_replay(f)))
     return t.result("involution-transform", cfg.tol)
 
 
@@ -408,12 +412,12 @@ def _prop_positivity_routes(rng, cfg):
             report = is_positive_type(phi)
         except AbelianSpectraError as exc:
             t.add(ERROR_RESIDUAL, _fail_detail(error=str(exc),
-                                       function=function_to_payload(phi)))
+                                       function=_function_replay(phi)))
             continue
         r = 0.0
         if expected is True and not report.verdict:
             r = 1.0
-        t.add(r, _fail_detail(function=function_to_payload(phi),
+        t.add(r, _fail_detail(function=_function_replay(phi),
                               report=report.as_dict()))
     return t.result("positivity-route-agreement", 0.0)
 
@@ -428,7 +432,7 @@ def _prop_gram_translation_invariance(rng, cfg):
         perm = group.translate_indices(g)
         r = np.abs(gram[np.ix_(perm, perm)] - gram).max()
         r = max(r, float(np.abs(gram - gram.conj().T).max()))
-        t.add(r, _fail_detail(function=function_to_payload(phi), g=list(g.coords)))
+        t.add(r, _fail_detail(function=_function_replay(phi), g=list(g.coords)))
     return t.result("gram-translation-invariance", 1e-12)
 
 
@@ -495,7 +499,7 @@ def _prop_projection_algebra_action(rng, cfg):
             rhs += group.haar_weight * f.values[i] * rep.operators[i]
         t.add(float(np.linalg.norm(lhs - rhs)),
               _fail_detail(representation=representation_to_payload(rep),
-                           f=function_to_payload(f)))
+                           f=_function_replay(f)))
     return t.result("projection-algebra-action", cfg.tol)
 
 
@@ -585,7 +589,7 @@ def _prop_quotient_reconstruction(rng, cfg):
         phi = random_positive_type(rng, group, clean=bool(i % 2))
         space = gns_construct(phi)
         r = np.abs(reconstruct_phi(space).values - phi.values).max()
-        t.add(r, _fail_detail(function=function_to_payload(phi)))
+        t.add(r, _fail_detail(function=_function_replay(phi)))
     return t.result("quotient-reconstruction", cfg.tol)
 
 
@@ -605,7 +609,7 @@ def _prop_quotient_representation(rng, cfg):
             r = max(r, float(np.linalg.norm(og @ oh - space.operator(group.op(g, h)))))
             r = max(r, float(np.linalg.norm(og.conj().T @ og - eye)))
             r = max(r, float(np.linalg.norm(og - rep.apply(g))))
-        t.add(r, _fail_detail(function=function_to_payload(phi)))
+        t.add(r, _fail_detail(function=_function_replay(phi)))
     return t.result("quotient-representation", cfg.tol)
 
 
@@ -620,7 +624,7 @@ def _prop_quotient_rank(rng, cfg):
         phi = inverse_fourier(DualFunction(group, dual_vals.astype(complex)))
         space = gns_construct(phi)
         t.add(abs(space.rank - int(mask.sum())),
-              _fail_detail(function=function_to_payload(phi)))
+              _fail_detail(function=_function_replay(phi)))
     return t.result("quotient-rank-support", 0.0)
 
 
@@ -635,7 +639,7 @@ def _prop_quotient_cyclicity(rng, cfg):
         sing = np.linalg.svd(coords, compute_uv=False)
         numeric_rank = int(np.sum(sing > 1e-9 * max(sing[0], 1e-30)))
         t.add(abs(numeric_rank - space.rank),
-              _fail_detail(function=function_to_payload(phi)))
+              _fail_detail(function=_function_replay(phi)))
     return t.result("quotient-cyclicity", 0.0)
 
 
@@ -653,8 +657,8 @@ def _prop_quotient_algebra_action(rng, cfg):
         r = float(np.linalg.norm(action - summed))
         r = max(r, float(np.linalg.norm(
             action @ space.eta - space.class_coordinates(f))))
-        t.add(r, _fail_detail(function=function_to_payload(phi),
-                              f=function_to_payload(f)))
+        t.add(r, _fail_detail(function=_function_replay(phi),
+                              f=_function_replay(f)))
     return t.result("quotient-algebra-action", cfg.tol)
 
 
@@ -694,7 +698,7 @@ def _prop_eigenvector_system(rng, cfg):
         for vec in decomp.eigenvectors:
             idx = space.group.character_index(vec.character)
             r = max(r, abs(vec.weight - abs(xi.values[idx])))
-        t.add(r, _fail_detail(xi=function_to_payload(xi),
+        t.add(r, _fail_detail(xi=_function_replay(xi),
                               representation=representation_to_payload(rep)))
     return t.result("eigenvector-system", cfg.tol)
 
@@ -713,7 +717,7 @@ def _prop_operator_reconstruction(rng, cfg):
             undone = reconstruct_operator(decomp, space, group.neg(g))
             r = max(r, float(np.linalg.norm(
                 rebuilt @ undone - np.eye(space.rank))))
-        t.add(r, _fail_detail(xi=function_to_payload(xi)))
+        t.add(r, _fail_detail(xi=_function_replay(xi)))
     return t.result("operator-reconstruction", cfg.tol)
 
 
@@ -727,7 +731,7 @@ def _prop_eigenvalue_equation(rng, cfg):
             for chi in decomp.support:
                 r = max(r, eigen_residual(decomp, space, g, chi))
                 r = max(r, abs(abs(group.pairing(g, chi)) - 1.0))
-        t.add(r, _fail_detail(xi=function_to_payload(xi)))
+        t.add(r, _fail_detail(xi=_function_replay(xi)))
     return t.result("eigenvalue-equation", cfg.tol)
 
 
@@ -737,7 +741,7 @@ def _prop_intertwiner(rng, cfg):
         rep, model, xi, phi, space, decomp = _rig_setup(rng, cfg)
         result = intertwiner(space, model, xi)
         r = max(result.unitarity_residual, result.intertwining_residual)
-        t.add(r, _fail_detail(xi=function_to_payload(xi)))
+        t.add(r, _fail_detail(xi=_function_replay(xi)))
     return t.result("intertwiner", cfg.tol)
 
 
@@ -754,7 +758,7 @@ def _prop_functional_coordinate_agreement(rng, cfg):
                 via_transform = vec.act(f)
                 via_coords = complex(np.vdot(coords_f, vec.coords))
                 r = max(r, abs(via_transform - via_coords))
-        t.add(r, _fail_detail(xi=function_to_payload(xi)))
+        t.add(r, _fail_detail(xi=_function_replay(xi)))
     return t.result("functional-coordinate-agreement", 1e-10)
 
 
@@ -765,7 +769,7 @@ def _prop_eigenvector_orthonormality(rng, cfg):
         basis = np.stack([vec.coords for vec in decomp.eigenvectors], axis=1)
         gram = basis.conj().T @ basis
         t.add(float(np.linalg.norm(gram - np.eye(len(decomp.support)))),
-              _fail_detail(xi=function_to_payload(xi)))
+              _fail_detail(xi=_function_replay(xi)))
     return t.result("eigenvector-orthonormality", cfg.tol)
 
 

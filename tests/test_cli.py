@@ -269,6 +269,21 @@ def test_rig_with_amplitude_file(tmp_path, capsys):
     assert report["results"]["components"][0]["weights"] == [3.0, 4.0]
 
 
+def test_rig_identity_check_is_relative_to_the_form_norms(tmp_path, capsys):
+    # |xi| = 30 on (64,) puts both sides of <f|h>_phi near 1e6, so their
+    # absolute gap is about 1e-10; relative to the Cauchy-Schwarz bound it
+    # is round-off and passes a 1e-12 tolerance
+    from abelian_spectra import make_representation
+    chars = np.arange(4) * 16
+    rep = make_representation(make_group((64,)), [np.diag(np.exp(2j * np.pi * chars / 64))])
+    src = write_representation(tmp_path / "rep.json", rep)
+    xi = write_function(tmp_path / "xi.json", (64,), [30.0] * 64, domain="dual")
+    code, report, _ = stdout_report(
+        capsys, ["rig", "--input", str(src), "--xi", str(xi), "--tol", "1e-12"])
+    assert code == 0
+    assert report["residuals"]["identity"] < 1e-14
+
+
 def test_rig_amplitude_must_be_dual_and_on_the_same_group(tmp_path, capsys):
     G = make_group((2,))
     src = write_representation(tmp_path / "rep.json", regular_representation(G))
@@ -549,19 +564,13 @@ def test_the_flag_cannot_raise_the_dense_form_cap(tmp_path, capsys, monkeypatch,
     src = tmp_path / "input.json"
     src.write_text(json.dumps(payload))
     code, _, err = run_cli(capsys, [command, "--input", str(src), "--max-group-size", "8192"])
-    if command == "gns":
-        assert code == 2
-        assert "size cap 4096" in err
-    else:  # rig builds no dense form: only the operator stack bounds it
-        assert code == 0
+    assert code == 2
+    assert "size cap 4096" in err
+    # the cap follows the budget at call time: isqrt(2000 // 16) = 11
     monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", 2000)
     code, _, err = run_cli(capsys, [command, "--input", str(src)])
     assert code == 2
-    if command == "gns":
-        # the cap follows the budget at call time: isqrt(2000 // 16) = 11
-        assert "size cap 11" in err
-    else:
-        assert "operator stack (16 |G| dim^2) would take 65552 bytes" in err
+    assert "size cap 11" in err
     # and the flag still lowers it
     code, _, err = run_cli(capsys, [command, "--input", str(src), "--max-group-size", "3"])
     assert code == 2
