@@ -181,9 +181,11 @@ def transform_positivity(F: np.ndarray, weight: float) -> PositivityReport:
     """Route (b): phi is of positive type iff its transform F is >= 0.
 
     The form's eigenvalues are weight * F, so its entries in the report
-    are closed-form: weight * min Re F and weight * max |Im F|.
+    are closed-form: weight * min Re F and weight * max |Im F|.  The
+    round-off of F scales with its size, so both are compared with
+    POSITIVITY_TOL * max(1, max |F|), the report's ``tol``.
     """
-    tol = POSITIVITY_TOL
+    tol = POSITIVITY_TOL * max(1.0, float(np.max(np.abs(F))))
     low, imag = float(np.min(F.real)), float(np.max(np.abs(F.imag)))
     return PositivityReport(verdict=bool(low >= -tol and imag < tol), tol=float(tol),
                             min_fourier=low, min_gram_eigenvalue=weight * low,
@@ -196,10 +198,11 @@ def is_positive_type(phi: GroupFunction) -> PositivityReport:
     Route (a) takes the eigenvalues of the dense Hermitian form, route (b)
     is ``transform_positivity``; they agree for exact data, so a split
     beyond tolerance (a bug, not bad input) raises InconsistencyError.
-    Eigenvalues in [-POSITIVITY_TOL, 0) are accepted as zero.
+    Both routes use route (b)'s bound, so eigenvalues in [-tol, 0) are
+    accepted as zero.
     """
-    tol = POSITIVITY_TOL
     route_b = transform_positivity(fourier(phi).values, phi.group.haar_weight)
+    tol = route_b.tol
     eigs = np.linalg.eigvals(hermitian_form(phi))
     min_gram = float(np.min(eigs.real))
     max_gram_imag = float(np.max(np.abs(eigs.imag)))

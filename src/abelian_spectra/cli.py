@@ -47,6 +47,7 @@ from .fileio import (
 from .gns import gns_construct, reconstruct_phi
 from .groups import DEFAULT_SIZE_CAP
 from .representations import (
+    check_diagonal_generators,
     cyclic_decomposition,
     diagonalization_residual,
     diagonalize,
@@ -60,8 +61,8 @@ from .selftest import SelftestConfig, run_selftest
 
 DEFAULT_TOL = 1e-9
 # The memory budget: bytes of the largest array a command may allocate (gns's
-# |G| x rank characters, the |G| x dim x dim operator stack, gns's generator
-# images, the self-test's oracles), each estimated before it is allocated.
+# |G| x rank characters, the |G| x dim x dim operator stack, the self-test's
+# oracles), each estimated before it is allocated.
 OPERATOR_STACK_BUDGET = 256 * 2**20
 TOL_ENV_VAR = "ABELIAN_SPECTRA_TOL"
 
@@ -275,9 +276,8 @@ def cmd_gns(args: argparse.Namespace, tol: float):
     if not isinstance(f, GroupFunction):
         raise FileFormatError("quotient construction needs field 'domain' == 'group'")
     space = gns_construct(f)
-    _check_budget("generator images (16 factors rank^2)",
-                  16 * f.group.num_factors * space.rank ** 2)
-    rep = space.representation()  # raises if images fail unitarity/commutation/order
+    diagonals = space.generator_images()
+    check_diagonal_generators(f.group, diagonals)  # raises on unitarity/order breach
     recon = float(np.abs(reconstruct_phi(space).values - f.values).max())
     residuals = {"reconstruction": recon}
     passed = recon <= tol
@@ -285,7 +285,7 @@ def cmd_gns(args: argparse.Namespace, tol: float):
     results = {
         "rank": space.rank,
         "gram_eigenvalues": [float(x) for x in space.eigenvalues],
-        "generator_images": [complex_matrix_payload(m) for m in rep.generators],
+        "generator_diagonals": complex_matrix_payload(diagonals),
         "eta": complex_vector_payload(space.eta),
         "positivity": space.positivity.as_dict(),
     }

@@ -71,13 +71,15 @@ class GNSSpace:
         """Image of g: the support characters evaluated at g, on the diagonal."""
         return np.diag(self.characters[self.group.element_index(g)])
 
-    def generator_images(self) -> list[np.ndarray]:
+    def generator_images(self) -> np.ndarray:
+        """Diagonals of the generator images, k x rank: row j holds the
+        support characters evaluated at the generator of factor j."""
         gens = np.eye(self.group.num_factors, dtype=np.int64) % self.group._orders_arr
-        return [self.operator(self.group.element(coords)) for coords in gens]
+        return self.characters[gens @ self.group._strides]
 
     def representation(self) -> UnitaryRep:
-        """The quotient representation, validated as a UnitaryRep."""
-        return make_representation(self.group, self.generator_images())
+        """The quotient representation as dense diagonal images, validated."""
+        return make_representation(self.group, [np.diag(d) for d in self.generator_images()])
 
 
 def gns_construct(phi: GroupFunction) -> GNSSpace:
@@ -96,7 +98,8 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
     if not report.verdict:
         raise PositiveTypeError(
             f"function is not of positive type (min transform {report.min_fourier:.6e}, "
-            f"min form eigenvalue {report.min_gram_eigenvalue:.6e})",
+            f"max |Im transform| {report.max_fourier_imag:.6e}, "
+            f"min form eigenvalue {report.min_gram_eigenvalue:.6e}, tol {report.tol:.1e})",
             min_fourier=report.min_fourier,
             min_gram_eigenvalue=report.min_gram_eigenvalue)
 

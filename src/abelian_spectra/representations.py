@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -66,6 +67,14 @@ class UnitaryRep:
         return stack
 
 
+def _require(relation: str, message: str, residual, tol: float) -> None:
+    """Raise RepresentationValidationError unless residual <= tol (NaN fails)."""
+    residual = float(residual)
+    if not (residual <= tol):
+        raise RepresentationValidationError(
+            f"{message} (residual {residual:.3e})", relation=relation, residual=residual)
+
+
 def make_representation(group: Group, generator_images: Sequence[np.ndarray]) -> UnitaryRep:
     """Validate generator images and assemble a UnitaryRep.
 
@@ -86,38 +95,35 @@ def make_representation(group: Group, generator_images: Sequence[np.ndarray]) ->
 
     eye = np.eye(dim)
     for j, U in enumerate(mats):
-        residual = float(np.linalg.norm(U.conj().T @ U - eye))
-        if not (residual <= UNITARY_TOL):
-            raise RepresentationValidationError(
-                f"generator {j} not unitary (residual {residual:.3e})",
-                relation=f"unitary[{j}]", residual=residual)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            residual = float(np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i]))
-            if not (residual <= COMMUTE_TOL):
-                raise RepresentationValidationError(
-                    f"generators {i} and {j} do not commute (residual {residual:.3e})",
-                    relation=f"commute[{i},{j}]", residual=residual)
+        _require(f"unitary[{j}]", f"generator {j} not unitary",
+                 np.linalg.norm(U.conj().T @ U - eye), UNITARY_TOL)
+    for i, j in combinations(range(len(mats)), 2):
+        _require(f"commute[{i},{j}]", f"generators {i} and {j} do not commute",
+                 np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i]), COMMUTE_TOL)
     for j, (U, n) in enumerate(zip(mats, group.orders)):
-        residual = float(np.linalg.norm(np.linalg.matrix_power(U, n) - eye))
-        if not (residual <= ORDER_TOL):
-            raise RepresentationValidationError(
-                f"generator {j} does not have order dividing {n} (residual {residual:.3e})",
-                relation=f"order[{j}]", residual=residual)
+        _require(f"order[{j}]", f"generator {j} does not have order dividing {n}",
+                 np.linalg.norm(np.linalg.matrix_power(U, n) - eye), ORDER_TOL)
 
     for U in mats:
         U.setflags(write=False)
     return UnitaryRep(group=group, dim=dim, generators=tuple(mats))
 
 
+def check_diagonal_generators(group: Group, diagonals: np.ndarray) -> None:
+    """``make_representation``'s checks, in O(k r), for diagonal images given
+    by their k x r diagonals: |s| = 1 and s^{n_j} = 1 (diagonals commute)."""
+    for j, (s, n) in enumerate(zip(diagonals, group.orders)):
+        _require(f"unitary[{j}]", f"generator {j} not unitary",
+                 np.linalg.norm(np.abs(s) ** 2 - 1.0), UNITARY_TOL)
+        _require(f"order[{j}]", f"generator {j} does not have order dividing {n}",
+                 np.linalg.norm(s ** n - 1.0), ORDER_TOL)
+
+
 def regular_representation(group: Group) -> UnitaryRep:
     """Left translation on functions over the group (dimension |G|)."""
-    gens = []
-    for j in range(group.num_factors):
-        coords = [0] * group.num_factors
-        coords[j] = 1 % group.orders[j]
-        gens.append(group.translation_matrix(group.element(coords)))
-    return make_representation(group, gens)
+    gens = np.eye(group.num_factors, dtype=np.int64) % group._orders_arr
+    return make_representation(
+        group, [group.translation_matrix(group.element(coords)) for coords in gens])
 
 
 def trivial_representation(group: Group, dim: int = 1) -> UnitaryRep:
@@ -187,21 +193,20 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     P(chi) = (1/|G|) sum_g conj(<g|chi>) pi(g), the closed-form inversion
     of the reconstruction identity pi(g) = sum_chi <g|chi> P(chi) through
     character orthogonality.  The sum is one FFT of the operator stack
-    along the element axis, O(|G| log |G| d^2), and one stacked SVD gives
-    every rank, O(|G| d^3).  The projections are copied out of the
-    transformed stack, so the measure holds only its support.
-    Construction validates idempotency, hermiticity, completeness, mutual
-    orthogonality of the ranges, and that multiplicities add up to the
-    dimension; a violation raises NumericalDegeneracyError carrying the
-    residuals.
+    along the element axis, O(|G| log |G| d^2); a projection's rank is its
+    trace, so chi is kept where tr P(chi) > 1/2, with multiplicity
+    rint(tr P(chi)).  The projections are copied out of the transformed
+    stack, so the measure holds only its support.  Construction validates
+    idempotency, hermiticity, completeness, mutual orthogonality and rank
+    of the ranges, and that multiplicities add up to the dimension; a
+    violation raises NumericalDegeneracyError carrying the residuals.
     """
     group = rep.group
     stack = _transform(group, rep.operators) / group.size
-    svals = np.linalg.svd(stack, compute_uv=False)
-    top = svals.max(axis=1, initial=0.0)
-    keep = np.flatnonzero(top > RANK_TOL)
+    trace = np.trace(stack, axis1=1, axis2=2).real
+    keep = np.flatnonzero(trace > 0.5)
     P = stack[keep]
-    mults = np.count_nonzero(svals[keep] > RANK_TOL * top[keep, None], axis=1)
+    mults = np.rint(trace[keep]).astype(int)
     idem = float(np.max(np.linalg.norm(P @ P - P, axis=(1, 2)), initial=0.0))
     herm = float(np.max(np.linalg.norm(P - P.conj().swapaxes(1, 2), axis=(1, 2)),
                         initial=0.0))

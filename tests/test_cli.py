@@ -219,7 +219,7 @@ def test_gns_of_the_zero_function_has_rank_zero(tmp_path, capsys):
     assert results["rank"] == 0
     assert results["gram_eigenvalues"] == [0.0] * 6
     assert results["eta"] == []
-    assert results["generator_images"] == [[], []]  # two 0x0 matrices
+    assert results["generator_diagonals"] == [[], []]  # two empty diagonals
     assert report["passed"] is True
 
 
@@ -282,6 +282,21 @@ def test_rig_identity_check_is_relative_to_the_form_norms(tmp_path, capsys):
         capsys, ["rig", "--input", str(src), "--xi", str(xi), "--tol", "1e-12"])
     assert code == 0
     assert report["residuals"]["identity"] < 1e-14
+
+
+def test_rig_positivity_bound_is_relative_to_the_transform(tmp_path, capsys):
+    # a flat |xi| = 100 scales the transform of each component's phi by 1e4,
+    # and its round-off (a min transform near -2.5e-10) with it
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    from workloads import planted_representation
+    from abelian_spectra import make_representation
+    generators, _ = planted_representation(np.random.default_rng(3), (64,), 8, 1)
+    src = write_representation(tmp_path / "rep.json",
+                               make_representation(make_group((64,)), generators))
+    xi = write_function(tmp_path / "xi.json", (64,), [100.0] * 64, domain="dual")
+    code, out, err = run_cli(capsys, ["rig", "--input", str(src), "--xi", str(xi)])
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
 
 
 def test_rig_amplitude_must_be_dual_and_on_the_same_group(tmp_path, capsys):
@@ -577,27 +592,42 @@ def test_the_flag_cannot_raise_the_dense_form_cap(tmp_path, capsys, monkeypatch,
     assert "size cap 3" in err
 
 
-def test_gns_refuses_generator_images_over_budget(tmp_path, capsys, monkeypatch):
-    # delta on (2,2,2) has rank 8: three 8 x 8 images take 16 * 3 * 64 = 3072 bytes
+def test_gns_emits_generator_diagonals_not_dense_images(tmp_path, capsys):
+    # the (2,)^8 point mass has full rank 256: eight dense 256 x 256 images
+    # made a 5.3 MB report, eight diagonals of 256 pairs stay under 100 kB
+    from abelian_spectra import make_representation
+    G = make_group((2,) * 8)
     src = tmp_path / "phi.json"
-    dump_json(function_to_payload(delta(make_group((2, 2, 2)))), src)
-    calls = []
-    representation = GNSSpace.representation
-    monkeypatch.setattr(GNSSpace, "representation",
-                        lambda self: calls.append(self) or representation(self))
-    budget = cli.OPERATOR_STACK_BUDGET
-    monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", 2000)
-    code, _, err = run_cli(capsys, ["gns", "--input", str(src)])
-    assert code == 2
-    assert "3072 bytes" in err and "budget of 2000 bytes" in err
-    assert "Traceback" not in err
-    assert calls == []
-
-    monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", budget)
-    code, report, _ = stdout_report(capsys, ["gns", "--input", str(src)])
+    dump_json(function_to_payload(delta(G)), src)
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, ["gns", "--input", str(src), "--output", str(out)])
     assert code == 0
-    assert report["results"]["rank"] == 8
-    assert len(calls) == 1
+    assert out.stat().st_size < 100_000
+    diagonals = json.loads(out.read_text())["results"]["generator_diagonals"]
+    assert [len(row) for row in diagonals] == [256] * 8
+    space = gns_construct(delta(G))
+    gens = np.eye(8, dtype=np.int64) % 2
+    rows = space.characters[[G.element_index(G.element(c)) for c in gens]]
+    diagonals = np.array([as_complex(row) for row in diagonals])
+    np.testing.assert_array_equal(diagonals, rows)
+    assert make_representation(G, [np.diag(row) for row in diagonals]).dim == 256
+
+
+def test_gns_exits_3_when_a_generator_diagonal_breaks_a_relation(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "phi.json"
+    dump_json(function_to_payload(delta(make_group((2, 4)))), src)
+    images = GNSSpace.generator_images
+
+    def perturbed(self):
+        out = images(self).copy()
+        out[1, 3] *= 1 + 1e-6
+        return out
+
+    monkeypatch.setattr(GNSSpace, "generator_images", perturbed)
+    code, _, err = run_cli(capsys, ["gns", "--input", str(src)])
+    assert code == 3
+    assert "generator 1 not unitary" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags, estimate", [

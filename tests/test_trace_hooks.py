@@ -41,7 +41,9 @@ def test_tracer_records_quotient_spans_and_restores_the_package(tmp_path, capsys
     finally:
         tracer.uninstall()
 
-    assert {"gns.gns_construct", "gns.operator", "cli.gns", "cli.rig"} <= set(tracer.names)
+    assert {"gns.gns_construct", "gns.generator_images", "cli.gns", "cli.rig"} <= set(tracer.names)
+    # gns checks the generator diagonals and never builds dense images
+    assert "gns.representation" not in tracer.names
     # production quotients never build the dense form or run its eigenvalue route
     assert not {"algebra.hermitian_form", "algebra.is_positive_type",
                 "groups.difference_indices"} & set(tracer.names)
