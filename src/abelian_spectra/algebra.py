@@ -142,9 +142,8 @@ def hermitian_form(phi: GroupFunction) -> np.ndarray:
     """
     group = phi.group
     # difference_indices gives index(g_i - g_j); the form needs the
-    # transposed difference g_j - g_i, i.e. the negated index.
-    neg = (-group._coords % group._orders_arr) @ group._strides
-    flipped = (group.haar_weight ** 2) * phi.values[neg]
+    # transposed difference g_j - g_i, i.e. phi(-.) = conj(phi*).
+    flipped = (group.haar_weight ** 2) * np.conj(involution(phi).values)
     return flipped[group.difference_indices()]
 
 

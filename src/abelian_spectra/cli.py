@@ -230,7 +230,8 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
             "projection_norms": [float(x) for x in comp.projection_norms],
             "diagonal_model": {
                 "isometry": complex_matrix_payload(model.isometry),
-                "table": complex_matrix_payload(model.table),
+                "generator_diagonals": complex_matrix_payload(
+                    model.table[group.generator_indices]),
             },
         })
 
@@ -345,7 +346,7 @@ def cmd_rig(args: argparse.Namespace, tol: float):
         comp_payloads.append({
             "support": [list(chi.coords) for chi in decomp.support],
             "weights": [vec.weight for vec in decomp.eigenvectors],
-            "eigenvalue_table": complex_matrix_payload(model.table),
+            "generator_diagonals": complex_matrix_payload(model.table[group.generator_indices]),
             "residuals": residuals,
         })
 

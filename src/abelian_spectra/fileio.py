@@ -59,13 +59,14 @@ def complex_pair(z: complex) -> list[float]:
 
 
 def complex_vector_payload(v: np.ndarray) -> list[list[float]]:
-    return [complex_pair(z) for z in np.asarray(v).ravel()]
+    v = np.ravel(np.asarray(v, dtype=complex))
+    return np.stack((v.real, v.imag), -1).tolist()
 
 
 def complex_matrix_payload(m: np.ndarray) -> list[list[list[float]]]:
     """Matrix as a list of rows, each row a list of [re, im] pairs."""
-    m = np.asarray(m)
-    return [complex_vector_payload(row) for row in m]
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def parse_complex_array(raw: Any, field: str, expected: int | None = None) -> np.ndarray:

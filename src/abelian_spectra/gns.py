@@ -74,8 +74,7 @@ class GNSSpace:
     def generator_images(self) -> np.ndarray:
         """Diagonals of the generator images, k x rank: row j holds the
         support characters evaluated at the generator of factor j."""
-        gens = np.eye(self.group.num_factors, dtype=np.int64) % self.group._orders_arr
-        return self.characters[gens @ self.group._strides]
+        return self.characters[self.group.generator_indices]
 
     def representation(self) -> UnitaryRep:
         """The quotient representation as dense diagonal images, validated."""

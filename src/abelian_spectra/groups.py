@@ -86,6 +86,11 @@ class Group:
         return strides
 
     @cached_property
+    def generator_indices(self) -> np.ndarray:
+        """Enumeration index of each factor generator e_j (0 for a trivial factor)."""
+        return (np.eye(len(self.orders), dtype=np.int64) % self._orders_arr) @ self._strides
+
+    @cached_property
     def _lcm(self) -> int:
         return math.lcm(*self.orders)
 

@@ -51,9 +51,14 @@ class GeneralizedEigenvector:
 
     def act(self, f: GroupFunction) -> complex:
         """Antilinear action: weight * conj(transform of f at chi^{-1})."""
-        group = f.group
-        j = group.character_index(group.neg_character(self.character))
-        return complex(self.weight * np.conj(fourier(f).values[j]))
+        return complex(_functional_values((self,), f)[0])
+
+
+def _functional_values(eigenvectors, f: GroupFunction) -> np.ndarray:
+    """Every functional's action on f, weight * conj(F(chi^{-1})), from one transform."""
+    group = f.group
+    neg = [group.character_index(group.neg_character(vec.character)) for vec in eigenvectors]
+    return np.array([vec.weight for vec in eigenvectors]) * np.conj(fourier(f).values[neg])
 
 
 @dataclass(frozen=True)
@@ -103,22 +108,16 @@ def phi_from_cyclic(model: DiagonalModel, xi: DualFunction) -> GroupFunction:
     return GroupFunction(model.group, model.table @ np.abs(_cyclic_amplitudes(model, xi)) ** 2)
 
 
-def _eigenvector_coords(space: GNSSpace, chi: Character) -> np.ndarray:
-    """Unit quotient coordinates of the eigenvector labelled chi.
-
-    The representing vector of the functional is a positive multiple of
-    Q^dagger applied to the inverse character's coordinate vector; the
-    quotient metric normalises it to unit length exactly.
-    """
-    group = space.group
-    j = group.character_index(group.neg_character(chi))
-    t = group.pairing_block(j, j + 1)[0]
-    v = space.quotient_basis.conj().T @ t
-    norm = float(np.linalg.norm(v))
-    if norm <= 0:
-        raise InconsistencyError(
-            f"character {chi.coords} has no component in the quotient")
-    return v / norm
+def _eigenvector_coords(space: GNSSpace, table: np.ndarray) -> np.ndarray:
+    """Unit quotient coordinates of the eigenvectors, one row per column of
+    ``table`` (table[g, s] = <g|chi_s>): Q^dagger applied to the inverse
+    character conj(table[:, s]) is a positive multiple of the representing
+    vector, and the quotient metric normalises it to unit length exactly."""
+    V = space.quotient_basis.conj().T @ table.conj()
+    norms = np.linalg.norm(V, axis=0)
+    if not np.all(norms > 0):
+        raise InconsistencyError("a support character has no component in the quotient")
+    return (V / norms).T
 
 
 # One formula per operator relation, over rows m of element data: C stacks
@@ -163,8 +162,8 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
             f"cyclic amplitude is supported on {len(support)} characters but the "
             f"quotient rank is {space.rank}")
 
-    C = np.reshape([_eigenvector_coords(space, chi) for chi in support],
-                   (len(support), space.rank))
+    P = group.pairing_rows(keep).T  # table is symmetric
+    C = _eigenvector_coords(space, P)
     C.setflags(write=False)
     eigenvectors = [GeneralizedEigenvector(character=chi, weight=float(abs(xi(chi))), coords=c)
                     for chi, c in zip(support, C)]
@@ -176,7 +175,6 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
             f"inner-product identity residual {residual:.3e} exceeds {tol:.1e}; "
             "the quotient space does not match the cyclic amplitude")
 
-    P = group.pairing_rows(keep).T  # table is symmetric
     return SpectralDecomposition(
         group=group,
         support=tuple(support),
@@ -194,24 +192,20 @@ def _identity_residual(space: GNSSpace,
                        rng: np.random.Generator) -> float:
     """Worst deviation of <f|h>_phi from sum_chi F_chi(f) conj(F_chi(h)).
 
-    Deliberately evaluated through the functionals' own action so that a
-    corrupted eigenvector formula is caught here, not compensated for.
+    Deliberately evaluated through ``_functional_values``, the formula ``act``
+    applies, so a corrupted eigenvector formula is caught, not compensated for.
     Both sides grow with |G| and |xi|^2, so each gap is divided by the
     Cauchy-Schwarz bound sqrt(<f|f>_phi <h|h>_phi) when that exceeds 1.
     """
     group = space.group
-    worst = 0.0
-    for _ in range(IDENTITY_CHECK_PAIRS):
-        f = GroupFunction(group, rng.standard_normal(group.size)
-                          + 1j * rng.standard_normal(group.size))
-        h = GroupFunction(group, rng.standard_normal(group.size)
-                          + 1j * rng.standard_normal(group.size))
-        lhs = complex(f.values.conj() @ apply_hermitian_form(space.phi, h.values))
-        act_f = np.array([vec.act(f) for vec in eigenvectors], dtype=complex)
-        act_h = np.array([vec.act(h) for vec in eigenvectors], dtype=complex)
-        scale = max(1.0, float(np.linalg.norm(act_f) * np.linalg.norm(act_h)))
-        worst = max(worst, abs(lhs - act_f @ act_h.conj()) / scale)
-    return worst
+    draws = rng.standard_normal((IDENTITY_CHECK_PAIRS, 4, group.size))
+    f, h = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+    lhs = np.sum(f.conj() * apply_hermitian_form(space.phi, h.T).T, axis=1)
+    act_f, act_h = (np.array([_functional_values(eigenvectors, GroupFunction(group, v))
+                              for v in side]) for side in (f, h))
+    scale = np.maximum(1.0, np.linalg.norm(act_f, axis=1) * np.linalg.norm(act_h, axis=1))
+    gaps = np.abs(lhs - np.sum(act_f * act_h.conj(), axis=1)) / scale
+    return float(gaps.max(initial=0.0))
 
 
 def reconstruct_operator(decomp: SpectralDecomposition, space: GNSSpace,
@@ -265,7 +259,7 @@ def intertwiner(space: GNSSpace, model: DiagonalModel,
             f"quotient rank is {space.rank}")
     _cyclic_amplitudes(model, xi)
 
-    W = np.array([np.conj(_eigenvector_coords(space, chi)) for chi in model.support])
+    W = _eigenvector_coords(space, model.table).conj()
     unitarity = float(np.linalg.norm(W.conj().T @ W - np.eye(space.rank)))
 
     # W pi(g_m) - diag(table[m]) W for every m, with pi(g_m) = diag(characters[m])

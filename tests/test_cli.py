@@ -251,8 +251,8 @@ def test_rig_regular_z6(tmp_path, capsys):
     assert len(comps) == 1
     assert comps[0]["weights"] == [1.0] * 6
     assert len(comps[0]["support"]) == 6
-    # the eigenvalue table row of the generator holds the sixth roots of unity
-    row = as_complex(comps[0]["eigenvalue_table"][1])
+    # the diagonal of the generator holds the sixth roots of unity
+    row = as_complex(comps[0]["generator_diagonals"][0])
     np.testing.assert_allclose(row, np.exp(2j * np.pi * np.arange(6) / 6), atol=1e-12)
     assert max(report["residuals"].values()) < 1e-9
     assert "component 0: 6 eigenvectors" in err
@@ -392,12 +392,12 @@ def test_selftest_validates_its_flags(capsys):
 # a planted defect is caught, not absorbed
 # ---------------------------------------------------------------------------
 
-def broken_act(self, f):
-    # drops the character inversion in the functional's action
+def broken_functional_values(eigenvectors, f):
+    # drops the character inversion in the functionals' action
     group = f.group
     from abelian_spectra import fourier
-    j = group.character_index(self.character)
-    return complex(self.weight * np.conj(fourier(f).values[j]))
+    j = [group.character_index(vec.character) for vec in eigenvectors]
+    return np.array([vec.weight for vec in eigenvectors]) * np.conj(fourier(f).values[j])
 
 
 def test_corrupted_functional_fails_the_identity_check(monkeypatch):
@@ -409,13 +409,13 @@ def test_corrupted_functional_fails_the_identity_check(monkeypatch):
     space = gns_construct(phi_from_cyclic(model, xi))
     assert build_decomposition(space, xi).identity_residual < 1e-9
 
-    monkeypatch.setattr(rigging.GeneralizedEigenvector, "act", broken_act)
+    monkeypatch.setattr(rigging, "_functional_values", broken_functional_values)
     with pytest.raises(InconsistencyError, match="identity residual"):
         build_decomposition(space, xi)
 
 
 def test_corrupted_functional_turns_the_selftest_red(monkeypatch, capsys):
-    monkeypatch.setattr(rigging.GeneralizedEigenvector, "act", broken_act)
+    monkeypatch.setattr(rigging, "_functional_values", broken_functional_values)
     code, report, err = stdout_report(capsys, ["selftest"])
     assert code == 4
     assert report["passed"] is False
@@ -611,6 +611,35 @@ def test_gns_emits_generator_diagonals_not_dense_images(tmp_path, capsys):
     diagonals = np.array([as_complex(row) for row in diagonals])
     np.testing.assert_array_equal(diagonals, rows)
     assert make_representation(G, [np.diag(row) for row in diagonals]).dim == 256
+
+
+def test_decompose_and_rig_emit_generator_diagonals_not_tables(tmp_path, capsys, rng):
+    # V diag(<e_j|chi_s>) V^dagger on (2,)^10 with d = 8: each component's
+    # 1024 x r table is fixed by its ten generator rows, which are all the
+    # reports carry
+    from abelian_spectra import make_representation
+    G = make_group((2,) * 10)
+    support = np.sort(rng.choice(G.size, size=8, replace=False))
+    V, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    diagonals = G.pairing_rows(support)[:, G.generator_indices].T
+    src = write_representation(tmp_path / "rep.json", make_representation(
+        G, [V @ np.diag(d) @ V.conj().T for d in diagonals]))
+    for command in ("decompose", "rig"):
+        out = tmp_path / f"{command}.json"
+        code, _, _ = run_cli(capsys, [command, "--input", str(src), "--output", str(out)])
+        assert code == 0
+        assert out.stat().st_size < 50_000
+        text = out.read_text()
+        assert '"table"' not in text and '"eigenvalue_table"' not in text
+        for comp in json.loads(text)["results"]["components"]:
+            cols = [G.character_index(G.character(c)) for c in comp["support"]]
+            rows = comp.get("diagonal_model", comp)["generator_diagonals"]
+            assert [len(row) for row in rows] == [len(cols)] * 10
+            rows = np.array([as_complex(row) for row in rows])
+            np.testing.assert_array_equal(rows, G.pairing_rows(cols)[:, G.generator_indices].T)
+            # prod_j row_j^{g_j} is the table row of g, for every g
+            table = np.prod(rows[None] ** G._coords[:, :, None], axis=1)
+            np.testing.assert_allclose(table, G.pairing_rows(cols).T, rtol=0, atol=1e-12)
 
 
 def test_gns_exits_3_when_a_generator_diagonal_breaks_a_relation(tmp_path, capsys, monkeypatch):

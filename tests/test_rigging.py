@@ -413,9 +413,9 @@ def test_stored_maxima_see_mixed_eigenvector_coordinates(monkeypatch, rng):
     model, xi, space, _ = random_multiplicity_free_system(rng)
     original = rigging._eigenvector_coords
 
-    def mixed(space, chi):
-        v = original(space, chi).copy()
-        v[0], v[1] = v[0] + 1e-3 * v[1], v[1] - 1e-3 * v[0]
+    def mixed(space, table):
+        v = original(space, table).copy()
+        v[:, 0], v[:, 1] = v[:, 0] + 1e-3 * v[:, 1], v[:, 1] - 1e-3 * v[:, 0]
         return v
 
     monkeypatch.setattr(rigging, "_eigenvector_coords", mixed)
