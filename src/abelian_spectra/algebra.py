@@ -17,10 +17,12 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .errors import GroupMismatchError, InconsistencyError, ShapeMismatchError
+from .errors import (GroupMismatchError, InconsistencyError, NumericalDegeneracyError,
+                     ShapeMismatchError)
 from .groups import Character, Element, Group
 
 POSITIVITY_TOL = 1e-10
@@ -85,6 +87,16 @@ def _transform(group: Group, values: np.ndarray, inverse: bool = False) -> np.nd
     for axis in range(group.num_factors):
         out = fft(out, axis=axis, norm=norm)
     return out.reshape(values.shape)
+
+
+def checked_finite(stage: str, compute: Callable[[], GroupFunction | DualFunction]):
+    """compute() with numpy's overflow warnings off; NumericalDegeneracyError
+    naming ``stage`` when its values are not finite, as when finite input overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute()
+    if not np.all(np.isfinite(out.values)):
+        raise NumericalDegeneracyError(f"{stage} is not finite: it overflowed on finite input")
+    return out
 
 
 def delta(group: Group, at: Element | None = None) -> GroupFunction:

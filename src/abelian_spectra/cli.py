@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .algebra import DualFunction, GroupFunction, fourier, inverse_fourier
+from .algebra import DualFunction, GroupFunction, checked_finite, fourier, inverse_fourier
 from .errors import (
     DegenerateComponentError,
     FileFormatError,
@@ -163,8 +163,8 @@ def _check_seed(args: argparse.Namespace) -> None:
 
 def _quotient_size_cap(args: argparse.Namespace) -> int:
     """Size cap of gns and rig: gns's |G| x rank table takes 16 |G|^2 bytes at
-    full rank.  rig keeps the cap while its stack check leaves out the two
-    transform buffers spectral_measure holds beside the operator stack."""
+    full rank.  rig keeps the cap while its stack check counts one operator
+    stack and its all-G relation checks hold about three."""
     return min(_size_cap(args), math.isqrt(OPERATOR_STACK_BUDGET // 16))
 
 
@@ -197,12 +197,13 @@ def cmd_fourier(args: argparse.Namespace, tol: float):
         if not isinstance(f, GroupFunction):
             raise FileFormatError(
                 "forward transform needs field 'domain' == 'group'")
-        out = fourier(f)
+        transform = fourier
     else:
         if not isinstance(f, DualFunction):
             raise FileFormatError(
                 "inverse transform needs field 'domain' == 'dual'")
-        out = inverse_fourier(f)
+        transform = inverse_fourier
+    out = checked_finite(f"{args.direction} transform", lambda: transform(f))
     lines = [f"fourier {args.direction}: orders {list(f.group.orders)}, "
              f"{f.group.size} values"]
     return function_to_payload(out), lines, EXIT_OK
@@ -279,7 +280,9 @@ def cmd_gns(args: argparse.Namespace, tol: float):
     space = gns_construct(f)
     diagonals = space.generator_images()
     check_diagonal_generators(f.group, diagonals)  # raises on unitarity/order breach
-    recon = float(np.abs(reconstruct_phi(space).values - f.values).max())
+    # relative to max |phi|, whose size the FFT round-off scales with
+    recon = float(np.abs(reconstruct_phi(space).values - f.values).max()
+                  / max(1.0, np.abs(f.values).max()))
     residuals = {"reconstruction": recon}
     passed = recon <= tol
 

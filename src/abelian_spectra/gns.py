@@ -24,6 +24,7 @@ from .algebra import (
     PositivityReport,
     _transform,
     apply_hermitian_form,
+    checked_finite,
     fourier,
     transform_positivity,
 )
@@ -84,15 +85,15 @@ class GNSSpace:
 def gns_construct(phi: GroupFunction) -> GNSSpace:
     """Build the quotient space of a positive-type function in closed form.
 
-    Raises PositiveTypeError when the transform of phi is not
-    non-negative.  The quotient rank is the number of eigenvalues of the
-    form above RANK_TOL relative to the largest one, which equals the
-    size of the transform's support.  Raises InconsistencyError when the
-    support characters are not eigenvectors of the form to round-off,
-    which only an algebra bug can cause.
+    Raises NumericalDegeneracyError when the transform of phi overflows,
+    and PositiveTypeError when it is not non-negative.  The quotient rank
+    is the number of eigenvalues of the form above RANK_TOL relative to
+    the largest one, which equals the size of the transform's support.
+    Raises InconsistencyError when the support characters are not
+    eigenvectors of the form to round-off, which only an algebra bug can cause.
     """
     group = phi.group
-    F = fourier(phi).values
+    F = checked_finite("transform of phi", lambda: fourier(phi)).values
     report = transform_positivity(F, group.haar_weight)
     if not report.verdict:
         raise PositiveTypeError(

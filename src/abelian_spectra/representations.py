@@ -130,32 +130,6 @@ def trivial_representation(group: Group, dim: int = 1) -> UnitaryRep:
     return make_representation(group, [np.eye(dim, dtype=complex)] * group.num_factors)
 
 
-def _orthonormal_range_basis(P: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of range(P) for a projection P.
-
-    Modified Gram-Schmidt over the columns of P in enumeration order with
-    one re-orthogonalisation pass; a column is accepted when its residual
-    exceeds RANGE_ACCEPT_TOL, which for honest projections (singular values
-    near 0 or 1) selects exactly rank(P) columns.
-    """
-    basis: list[np.ndarray] = []
-    for j in range(P.shape[1]):
-        v = P[:, j].copy()
-        for b in basis:
-            v -= b * (b.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm <= RANGE_ACCEPT_TOL:
-            continue
-        v /= norm
-        for b in basis:  # second pass for crisp orthogonality
-            v -= b * (b.conj() @ v)
-        v /= np.linalg.norm(v)
-        basis.append(v)
-    if not basis:
-        return np.zeros((P.shape[0], 0), dtype=complex)
-    return np.column_stack(basis)
-
-
 @dataclass(frozen=True)
 class ProjectionValuedMeasure:
     """Spectral projections of a representation, indexed by characters.
@@ -188,25 +162,27 @@ class ProjectionValuedMeasure:
 
 
 def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
-    """Projection-valued measure by character averaging.
+    """Projection-valued measure by character averaging, taken at its support.
 
     P(chi) = (1/|G|) sum_g conj(<g|chi>) pi(g), the closed-form inversion
     of the reconstruction identity pi(g) = sum_chi <g|chi> P(chi) through
-    character orthogonality.  The sum is one FFT of the operator stack
-    along the element axis, O(|G| log |G| d^2); a projection's rank is its
-    trace, so chi is kept where tr P(chi) > 1/2, with multiplicity
-    rint(tr P(chi)).  The projections are copied out of the transformed
-    stack, so the measure holds only its support.  Construction validates
-    idempotency, hermiticity, completeness, mutual orthogonality and rank
-    of the ranges, and that multiplicities add up to the dimension; a
-    violation raises NumericalDegeneracyError carrying the residuals.
+    character orthogonality.  A projection's rank is its trace, and the
+    traces of all P(chi) are one |G|-point transform of g -> tr pi(g); chi
+    is kept where tr P(chi) > 1/2, with multiplicity rint(tr P(chi)).  Only
+    those s <= d projections are averaged, as one (s x |G|) @ (|G| x d^2)
+    product, and each range basis is the top-``mult`` eigenvectors of one
+    batched ``eigh``.  Construction validates idempotency, hermiticity,
+    completeness, mutual orthogonality and rank of the ranges, and that
+    multiplicities add up to the dimension; a violation raises
+    NumericalDegeneracyError carrying the residuals.
     """
-    group = rep.group
-    stack = _transform(group, rep.operators) / group.size
-    trace = np.trace(stack, axis1=1, axis2=2).real
+    group, d = rep.group, rep.dim
+    ops = rep.operators
+    trace = _transform(group, np.trace(ops, axis1=1, axis2=2)).real / group.size
     keep = np.flatnonzero(trace > 0.5)
-    P = stack[keep]
     mults = np.rint(trace[keep]).astype(int)
+    P = (group.pairing_rows(keep).conj() @ ops.reshape(group.size, d * d)
+         / group.size).reshape(-1, d, d)
     idem = float(np.max(np.linalg.norm(P @ P - P, axis=(1, 2)), initial=0.0))
     herm = float(np.max(np.linalg.norm(P - P.conj().swapaxes(1, 2), axis=(1, 2)),
                         initial=0.0))
@@ -214,13 +190,15 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     support = [Character(tuple(group._coords[k])) for k in keep]
 
     bases: dict = {}
-    for chi, proj, mult in zip(support, P, mults):
-        basis = _orthonormal_range_basis(proj)
-        if basis.shape[1] != mult:
+    eigvals, eigvecs = np.linalg.eigh(P)  # ascending, so the range is the last columns
+    for chi, lam, vecs, mult in zip(support, eigvals, eigvecs, mults):
+        found = int(np.count_nonzero(lam[d - mult:] > RANGE_ACCEPT_TOL))
+        if found < mult:
             raise NumericalDegeneracyError(
-                f"range basis of P({chi.coords}) found {basis.shape[1]} directions "
+                f"range basis of P({chi.coords}) found {found} directions "
                 f"for multiplicity {mult}",
-                residuals={"multiplicity": float(mult), "basis_rank": float(basis.shape[1])})
+                residuals={"multiplicity": float(mult), "basis_rank": float(found)})
+        basis = vecs[:, d - mult:].copy()  # a view would keep all s x d x d eigenvectors
         basis.setflags(write=False)
         bases[chi] = basis
     projections = dict(zip(support, P))
@@ -228,12 +206,8 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
 
     # Orthogonality of the ranges via the stacked basis Gram matrix; this
     # bounds max ||P(chi) P(chi')|| without forming all pairwise products.
-    if support:
-        B = np.column_stack([bases[chi] for chi in support])
-        gram = B.conj().T @ B
-        ortho = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    else:
-        ortho = 0.0
+    B = np.hstack([np.zeros((d, 0)), *bases.values()])
+    ortho = float(np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1])), initial=0.0))
     complete = float(np.linalg.norm(P.sum(axis=0) - np.eye(rep.dim)))
 
     mult_total = sum(multiplicities.values())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DualFunction, GroupFunction, apply_hermitian_form, fourier
+from .algebra import DualFunction, GroupFunction, apply_hermitian_form, checked_finite, fourier
 from .errors import (
     GroupMismatchError,
     InconsistencyError,
@@ -101,23 +101,29 @@ def phi_from_cyclic(model: DiagonalModel, xi: DualFunction) -> GroupFunction:
 
     phi(g) = sum over the model support of <g|chi> |xi(chi)|^2 with the
     weight-1 counting measure.  Raises NotCyclicError when xi vanishes on
-    a support character (it would not be cyclic there).
+    a support character (it would not be cyclic there), and
+    NumericalDegeneracyError when phi overflows.
     """
     if xi.group != model.group:
         raise GroupMismatchError("cyclic amplitude lives on a different group")
-    return GroupFunction(model.group, model.table @ np.abs(_cyclic_amplitudes(model, xi)) ** 2)
+    return checked_finite("phi of the cyclic amplitude", lambda: GroupFunction(
+        model.group, model.table @ np.abs(_cyclic_amplitudes(model, xi)) ** 2))
 
 
-def _eigenvector_coords(space: GNSSpace, table: np.ndarray) -> np.ndarray:
+def _eigenvector_coords(space: GNSSpace, table: np.ndarray,
+                        support: tuple[Character, ...]) -> np.ndarray:
     """Unit quotient coordinates of the eigenvectors, one row per column of
-    ``table`` (table[g, s] = <g|chi_s>): Q^dagger applied to the inverse
-    character conj(table[:, s]) is a positive multiple of the representing
-    vector, and the quotient metric normalises it to unit length exactly."""
+    ``table`` (table[g, s] = <g|chi_s>, chi_s = support[s]): Q^dagger applied
+    to the inverse character conj(table[:, s]) is, by character orthogonality,
+    sqrt(|G|/lambda_t) e_t when chi_s is the t-th quotient support character
+    and round-off when chi_s is off that support, which InconsistencyError names."""
     V = space.quotient_basis.conj().T @ table.conj()
-    norms = np.linalg.norm(V, axis=0)
-    if not np.all(norms > 0):
-        raise InconsistencyError("a support character has no component in the quotient")
-    return (V / norms).T
+    scale = np.sqrt(space.eigenvalues[:space.rank, None] / space.group.size)
+    overlap = np.max(np.abs(V) * scale, axis=0, initial=0.0)
+    off = [chi.coords for chi, value in zip(support, overlap) if not value > 0.5]
+    if off:
+        raise InconsistencyError(f"characters {off} have no component in the quotient")
+    return (V / np.linalg.norm(V, axis=0)).T
 
 
 # One formula per operator relation, over rows m of element data: C stacks
@@ -163,7 +169,7 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
             f"quotient rank is {space.rank}")
 
     P = group.pairing_rows(keep).T  # table is symmetric
-    C = _eigenvector_coords(space, P)
+    C = _eigenvector_coords(space, P, support)
     C.setflags(write=False)
     eigenvectors = [GeneralizedEigenvector(character=chi, weight=float(abs(xi(chi))), coords=c)
                     for chi, c in zip(support, C)]
@@ -259,7 +265,7 @@ def intertwiner(space: GNSSpace, model: DiagonalModel,
             f"quotient rank is {space.rank}")
     _cyclic_amplitudes(model, xi)
 
-    W = _eigenvector_coords(space, model.table).conj()
+    W = _eigenvector_coords(space, model.table, model.support).conj()
     unitarity = float(np.linalg.norm(W.conj().T @ W - np.eye(space.rank)))
 
     # W pi(g_m) - diag(table[m]) W for every m, with pi(g_m) = diag(characters[m])

@@ -26,21 +26,21 @@ def random_positive_type(group: Group, rng: np.random.Generator) -> GroupFunctio
 
 @pytest.fixture
 def non_idempotent_measure(monkeypatch):
-    """Scale the unit character's projection by 1 + 1e-6 inside spectral_measure.
+    """Scale the unit character's row of the pairing table by 1 + 1e-6.
 
-    That character is in the support of a regular representation, so its
-    P(chi) stops being idempotent while its rank stays the same.
+    ``spectral_measure`` averages the operators against those rows, and the
+    unit character is in the support of a regular representation, so its
+    P(chi) stops being idempotent while its rank, read off the traces,
+    stays the same.
     """
-    from abelian_spectra import representations
+    pairing_rows = Group.pairing_rows
 
-    transform = representations._transform
-
-    def perturbed(group, values):
-        out = transform(group, values)
-        out[0] *= 1 + 1e-6
+    def perturbed(self, rows):
+        out = pairing_rows(self, rows)
+        out[np.arange(self.size)[rows] == 0] *= 1 + 1e-6
         return out
 
-    monkeypatch.setattr(representations, "_transform", perturbed)
+    monkeypatch.setattr(Group, "pairing_rows", perturbed)
 
 
 SMALL_ORDER_LISTS = [(1,), (2,), (3,), (4,), (5,), (2, 2), (2, 3), (2, 4), (2, 2, 2), (3, 3)]

@@ -503,6 +503,43 @@ def test_non_finite_input_is_an_input_error(tmp_path, command, bad):
     assert "must be finite" in proc.stderr
 
 
+@pytest.mark.parametrize("command, stage", [
+    (["fourier"], "forward transform is not finite"),
+    (["gns"], "transform of phi is not finite"),
+    (["rig", "--xi", "{xi}"], "phi of the cyclic amplitude is not finite"),
+])
+def test_an_overflowing_stage_exits_4_and_names_itself(tmp_path, capsys, command, stage):
+    # finite inputs whose transform (4 x 1e308) or sum |xi|^2 (1e400) overflows;
+    # pytest turns any numpy RuntimeWarning into an error
+    f = write_function(tmp_path / "f.json", (4,), [1e308] * 4)
+    rep = write_representation(tmp_path / "rep.json", regular_representation(make_group((4,))))
+    xi = write_function(tmp_path / "xi.json", (4,), [1e200] * 4, domain="dual")
+    argv = [a.format(xi=xi) for a in command]
+    code, _, err = run_cli(capsys, [*argv, "--input", str(rep if "rig" in argv else f)])
+    assert code == 4
+    assert stage in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("orders", [(64,), (1024,)])
+def test_gns_reconstruction_check_is_relative_to_phi(tmp_path, capsys, monkeypatch, rng, orders):
+    # a spectrum near 1e8 puts max |phi| near 1e8 and the absolute round-off
+    # of the reconstruction near 1e-8, a relative error of about 1e-16
+    spectrum = rng.uniform(0.5, 2.0, size=orders[0]) * 1e8
+    phi = np.fft.ifft(spectrum)
+    src = write_function(tmp_path / "phi.json", orders, phi)
+    code, report, _ = stdout_report(capsys, ["gns", "--input", str(src)])
+    assert code == 0
+    assert report["residuals"]["reconstruction"] < 1e-14
+    # a 1e-6 relative corruption of the reconstruction still fails
+    reconstruct = cli.reconstruct_phi
+    monkeypatch.setattr(cli, "reconstruct_phi", lambda space: GroupFunction(
+        space.group, reconstruct(space).values * (1 + 1e-6)))
+    code, report, _ = stdout_report(capsys, ["gns", "--input", str(src)])
+    assert code == 4
+    assert report["residuals"]["reconstruction"] > 1e-7
+
+
 def test_module_entry_point_runs_as_a_process(tmp_path):
     src = write_function(tmp_path / "f.json", (2,), [1, 0])
     proc = subprocess.run(

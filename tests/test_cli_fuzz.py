@@ -3,8 +3,9 @@
 Each case starts from a well-formed input file and command line and
 applies at most one defect: a malformed field (wrong length, bool or
 string entries, NaN or inf, bad orders, non-unitary generators) or an
-out-of-range flag.  Every case must end with exit code 0, 2, 3, 4 or 5,
-never with an uncaught exception.  Group orders stay <= 64 and
+out-of-range flag.  Function and amplitude values also come near 1e300.
+Every case must end with exit code 0, 2, 3, 4 or 5, never with an
+uncaught exception or a numpy warning.  Group orders stay <= 64 and
 dimensions <= 8, so each case runs in milliseconds, far below every
 memory budget.
 """
@@ -89,13 +90,16 @@ def pairs(values):
 
 @st.composite
 def function_values(draw, size):
-    """A point mass or a constant (both positive type), or random values."""
+    """A point mass or a constant (both positive type), or random values, at
+    unit scale or near 1e300: finite, but |xi|^2 or a transform may overflow."""
     kind = draw(st.sampled_from(["delta", "constant", "random"]))
+    scale = draw(st.sampled_from([1.0, 1e300]))
     if kind == "delta":
-        return pairs(np.eye(1, size))
+        return pairs(scale * np.eye(1, size))
     if kind == "constant":
-        return pairs(np.ones(size))
-    return [[draw(st.floats(-2, 2)), draw(st.floats(-2, 2))] for _ in range(size)]
+        return pairs(scale * np.ones(size))
+    return [[scale * draw(st.floats(-2, 2)), scale * draw(st.floats(-2, 2))]
+            for _ in range(size)]
 
 
 @st.composite

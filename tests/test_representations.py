@@ -1,5 +1,6 @@
 """Unitary representations, spectral projections, diagonal models, kets."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -189,16 +190,44 @@ def test_measure_matches_independent_eigenstructure(rng):
         np.testing.assert_allclose(pvm.projection(chi), Q @ mask @ Q.conj().T, atol=1e-9)
 
 
-@pytest.mark.parametrize("orders", [(4,), (2, 3), (3, 5, 2)])
+@pytest.mark.parametrize("orders", [(4,), (2, 3), (3, 5, 2), (12,), (2,) * 5, (3, 4, 2)])
 def test_measure_matches_dense_character_average(orders, rng):
-    """The FFT route equals the dense einsum over the pairing table."""
+    """Support, multiplicities and projections equal the dense average over
+    the pairing table, and each range basis is an orthonormal basis of the
+    range of its projection."""
     G = make_group(orders)
-    slots = [G.characters[i] for i in rng.integers(G.size, size=5)]
+    picks = rng.choice(G.size, size=3, replace=False)
+    slots = [G.characters[i] for i, mult in zip(picks, (1, 2, 3)) for _ in range(mult)]
     rep, _ = conjugated_diagonal_rep(G, slots, rng)
     pvm = spectral_measure(rep)
     dense = np.einsum("gx,gij->xij", np.conj(G.pairing_table()), rep.operators) / G.size
+    ranks = np.trace(dense, axis1=1, axis2=2).real
+    assert pvm.support == tuple(G.characters[i] for i in sorted(picks))
+    assert [pvm.multiplicity(chi) for chi in G.characters] == np.rint(ranks).tolist()
     for chi, P in zip(G.characters, dense):
         np.testing.assert_allclose(pvm.projection(chi), P, rtol=0, atol=1e-12)
+    for chi in pvm.support:
+        B, P = pvm.range_bases[chi], pvm.projection(chi)
+        assert B.shape == (rep.dim, pvm.multiplicity(chi))
+        np.testing.assert_allclose(B.conj().T @ B, np.eye(B.shape[1]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(P @ B, B, rtol=0, atol=1e-12)
+
+
+def test_measure_allocates_less_than_one_operator_stack(rng):
+    """The measure transforms the traces and averages only its support, so
+    beside the cached operator stack it holds far less than another stack."""
+    G = make_group((64, 64))
+    picks = rng.choice(G.size, size=4, replace=False)
+    rep, _ = conjugated_diagonal_rep(G, [G.characters[i] for i in picks for _ in range(4)], rng)
+    stack = rep.operators.nbytes
+    tracemalloc.start()
+    try:
+        pvm = spectral_measure(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pvm.support) == 4
+    assert peak < stack
 
 
 def test_reconstruction_residual_is_tiny(small_group):

@@ -20,6 +20,7 @@ from abelian_spectra import (
     gns_construct,
     hermitian_form,
     intertwiner,
+    inverse_fourier,
     make_group,
     make_representation,
     phi_from_cyclic,
@@ -321,6 +322,22 @@ def test_intertwiner_rejects_vanishing_amplitude():
         intertwiner(space, model, bad)
 
 
+def test_a_character_off_the_quotient_support_is_named():
+    # the quotient of phi has transform support {1, 3, 5}; character 6 is
+    # orthogonal to all three, so its coordinate column is only round-off
+    G = make_group((16,))
+    spectrum = np.zeros(16, dtype=complex)
+    spectrum[[1, 3, 5]] = 1.0
+    space = gns_construct(inverse_fourier(DualFunction(G, spectrum)))
+    rep = make_representation(G, [np.diag(np.exp(2j * np.pi * np.array([1, 3, 6]) / 16))])
+    pvm = spectral_measure(rep)
+    model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    xi = DualFunction(G, np.isin(np.arange(16), [1, 3, 6]).astype(complex))
+    for build in (intertwiner, lambda space, _, xi: build_decomposition(space, xi)):
+        with pytest.raises(InconsistencyError, match=r"characters \[\(6,\)\] have no component"):
+            build(space, model, xi)
+
+
 def test_intertwiner_rejects_mixed_groups():
     G = make_group((2,))
     model, _, space, _ = rigged_system(G)
@@ -413,8 +430,8 @@ def test_stored_maxima_see_mixed_eigenvector_coordinates(monkeypatch, rng):
     model, xi, space, _ = random_multiplicity_free_system(rng)
     original = rigging._eigenvector_coords
 
-    def mixed(space, table):
-        v = original(space, table).copy()
+    def mixed(space, table, support):
+        v = original(space, table, support).copy()
         v[:, 0], v[:, 1] = v[:, 0] + 1e-3 * v[:, 1], v[:, 1] - 1e-3 * v[:, 0]
         return v
 
