@@ -89,12 +89,13 @@ def _transform(group: Group, values: np.ndarray, inverse: bool = False) -> np.nd
     return out.reshape(values.shape)
 
 
-def checked_finite(stage: str, compute: Callable[[], GroupFunction | DualFunction]):
+def checked_finite(stage: str, compute: Callable[[], GroupFunction | DualFunction | np.ndarray]):
     """compute() with numpy's overflow warnings off; NumericalDegeneracyError
-    naming ``stage`` when its values are not finite, as when finite input overflows."""
+    naming ``stage`` when its values (or the array it returns) are not finite,
+    as when finite input overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = compute()
-    if not np.all(np.isfinite(out.values)):
+    if not np.all(np.isfinite(getattr(out, "values", out))):
         raise NumericalDegeneracyError(f"{stage} is not finite: it overflowed on finite input")
     return out
 
@@ -194,11 +195,12 @@ def transform_positivity(F: np.ndarray, weight: float) -> PositivityReport:
     The form's eigenvalues are weight * F, so its entries in the report
     are closed-form: weight * min Re F and weight * max |Im F|.  The
     round-off of F scales with its size, so both are compared with
-    POSITIVITY_TOL * max(1, max |F|), the report's ``tol``.
+    POSITIVITY_TOL * max |F|, the report's ``tol``; the verdict is invariant
+    under phi -> c phi (c > 0), and phi = 0 (tol 0) is of positive type.
     """
-    tol = POSITIVITY_TOL * max(1.0, float(np.max(np.abs(F))))
+    tol = POSITIVITY_TOL * float(np.max(np.abs(F)))
     low, imag = float(np.min(F.real)), float(np.max(np.abs(F.imag)))
-    return PositivityReport(verdict=bool(low >= -tol and imag < tol), tol=float(tol),
+    return PositivityReport(verdict=bool(low >= -tol and imag <= tol), tol=float(tol),
                             min_fourier=low, min_gram_eigenvalue=weight * low,
                             max_fourier_imag=imag, max_gram_imag=weight * imag)
 
@@ -217,7 +219,7 @@ def is_positive_type(phi: GroupFunction) -> PositivityReport:
     eigs = np.linalg.eigvals(hermitian_form(phi))
     min_gram = float(np.min(eigs.real))
     max_gram_imag = float(np.max(np.abs(eigs.imag)))
-    ok_gram = min_gram >= -tol and max_gram_imag < tol
+    ok_gram = min_gram >= -tol and max_gram_imag <= tol
 
     if ok_gram != route_b.verdict:
         # Verdicts may only differ when a diagnostic sits within round-off

@@ -280,9 +280,10 @@ def cmd_gns(args: argparse.Namespace, tol: float):
     space = gns_construct(f)
     diagonals = space.generator_images()
     check_diagonal_generators(f.group, diagonals)  # raises on unitarity/order breach
-    # relative to max |phi|, whose size the FFT round-off scales with
-    recon = float(np.abs(reconstruct_phi(space).values - f.values).max()
-                  / max(1.0, np.abs(f.values).max()))
+    # relative to max |phi|, whose size the FFT round-off scales with (phi = 0
+    # reconstructs exactly)
+    gap, size = np.abs(reconstruct_phi(space).values - f.values).max(), np.abs(f.values).max()
+    recon = float(gap / size if size > 0 else gap)
     residuals = {"reconstruction": recon}
     passed = recon <= tol
 

@@ -85,8 +85,9 @@ class GNSSpace:
 def gns_construct(phi: GroupFunction) -> GNSSpace:
     """Build the quotient space of a positive-type function in closed form.
 
-    Raises NumericalDegeneracyError when the transform of phi overflows,
-    and PositiveTypeError when it is not non-negative.  The quotient rank
+    Raises NumericalDegeneracyError when the transform of phi, or the form
+    applied in the construction check, overflows, and PositiveTypeError when
+    the transform is not non-negative.  The quotient rank
     is the number of eigenvalues of the form above RANK_TOL relative to
     the largest one, which equals the size of the transform's support.
     Raises InconsistencyError when the support characters are not
@@ -116,7 +117,8 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
 
     # The form scales each conjugated character by weight * F (lam_s is the
     # real part); the FFT's O(eps log |G| lam_max) round-off is far below the bound.
-    gap = apply_hermitian_form(phi, conj_chars) - conj_chars * (group.haar_weight * F[support])
+    gap = checked_finite("form applied to the support characters", lambda: (
+        apply_hermitian_form(phi, conj_chars) - conj_chars * (group.haar_weight * F[support])))
     residual = float(np.abs(gap).max(initial=0.0))
     bound = 1e-12 * group.size * max(lam_max, 0.0)
     if residual > bound:

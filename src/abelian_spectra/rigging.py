@@ -85,12 +85,18 @@ class SpectralDecomposition:
         raise SupportError(f"character {chi.coords} is outside the decomposition support")
 
 
+def _vanishes(amps: np.ndarray) -> np.ndarray:
+    """Where |amps| is at most WEIGHT_FLOOR relative to max |amps| (everywhere if 0)."""
+    mods = np.abs(amps)
+    return mods <= WEIGHT_FLOOR * mods.max(initial=0.0)
+
+
 def _cyclic_amplitudes(model: DiagonalModel, xi: DualFunction) -> np.ndarray:
     """xi on the model support; NotCyclicError where it vanishes there."""
     group = model.group
     amps = xi.values[[group.character_index(chi) for chi in model.support]]
-    for chi, amp in zip(model.support, amps):
-        if abs(amp) <= WEIGHT_FLOOR:
+    for chi, amp, vanishes in zip(model.support, amps, _vanishes(amps)):
+        if vanishes:
             raise NotCyclicError(f"cyclic amplitude vanishes at support character "
                                  f"{chi.coords} (|xi| = {abs(amp):.3e})")
     return amps
@@ -161,7 +167,7 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
     group = space.group
     if xi.group != group:
         raise GroupMismatchError("cyclic amplitude lives on a different group")
-    keep = np.flatnonzero(np.abs(xi.values) > WEIGHT_FLOOR)
+    keep = np.flatnonzero(~_vanishes(xi.values))
     support = [Character(tuple(group._coords[k])) for k in keep]
     if len(support) != space.rank:
         raise InconsistencyError(
@@ -201,7 +207,7 @@ def _identity_residual(space: GNSSpace,
     Deliberately evaluated through ``_functional_values``, the formula ``act``
     applies, so a corrupted eigenvector formula is caught, not compensated for.
     Both sides grow with |G| and |xi|^2, so each gap is divided by the
-    Cauchy-Schwarz bound sqrt(<f|f>_phi <h|h>_phi) when that exceeds 1.
+    Cauchy-Schwarz bound sqrt(<f|f>_phi <h|h>_phi) whenever that is positive.
     """
     group = space.group
     draws = rng.standard_normal((IDENTITY_CHECK_PAIRS, 4, group.size))
@@ -209,8 +215,8 @@ def _identity_residual(space: GNSSpace,
     lhs = np.sum(f.conj() * apply_hermitian_form(space.phi, h.T).T, axis=1)
     act_f, act_h = (np.array([_functional_values(eigenvectors, GroupFunction(group, v))
                               for v in side]) for side in (f, h))
-    scale = np.maximum(1.0, np.linalg.norm(act_f, axis=1) * np.linalg.norm(act_h, axis=1))
-    gaps = np.abs(lhs - np.sum(act_f * act_h.conj(), axis=1)) / scale
+    bound = np.linalg.norm(act_f, axis=1) * np.linalg.norm(act_h, axis=1)
+    gaps = np.abs(lhs - np.sum(act_f * act_h.conj(), axis=1)) / np.where(bound > 0, bound, 1.0)
     return float(gaps.max(initial=0.0))
 
 

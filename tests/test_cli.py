@@ -230,6 +230,16 @@ def test_gns_rejects_non_positive_functions(tmp_path, capsys):
     assert "min transform -1.000000e+00" in err
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-6])
+def test_gns_rejects_a_small_function_that_is_not_of_positive_type(tmp_path, capsys, scale):
+    # c * delta at the generator of Z_8 has transform c * exp(-2 pi i k / 8),
+    # whose real parts are negative at every scale c > 0
+    src = write_function(tmp_path / "phi.json", (8,), scale * np.eye(8)[1])
+    code, _, err = run_cli(capsys, ["gns", "--input", str(src)])
+    assert code == 5
+    assert "not of positive type" in err
+
+
 def test_gns_requires_group_domain(tmp_path, capsys):
     src = write_function(tmp_path / "phi.json", (2,), [1, 0], domain="dual")
     code, _, err = run_cli(capsys, ["gns", "--input", str(src)])
@@ -284,15 +294,43 @@ def test_rig_identity_check_is_relative_to_the_form_norms(tmp_path, capsys):
     assert report["residuals"]["identity"] < 1e-14
 
 
-def test_rig_positivity_bound_is_relative_to_the_transform(tmp_path, capsys):
-    # a flat |xi| = 100 scales the transform of each component's phi by 1e4,
-    # and its round-off (a min transform near -2.5e-10) with it
+def planted_rep_file(tmp_path, orders, dim):
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
     from workloads import planted_representation
     from abelian_spectra import make_representation
-    generators, _ = planted_representation(np.random.default_rng(3), (64,), 8, 1)
-    src = write_representation(tmp_path / "rep.json",
-                               make_representation(make_group((64,)), generators))
+    generators, _ = planted_representation(np.random.default_rng(3), orders, dim, 1)
+    return write_representation(tmp_path / "rep.json",
+                                make_representation(make_group(orders), generators))
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-6])
+def test_rig_takes_a_small_flat_amplitude_as_cyclic(tmp_path, capsys, scale):
+    # the weight floor is relative to max |xi|, so a flat xi never vanishes
+    src = planted_rep_file(tmp_path, (16,), 4)
+    xi = write_function(tmp_path / "xi.json", (16,), [scale] * 16, domain="dual")
+    code, out, err = run_cli(capsys, ["rig", "--input", str(src), "--xi", str(xi)])
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
+
+
+def test_rig_identity_check_on_a_small_amplitude_catches_a_corruption(tmp_path, capsys,
+                                                                       monkeypatch):
+    # with |xi| = 1e-13 both sides of <f|h>_phi are near 1e-24: an absolute
+    # comparison would absorb a 1e-6 relative corruption of the functionals
+    src = planted_rep_file(tmp_path, (16,), 4)
+    xi = write_function(tmp_path / "xi.json", (16,), [1e-13] * 16, domain="dual")
+    values = rigging._functional_values
+    monkeypatch.setattr(rigging, "_functional_values",
+                        lambda vecs, f: values(vecs, f) * (1 + 1e-6))
+    code, _, err = run_cli(capsys, ["rig", "--input", str(src), "--xi", str(xi)])
+    assert code == 4
+    assert "inner-product identity residual" in err
+
+
+def test_rig_positivity_bound_is_relative_to_the_transform(tmp_path, capsys):
+    # a flat |xi| = 100 scales the transform of each component's phi by 1e4,
+    # and its round-off (a min transform near -2.5e-10) with it
+    src = planted_rep_file(tmp_path, (64,), 8)
     xi = write_function(tmp_path / "xi.json", (64,), [100.0] * 64, domain="dual")
     code, out, err = run_cli(capsys, ["rig", "--input", str(src), "--xi", str(xi)])
     assert code == 0, err
@@ -379,6 +417,15 @@ def test_selftest_seed_changes_the_samples(tmp_path, capsys):
     assert ra["passed"] and rb["passed"]
     residuals = lambda r: [p["max_residual"] for p in r["properties"]]
     assert residuals(ra) != residuals(rb)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_selftest_passes_at_the_benchmark_configuration(capsys, seed):
+    # the spectral workload's check requires all 30 properties at this size
+    code, _, err = run_cli(capsys, ["selftest", "--max-group-size", "64", "--max-dim", "16",
+                                    "--seed", str(seed)])
+    assert code == 0, err
+    assert "30/30 properties passed" in err
 
 
 def test_selftest_validates_its_flags(capsys):
@@ -518,6 +565,16 @@ def test_an_overflowing_stage_exits_4_and_names_itself(tmp_path, capsys, command
     code, _, err = run_cli(capsys, [*argv, "--input", str(rep if "rig" in argv else f)])
     assert code == 4
     assert stage in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+def test_gns_overflow_in_the_construction_check_exits_4_and_names_it(tmp_path, capsys):
+    # the transform of the point mass is 2e306 everywhere, finite, but the
+    # form applied to the support characters sums 64 terms of 1.3e308
+    src = write_function(tmp_path / "phi.json", (64,), 2e306 * np.eye(64)[0])
+    code, _, err = run_cli(capsys, ["gns", "--input", str(src)])
+    assert code == 4
+    assert "form applied to the support characters is not finite" in err
     assert "Traceback" not in err and "Warning" not in err
 
 

@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abelian_spectra import cli
@@ -67,7 +67,8 @@ def flags(draw, names=tuple(FLAG_VALUES)):
 
 def run(argv, files):
     """Run cli.main on argv with ``files`` (name -> payload) written to a
-    temporary directory; ``{name}`` in argv expands to the file's path."""
+    temporary directory; ``{name}`` in argv expands to the file's path.
+    Returns the exit code and the report printed to stdout."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for name, payload in files.items():
@@ -81,7 +82,7 @@ def run(argv, files):
                 code = exc.code
     assert code in DOCUMENTED_EXITS, (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    return code
+    return code, out.getvalue()
 
 
 def pairs(values):
@@ -187,3 +188,45 @@ def test_rig_on_fuzzed_amplitude_files(data):
 def test_selftest_on_fuzzed_flags(group_size, dim, extra):
     # in-range sizes stay tiny; out-of-range ones must be refused before any work
     run(["selftest", "--max-group-size", str(group_size), "--max-dim", str(dim), *extra], {})
+
+
+def normal_exponents(values, size):
+    """The k in [-100, 100] for which size * |10^k v|^2 is a normal float for
+    every nonzero entry v of ``values``."""
+    mods = np.abs([complex(re, im) for re, im in values])
+    mods = mods[mods > 0]
+    if not mods.size:
+        return -100, 100
+    info = np.finfo(float)
+    lo = math.ceil((math.log10(info.tiny) - math.log10(size)) / 2 - math.log10(mods.min()))
+    hi = math.floor((math.log10(info.max) - math.log10(size)) / 2 - math.log10(mods.max()))
+    return max(lo + 1, -100), min(hi - 1, 100)
+
+
+@FUZZ
+@given(st.data())
+def test_gns_and_rig_outcomes_are_invariant_under_scaling(data):
+    # positive type, cyclicity and the quotient are invariant under phi -> c phi
+    # and xi -> c xi (c > 0), so the exit code and the verdicts must be too
+    n = data.draw(orders)
+    size = math.prod(n)
+    values = data.draw(function_values(size))
+    lo, hi = normal_exponents(values, size)
+    assume(lo <= 0 <= hi)
+    k = data.draw(st.integers(lo, hi))
+    command = data.draw(st.sampled_from(["gns", "rig"]))
+    rep = data.draw(representation_file(n))
+
+    def outcome(scale):
+        payload = {"group": {"orders": n}, "domain": "group" if command == "gns" else "dual",
+                   "values": [[scale * re, scale * im] for re, im in values]}
+        if command == "gns":
+            code, out = run(["gns", "--input", "{f}"], {"f": payload})
+        else:
+            code, out = run(["rig", "--input", "{rep}", "--xi", "{xi}"],
+                            {"rep": rep, "xi": payload})
+        report = json.loads(out) if out else {}
+        verdict = report.get("results", {}).get("positivity", {}).get("verdict")
+        return code, report.get("passed"), verdict
+
+    assert outcome(10.0 ** k) == outcome(1.0)

@@ -1,11 +1,13 @@
 """The seeded property suite: registry, determinism, failure reporting."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from abelian_spectra import make_group, regular_representation
+import abelian_spectra.selftest as selftest_mod
+from abelian_spectra import Group, make_group, regular_representation
 from abelian_spectra.selftest import (
     ERROR_RESIDUAL,
     PROPERTIES,
@@ -22,6 +24,41 @@ from abelian_spectra.selftest import (
 
 SMALL = SelftestConfig(max_group_size=8, max_dim=4)
 
+# (name, cases, tolerance) of every property, in suite order; the case counts
+# and tolerances do not depend on the configuration
+REGISTRY = [
+    ("pairing-homomorphism", 100, 1e-09),
+    ("character-orthogonality", 10, 1e-09),
+    ("element-order", 50, 1e-09),
+    ("transform-roundtrip", 12, 1e-12),
+    ("plancherel", 12, 1e-12),
+    ("convolution-theorem", 10, 1e-10),
+    ("convolution-algebra", 8, 1e-09),
+    ("involution-transform", 8, 1e-09),
+    ("positivity-route-agreement", 20, 0.0),
+    ("gram-translation-invariance", 6, 1e-12),
+    ("projection-validity", 8, 1e-09),
+    ("projection-reconstruction", 8, 1e-09),
+    ("projection-oracle-agreement", 8, 1e-07),
+    ("projection-algebra-action", 6, 1e-09),
+    ("component-invariance", 6, 1e-09),
+    ("diagonalization", 6, 1e-09),
+    ("ket-completeness", 6, 1e-09),
+    ("functional-calculus-group-law", 6, 1e-10),
+    ("quotient-reconstruction", 8, 1e-09),
+    ("quotient-representation", 6, 1e-09),
+    ("quotient-rank-support", 8, 0.0),
+    ("quotient-cyclicity", 6, 0.0),
+    ("quotient-algebra-action", 6, 1e-09),
+    ("eigenvector-system", 6, 1e-09),
+    ("operator-reconstruction", 5, 1e-09),
+    ("eigenvalue-equation", 5, 1e-09),
+    ("intertwiner", 5, 1e-09),
+    ("functional-coordinate-agreement", 5, 1e-10),
+    ("eigenvector-orthonormality", 5, 1e-09),
+    ("serialization-roundtrip", 8, 0.0),
+]
+
 
 def test_registry_has_thirty_uniquely_named_properties():
     names = [name for name, _ in PROPERTIES]
@@ -36,6 +73,12 @@ def test_each_property_passes_on_a_small_config(name):
     assert result.passed, result.line()
     assert result.max_residual <= result.tolerance
     assert result.cases > 0
+
+
+@pytest.mark.parametrize("cfg", [SMALL, SelftestConfig()], ids=["small", "default"])
+def test_every_property_keeps_its_name_case_count_and_tolerance(cfg):
+    results, _ = run_selftest(cfg)
+    assert [(res.name, res.cases, res.tolerance) for res in results] == REGISTRY
 
 
 def test_run_property_is_deterministic():
@@ -68,23 +111,57 @@ def test_run_selftest_report_is_json_safe_and_complete():
     assert parsed["max_group_size"] == 8 and parsed["max_dim"] == 4
 
 
-def test_failing_property_is_reported_with_a_finite_sentinel(monkeypatch):
-    import abelian_spectra.selftest as selftest_mod
+@pytest.mark.parametrize("name, target, attribute", [
+    ("pairing-homomorphism", Group, "pairing"),
+    ("transform-roundtrip", selftest_mod, "fourier"),
+    ("projection-validity", selftest_mod, "spectral_measure"),
+    ("quotient-reconstruction", selftest_mod, "gns_construct"),
+    ("eigenvector-system", selftest_mod, "build_decomposition"),
+], ids=["groups", "transforms", "spectral", "quotient", "rigging"])
+def test_failing_property_is_reported_with_a_finite_sentinel(monkeypatch, name, target,
+                                                             attribute):
     from abelian_spectra.errors import InconsistencyError
 
     def explode(*args, **kwargs):
         raise InconsistencyError("synthetic failure")
 
-    monkeypatch.setattr(selftest_mod, "build_decomposition", explode)
-    result = run_property("eigenvector-system", SMALL)
+    monkeypatch.setattr(target, attribute, explode)
+    result = run_property(name, SMALL)
     assert not result.passed
     assert result.max_residual == ERROR_RESIDUAL
     assert np.isfinite(result.max_residual)
+    assert result.cases == 1
     assert "synthetic failure" in (result.detail or "")
     # and the full run still renders to strict JSON with the failure recorded
     _, report = run_selftest(SMALL)
     json.dumps(report, allow_nan=False)
     assert report["passed"] is False
+
+
+def mix_first_two_eigenvectors(decomp, angle=1e-6):
+    """The decomposition with its first two eigenvector coordinates rotated
+    into each other: still orthonormal, no longer eigenvectors."""
+    vecs = list(decomp.eigenvectors)
+    if len(vecs) > 1:
+        a, b = vecs[0].coords, vecs[1].coords
+        c, s = np.cos(angle), np.sin(angle)
+        vecs[:2] = [replace(vecs[0], coords=c * a + s * b), replace(vecs[1], coords=c * b - s * a)]
+    return replace(decomp, eigenvectors=tuple(vecs))
+
+
+@pytest.mark.parametrize("name, attribute, corrupt", [
+    ("operator-reconstruction", "build_decomposition", mix_first_two_eigenvectors),
+    ("eigenvalue-equation", "build_decomposition", mix_first_two_eigenvectors),
+    ("projection-algebra-action", "apply_algebra", lambda out: out * (1 + 1e-6)),
+    ("quotient-algebra-action", "gns_algebra_action", lambda out: out * (1 + 1e-6)),
+])
+def test_each_all_group_relation_catches_a_corruption(monkeypatch, name, attribute, corrupt):
+    original = getattr(selftest_mod, attribute)
+    monkeypatch.setattr(selftest_mod, attribute,
+                        lambda *args, **kwargs: corrupt(original(*args, **kwargs)))
+    result = run_property(name, SMALL)
+    assert not result.passed
+    assert result.tolerance < result.max_residual < ERROR_RESIDUAL
 
 
 def test_trivial_group_configuration_runs():
