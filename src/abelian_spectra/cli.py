@@ -12,7 +12,6 @@ property breach, 5 mathematical precondition failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -60,10 +59,15 @@ from .rigging import build_decomposition, intertwiner, phi_from_cyclic
 from .selftest import SelftestConfig, run_selftest
 
 DEFAULT_TOL = 1e-9
-# The memory budget: bytes of the largest array a command may allocate (gns's
-# |G| x rank characters, the |G| x dim x dim operator stack, the self-test's
-# oracles), each estimated before it is allocated.
+# The memory budget: fourier and gns hold a few k x |G| arrays; decompose, rig
+# and selftest exit 2 first when their estimated peak is over it.
 OPERATOR_STACK_BUDGET = 256 * 2**20
+# (STACKS, PER_ENTRY, PER_ELEMENT), tracemalloc peaks rounded up: operator stacks
+# of 16 |G| dim^2 bytes (16 N max(N, dim^2) for selftest), bytes per dim x dim
+# entry (decompose's kets and isometries) and per group element (rig's identity
+# check draws 8 x 4 x |G| floats), plus PEAK_BASE; tests/test_budget.py checks.
+PEAK_MODEL = {"decompose": (3.5, 768, 512), "rig": (3.5, 256, 1792), "selftest": (6, 256, 0)}
+PEAK_BASE = 2**20
 TOL_ENV_VAR = "ABELIAN_SPECTRA_TOL"
 
 EXIT_OK = 0
@@ -72,12 +76,14 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 EXIT_PRECONDITION = 5
 
-_INPUT_ERRORS = (FileFormatError, InvalidGroupError, ShapeMismatchError,
-                 GroupMismatchError, OSError)
-_NUMERICAL_ERRORS = (NumericalDegeneracyError, DegenerateComponentError,
-                     InconsistencyError)
-_PRECONDITION_ERRORS = (PositiveTypeError, NotCyclicError, NotSelfAdjointError,
-                        SupportError)
+# the exit code of each error the commands raise on bad input or data
+_EXIT_CODES = (
+    ((FileFormatError, InvalidGroupError, ShapeMismatchError, GroupMismatchError, OSError),
+     EXIT_INPUT),
+    ((RepresentationValidationError,), EXIT_VALIDATION),
+    ((NumericalDegeneracyError, DegenerateComponentError, InconsistencyError), EXIT_NUMERICAL),
+    ((PositiveTypeError, NotCyclicError, NotSelfAdjointError, SupportError), EXIT_PRECONDITION),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
                              f"env {TOL_ENV_VAR} overrides)")
         sp.add_argument("--max-group-size", type=int, default=None,
                         help=f"largest admitted group order (default {DEFAULT_SIZE_CAP}, "
-                             "16 for selftest; gns and rig never admit a group "
-                             "over sqrt(budget / 16) = 4096)")
+                             "16 for selftest); decompose, rig and selftest are "
+                             "also refused when their estimated peak memory is "
+                             f"over the budget of {OPERATOR_STACK_BUDGET // 2**20} MiB")
 
     sp = sub.add_parser("fourier", help="transform a function file")
     common(sp)
@@ -161,18 +168,20 @@ def _check_seed(args: argparse.Namespace) -> None:
         raise FileFormatError("--seed must be >= 0")
 
 
-def _quotient_size_cap(args: argparse.Namespace) -> int:
-    """Size cap of gns and rig: gns's |G| x rank table takes 16 |G|^2 bytes at
-    full rank.  rig keeps the cap while its stack check counts one operator
-    stack and its all-G relation checks hold about three."""
-    return min(_size_cap(args), math.isqrt(OPERATOR_STACK_BUDGET // 16))
+def peak_estimate(command: str, size: int, dim: int) -> int:
+    """PEAK_MODEL's bytes for ``command`` on a group of ``size`` elements and
+    dimension ``dim`` (for selftest, the largest it draws)."""
+    stacks, per_entry, per_element = PEAK_MODEL[command]
+    stack = 16 * size * (max(size, dim ** 2) if command == "selftest" else dim ** 2)
+    return int(stacks * stack) + per_entry * dim ** 2 + per_element * size + PEAK_BASE
 
 
-def _check_budget(what: str, estimate: int) -> None:
+def _check_budget(command: str, size: int, dim: int) -> None:
+    estimate = peak_estimate(command, size, dim)
     if estimate > OPERATOR_STACK_BUDGET:
         raise InvalidGroupError(
-            f"{what} would take {estimate} bytes, over the memory "
-            f"budget of {OPERATOR_STACK_BUDGET} bytes")
+            f"{command} on |G| = {size}, dim {dim} would take about {estimate} bytes "
+            f"at its peak, over the memory budget of {OPERATOR_STACK_BUDGET} bytes")
 
 
 def _report_skeleton(command: str, args: argparse.Namespace, tol: float,
@@ -210,9 +219,8 @@ def cmd_fourier(args: argparse.Namespace, tol: float):
 
 
 def cmd_decompose(args: argparse.Namespace, tol: float):
-    rep = representation_from_payload(load_json(args.input),
-                                      size_cap=_size_cap(args))
-    _check_budget("operator stack (16 |G| dim^2)", 16 * rep.group.size * rep.dim ** 2)
+    rep = representation_from_payload(load_json(args.input), size_cap=_size_cap(args))
+    _check_budget("decompose", rep.group.size, rep.dim)
     group = rep.group
     pvm = spectral_measure(rep)
     recon = reconstruction_residual(pvm)
@@ -274,7 +282,7 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
 
 
 def cmd_gns(args: argparse.Namespace, tol: float):
-    f = function_from_payload(load_json(args.input), size_cap=_quotient_size_cap(args))
+    f = function_from_payload(load_json(args.input), size_cap=_size_cap(args))
     if not isinstance(f, GroupFunction):
         raise FileFormatError("quotient construction needs field 'domain' == 'group'")
     space = gns_construct(f)
@@ -290,7 +298,8 @@ def cmd_gns(args: argparse.Namespace, tol: float):
     results = {
         "rank": space.rank,
         "gram_eigenvalues": [float(x) for x in space.eigenvalues],
-        "generator_diagonals": complex_matrix_payload(diagonals),
+        # rows encoded one at a time: k |G| pairs at full rank
+        "generator_diagonals": list(diagonals),
         "eta": complex_vector_payload(space.eta),
         "positivity": space.positivity.as_dict(),
     }
@@ -307,9 +316,9 @@ def cmd_gns(args: argparse.Namespace, tol: float):
 
 
 def cmd_rig(args: argparse.Namespace, tol: float):
-    size_cap = _quotient_size_cap(args)
+    size_cap = _size_cap(args)
     rep = representation_from_payload(load_json(args.input), size_cap=size_cap)
-    _check_budget("operator stack (16 |G| dim^2)", 16 * rep.group.size * rep.dim ** 2)
+    _check_budget("rig", rep.group.size, rep.dim)
     group = rep.group
     xi_global = None
     if args.xi:
@@ -379,8 +388,7 @@ def cmd_selftest(args: argparse.Namespace, tol: float):
     )
     if cfg.max_dim < 1:
         raise FileFormatError("--max-dim must be positive")
-    _check_budget("self-test oracles (16 N max(N, dim^2))",
-                  16 * cfg.max_group_size * max(cfg.max_group_size, cfg.max_dim ** 2))
+    _check_budget("selftest", cfg.max_group_size, cfg.max_dim)
     results, report = run_selftest(cfg)
     lines = [res.line() for res in results]
     npass = sum(res.passed for res in results)
@@ -415,18 +423,9 @@ def main(argv=None) -> int:
         _check_seed(args)
         payload, lines, code = _COMMANDS[args.command](args, tol)
         _emit(args, payload, lines)
-    except _INPUT_ERRORS as exc:
+    except tuple(cls for classes, _ in _EXIT_CODES for cls in classes) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RepresentationValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return next(exit_code for classes, exit_code in _EXIT_CODES if isinstance(exc, classes))
     return code
 
 

@@ -31,11 +31,21 @@ def load_json(path: str | Path) -> Any:
 
 
 def dump_json(payload: Any, path: str | Path | None = None) -> str:
-    text = json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"
+    """The payload as compact strict JSON, also written to ``path`` if given.
+    A numpy array in it encodes as ``complex_vector_payload``, whose pairs
+    exist only while it is encoded: a list of rows never holds them all."""
+    text = json.dumps(payload, separators=(",", ":"), allow_nan=False,
+                      default=_array_pairs) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
+
+
+def _array_pairs(obj: Any) -> list[list[float]]:
+    if isinstance(obj, np.ndarray):
+        return complex_vector_payload(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _require(payload: Any, field: str, where: str) -> Any:

@@ -8,8 +8,10 @@ in the support of F, each scaled to unit form norm.  Left translation by
 g acts on it diagonally through the pairing <g|psi>, and the class of the
 identity point mass is a cyclic vector whose diagonal matrix coefficient
 recovers phi.  Everything, the positivity verdict (F >= 0) included,
-follows from one transform of phi, checked once against the form applied
-by FFT; the dense form stays in ``algebra`` as the oracle.
+follows from one transform of phi, checked against the form applied by
+FFT to a few random combinations of the support characters (Freivalds,
+"Probabilistic machines can use less running time", 1977); the dense form
+stays in ``algebra`` as the oracle.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .errors import GroupMismatchError, InconsistencyError, PositiveTypeError
 from .groups import Element, Group
 from .representations import RANK_TOL, UnitaryRep, make_representation
 
+CHECK_COMBINATIONS = 4  # random combinations of support characters in the construction check
+
 
 @dataclass(frozen=True)
 class GNSSpace:
@@ -40,12 +44,11 @@ class GNSSpace:
     ``eigenvalues`` are the form's eigenvalues weight * Re F over all
     characters, in descending order (ties keep enumeration order); the
     first ``rank`` of those characters are the support, whose indices
-    ``support`` holds.  ``characters`` holds the support characters as
-    columns, characters[g, s] = <g|psi_s>, and ``quotient_basis`` Q their
-    conjugates scaled to unit form norm, an orthonormal basis for
-    <h|f> = h^dagger hermitian_form(phi) f.  ``eta`` is the class of the
-    identity point mass in those coordinates; ``positivity`` is the
-    closed-form report, read off the transform, it was admitted on.
+    ``support`` holds.  With ``eta``, the class of the identity point mass,
+    they fix the quotient; ``positivity`` is the report it was admitted on.
+    The |G| x rank tables ``characters``[g, s] = <g|psi_s> and
+    ``quotient_basis`` Q, their conjugates scaled to unit form norm, are
+    built on first use.
     """
 
     group: Group
@@ -53,20 +56,22 @@ class GNSSpace:
     eigenvalues: np.ndarray
     rank: int
     support: np.ndarray
-    characters: np.ndarray
-    quotient_basis: np.ndarray
     eta: np.ndarray
     positivity: PositivityReport
 
     @cached_property
-    def _gram_q(self) -> np.ndarray:
-        return self.quotient_basis * self.eigenvalues[:self.rank]
+    def characters(self) -> np.ndarray:
+        return self.group.pairing_rows(self.support).T
+
+    @cached_property
+    def quotient_basis(self) -> np.ndarray:
+        return self.characters.conj() / np.sqrt(self.group.size * self.eigenvalues[:self.rank])
 
     def class_coordinates(self, f: GroupFunction) -> np.ndarray:
         """Coordinates of the class of f in the orthonormal quotient basis."""
         if f.group != self.group:
             raise GroupMismatchError("function lives on a different group")
-        return self._gram_q.conj().T @ f.values
+        return (self.quotient_basis * self.eigenvalues[:self.rank]).conj().T @ f.values
 
     def operator(self, g: Element) -> np.ndarray:
         """Image of g: the support characters evaluated at g, on the diagonal."""
@@ -74,8 +79,9 @@ class GNSSpace:
 
     def generator_images(self) -> np.ndarray:
         """Diagonals of the generator images, k x rank: row j holds the
-        support characters evaluated at the generator of factor j."""
-        return self.characters[self.group.generator_indices]
+        support characters evaluated at the generator of factor j, with the
+        exact phases of ``pairing_rows``."""
+        return self.group.pairing_rows(self.group.generator_indices)[:, self.support]
 
     def representation(self) -> UnitaryRep:
         """The quotient representation as dense diagonal images, validated."""
@@ -85,13 +91,13 @@ class GNSSpace:
 def gns_construct(phi: GroupFunction) -> GNSSpace:
     """Build the quotient space of a positive-type function in closed form.
 
-    Raises NumericalDegeneracyError when the transform of phi, or the form
-    applied in the construction check, overflows, and PositiveTypeError when
-    the transform is not non-negative.  The quotient rank
-    is the number of eigenvalues of the form above RANK_TOL relative to
-    the largest one, which equals the size of the transform's support.
-    Raises InconsistencyError when the support characters are not
-    eigenvectors of the form to round-off, which only an algebra bug can cause.
+    One transform of phi gives the verdict, the eigenvalues, the support and
+    eta in O(|G| log |G|), with no |G| x rank table.  The rank counts the
+    eigenvalues above RANK_TOL relative to the largest.  Raises
+    NumericalDegeneracyError when the transform of phi, or the form applied
+    in the construction check, overflows; PositiveTypeError when the
+    transform is not non-negative; and InconsistencyError when the support
+    characters are not eigenvectors of the form, which only a bug can cause.
     """
     group = phi.group
     F = checked_finite("transform of phi", lambda: fourier(phi)).values
@@ -110,26 +116,28 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
 
     lam_max = float(eigvals[0])
     rank = 0 if lam_max <= 0.0 else int(np.count_nonzero(eigvals > RANK_TOL * lam_max))
-    lam_s = eigvals[:rank]
     support = order[:rank]
-    characters = group.pairing_rows(support).T
-    conj_chars = characters.conj()
 
-    # The form scales each conjugated character by weight * F (lam_s is the
-    # real part); the FFT's O(eps log |G| lam_max) round-off is far below the bound.
+    # Freivalds' check: the form scales each conjugated support character by
+    # weight * F, so it maps v = sum_s a_s conj(psi_s), one transform of a
+    # placed on the support, to the transform of weight * F * a.  The FFT's
+    # round-off is O(eps log |G|) of the image's RMS size, <= lam_max ||a||.
+    a = np.zeros((group.size, CHECK_COMBINATIONS), dtype=complex)
+    draws = np.random.default_rng(0).standard_normal((2, rank, CHECK_COMBINATIONS))
+    a[support] = draws[0] + 1j * draws[1]
     gap = checked_finite("form applied to the support characters", lambda: (
-        apply_hermitian_form(phi, conj_chars) - conj_chars * (group.haar_weight * F[support])))
-    residual = float(np.abs(gap).max(initial=0.0))
-    bound = 1e-12 * group.size * max(lam_max, 0.0)
-    if residual > bound:
+        apply_hermitian_form(phi, _transform(group, a))
+        - _transform(group, a * (group.haar_weight * F)[:, None])))
+    residual = 0.0 if rank == 0 else float(np.max(
+        np.linalg.norm(gap / lam_max, axis=0)
+        / (np.sqrt(group.size) * np.linalg.norm(a, axis=0))))
+    if residual > 1e-12:
         raise InconsistencyError(
             f"support characters are not eigenvectors of the form "
-            f"(residual {residual:.3e}, bound {bound:.3e})")
+            f"(RMS gap {residual:.3e} of lam_max ||a||, bound 1.0e-12)")
 
-    return GNSSpace(group=group, phi=phi, eigenvalues=eigvals, rank=rank,
-                    support=support, characters=characters,
-                    quotient_basis=conj_chars / np.sqrt(group.size * lam_s),
-                    eta=np.sqrt(lam_s / group.size) / group.haar_weight,
+    return GNSSpace(group=group, phi=phi, eigenvalues=eigvals, rank=rank, support=support,
+                    eta=np.sqrt(eigvals[:rank] / group.size) / group.haar_weight,
                     positivity=report)
 
 

@@ -22,7 +22,7 @@ from abelian_spectra import (
     regular_representation,
     spectral_measure,
 )
-from abelian_spectra import cli, rigging
+from abelian_spectra import cli, gns, rigging
 from abelian_spectra.gns import GNSSpace
 from abelian_spectra.fileio import (
     dump_json,
@@ -578,6 +578,24 @@ def test_gns_overflow_in_the_construction_check_exits_4_and_names_it(tmp_path, c
     assert "Traceback" not in err and "Warning" not in err
 
 
+def test_gns_catches_a_wrong_transform_value_at_full_rank_65536(tmp_path, capsys, monkeypatch):
+    # one of 65536 transform values off by 1e-6 relative: the random
+    # combinations of the construction check see it, far above round-off
+    src = tmp_path / "phi.json"
+    dump_json(function_to_payload(delta(make_group((65536,)))), src)
+    exact = gns.fourier
+
+    def skewed(f):
+        values = exact(f).values.copy()
+        values[40000] *= 1 + 1e-6
+        return DualFunction(f.group, values)
+
+    monkeypatch.setattr(gns, "fourier", skewed)
+    code, _, err = run_cli(capsys, ["gns", "--input", str(src)])
+    assert code == 4
+    assert "not eigenvectors of the form" in err
+
+
 @pytest.mark.parametrize("orders", [(64,), (1024,)])
 def test_gns_reconstruction_check_is_relative_to_phi(tmp_path, capsys, monkeypatch, rng, orders):
     # a spectrum near 1e8 puts max |phi| near 1e8 and the absolute round-off
@@ -623,28 +641,64 @@ def test_negative_seed_is_an_input_error(tmp_path, command):
     assert "--seed must be >= 0" in proc.stderr
 
 
-def test_dense_form_commands_cap_the_group_at_4096(tmp_path, capsys):
-    # only the header is parsed: the cap rejects the group before any allocation
-    src = write_function(tmp_path / "f.json", (4097,), np.zeros(4097))
-    code, _, err = run_cli(capsys, ["gns", "--input", str(src)])
+def test_gns_admits_4097_and_the_flag_raises_and_lowers_its_limit(tmp_path, capsys):
+    src = write_function(tmp_path / "f.json", (4097,), np.eye(1, 4097)[0])
+    code, report, _ = stdout_report(capsys, ["gns", "--input", str(src)])
+    assert code == 0 and report["results"]["rank"] == 4097
+    code, _, err = run_cli(capsys, ["gns", "--input", str(src), "--max-group-size", "4096"])
     assert code == 2
     assert "size cap 4096" in err
-    code, _, err = run_cli(capsys, ["fourier", "--input", str(src)])
+    # the default limit is 65536; the flag raises it
+    from abelian_spectra import Group
+    big = tmp_path / "big.json"
+    dump_json(function_to_payload(delta(Group((65537,)))), big)
+    code, _, err = run_cli(capsys, ["gns", "--input", str(big)])
+    assert code == 2
+    assert "size cap 65536" in err
+    # full rank: s^65537 is off by about 65537 eps in each of the 65537
+    # entries, which the order check, taken entry by entry, still passes
+    code, _, _ = run_cli(capsys, ["gns", "--input", str(big), "--max-group-size", "65537",
+                                  "--output", str(tmp_path / "out.json")])
     assert code == 0
 
 
+def test_gns_on_the_2_16_point_mass_stays_under_the_budget(tmp_path):
+    src = tmp_path / "phi.json"
+    dump_json(function_to_payload(delta(make_group((2,) * 16))), src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "abelian_spectra.cli", "gns", "--input", str(src),
+         "--output", str(tmp_path / "out.json")],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss * 1024 < cli.OPERATOR_STACK_BUDGET  # ru_maxrss is in KiB
+    assert json.loads((tmp_path / "out.json").read_text())["results"]["rank"] == 65536
+
+
+def test_rig_admits_a_planted_8192_d2_input(tmp_path, capsys):
+    from abelian_spectra import make_representation
+    G = make_group((8192,))
+    diagonal = G.pairing_rows([5, 700])[:, 1]
+    src = write_representation(tmp_path / "rep.json", make_representation(G, [np.diag(diagonal)]))
+    code, report, _ = stdout_report(capsys, ["rig", "--input", str(src)])
+    assert code == 0
+    assert [comp["support"] for comp in report["results"]["components"]] == [[[5], [700]]]
+
+
 def test_decompose_and_rig_refuse_an_operator_stack_over_budget(tmp_path, capsys, monkeypatch):
-    # the regular rep of Z_4 stacks 4 operators of 4 x 4: 16 * 4 * 16 = 1024 bytes
+    # the regular rep of Z_4: |G| = 4, dim 4
     src = write_representation(tmp_path / "rep.json", regular_representation(make_group((4,))))
     calls = []
     measure = cli.spectral_measure
     monkeypatch.setattr(cli, "spectral_measure", lambda rep: calls.append(rep) or measure(rep))
     budget = cli.OPERATOR_STACK_BUDGET
-    monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", 1000)
     for command in ("decompose", "rig"):
+        estimate = cli.peak_estimate(command, 4, 4)
+        monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", estimate - 1)
         code, _, err = run_cli(capsys, [command, "--input", str(src)])
         assert code == 2
-        assert "1024 bytes" in err and "budget of 1000 bytes" in err
+        assert f"{estimate} bytes" in err and f"budget of {estimate - 1} bytes" in err
         assert "Traceback" not in err
     assert calls == []
 
@@ -662,28 +716,6 @@ def test_decompose_exits_4_when_the_measure_breaks_its_invariants(
     assert code == 4
     assert "idempotency" in err
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("command", ["gns", "rig"])
-def test_the_flag_cannot_raise_the_dense_form_cap(tmp_path, capsys, monkeypatch, command):
-    if command == "gns":
-        payload = {"group": {"orders": [4097]}, "domain": "group", "values": []}
-    else:
-        payload = {"group": {"orders": [4097]}, "dim": 1, "generators": [[[1.0, 0.0]]]}
-    src = tmp_path / "input.json"
-    src.write_text(json.dumps(payload))
-    code, _, err = run_cli(capsys, [command, "--input", str(src), "--max-group-size", "8192"])
-    assert code == 2
-    assert "size cap 4096" in err
-    # the cap follows the budget at call time: isqrt(2000 // 16) = 11
-    monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", 2000)
-    code, _, err = run_cli(capsys, [command, "--input", str(src)])
-    assert code == 2
-    assert "size cap 11" in err
-    # and the flag still lowers it
-    code, _, err = run_cli(capsys, [command, "--input", str(src), "--max-group-size", "3"])
-    assert code == 2
-    assert "size cap 3" in err
 
 
 def test_gns_emits_generator_diagonals_not_dense_images(tmp_path, capsys):
@@ -754,8 +786,8 @@ def test_gns_exits_3_when_a_generator_diagonal_breaks_a_relation(tmp_path, capsy
 
 
 @pytest.mark.parametrize("flags, estimate", [
-    (["--max-group-size", "8192"], 16 * 8192 * 8192),
-    (["--max-dim", "100000"], 16 * 16 * 100000 ** 2),
+    (["--max-group-size", "8192"], 6 * 16 * 8192 * 8192 + 256 * 8 ** 2 + 2 ** 20),
+    (["--max-dim", "100000"], 6 * 16 * 16 * 100000 ** 2 + 256 * 100000 ** 2 + 2 ** 20),
 ])
 def test_selftest_refuses_oracles_over_budget(capsys, monkeypatch, flags, estimate):
     calls = []

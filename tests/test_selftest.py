@@ -203,3 +203,25 @@ def test_oracle_agrees_on_the_regular_representation():
     assert set(oracle) == set(pvm.support)
     for chi, proj in oracle.items():
         np.testing.assert_allclose(proj, pvm.projection(chi), atol=1e-9)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_a_non_finite_residual_fails_at_the_finite_sentinel(monkeypatch, value):
+    monkeypatch.setattr(selftest_mod, "reconstruction_residual", lambda pvm: value)
+    result = run_property("projection-reconstruction", SMALL)
+    assert not result.passed
+    assert result.max_residual == ERROR_RESIDUAL
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_selftest_command_exits_4_on_a_non_finite_residual(monkeypatch, capsys, value):
+    from abelian_spectra import cli
+    monkeypatch.setattr(selftest_mod, "reconstruction_residual", lambda pvm: value)
+    code = cli.main(["selftest"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    report = json.loads(out)
+    assert report["passed"] is False
+    failed = [p for p in report["properties"] if p["name"] == "projection-reconstruction"]
+    assert failed[0]["max_residual"] == ERROR_RESIDUAL
+    assert "Traceback" not in err
