@@ -34,8 +34,6 @@ from .errors import (
     SupportError,
 )
 from .fileio import (
-    complex_matrix_payload,
-    complex_vector_payload,
     dump_json,
     function_from_payload,
     function_to_payload,
@@ -64,9 +62,9 @@ DEFAULT_TOL = 1e-9
 OPERATOR_STACK_BUDGET = 256 * 2**20
 # (STACKS, PER_ENTRY, PER_ELEMENT), tracemalloc peaks rounded up: operator stacks
 # of 16 |G| dim^2 bytes (16 N max(N, dim^2) for selftest), bytes per dim x dim
-# entry (decompose's kets and isometries) and per group element (rig's identity
+# entry (range bases, kets and isometries) and per group element (rig's identity
 # check draws 8 x 4 x |G| floats), plus PEAK_BASE; tests/test_budget.py checks.
-PEAK_MODEL = {"decompose": (3.5, 768, 512), "rig": (3.5, 256, 1792), "selftest": (6, 256, 0)}
+PEAK_MODEL = {"decompose": (3.5, 256, 512), "rig": (3.5, 256, 1792), "selftest": (6, 256, 0)}
 PEAK_BASE = 2**20
 TOL_ENV_VAR = "ABELIAN_SPECTRA_TOL"
 
@@ -76,14 +74,12 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 EXIT_PRECONDITION = 5
 
-# the exit code of each error the commands raise on bad input or data
-_EXIT_CODES = (
-    ((FileFormatError, InvalidGroupError, ShapeMismatchError, GroupMismatchError, OSError),
-     EXIT_INPUT),
-    ((RepresentationValidationError,), EXIT_VALIDATION),
-    ((NumericalDegeneracyError, DegenerateComponentError, InconsistencyError), EXIT_NUMERICAL),
-    ((PositiveTypeError, NotCyclicError, NotSelfAdjointError, SupportError), EXIT_PRECONDITION),
-)
+_INPUT_ERRORS = (FileFormatError, InvalidGroupError, ShapeMismatchError,
+                 GroupMismatchError, OSError)
+_NUMERICAL_ERRORS = (NumericalDegeneracyError, DegenerateComponentError,
+                     InconsistencyError)
+_PRECONDITION_ERRORS = (PositiveTypeError, NotCyclicError, NotSelfAdjointError,
+                        SupportError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,7 +215,8 @@ def cmd_fourier(args: argparse.Namespace, tol: float):
 
 
 def cmd_decompose(args: argparse.Namespace, tol: float):
-    rep = representation_from_payload(load_json(args.input), size_cap=_size_cap(args))
+    rep = representation_from_payload(load_json(args.input),
+                                      size_cap=_size_cap(args))
     _check_budget("decompose", rep.group.size, rep.dim)
     group = rep.group
     pvm = spectral_measure(rep)
@@ -235,12 +232,11 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
         invariance = max(invariance, invariance_residual(comp, rep))
         comp_payloads.append({
             "support": [list(chi.coords) for chi in comp.support],
-            "cyclic_vector": complex_vector_payload(comp.cyclic_vector),
+            "cyclic_vector": comp.cyclic_vector,
             "projection_norms": [float(x) for x in comp.projection_norms],
             "diagonal_model": {
-                "isometry": complex_matrix_payload(model.isometry),
-                "generator_diagonals": complex_matrix_payload(
-                    model.table[group.generator_indices]),
+                "isometry": model.isometry,
+                "generator_diagonals": model.table[group.generator_indices],
             },
         })
 
@@ -263,7 +259,7 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
             {
                 "character": list(ket.character.coords),
                 "index": ket.index,
-                "vector": complex_vector_payload(ket.vector),
+                "vector": ket.vector,
             }
             for ket in kets.kets
         ],
@@ -298,9 +294,9 @@ def cmd_gns(args: argparse.Namespace, tol: float):
     results = {
         "rank": space.rank,
         "gram_eigenvalues": [float(x) for x in space.eigenvalues],
-        # rows encoded one at a time: k |G| pairs at full rank
+        # a list of rows, encoded one at a time: k |G| pairs at full rank
         "generator_diagonals": list(diagonals),
-        "eta": complex_vector_payload(space.eta),
+        "eta": space.eta.astype(complex),
         "positivity": space.positivity.as_dict(),
     }
     report = _report_skeleton(
@@ -359,7 +355,7 @@ def cmd_rig(args: argparse.Namespace, tol: float):
         comp_payloads.append({
             "support": [list(chi.coords) for chi in decomp.support],
             "weights": [vec.weight for vec in decomp.eigenvectors],
-            "generator_diagonals": complex_matrix_payload(model.table[group.generator_indices]),
+            "generator_diagonals": model.table[group.generator_indices],
             "residuals": residuals,
         })
 
@@ -423,9 +419,18 @@ def main(argv=None) -> int:
         _check_seed(args)
         payload, lines, code = _COMMANDS[args.command](args, tol)
         _emit(args, payload, lines)
-    except tuple(cls for classes, _ in _EXIT_CODES for cls in classes) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(exit_code for classes, exit_code in _EXIT_CODES if isinstance(exc, classes))
+        return EXIT_INPUT
+    except RepresentationValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except _NUMERICAL_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except _PRECONDITION_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     return code
 
 

@@ -32,19 +32,19 @@ def load_json(path: str | Path) -> Any:
 
 def dump_json(payload: Any, path: str | Path | None = None) -> str:
     """The payload as compact strict JSON, also written to ``path`` if given.
-    A numpy array in it encodes as ``complex_vector_payload``, whose pairs
-    exist only while it is encoded: a list of rows never holds them all."""
+    A complex numpy array in it encodes as ``complex_matrix_payload``, whose
+    pairs exist only while that array is encoded; any other array is refused."""
     text = json.dumps(payload, separators=(",", ":"), allow_nan=False,
-                      default=_array_pairs) + "\n"
+                      default=_complex_array_pairs) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
 
 
-def _array_pairs(obj: Any) -> list[list[float]]:
-    if isinstance(obj, np.ndarray):
-        return complex_vector_payload(obj)
+def _complex_array_pairs(obj: Any) -> list:
+    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        return complex_matrix_payload(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -74,7 +74,8 @@ def complex_vector_payload(v: np.ndarray) -> list[list[float]]:
 
 
 def complex_matrix_payload(m: np.ndarray) -> list[list[list[float]]]:
-    """Matrix as a list of rows, each row a list of [re, im] pairs."""
+    """Matrix as a list of rows, each row a list of [re, im] pairs (any
+    other shape keeps its nesting, a vector as ``complex_vector_payload``)."""
     m = np.asarray(m, dtype=complex)
     return np.stack((m.real, m.imag), -1).tolist()
 

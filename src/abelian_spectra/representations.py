@@ -110,9 +110,12 @@ def make_representation(group: Group, generator_images: Sequence[np.ndarray]) ->
 
 
 def check_diagonal_generators(group: Group, diagonals: np.ndarray) -> None:
-    """``make_representation``'s checks, in O(k r), for diagonal images given
-    by their k x r diagonals: |s| = 1 and s^{n_j} = 1 (diagonals commute),
-    each in the operator norm, max |gap|, as s^{n_j} is off by ~n_j eps."""
+    """``make_representation``'s unitarity and order checks, in O(k r), for
+    diagonal images given by their k x r diagonals s: |s| = 1 and s^{n_j} = 1
+    (diagonals commute).  Each gap is measured by its largest entry, the
+    operator norm of the diagonal gap, not by make_representation's Frobenius
+    norm: every entry of s^{n_j} is off by about n_j eps, so the Frobenius
+    norm grows as sqrt(r) and would refuse exact phases at large rank."""
     for j, (s, n) in enumerate(zip(diagonals, group.orders)):
         _require(f"unitary[{j}]", f"generator {j} not unitary",
                  np.abs(np.abs(s) ** 2 - 1.0).max(initial=0.0), UNITARY_TOL)

@@ -143,9 +143,16 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _rep_from_slots(rng: np.random.Generator, group: Group,
                     slots: np.ndarray) -> UnitaryRep:
-    V = random_unitary(rng, len(slots))
-    phases = group.pairing_rows(slots)[:, group.generator_indices].T  # k x dim
-    return make_representation(group, [V @ np.diag(d) @ V.conj().T for d in phases])
+    dim = len(slots)
+    basis_change = random_unitary(rng, dim)
+    images = []
+    for j in range(len(group.orders)):
+        gen_coords = [0] * len(group.orders)
+        gen_coords[j] = 1 % group.orders[j]
+        g = group.element(tuple(gen_coords))
+        phases = np.array([group.pairing(g, group.characters[s]) for s in slots])
+        images.append(basis_change @ np.diag(phases) @ basis_change.conj().T)
+    return make_representation(group, images)
 
 
 def random_representation(rng: np.random.Generator, group: Group,
@@ -399,8 +406,10 @@ def _prop_positivity_routes(rng, cfg):
             phi = random_function(rng, group)
             expected = None  # either verdict, as long as the routes agree
         report = is_positive_type(phi)
-        yield float(expected is True and not report.verdict), dict(
-            function=phi, report=report.as_dict())
+        r = 0.0
+        if expected is True and not report.verdict:
+            r = 1.0
+        yield r, dict(function=phi, report=report.as_dict())
 
 
 @_property("gram-translation-invariance", 1e-12)
@@ -476,11 +485,19 @@ def _prop_component_invariance(rng, cfg):
     for _ in range(6):
         rep, pvm = _pvm_instance(rng, cfg)
         comps = cyclic_decomposition(pvm)
-        # the isometries side by side: orthonormal columns that span the space
-        W = np.hstack([np.zeros((rep.dim, 0)), *(comp.isometry for comp in comps)])
-        r = max(float(np.linalg.norm(W.conj().T @ W - np.eye(W.shape[1]))),
-                float(np.linalg.norm(W @ W.conj().T - np.eye(rep.dim))),
-                *(invariance_residual(comp, rep) for comp in comps))
+        r = 0.0
+        total = np.zeros((rep.dim, rep.dim), dtype=complex)
+        for comp in comps:
+            iso = comp.isometry
+            r = max(r, float(np.linalg.norm(
+                iso.conj().T @ iso - np.eye(iso.shape[1]))))
+            total += iso @ iso.conj().T
+            r = max(r, invariance_residual(comp, rep))
+        for a in range(len(comps)):
+            for b in range(a + 1, len(comps)):
+                r = max(r, float(np.linalg.norm(
+                    comps[a].isometry.conj().T @ comps[b].isometry)))
+        r = max(r, float(np.linalg.norm(total - np.eye(rep.dim))))
         expected = max(pvm.multiplicities.values()) if pvm.support else 0
         r = max(r, abs(len(comps) - expected))
         yield r, dict(representation=rep)
@@ -732,13 +749,16 @@ def _prop_serialization_roundtrip(rng, cfg):
         f = random_function(rng, group)
         payload = json.loads(dump_json(function_to_payload(f)))
         back = function_from_payload(payload)
+        r = 0.0 if (np.array_equal(back.values, f.values)
+                    and back.group == f.group
+                    and isinstance(back, GroupFunction)) else 1.0
         rep = random_representation(rng, group, min(cfg.max_dim, 4))
         rp = json.loads(dump_json(representation_to_payload(rep)))
         rep_back = representation_from_payload(rp)
-        same = (isinstance(back, GroupFunction) and back.group == f.group
-                and np.array_equal(back.values, f.values)
-                and all(map(np.array_equal, rep_back.generators, rep.generators)))
-        yield float(not same), dict(orders=list(group.orders))
+        if not all(np.array_equal(a, b) for a, b in
+                   zip(rep_back.generators, rep.generators)):
+            r = 1.0
+        yield r, dict(orders=list(group.orders))
 
 
 def run_property(name: str, cfg: SelftestConfig,

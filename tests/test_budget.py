@@ -37,8 +37,12 @@ def planted_representation(orders, dim, mult, seed):
     return make_representation(G, [V @ np.diag(d) @ V.conj().T for d in diagonals])
 
 
+# (4096,) and (2,)^16 at d = 1 are dominated by the per-element term and (2,)
+# at d = 128 with multiplicity 64 by the per-entry term; the rest by the
+# stacks or the base.
 CASES = [((256,), 1, 1), ((4, 4, 4), 1, 1), ((2,) * 8, 8, 1), ((16, 16), 8, 4),
-         ((4, 4, 4), 32, 1), ((256,), 32, 4), ((2, 2), 32, 8)]
+         ((4, 4, 4), 32, 1), ((256,), 32, 4), ((2, 2), 32, 8), ((4096,), 1, 1),
+         ((2,) * 16, 1, 1), ((2,), 128, 64)]
 
 
 @pytest.mark.parametrize("command", ["decompose", "rig"])

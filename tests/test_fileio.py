@@ -242,6 +242,14 @@ def test_load_json_reports_undecodable_content(tmp_path, content):
         load_json(bad)
 
 
+def test_dump_json_encodes_complex_arrays_and_refuses_real_ones():
+    m = np.array([[1 + 2j, 3j], [-1.5 + 0j, 0j]])
+    assert json.loads(dump_json({"m": m, "rows": list(m)})) == {
+        "m": complex_matrix_payload(m), "rows": [complex_vector_payload(r) for r in m]}
+    with pytest.raises(TypeError, match="ndarray"):
+        dump_json({"x": np.ones(2)})
+
+
 def test_dump_json_rejects_non_finite_numbers(tmp_path):
     with pytest.raises(ValueError):
         dump_json({"x": float("nan")})
