@@ -12,8 +12,10 @@ property breach, 5 mathematical precondition failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from typing import Sequence
 
 import numpy as np
 
@@ -46,11 +48,9 @@ from .groups import DEFAULT_SIZE_CAP
 from .representations import (
     check_diagonal_generators,
     cyclic_decomposition,
-    diagonalization_residual,
     diagonalize,
     dirac_kets,
-    invariance_residual,
-    reconstruction_residual,
+    relation_certificate,
     spectral_measure,
 )
 from .rigging import build_decomposition, intertwiner, phi_from_cyclic
@@ -60,11 +60,16 @@ DEFAULT_TOL = 1e-9
 # The memory budget: fourier and gns hold a few k x |G| arrays; decompose, rig
 # and selftest exit 2 first when their estimated peak is over it.
 OPERATOR_STACK_BUDGET = 256 * 2**20
-# (STACKS, PER_ENTRY, PER_ELEMENT), tracemalloc peaks rounded up: operator stacks
-# of 16 |G| dim^2 bytes (16 N max(N, dim^2) for selftest), bytes per dim x dim
-# entry (range bases, kets and isometries) and per group element (rig's identity
-# check draws 8 x 4 x |G| floats), plus PEAK_BASE; tests/test_budget.py checks.
-PEAK_MODEL = {"decompose": (3.5, 256, 512), "rig": (3.5, 256, 1792), "selftest": (6, 256, 0)}
+# (STACKS, PER_ENTRY, PER_ELEMENT), tracemalloc peaks rounded up.  A "stack"
+# is 16 dim^2 (sum_j n_j + min(dim, |G|)) bytes for decompose: the generator
+# powers and their FFT, and the support projections; decompose builds no
+# |G|-sized operator array.  It is 16 |G| dim^2, one operator stack, for rig,
+# whose quotient gap checks still hold |G| x r x r stacks, and 16 N max(N,
+# dim^2) for selftest.  Then bytes per dim x dim entry (range bases, kets and
+# isometries) and per group element (decompose's multiplicity list; rig's
+# identity check draws 8 x 4 x |G| floats), plus PEAK_BASE; tests/test_budget.py
+# checks every term.
+PEAK_MODEL = {"decompose": (3, 256, 128), "rig": (3.5, 256, 1792), "selftest": (6, 256, 0)}
 PEAK_BASE = 2**20
 TOL_ENV_VAR = "ABELIAN_SPECTRA_TOL"
 
@@ -164,20 +169,27 @@ def _check_seed(args: argparse.Namespace) -> None:
         raise FileFormatError("--seed must be >= 0")
 
 
-def peak_estimate(command: str, size: int, dim: int) -> int:
-    """PEAK_MODEL's bytes for ``command`` on a group of ``size`` elements and
-    dimension ``dim`` (for selftest, the largest it draws)."""
+def peak_estimate(command: str, orders: Sequence[int], dim: int) -> int:
+    """PEAK_MODEL's bytes for ``command`` on the group with factor orders
+    ``orders`` and dimension ``dim`` (for selftest, the largest it draws)."""
     stacks, per_entry, per_element = PEAK_MODEL[command]
-    stack = 16 * size * (max(size, dim ** 2) if command == "selftest" else dim ** 2)
+    size = math.prod(orders)
+    if command == "decompose":
+        stack = 16 * dim ** 2 * (sum(orders) + min(dim, size))
+    elif command == "rig":
+        stack = 16 * size * dim ** 2
+    else:
+        stack = 16 * size * max(size, dim ** 2)
     return int(stacks * stack) + per_entry * dim ** 2 + per_element * size + PEAK_BASE
 
 
-def _check_budget(command: str, size: int, dim: int) -> None:
-    estimate = peak_estimate(command, size, dim)
+def _check_budget(command: str, orders: Sequence[int], dim: int) -> None:
+    estimate = peak_estimate(command, orders, dim)
     if estimate > OPERATOR_STACK_BUDGET:
         raise InvalidGroupError(
-            f"{command} on |G| = {size}, dim {dim} would take about {estimate} bytes "
-            f"at its peak, over the memory budget of {OPERATOR_STACK_BUDGET} bytes")
+            f"{command} on |G| = {math.prod(orders)}, dim {dim} would take about "
+            f"{estimate} bytes at its peak, over the memory budget of "
+            f"{OPERATOR_STACK_BUDGET} bytes")
 
 
 def _report_skeleton(command: str, args: argparse.Namespace, tol: float,
@@ -217,38 +229,29 @@ def cmd_fourier(args: argparse.Namespace, tol: float):
 def cmd_decompose(args: argparse.Namespace, tol: float):
     rep = representation_from_payload(load_json(args.input),
                                       size_cap=_size_cap(args))
-    _check_budget("decompose", rep.group.size, rep.dim)
+    _check_budget("decompose", rep.group.orders, rep.dim)
     group = rep.group
     pvm = spectral_measure(rep)
-    recon = reconstruction_residual(pvm)
-
     components = cyclic_decomposition(pvm)
-    diag_res = 0.0
-    invariance = 0.0
-    comp_payloads = []
-    for comp in components:
-        model = diagonalize(comp, pvm)
-        diag_res = max(diag_res, diagonalization_residual(model, rep))
-        invariance = max(invariance, invariance_residual(comp, rep))
-        comp_payloads.append({
+    models = [diagonalize(comp, pvm) for comp in components]
+    comp_payloads = [
+        {
             "support": [list(chi.coords) for chi in comp.support],
             "cyclic_vector": comp.cyclic_vector,
             "projection_norms": [float(x) for x in comp.projection_norms],
             "diagonal_model": {
                 "isometry": model.isometry,
-                "generator_diagonals": model.table[group.generator_indices],
+                "generator_diagonals": model.symbols(group.generator_indices),
             },
-        })
+        }
+        for comp, model in zip(components, models)
+    ]
 
     kets = dirac_kets(pvm)
     mults = np.zeros(group.size, dtype=int)
     mults[list(map(group.character_index, pvm.multiplicities))] = list(pvm.multiplicities.values())
     residuals = {f"pvm_{k}": v for k, v in sorted(pvm.residuals.items())}
-    residuals.update({
-        "reconstruction": recon,
-        "diagonalization": diag_res,
-        "component_invariance": invariance,
-    })
+    residuals.update(relation_certificate(pvm, models))
     passed = all(v <= tol for v in residuals.values())
 
     results = {
@@ -274,6 +277,9 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
         f"max residual: {max(residuals.values()):.3e}",
         f"passed: {passed}",
     ]
+    if not passed:
+        lines.append("failed: " + ", ".join(
+            f"{key} {value:.3e}" for key, value in residuals.items() if not value <= tol))
     return report, lines, EXIT_OK if passed else EXIT_NUMERICAL
 
 
@@ -314,7 +320,7 @@ def cmd_gns(args: argparse.Namespace, tol: float):
 def cmd_rig(args: argparse.Namespace, tol: float):
     size_cap = _size_cap(args)
     rep = representation_from_payload(load_json(args.input), size_cap=size_cap)
-    _check_budget("rig", rep.group.size, rep.dim)
+    _check_budget("rig", rep.group.orders, rep.dim)
     group = rep.group
     xi_global = None
     if args.xi:
@@ -384,7 +390,7 @@ def cmd_selftest(args: argparse.Namespace, tol: float):
     )
     if cfg.max_dim < 1:
         raise FileFormatError("--max-dim must be positive")
-    _check_budget("selftest", cfg.max_group_size, cfg.max_dim)
+    _check_budget("selftest", (cfg.max_group_size,), cfg.max_dim)
     results, report = run_selftest(cfg)
     lines = [res.line() for res in results]
     npass = sum(res.passed for res in results)

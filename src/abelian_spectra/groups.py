@@ -197,6 +197,20 @@ class Group:
         num = left @ self._coords.T % L
         return np.exp((2j * np.pi / L) * num)
 
+    def pairing_at(self, rows, cols) -> np.ndarray:
+        """The block T[rows][:, cols] of the pairing table for index arrays
+        ``rows`` and ``cols``, from the coordinates of those indices alone
+        (no |G|-long table); entries are bit-equal to ``pairing_rows``'s."""
+        L = self._lcm
+        left = self._coords_of(rows) * (L // self._orders_arr)
+        num = left @ self._coords_of(cols).T % L
+        return np.exp((2j * np.pi / L) * num)
+
+    def _coords_of(self, indices) -> np.ndarray:
+        """Coordinate rows of the given enumeration indices, shape (len, k)."""
+        flat = np.asarray(indices, dtype=np.intp)
+        return np.stack(np.unravel_index(flat, self.orders), axis=-1).astype(np.int64)
+
     def pairing_block(self, start: int, stop: int) -> np.ndarray:
         """Rows [start, stop) of the pairing table."""
         return self.pairing_rows(slice(start, stop))

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import GroupFunction, _transform, fourier
+from .algebra import GroupFunction, fourier
 from .errors import (
     DegenerateComponentError,
     GroupMismatchError,
@@ -56,15 +56,33 @@ class UnitaryRep:
 
     @cached_property
     def operators(self) -> np.ndarray:
-        """All |G| operators stacked in element enumeration order."""
+        """All |G| operators stacked in element enumeration order.
+
+        An oracle: the all-G residuals, the self-test and the tests read it;
+        the spectral measure and the CLI never build it.
+        """
         d = self.dim
         stack = np.eye(d, dtype=complex)[None]
         for U, n in zip(self.generators, self.group.orders):
-            powers = [np.eye(d, dtype=complex)]
-            for _ in range(n - 1):
-                powers.append(powers[-1] @ U)
-            stack = (stack[:, None] @ np.array(powers)[None]).reshape(-1, d, d)
+            stack = (stack[:, None] @ generator_powers(U, n)[None]).reshape(-1, d, d)
         return stack
+
+
+def generator_powers(U: np.ndarray, n: int) -> np.ndarray:
+    """U^0, ..., U^{n-1} stacked, by doubling: the block [m, 2m) is the block
+    [0, m) times U^m, so ceil(log2 n) batched products (and as many
+    squarings) build the stack instead of n - 1 chained ones."""
+    d = U.shape[0]
+    out = np.empty((n, d, d), dtype=complex)
+    out[0] = np.eye(d)
+    step, filled = U, 1  # step = U^filled
+    while filled < n:
+        m = min(filled, n - filled)
+        np.matmul(out[:m], step, out=out[filled:filled + m])
+        filled += m
+        if filled < n:
+            step = step @ step
+    return out
 
 
 def _require(relation: str, message: str, residual, tol: float) -> None:
@@ -166,32 +184,42 @@ class ProjectionValuedMeasure:
 
 
 def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
-    """Projection-valued measure by character averaging, taken at its support.
+    """Projection-valued measure by character averaging, built factor by factor.
 
     P(chi) = (1/|G|) sum_g conj(<g|chi>) pi(g), the closed-form inversion
     of the reconstruction identity pi(g) = sum_chi <g|chi> P(chi) through
-    character orthogonality.  A projection's rank is its trace, and the
-    traces of all P(chi) are one |G|-point transform of g -> tr pi(g); chi
-    is kept where tr P(chi) > 1/2, with multiplicity rint(tr P(chi)).  Only
-    those s <= d projections are averaged, as one (s x |G|) @ (|G| x d^2)
-    product, and each range basis is the top-``mult`` eigenvectors of one
-    batched ``eigh``.  Construction validates idempotency, hermiticity,
-    completeness, mutual orthogonality and rank of the ranges, and that
-    multiplicities add up to the dimension; a violation raises
-    NumericalDegeneracyError carrying the residuals.
+    character orthogonality.  On Z_{n_1} x ... x Z_{n_k} the average
+    factors: P(chi) = prod_j P_j(chi_j) with P_j(c) = (1/n_j) sum_m
+    omega_j^{-mc} U_j^m, so one FFT along the power axis of
+    ``generator_powers(U_j, n_j)`` gives every P_j(c).  The product is taken
+    one factor at a time: each partial product A of the factors so far is
+    paired with every P_j(c) through tr(A P_j(c)), an O(d^2) inner product,
+    and only the pairs with trace above 1/2 are multiplied.  A projection's
+    rank is its trace and the traces of the survivors add up to d, so at
+    most d pairs survive each step.  Time O(sum_j n_j d^3 + k d^4), memory
+    O(sum_j n_j d^2); nothing is |G|-sized.  A support character's
+    multiplicity is rint(tr P(chi)), and each range basis is the top-``mult``
+    eigenvectors of one batched ``eigh``.  Construction validates
+    idempotency, hermiticity, completeness, mutual orthogonality and rank of
+    the ranges, and that multiplicities add up to the dimension; a violation
+    raises NumericalDegeneracyError carrying the residuals.
     """
     group, d = rep.group, rep.dim
-    ops = rep.operators
-    trace = _transform(group, np.trace(ops, axis1=1, axis2=2)).real / group.size
-    keep = np.flatnonzero(trace > 0.5)
-    mults = np.rint(trace[keep]).astype(int)
-    P = (group.pairing_rows(keep).conj() @ ops.reshape(group.size, d * d)
-         / group.size).reshape(-1, d, d)
+    P = np.eye(d, dtype=complex)[None]
+    coords = np.zeros((1, 0), dtype=np.int64)
+    for U, n in zip(rep.generators, group.orders):
+        factor = np.fft.fft(generator_powers(U, n), axis=0, norm="forward")
+        # tr(A P_j(c)) = <vec(A^T), vec(P_j(c))>, one (s x d^2) @ (d^2 x n) product
+        traces = P.swapaxes(1, 2).reshape(len(P), d * d) @ factor.reshape(n, d * d).T
+        rows, cols = np.nonzero(traces.real > 0.5)  # row-major: enumeration order
+        P = P[rows] @ factor[cols]
+        coords = np.column_stack([coords[rows], cols])
+    mults = np.rint(np.trace(P, axis1=1, axis2=2).real).astype(int)
     idem = float(np.max(np.linalg.norm(P @ P - P, axis=(1, 2)), initial=0.0))
     herm = float(np.max(np.linalg.norm(P - P.conj().swapaxes(1, 2), axis=(1, 2)),
                         initial=0.0))
     P.setflags(write=False)
-    support = [Character(tuple(group._coords[k])) for k in keep]
+    support = [Character(tuple(row)) for row in coords.tolist()]
 
     bases: dict = {}
     eigvals, eigvecs = np.linalg.eigh(P)  # ascending, so the range is the last columns
@@ -241,7 +269,11 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
 
 
 def reconstruction_residual(pvm: ProjectionValuedMeasure) -> float:
-    """max_g || pi(g) - sum_chi <g|chi> P(chi) ||, one product over all of G."""
+    """max_g || pi(g) - sum_chi <g|chi> P(chi) ||, one product over all of G.
+
+    An oracle over the operator stack, for the self-test and the tests;
+    ``relation_certificate`` bounds it from the binary powers.
+    """
     group = pvm.group
     table = group.pairing_rows([group.character_index(chi) for chi in pvm.support]).T
     stack = np.array([pvm.projections[chi] for chi in pvm.support])
@@ -316,17 +348,31 @@ class DiagonalModel:
     """Multiplication-operator model of a cyclic component.
 
     ``isometry`` V satisfies V^dagger pi(g) V = diag(<g|chi>) over the
-    support in enumeration order; ``table`` holds the diagonal symbols,
-    table[i, s] = <g_i | support[s]>.
+    support in enumeration order; ``symbols(rows)`` gives the diagonal
+    symbols at the element indices ``rows`` and ``table`` all of them,
+    table[i, s] = <g_i | support[s]>, a |G| x s array built on first use.
     """
 
     group: Group
     support: tuple[Character, ...]
     isometry: np.ndarray
-    table: np.ndarray
+
+    @cached_property
+    def _columns(self) -> list[int]:
+        return [self.group.character_index(chi) for chi in self.support]
+
+    def symbols(self, rows) -> np.ndarray:
+        """Rows ``rows`` (element indices) of ``table``, bit-equal to them."""
+        return self.group.pairing_at(rows, self._columns)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        table = self.group.pairing_rows(self._columns).T
+        table.setflags(write=False)
+        return table
 
     def multiplication_symbol(self, g: Element) -> np.ndarray:
-        return self.table[self.group.element_index(g)]
+        return self.symbols([self.group.element_index(g)])[0]
 
 
 def diagonalize(component: CyclicComponent, pvm: ProjectionValuedMeasure) -> DiagonalModel:
@@ -340,16 +386,15 @@ def diagonalize(component: CyclicComponent, pvm: ProjectionValuedMeasure) -> Dia
             raise DegenerateComponentError(
                 f"projection norm {norm:.3e} at character {chi.coords} is below "
                 f"{DEGENERATE_TOL:.1e}; the component is degenerate on its support")
-    group = pvm.group
-    cols = [group.character_index(chi) for chi in component.support]
-    table = group.pairing_rows(cols).T
-    table.setflags(write=False)
-    return DiagonalModel(group=group, support=component.support,
-                         isometry=component.isometry, table=table)
+    return DiagonalModel(group=pvm.group, support=component.support,
+                         isometry=component.isometry)
 
 
 def diagonalization_residual(model: DiagonalModel, rep: UnitaryRep) -> float:
-    """max_g || V^dagger pi(g) V - diag(<g|chi>) ||, over the whole stack."""
+    """max_g || V^dagger pi(g) V - diag(<g|chi>) ||, over the whole stack.
+
+    An oracle, as ``reconstruction_residual`` is.
+    """
     V = model.isometry
     D = V.conj().T @ rep.operators @ V
     diag = np.arange(V.shape[1])
@@ -360,11 +405,80 @@ def diagonalization_residual(model: DiagonalModel, rep: UnitaryRep) -> float:
 def invariance_residual(component: CyclicComponent, rep: UnitaryRep) -> float:
     """max_g || (I - V V^dagger) pi(g) V V^dagger ||, over the whole stack.
 
-    Zero when pi(G) leaves the component's range invariant.
+    Zero when pi(G) leaves the component's range invariant.  An oracle, as
+    ``reconstruction_residual`` is.
     """
     proj = component.isometry @ component.isometry.conj().T
     leak = (np.eye(rep.dim) - proj) @ rep.operators @ proj
     return float(np.max(np.linalg.norm(leak, axis=(1, 2))))
+
+
+def binary_powers(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray]:
+    """The identity and every U_j^(2^i) with 2^i < n_j: their element indices
+    and the (1 + L) x d x d stack, L = sum_j ceil(log2 n_j).  Each power is
+    squared from the input generator, independently of ``generator_powers``."""
+    group, d = rep.group, rep.dim
+    indices, mats = [0], [np.eye(d, dtype=complex)]
+    for U, n, stride in zip(rep.generators, group.orders, group._strides.tolist()):
+        power, exponent = U, 1
+        while exponent < n:
+            indices.append(exponent * stride)
+            mats.append(power)
+            power, exponent = power @ power, 2 * exponent
+    return np.array(indices), np.array(mats)
+
+
+def relation_certificate(pvm: ProjectionValuedMeasure,
+                         models: Sequence[DiagonalModel]) -> dict[str, float]:
+    """Bounds on the three all-G relation residuals from the binary powers.
+
+    Every g in G is the sum of distinct binary powers h_t = 2^i e_j (the
+    binary digits of its coordinates), so pi(g) is a product of at most
+    L = sum_j ceil(log2 n_j) of the A_t = pi(h_t), each used at most once,
+    which ``binary_powers`` squares from the input generators.  Each
+    relation is checked at the identity (t = 0) and at every A_t, as a
+    Frobenius-norm gap eps_t:
+
+    - reconstruction: || A_t - sum_chi <h_t|chi> P(chi) ||;
+    - diagonalization: || V^dagger A_t V - diag(<h_t|chi>) ||, worst model;
+    - component_invariance: || (I - V V^dagger) A_t V V^dagger ||, worst model.
+
+    With u_t = || A_t^dagger A_t - I ||, so that ||A_t|| <= 1 + u_t, a
+    telescoping sum over the factors of pi(g) bounds the gap at g by
+    (sum_t eps_t) prod_t (1 + u_t) <= sum_t eps_t + sum_t u_t whenever
+    sum_t u_t <= 1 and 2 sum_t eps_t <= 1, which any value under a tolerance
+    below 1/2 meets.  It is at most L times the worst gap plus L times the
+    worst defect, and tighter when the gaps grow along the squarings, as
+    round-off does (it doubles at each one).  Reported is that sum plus
+    (L + 1) d^2 eps_mach, the floating-point error of forming a product of
+    L + 1 unitary d x d factors (|fl(AB) - AB| <= d eps_mach |A||B| entrywise,
+    and || |A||B| ||_F <= d), so the value also bounds an all-G residual that
+    is computed, not exact.  The bound is first order in the measure's own
+    defects: it takes the projections to multiply exactly (their
+    idempotency, orthogonality and completeness are the pvm_* residuals)
+    and, for the diagonal models, the range leak to be the invariance gap.
+    The cost is O(L d^3) per model, with no |G|-sized array.
+    """
+    group, d = pvm.group, pvm.rep.dim
+    indices, A = binary_powers(pvm.rep)
+    eye = np.eye(d)
+    unitarity = np.linalg.norm(A.conj().swapaxes(1, 2) @ A - eye, axis=(1, 2)).sum()
+    P = np.array([pvm.projections[chi] for chi in pvm.support]).reshape(-1, d * d)
+    phases = group.pairing_at(indices, [group.character_index(chi) for chi in pvm.support])
+    recon = np.linalg.norm(A.reshape(-1, d * d) - phases @ P, axis=1)
+    diag = leak = np.zeros(len(indices))
+    for model in models:
+        V = model.isometry
+        D = V.conj().T @ A @ V
+        r = np.arange(V.shape[1])
+        D[:, r, r] -= model.symbols(indices)
+        diag = np.maximum(diag, np.linalg.norm(D, axis=(1, 2)))
+        Q = V @ V.conj().T
+        leak = np.maximum(leak, np.linalg.norm((eye - Q) @ A @ Q, axis=(1, 2)))
+    arithmetic = len(indices) * d ** 2 * np.finfo(float).eps
+    return {key: float(gaps.sum() + unitarity + arithmetic)
+            for key, gaps in (("reconstruction", recon), ("diagonalization", diag),
+                              ("component_invariance", leak))}
 
 
 @dataclass(frozen=True)

@@ -624,10 +624,13 @@ def _prop_quotient_algebra_action(rng, cfg):
         # the dense stack would take |G| x rank^2 with rank up to |G|
         powers = np.prod(space.generator_images() ** group._coords[:, :, None], axis=1)
         summed = np.diag(group.haar_weight * (f.values @ powers))
+        # relative to haar * sum_g |f(g)|, the bound on ||sum_g f(g) pi(g)||:
+        # the powers' round-off, and so the absolute gap, grows with |G|
+        scale = group.haar_weight * float(np.abs(f.values).sum())
         r = float(np.linalg.norm(action - summed))
         r = max(r, float(np.linalg.norm(
             action @ space.eta - space.class_coordinates(f))))
-        yield r, dict(function=phi, f=f)
+        yield r / scale, dict(function=phi, f=f)
 
 
 # ---------------------------------------------------------------------------

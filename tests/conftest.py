@@ -26,21 +26,24 @@ def random_positive_type(group: Group, rng: np.random.Generator) -> GroupFunctio
 
 @pytest.fixture
 def non_idempotent_measure(monkeypatch):
-    """Scale the unit character's row of the pairing table by 1 + 1e-6.
+    """Scale the m = 0 power U^0 = I of each generator-power stack by 1 + 1e-6.
 
-    ``spectral_measure`` averages the operators against those rows, and the
-    unit character is in the support of a regular representation, so its
-    P(chi) stops being idempotent while its rank, read off the traces,
-    stays the same.
+    ``spectral_measure`` transforms the powers of each generator along the
+    power axis, so every P_j(c) gains 1e-6 I / n_j: the projections of a
+    one-factor representation such as the regular representation of Z_4
+    stop being idempotent, while their ranks, read off the traces, stay
+    the same.
     """
-    pairing_rows = Group.pairing_rows
+    from abelian_spectra import representations
 
-    def perturbed(self, rows):
-        out = pairing_rows(self, rows)
-        out[np.arange(self.size)[rows] == 0] *= 1 + 1e-6
+    generator_powers = representations.generator_powers
+
+    def perturbed(U, n):
+        out = generator_powers(U, n)
+        out[0] *= 1 + 1e-6
         return out
 
-    monkeypatch.setattr(Group, "pairing_rows", perturbed)
+    monkeypatch.setattr(representations, "generator_powers", perturbed)
 
 
 SMALL_ORDER_LISTS = [(1,), (2,), (3,), (4,), (5,), (2, 2), (2, 3), (2, 4), (2, 2, 2), (3, 3)]

@@ -676,6 +676,32 @@ def test_gns_on_the_2_16_point_mass_stays_under_the_budget(tmp_path):
     assert json.loads((tmp_path / "out.json").read_text())["results"]["rank"] == 65536
 
 
+def child_peak_rss(argv):
+    """Exit code and peak RSS, in bytes, of the CLI on ``argv`` in a process
+    forked from a fresh interpreter: a child's ru_maxrss starts from the RSS
+    of the process it was forked from, which for this one is the test run's."""
+    script = ("import resource, subprocess, sys; "
+              "code = subprocess.call([sys.executable, '-m', 'abelian_spectra.cli', "
+              "*sys.argv[1:]], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL); "
+              "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    out = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                         text=True, check=True).stdout.split()
+    return int(out[0]), int(out[1]) * 1024  # ru_maxrss is in KiB
+
+
+def test_decompose_on_a_2_16_d16_input_stays_under_the_budget(tmp_path):
+    # the measure and the relation checks work on the 16 generators; the
+    # |G| x d x d operator stack they used to build was 256 MiB
+    src = planted_rep_file(tmp_path, (2,) * 16, 16)
+    out = tmp_path / "out.json"
+    code, peak = child_peak_rss(["decompose", "--input", str(src), "--output", str(out)])
+    assert code == 0
+    assert peak < cli.OPERATOR_STACK_BUDGET // 2
+    report = json.loads(out.read_text())
+    assert report["passed"] is True
+    assert sum(report["results"]["multiplicities"]) == 16
+
+
 def test_rig_admits_a_planted_8192_d2_input(tmp_path, capsys):
     from abelian_spectra import make_representation
     G = make_group((8192,))
@@ -694,7 +720,7 @@ def test_decompose_and_rig_refuse_an_operator_stack_over_budget(tmp_path, capsys
     monkeypatch.setattr(cli, "spectral_measure", lambda rep: calls.append(rep) or measure(rep))
     budget = cli.OPERATOR_STACK_BUDGET
     for command in ("decompose", "rig"):
-        estimate = cli.peak_estimate(command, 4, 4)
+        estimate = cli.peak_estimate(command, (4,), 4)
         monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", estimate - 1)
         code, _, err = run_cli(capsys, [command, "--input", str(src)])
         assert code == 2
@@ -716,6 +742,56 @@ def test_decompose_exits_4_when_the_measure_breaks_its_invariants(
     assert code == 4
     assert "idempotency" in err
     assert "Traceback" not in err
+
+
+def conjugated_rep(G, rng):
+    """V diag(<e_j|chi>) V^dagger in dimension 3, one character twice."""
+    from abelian_spectra import make_representation
+    picks = rng.choice(G.size, size=2, replace=False)[[0, 0, 1]]
+    V, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    diagonals = G.pairing_rows(picks)[:, G.generator_indices].T
+    return make_representation(G, [V @ np.diag(d) @ V.conj().T for d in diagonals])
+
+
+def corrupt_generator_powers(monkeypatch, corrupt):
+    """Route every stack of generator powers the measure builds through ``corrupt``."""
+    from abelian_spectra import representations
+    powers = representations.generator_powers
+    monkeypatch.setattr(representations, "generator_powers",
+                        lambda U, n: corrupt(powers(U, n)))
+
+
+def test_decompose_exits_4_when_one_generator_power_is_corrupted(tmp_path, capsys, monkeypatch,
+                                                                 rng):
+    src = write_representation(tmp_path / "rep.json", conjugated_rep(make_group((4, 3)), rng))
+
+    def bump(powers):
+        powers[1, 0, 1] += 1e-6
+        return powers
+
+    corrupt_generator_powers(monkeypatch, bump)
+    code, _, err = run_cli(capsys, ["decompose", "--input", str(src)])
+    assert code == 4
+    assert "projection-valued measure violates its invariants (idempotency" in err
+    assert "Traceback" not in err
+
+
+def test_decompose_certificate_catches_a_consistently_rotated_power_stack(
+        tmp_path, capsys, monkeypatch, rng):
+    # W U^m W^dagger for a rotation W that is 1e-6 from the identity: the
+    # measure of W U W^dagger is a valid one, so only the relations, checked
+    # on binary powers squared from the input generators, can see the fault
+    src = write_representation(tmp_path / "rep.json", conjugated_rep(make_group((4, 3)), rng))
+    H = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    lam, Q = np.linalg.eigh(H + H.conj().T)
+    W = (Q * np.exp(1e-6j * lam)) @ Q.conj().T
+    corrupt_generator_powers(monkeypatch, lambda powers: W @ powers @ W.conj().T)
+    code, report, err = stdout_report(capsys, ["decompose", "--input", str(src)])
+    assert code == 4
+    assert report["passed"] is False
+    assert max(v for k, v in report["residuals"].items() if k.startswith("pvm_")) < 1e-9
+    assert report["residuals"]["reconstruction"] > 1e-7
+    assert "failed: reconstruction" in err
 
 
 def test_gns_emits_generator_diagonals_not_dense_images(tmp_path, capsys):

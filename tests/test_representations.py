@@ -27,10 +27,12 @@ from abelian_spectra import (
     make_representation,
     reconstruction_residual,
     regular_representation,
+    relation_certificate,
     spectral_measure,
     trivial_representation,
 )
 from abelian_spectra import representations
+from abelian_spectra.representations import binary_powers, generator_powers
 from conftest import random_function
 
 
@@ -561,6 +563,72 @@ def test_perturbed_projection_breaks_the_reconstruction(rng):
     residual = reconstruction_residual(broken)
     assert residual > 1e-7
     assert abs(residual - loop_reconstruction_residual(broken)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+def test_generator_powers_are_the_powers_of_the_generator(n, rng):
+    G = make_group((n,))
+    rep, _ = conjugated_diagonal_rep(G, [G.characters[n - 1]] * 2 + [G.characters[0]], rng)
+    U = rep.generators[0]
+    powers = generator_powers(U, n)
+    assert powers.shape == (n, 3, 3)
+    for m, power in enumerate(powers):
+        np.testing.assert_allclose(power, np.linalg.matrix_power(U, m), rtol=0, atol=1e-13)
+
+
+def test_binary_powers_are_the_identity_and_the_squares_of_each_generator(rng):
+    G = make_group((5, 1, 4, 2))
+    rep, _ = conjugated_diagonal_rep(G, [G.characters[i] for i in (7, 7, 33)], rng)
+    indices, powers = binary_powers(rep)
+    # ceil(log2 n) powers per factor: 3 + 0 + 2 + 1, after the identity
+    assert indices.tolist() == [0, 8, 16, 32, 2, 4, 1]
+    for index, power in zip(indices, powers):
+        np.testing.assert_allclose(power, rep.apply(G.elements[index]), rtol=0, atol=1e-13)
+
+
+def certificate_and_oracles(rep):
+    pvm = spectral_measure(rep)
+    components = cyclic_decomposition(pvm)
+    models = [diagonalize(comp, pvm) for comp in components]
+    oracles = {
+        "reconstruction": reconstruction_residual(pvm),
+        "diagonalization": max(diagonalization_residual(m, rep) for m in models),
+        "component_invariance": max(invariance_residual(c, rep) for c in components),
+    }
+    return relation_certificate(pvm, models), oracles
+
+
+@pytest.mark.parametrize("orders", [(1,), (1, 4), (3, 1, 2), (5,), (2, 2, 2), (4, 6),
+                                    (7, 1), (16,), (2, 3, 4), (1, 1)],
+                         ids=lambda o: "x".join(map(str, o)))
+def test_certificate_bounds_each_all_g_residual(orders, rng):
+    """On random representations with a repeated character, each value
+    certified on the binary powers is at least the all-G value of its oracle."""
+    G = make_group(orders)
+    for dim in (1, 2, 3, 6):
+        picks = rng.integers(G.size, size=dim)
+        picks[-1] = picks[0]  # multiplicity > 1 from dim 2 on
+        rep, _ = conjugated_diagonal_rep(G, [G.characters[i] for i in picks], rng)
+        certified, oracles = certificate_and_oracles(rep)
+        assert certified.keys() == oracles.keys()
+        for key, value in oracles.items():
+            assert certified[key] >= value, key
+        assert max(certified.values()) < 1e-12
+
+
+def test_certificate_catches_a_mixed_component_and_a_perturbed_projection(rng):
+    rep = multiplicity_two_rep(rng)
+    pvm = spectral_measure(rep)
+    mixed = mixed_components(pvm)
+    certified = relation_certificate(pvm, [diagonalize(mixed, pvm)])
+    assert certified["diagonalization"] >= diagonalization_residual(diagonalize(mixed, pvm), rep)
+    assert certified["component_invariance"] >= invariance_residual(mixed, rep) > 1e-6
+    chi = pvm.support[0]
+    bumped = pvm.projections[chi].copy()
+    bumped[0, 0] += 1e-6
+    broken = replace(pvm, projections={**pvm.projections, chi: bumped})
+    assert relation_certificate(broken, [])["reconstruction"] >= reconstruction_residual(broken)
+    assert reconstruction_residual(broken) > 1e-7
 
 
 def test_measure_keeps_no_view_of_the_transformed_stack(rng):

@@ -164,6 +164,16 @@ def test_each_all_group_relation_catches_a_corruption(monkeypatch, name, attribu
     assert result.tolerance < result.max_residual < ERROR_RESIDUAL
 
 
+def test_quotient_algebra_action_is_relative_to_the_size_of_f_at_1024_elements():
+    # the round-off of the diagonal powers grows with |G|: the absolute gap
+    # read 2.0e-10 at --max-group-size 1024, and correct code would cross the
+    # 1e-9 tolerance near 4096; divided by haar * sum |f| it stays at round-off
+    result = run_property("quotient-algebra-action",
+                          SelftestConfig(max_group_size=1024, max_dim=8, seed=0))
+    assert result.passed
+    assert result.max_residual < 1e-11
+
+
 def test_trivial_group_configuration_runs():
     results, report = run_selftest(SelftestConfig(max_group_size=1, max_dim=2))
     assert report["passed"] is True
