@@ -58,18 +58,18 @@ from .selftest import SelftestConfig, run_selftest
 
 DEFAULT_TOL = 1e-9
 # The memory budget: fourier and gns hold a few k x |G| arrays; decompose, rig
-# and selftest exit 2 first when their estimated peak is over it.
+# and selftest exit 2 first when their estimated peak is over it, and every
+# command refuses an input file over 1/16 of it before parsing it.
 OPERATOR_STACK_BUDGET = 256 * 2**20
 # (STACKS, PER_ENTRY, PER_ELEMENT), tracemalloc peaks rounded up.  A "stack"
-# is 16 dim^2 (sum_j n_j + min(dim, |G|)) bytes for decompose: the generator
-# powers and their FFT, and the support projections; decompose builds no
-# |G|-sized operator array.  It is 16 |G| dim^2, one operator stack, for rig,
-# whose quotient gap checks still hold |G| x r x r stacks, and 16 N max(N,
-# dim^2) for selftest.  Then bytes per dim x dim entry (range bases, kets and
-# isometries) and per group element (decompose's multiplicity list; rig's
-# identity check draws 8 x 4 x |G| floats), plus PEAK_BASE; tests/test_budget.py
-# checks every term.
-PEAK_MODEL = {"decompose": (3, 256, 128), "rig": (3.5, 256, 1792), "selftest": (6, 256, 0)}
+# is 16 dim^2 (sum_j n_j + min(dim, |G|)) bytes for decompose and rig: the
+# generator powers and their FFT, and the support projections; neither builds
+# a |G|-sized operator array.  It is 16 N max(N, dim^2) for selftest.  Then
+# bytes per dim x dim entry (range bases, kets and isometries) and per group
+# element (decompose's multiplicity list; rig's phi and quotient, and its
+# identity check, which draws 8 x 4 x |G| floats), plus PEAK_BASE;
+# tests/test_budget.py checks every term.
+PEAK_MODEL = {"decompose": (3, 256, 128), "rig": (3, 256, 1792), "selftest": (6, 256, 0)}
 PEAK_BASE = 2**20
 TOL_ENV_VAR = "ABELIAN_SPECTRA_TOL"
 
@@ -79,12 +79,14 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 EXIT_PRECONDITION = 5
 
-_INPUT_ERRORS = (FileFormatError, InvalidGroupError, ShapeMismatchError,
-                 GroupMismatchError, OSError)
-_NUMERICAL_ERRORS = (NumericalDegeneracyError, DegenerateComponentError,
-                     InconsistencyError)
-_PRECONDITION_ERRORS = (PositiveTypeError, NotCyclicError, NotSelfAdjointError,
-                        SupportError)
+# (errors, exit code), each error printed on one line
+_EXIT_CODES = (
+    ((FileFormatError, InvalidGroupError, ShapeMismatchError, GroupMismatchError, OSError),
+     EXIT_INPUT),
+    ((RepresentationValidationError,), EXIT_VALIDATION),
+    ((NumericalDegeneracyError, DegenerateComponentError, InconsistencyError), EXIT_NUMERICAL),
+    ((PositiveTypeError, NotCyclicError, NotSelfAdjointError, SupportError), EXIT_PRECONDITION),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,12 +176,10 @@ def peak_estimate(command: str, orders: Sequence[int], dim: int) -> int:
     ``orders`` and dimension ``dim`` (for selftest, the largest it draws)."""
     stacks, per_entry, per_element = PEAK_MODEL[command]
     size = math.prod(orders)
-    if command == "decompose":
-        stack = 16 * dim ** 2 * (sum(orders) + min(dim, size))
-    elif command == "rig":
-        stack = 16 * size * dim ** 2
-    else:
+    if command == "selftest":
         stack = 16 * size * max(size, dim ** 2)
+    else:
+        stack = 16 * dim ** 2 * (sum(orders) + min(dim, size))
     return int(stacks * stack) + per_entry * dim ** 2 + per_element * size + PEAK_BASE
 
 
@@ -190,6 +190,11 @@ def _check_budget(command: str, orders: Sequence[int], dim: int) -> None:
             f"{command} on |G| = {math.prod(orders)}, dim {dim} would take about "
             f"{estimate} bytes at its peak, over the memory budget of "
             f"{OPERATOR_STACK_BUDGET} bytes")
+
+
+def _load(path: str):
+    """The JSON in ``path``, refused over 1/16 of the budget: about 130 bytes per pair."""
+    return load_json(path, max_bytes=OPERATOR_STACK_BUDGET // 16)
 
 
 def _report_skeleton(command: str, args: argparse.Namespace, tol: float,
@@ -209,7 +214,7 @@ def _report_skeleton(command: str, args: argparse.Namespace, tol: float,
 
 
 def cmd_fourier(args: argparse.Namespace, tol: float):
-    f = function_from_payload(load_json(args.input), size_cap=_size_cap(args))
+    f = function_from_payload(_load(args.input), size_cap=_size_cap(args))
     if args.direction == "forward":
         if not isinstance(f, GroupFunction):
             raise FileFormatError(
@@ -227,7 +232,7 @@ def cmd_fourier(args: argparse.Namespace, tol: float):
 
 
 def cmd_decompose(args: argparse.Namespace, tol: float):
-    rep = representation_from_payload(load_json(args.input),
+    rep = representation_from_payload(_load(args.input),
                                       size_cap=_size_cap(args))
     _check_budget("decompose", rep.group.orders, rep.dim)
     group = rep.group
@@ -284,7 +289,7 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
 
 
 def cmd_gns(args: argparse.Namespace, tol: float):
-    f = function_from_payload(load_json(args.input), size_cap=_size_cap(args))
+    f = function_from_payload(_load(args.input), size_cap=_size_cap(args))
     if not isinstance(f, GroupFunction):
         raise FileFormatError("quotient construction needs field 'domain' == 'group'")
     space = gns_construct(f)
@@ -319,15 +324,14 @@ def cmd_gns(args: argparse.Namespace, tol: float):
 
 def cmd_rig(args: argparse.Namespace, tol: float):
     size_cap = _size_cap(args)
-    rep = representation_from_payload(load_json(args.input), size_cap=size_cap)
+    rep = representation_from_payload(_load(args.input), size_cap=size_cap)
     _check_budget("rig", rep.group.orders, rep.dim)
     group = rep.group
     xi_global = None
     if args.xi:
-        xi_global = function_from_payload(load_json(args.xi), size_cap=size_cap)
+        xi_global = function_from_payload(_load(args.xi), size_cap=size_cap)
         if not isinstance(xi_global, DualFunction):
-            raise FileFormatError(
-                "cyclic amplitude needs field 'domain' == 'dual'")
+            raise FileFormatError("cyclic amplitude needs field 'domain' == 'dual'")
         if xi_global.group != group:
             raise GroupMismatchError(
                 "cyclic amplitude and representation live on different groups")
@@ -339,9 +343,8 @@ def cmd_rig(args: argparse.Namespace, tol: float):
                            "intertwiner_unitarity", "intertwiner"), 0.0)
     for index, comp in enumerate(components):
         model = diagonalize(comp, pvm)
-        cols = [group.character_index(chi) for chi in model.support]
         vals = np.zeros(group.size, dtype=complex)
-        vals[cols] = xi_global.values[cols] if xi_global is not None else 1.0
+        vals[model._columns] = xi_global.values[model._columns] if xi_global is not None else 1.0
         xi = DualFunction(group, vals)
         space = gns_construct(phi_from_cyclic(model, xi))
         decomp = build_decomposition(
@@ -361,7 +364,7 @@ def cmd_rig(args: argparse.Namespace, tol: float):
         comp_payloads.append({
             "support": [list(chi.coords) for chi in decomp.support],
             "weights": [vec.weight for vec in decomp.eigenvectors],
-            "generator_diagonals": model.table[group.generator_indices],
+            "generator_diagonals": model.symbols(group.generator_indices),
             "residuals": residuals,
         })
 
@@ -373,10 +376,9 @@ def cmd_rig(args: argparse.Namespace, tol: float):
                 "xi": "file" if args.xi else "ones"},
         results=results, residuals=worst, passed=passed)
     lines = [f"components: {len(components)}"]
-    for i, payload in enumerate(comp_payloads):
-        lines.append(
-            f"component {i}: {len(payload['support'])} eigenvectors, "
-            f"max residual {max(payload['residuals'].values()):.3e}")
+    lines += [f"component {i}: {len(payload['support'])} eigenvectors, "
+              f"max residual {max(payload['residuals'].values()):.3e}"
+              for i, payload in enumerate(comp_payloads)]
     lines.append(f"passed: {passed}")
     return report, lines, EXIT_OK if passed else EXIT_NUMERICAL
 
@@ -425,18 +427,9 @@ def main(argv=None) -> int:
         _check_seed(args)
         payload, lines, code = _COMMANDS[args.command](args, tol)
         _emit(args, payload, lines)
-    except _INPUT_ERRORS as exc:
+    except tuple(error for errors, _ in _EXIT_CODES for error in errors) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RepresentationValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return next(code for errors, code in _EXIT_CODES if isinstance(exc, errors))
     return code
 
 

@@ -9,6 +9,7 @@ FileFormatError naming the offending field.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any
 
@@ -20,13 +21,18 @@ from .groups import DEFAULT_SIZE_CAP, Group, make_group
 from .representations import UnitaryRep, make_representation
 
 
-def load_json(path: str | Path) -> Any:
+def load_json(path: str | Path, max_bytes: int | None = None) -> Any:
+    """The JSON in ``path``, refused before parsing over ``max_bytes``."""
     try:
         with open(path, encoding="utf-8") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if max_bytes is not None and size > max_bytes:
+                raise FileFormatError(
+                    f"{path} is {size} bytes, over the input bound of {max_bytes} bytes")
             return json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also bad UTF-8 and over-long integer literals
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, long integers, deep nesting
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

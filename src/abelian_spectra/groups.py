@@ -192,19 +192,18 @@ class Group:
         yields character columns.  Phases use exact integer arithmetic as
         in ``pairing``.
         """
-        L = self._lcm
-        left = self._coords[rows] * (L // self._orders_arr)  # (b, k)
-        num = left @ self._coords.T % L
-        return np.exp((2j * np.pi / L) * num)
+        return self._pairing(self._coords[rows], self._coords)
 
     def pairing_at(self, rows, cols) -> np.ndarray:
         """The block T[rows][:, cols] of the pairing table for index arrays
         ``rows`` and ``cols``, from the coordinates of those indices alone
         (no |G|-long table); entries are bit-equal to ``pairing_rows``'s."""
+        return self._pairing(self._coords_of(rows), self._coords_of(cols))
+
+    def _pairing(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """<g|chi> for coordinate rows g of ``left`` and chi of ``right``."""
         L = self._lcm
-        left = self._coords_of(rows) * (L // self._orders_arr)
-        num = left @ self._coords_of(cols).T % L
-        return np.exp((2j * np.pi / L) * num)
+        return np.exp((2j * np.pi / L) * ((left * (L // self._orders_arr)) @ right.T % L))
 
     def _coords_of(self, indices) -> np.ndarray:
         """Coordinate rows of the given enumeration indices, shape (len, k)."""

@@ -325,17 +325,10 @@ def cyclic_decomposition(pvm: ProjectionValuedMeasure) -> list[CyclicComponent]:
     components = []
     for i in range(1, layers + 1):
         supp = tuple(chi for chi in pvm.support if pvm.multiplicities[chi] >= i)
-        u = np.zeros(pvm.rep.dim, dtype=complex)
-        for chi in supp:
-            u += pvm.range_bases[chi][:, i - 1]
-        cols = []
-        norms = []
-        for chi in supp:
-            w = pvm.projections[chi] @ u
-            norm = float(np.linalg.norm(w))
-            norms.append(norm)
-            cols.append(w / norm if norm > 0 else w)
-        iso = np.column_stack(cols)
+        u = sum(pvm.range_bases[chi][:, i - 1] for chi in supp)
+        ws = [pvm.projections[chi] @ u for chi in supp]
+        norms = [float(np.linalg.norm(w)) for w in ws]
+        iso = np.column_stack([w / norm if norm > 0 else w for w, norm in zip(ws, norms)])
         iso.setflags(write=False)
         u.setflags(write=False)
         components.append(CyclicComponent(
@@ -413,51 +406,64 @@ def invariance_residual(component: CyclicComponent, rep: UnitaryRep) -> float:
     return float(np.max(np.linalg.norm(leak, axis=(1, 2))))
 
 
+def binary_power_indices(group: Group) -> np.ndarray:
+    """Element indices of the identity and of every 2^i e_j with 2^i < n_j,
+    factor by factor: 1 + L of them, L = sum_j ceil(log2 n_j), with
+    ceil(log2 n) = (n - 1).bit_length()."""
+    return np.array([0] + [2 ** i * stride for n, stride in zip(group.orders, group._strides)
+                           for i in range((n - 1).bit_length())])
+
+
 def binary_powers(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray]:
-    """The identity and every U_j^(2^i) with 2^i < n_j: their element indices
-    and the (1 + L) x d x d stack, L = sum_j ceil(log2 n_j).  Each power is
-    squared from the input generator, independently of ``generator_powers``."""
-    group, d = rep.group, rep.dim
-    indices, mats = [0], [np.eye(d, dtype=complex)]
-    for U, n, stride in zip(rep.generators, group.orders, group._strides.tolist()):
-        power, exponent = U, 1
-        while exponent < n:
-            indices.append(exponent * stride)
-            mats.append(power)
-            power, exponent = power @ power, 2 * exponent
-    return np.array(indices), np.array(mats)
+    """``binary_power_indices`` and the (1 + L) x d x d stack of the identity
+    and the U_j^(2^i) at them.  Each power is squared from the input
+    generator, independently of ``generator_powers``."""
+    mats = [np.eye(rep.dim, dtype=complex)]
+    for U, n in zip(rep.generators, rep.group.orders):
+        for _ in range((n - 1).bit_length()):
+            mats.append(U)
+            U = U @ U
+    return binary_power_indices(rep.group), np.array(mats)
+
+
+def certified_gap(gaps: np.ndarray, defects: float, dim: int) -> float:
+    """Bound on a relation's worst gap over G from its Frobenius-norm gaps
+    eps_t at the identity (t = 0) and the binary powers h_t of
+    ``binary_power_indices``, with ``defects`` = sum_t (delta_t + u_t).
+
+    Every g in G is a sum of distinct h_t, at most L = sum_j ceil(log2 n_j) of
+    them.  Let X(g) = Y(g) be the relation, Y multiplicative with
+    ||Y(h_t)|| <= 1, and ||X(g + h_t) - X(g) X(h_t)|| <= delta_t (g without
+    digit t), ||X(h_t)|| <= 1 + u_t.  Peeling a digit h off g = g' + h,
+    X(g) - Y(g) = [X(g) - X(g') X(h)] + [X(g') - Y(g')] X(h) + Y(g') [X(h) - Y(h)],
+    so the gap at g is at most (sum_t eps_t + delta_t) prod_t (1 + u_t)
+    <= sum_t eps_t + defects whenever sum_t u_t <= 1 and
+    2 sum_t (eps_t + delta_t) <= 1, which any value under a tolerance below
+    1/2 meets.  Returned is that plus (L + 1) d^2 eps_mach, the error of
+    forming a product of L + 1 unitary d x d factors (|fl(AB) - AB| <=
+    d eps_mach |A||B| entrywise, and || |A||B| ||_F <= d), so the value also
+    bounds a computed all-G residual.  It is at most L times the worst gap
+    plus the defects, and tighter when the gaps grow along the squarings,
+    as round-off does.
+    """
+    return float(np.sum(gaps) + defects + len(gaps) * dim ** 2 * np.finfo(float).eps)
 
 
 def relation_certificate(pvm: ProjectionValuedMeasure,
                          models: Sequence[DiagonalModel]) -> dict[str, float]:
-    """Bounds on the three all-G relation residuals from the binary powers.
-
-    Every g in G is the sum of distinct binary powers h_t = 2^i e_j (the
-    binary digits of its coordinates), so pi(g) is a product of at most
-    L = sum_j ceil(log2 n_j) of the A_t = pi(h_t), each used at most once,
-    which ``binary_powers`` squares from the input generators.  Each
-    relation is checked at the identity (t = 0) and at every A_t, as a
-    Frobenius-norm gap eps_t:
+    """``certified_gap`` bounds on the three all-G relation residuals, from
+    the gaps at the identity and each binary power A_t = pi(h_t) (squared
+    from the input generators by ``binary_powers``):
 
     - reconstruction: || A_t - sum_chi <h_t|chi> P(chi) ||;
     - diagonalization: || V^dagger A_t V - diag(<h_t|chi>) ||, worst model;
     - component_invariance: || (I - V V^dagger) A_t V V^dagger ||, worst model.
 
-    With u_t = || A_t^dagger A_t - I ||, so that ||A_t|| <= 1 + u_t, a
-    telescoping sum over the factors of pi(g) bounds the gap at g by
-    (sum_t eps_t) prod_t (1 + u_t) <= sum_t eps_t + sum_t u_t whenever
-    sum_t u_t <= 1 and 2 sum_t eps_t <= 1, which any value under a tolerance
-    below 1/2 meets.  It is at most L times the worst gap plus L times the
-    worst defect, and tighter when the gaps grow along the squarings, as
-    round-off does (it doubles at each one).  Reported is that sum plus
-    (L + 1) d^2 eps_mach, the floating-point error of forming a product of
-    L + 1 unitary d x d factors (|fl(AB) - AB| <= d eps_mach |A||B| entrywise,
-    and || |A||B| ||_F <= d), so the value also bounds an all-G residual that
-    is computed, not exact.  The bound is first order in the measure's own
-    defects: it takes the projections to multiply exactly (their
-    idempotency, orthogonality and completeness are the pvm_* residuals)
-    and, for the diagonal models, the range leak to be the invariance gap.
-    The cost is O(L d^3) per model, with no |G|-sized array.
+    pi is multiplicative and ||A_t|| <= 1 + u_t = 1 + || A_t^dagger A_t - I ||,
+    so the defects are sum_t u_t.  The bound is first order in the measure's
+    own defects: it takes the projections to multiply exactly (the pvm_*
+    residuals) and, for the diagonal models, the range leak to be the
+    invariance gap.  O(L d^3) per model, with no |G|-sized array.
     """
     group, d = pvm.group, pvm.rep.dim
     indices, A = binary_powers(pvm.rep)
@@ -475,8 +481,7 @@ def relation_certificate(pvm: ProjectionValuedMeasure,
         diag = np.maximum(diag, np.linalg.norm(D, axis=(1, 2)))
         Q = V @ V.conj().T
         leak = np.maximum(leak, np.linalg.norm((eye - Q) @ A @ Q, axis=(1, 2)))
-    arithmetic = len(indices) * d ** 2 * np.finfo(float).eps
-    return {key: float(gaps.sum() + unitarity + arithmetic)
+    return {key: certified_gap(gaps, unitarity, d)
             for key, gaps in (("reconstruction", recon), ("diagonalization", diag),
                               ("component_invariance", leak))}
 
@@ -505,23 +510,16 @@ class KetSystem:
         Equals <phi, P(E) psi> for E the chosen character set.
         """
         chosen = set(subset)
-        total = 0.0 + 0.0j
-        for ket in self.kets:
-            if ket.character in chosen:
-                a = np.vdot(phi, ket.vector)
-                b = np.vdot(psi, ket.vector)
-                total += a * np.conj(b) * self.nu[ket.character]
-        return complex(total)
+        return complex(sum(np.vdot(phi, ket.vector) * np.vdot(ket.vector, psi)
+                           * self.nu[ket.character] for ket in self.kets
+                           if ket.character in chosen))
 
 
 def dirac_kets(pvm: ProjectionValuedMeasure) -> KetSystem:
     """Orthonormal bases of all projection ranges, labelled (chi, k)."""
-    kets = []
-    for chi in pvm.support:
-        basis = pvm.range_bases[chi]
-        for k in range(basis.shape[1]):
-            kets.append(Ket(character=chi, index=k + 1, vector=basis[:, k]))
-    return KetSystem(group=pvm.group, kets=tuple(kets), nu=dict(pvm.nu))
+    kets = tuple(Ket(character=chi, index=k + 1, vector=pvm.range_bases[chi][:, k])
+                 for chi in pvm.support for k in range(pvm.multiplicities[chi]))
+    return KetSystem(group=pvm.group, kets=kets, nu=dict(pvm.nu))
 
 
 def functional_calculus(pvm: ProjectionValuedMeasure,

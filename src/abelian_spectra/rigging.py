@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DualFunction, GroupFunction, apply_hermitian_form, checked_finite, fourier
+from .algebra import (DualFunction, GroupFunction, _transform, apply_hermitian_form,
+                      checked_finite, fourier)
 from .errors import (
     GroupMismatchError,
     InconsistencyError,
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .gns import GNSSpace
 from .groups import Character, Element, Group
-from .representations import DiagonalModel
+from .representations import DiagonalModel, binary_power_indices, certified_gap
 
 WEIGHT_FLOOR = 1e-12
 IDENTITY_TOL = 1e-9
@@ -65,9 +66,9 @@ def _functional_values(eigenvectors, f: GroupFunction) -> np.ndarray:
 class SpectralDecomposition:
     """Complete system of generalized eigenvectors of a quotient representation.
 
-    ``reconstruction_residual`` and ``eigen_equation_residual`` are the worst
-    gaps over all of G of the relations ``reconstruct_operator`` and
-    ``eigen_residual`` give for one element.
+    ``reconstruction_residual`` and ``eigen_equation_residual`` bound the
+    worst gaps over all of G of the relations ``reconstruct_operator`` and
+    ``eigen_residual`` give for one element, certified on the binary powers.
     """
 
     group: Group
@@ -93,8 +94,7 @@ def _vanishes(amps: np.ndarray) -> np.ndarray:
 
 def _cyclic_amplitudes(model: DiagonalModel, xi: DualFunction) -> np.ndarray:
     """xi on the model support; NotCyclicError where it vanishes there."""
-    group = model.group
-    amps = xi.values[[group.character_index(chi) for chi in model.support]]
+    amps = xi.values[model._columns]
     for chi, amp, vanishes in zip(model.support, amps, _vanishes(amps)):
         if vanishes:
             raise NotCyclicError(f"cyclic amplitude vanishes at support character "
@@ -106,36 +106,40 @@ def phi_from_cyclic(model: DiagonalModel, xi: DualFunction) -> GroupFunction:
     """Positive-type function of the cyclic vector xi in a diagonal model.
 
     phi(g) = sum over the model support of <g|chi> |xi(chi)|^2 with the
-    weight-1 counting measure.  Raises NotCyclicError when xi vanishes on
+    weight-1 counting measure, for every g at once: one inverse transform of
+    |xi|^2 placed on the support.  Raises NotCyclicError when xi vanishes on
     a support character (it would not be cyclic there), and
     NumericalDegeneracyError when phi overflows.
     """
     if xi.group != model.group:
         raise GroupMismatchError("cyclic amplitude lives on a different group")
+    group = model.group
+    moduli = np.zeros(group.size)
+    moduli[model._columns] = np.abs(_cyclic_amplitudes(model, xi))
     return checked_finite("phi of the cyclic amplitude", lambda: GroupFunction(
-        model.group, model.table @ np.abs(_cyclic_amplitudes(model, xi)) ** 2))
+        group, _transform(group, moduli ** 2, inverse=True)))
 
 
-def _eigenvector_coords(space: GNSSpace, table: np.ndarray,
-                        support: tuple[Character, ...]) -> np.ndarray:
-    """Unit quotient coordinates of the eigenvectors, one row per column of
-    ``table`` (table[g, s] = <g|chi_s>, chi_s = support[s]): Q^dagger applied
-    to the inverse character conj(table[:, s]) is, by character orthogonality,
-    sqrt(|G|/lambda_t) e_t when chi_s is the t-th quotient support character
-    and round-off when chi_s is off that support, which InconsistencyError names."""
-    V = space.quotient_basis.conj().T @ table.conj()
-    scale = np.sqrt(space.eigenvalues[:space.rank, None] / space.group.size)
-    overlap = np.max(np.abs(V) * scale, axis=0, initial=0.0)
-    off = [chi.coords for chi, value in zip(support, overlap) if not value > 0.5]
+def _eigenvector_coords(space: GNSSpace, support) -> np.ndarray:
+    """Unit quotient coordinates of the eigenvectors, one row per character
+    of ``support``.  By character orthogonality, Q^dagger applied to the
+    inverse character of chi is sqrt(|G|/lambda_t) e_t when chi is the t-th
+    quotient support character, and 0 when chi is off that support, which
+    InconsistencyError names: each row is the unit vector e_t, and the rows
+    of a matching support form a permutation."""
+    group = space.group
+    position = dict(zip(space.support.tolist(), range(space.rank)))
+    slots = [position.get(group.character_index(chi)) for chi in support]
+    off = [chi.coords for chi, t in zip(support, slots) if t is None]
     if off:
         raise InconsistencyError(f"characters {off} have no component in the quotient")
-    return (V / np.linalg.norm(V, axis=0)).T
+    return np.eye(space.rank, dtype=complex)[np.asarray(slots, dtype=np.intp)]
 
 
 # One formula per operator relation, over rows m of element data: C stacks
 # the eigenvector coordinates as rows, P[m, k] = <g_m|chi_k>, and D[m] is the
-# diagonal of pi(g_m) in quotient coordinates.  A stack of one rank x rank
-# block per element is never larger than the representation's operator stack.
+# diagonal of pi(g_m) in quotient coordinates.  Production takes the rows at
+# the identity and the binary powers and bounds the gap by ``certified_gap``.
 
 def _resolve(C: np.ndarray, P: np.ndarray) -> np.ndarray:
     """C^T diag(P[m]) conj(C) = sum_k P[m, k] |c_k><c_k| for every m."""
@@ -161,8 +165,12 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
     must equal the quotient rank (InconsistencyError otherwise).  The
     inner-product identity <f|h>_phi = sum_chi conj(F(chi^{-1})) H(chi^{-1})
     |xi(chi)|^2 is verified on random pairs within a relative ``tol``.  The
-    operator reconstruction and the eigenvalue equation are evaluated over
-    the whole group at once and their worst gaps stored.
+    operator reconstruction and the eigenvalue equation are certified over
+    G by ``certified_gap`` in O(L r^2).  R(g) = C^T diag(P[g]) conj(C) has
+    R(g + h) - R(g) R(h) = C^T diag(P[g]) (conj(C) C^T - I) diag(P[h]) conj(C)
+    and ||R(h)|| <= ||C||^2 <= 1 + u_C for u_C = || C^dagger C - I ||, so its
+    defects are L (2 + u_C) u_C; the eigenvalue gap is subadditive over the
+    digits of g (both sides multiply unimodular phases), so it has none.
     """
     group = space.group
     if xi.group != group:
@@ -174,8 +182,7 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
             f"cyclic amplitude is supported on {len(support)} characters but the "
             f"quotient rank is {space.rank}")
 
-    P = group.pairing_rows(keep).T  # table is symmetric
-    C = _eigenvector_coords(space, P, support)
+    C = _eigenvector_coords(space, support)
     C.setflags(write=False)
     eigenvectors = [GeneralizedEigenvector(character=chi, weight=float(abs(xi(chi))), coords=c)
                     for chi, c in zip(support, C)]
@@ -187,15 +194,19 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
             f"inner-product identity residual {residual:.3e} exceeds {tol:.1e}; "
             "the quotient space does not match the cyclic amplitude")
 
+    rows = binary_power_indices(group)
+    P, D = group.pairing_at(rows, keep), group.pairing_at(rows, space.support)
+    u_C = float(np.linalg.norm(C.conj().T @ C - np.eye(space.rank)))
     return SpectralDecomposition(
         group=group,
         support=tuple(support),
         eigenvectors=tuple(eigenvectors),
         nu={chi: 1.0 for chi in support},
         identity_residual=residual,
-        reconstruction_residual=float(
-            _reconstruction_gaps(C, P, space.characters).max(initial=0.0)),
-        eigen_equation_residual=float(_eigen_gaps(C, P, space.characters).max(initial=0.0)),
+        reconstruction_residual=certified_gap(
+            _reconstruction_gaps(C, P, D), (len(rows) - 1) * (2 + u_C) * u_C, space.rank),
+        eigen_equation_residual=certified_gap(
+            _eigen_gaps(C, P, D).max(axis=1, initial=0.0), 0.0, space.rank),
     )
 
 
@@ -212,6 +223,7 @@ def _identity_residual(space: GNSSpace,
     group = space.group
     draws = rng.standard_normal((IDENTITY_CHECK_PAIRS, 4, group.size))
     f, h = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+    del draws  # not held through the form's transforms
     lhs = np.sum(f.conj() * apply_hermitian_form(space.phi, h.T).T, axis=1)
     act_f, act_h = (np.array([_functional_values(eigenvectors, GroupFunction(group, v))
                               for v in side]) for side in (f, h))
@@ -259,8 +271,11 @@ def intertwiner(space: GNSSpace, model: DiagonalModel,
     """Unitary W with W pi_phi(g) W^dagger = diag(<g|chi>) on the model support.
 
     Rows of W are the eigenvector coordinates, so W maps the class of f to
-    its weighted transform across the support.  Raises InconsistencyError
-    on a rank mismatch and NotCyclicError when xi vanishes on the support.
+    its weighted transform across the support.  The gap Z(g) = W diag(D[g])
+    - diag(T[g]) W, T the model's symbols, has Z(g + h) = Z(g) diag(D[h]) +
+    diag(T[g]) Z(h), so ``certified_gap`` bounds it with no defects.  Raises
+    InconsistencyError on a rank mismatch and NotCyclicError when xi
+    vanishes on the support.
     """
     group = space.group
     if model.group != group or xi.group != group:
@@ -271,11 +286,11 @@ def intertwiner(space: GNSSpace, model: DiagonalModel,
             f"quotient rank is {space.rank}")
     _cyclic_amplitudes(model, xi)
 
-    W = _eigenvector_coords(space, model.table, model.support).conj()
-    unitarity = float(np.linalg.norm(W.conj().T @ W - np.eye(space.rank)))
-
-    # W pi(g_m) - diag(table[m]) W for every m, with pi(g_m) = diag(characters[m])
-    gaps = W * space.characters[:, None, :] - model.table[:, :, None] * W
+    W = _eigenvector_coords(space, model.support).conj()
+    rows = binary_power_indices(group)
+    D, T = group.pairing_at(rows, space.support), model.symbols(rows)
+    gaps = W * D[:, None, :] - T[:, :, None] * W
     return IntertwinerResult(
-        matrix=W, unitarity_residual=unitarity,
-        intertwining_residual=float(np.linalg.norm(gaps, axis=(1, 2)).max(initial=0.0)))
+        matrix=W, unitarity_residual=float(np.linalg.norm(W.conj().T @ W - np.eye(space.rank))),
+        intertwining_residual=certified_gap(
+            np.linalg.norm(gaps, axis=(1, 2)), 0.0, space.rank))

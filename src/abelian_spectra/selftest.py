@@ -143,16 +143,9 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _rep_from_slots(rng: np.random.Generator, group: Group,
                     slots: np.ndarray) -> UnitaryRep:
-    dim = len(slots)
-    basis_change = random_unitary(rng, dim)
-    images = []
-    for j in range(len(group.orders)):
-        gen_coords = [0] * len(group.orders)
-        gen_coords[j] = 1 % group.orders[j]
-        g = group.element(tuple(gen_coords))
-        phases = np.array([group.pairing(g, group.characters[s]) for s in slots])
-        images.append(basis_change @ np.diag(phases) @ basis_change.conj().T)
-    return make_representation(group, images)
+    V = random_unitary(rng, len(slots))
+    diagonals = group.pairing_rows(group.generator_indices)[:, slots]
+    return make_representation(group, [V @ np.diag(d) @ V.conj().T for d in diagonals])
 
 
 def random_representation(rng: np.random.Generator, group: Group,
@@ -672,9 +665,7 @@ def _prop_eigenvector_system(rng, cfg):
         rep, model, xi, phi, space, decomp = _rig_setup(rng, cfg)
         r = decomp.identity_residual
         r = max(r, abs(len(decomp.support) - space.rank))
-        for vec in decomp.eigenvectors:
-            idx = space.group.character_index(vec.character)
-            r = max(r, abs(vec.weight - abs(xi.values[idx])))
+        r = max([r] + [abs(vec.weight - abs(xi(vec.character))) for vec in decomp.eigenvectors])
         yield r, dict(xi=xi, representation=rep)
 
 
@@ -726,9 +717,7 @@ def _prop_functional_coordinate_agreement(rng, cfg):
             f = random_function(rng, group)
             coords_f = space.class_coordinates(f)
             for vec in decomp.eigenvectors:
-                via_transform = vec.act(f)
-                via_coords = complex(np.vdot(coords_f, vec.coords))
-                r = max(r, abs(via_transform - via_coords))
+                r = max(r, abs(vec.act(f) - complex(np.vdot(coords_f, vec.coords))))
         yield r, dict(xi=xi)
 
 

@@ -43,10 +43,10 @@ def planted_representation(orders, dim, mult, seed):
 CASES = [((256,), 1, 1), ((4, 4, 4), 1, 1), ((2,) * 8, 8, 1), ((16, 16), 8, 4),
          ((4, 4, 4), 32, 1), ((256,), 32, 4), ((2, 2), 32, 8), ((4096,), 1, 1),
          ((2,) * 16, 1, 1), ((2,), 128, 64)]
-# decompose alone: its stack term counts the generator powers, not |G|, so
-# (2,)^16 at d = 16 is admitted and (65536,) at d = 4 is dominated by the
-# powers and their FFT (rig still counts an operator stack and refuses the first)
-DECOMPOSE_CASES = [((2,) * 16, 16, 1), ((65536,), 4, 1)]
+# the stack term counts the generator powers, not |G|, so (2,)^16 at d = 16
+# is admitted and (65536,) at d = 4 is dominated by the powers and their FFT
+# for decompose, and by the per-element term for rig
+LARGE_CASES = [((2,) * 16, 16, 1), ((65536,), 4, 1)]
 
 
 def traced_planted_run(tmp_path, command, orders, dim, mult):
@@ -66,14 +66,25 @@ def test_decompose_and_rig_peak_within_their_estimate(tmp_path, command, orders,
     assert peak <= cli.peak_estimate(command, orders, dim)
 
 
-@pytest.mark.parametrize("orders, dim, mult", DECOMPOSE_CASES)
+@pytest.mark.parametrize("orders, dim, mult", LARGE_CASES)
 def test_decompose_peaks_within_its_estimate_on_65536_elements(tmp_path, orders, dim, mult):
     peak = traced_planted_run(tmp_path, "decompose", orders, dim, mult)
     assert peak <= cli.peak_estimate("decompose", orders, dim)
 
 
+@pytest.mark.parametrize("orders, dim, mult", LARGE_CASES)
+def test_rig_peaks_within_its_estimate_on_65536_elements(tmp_path, orders, dim, mult):
+    peak = traced_planted_run(tmp_path, "rig", orders, dim, mult)
+    assert peak <= cli.peak_estimate("rig", orders, dim)
+
+
 def test_decompose_on_64x64_d16_peaks_below_one_operator_stack(tmp_path):
     peak = traced_planted_run(tmp_path, "decompose", (64, 64), 16, 1)
+    assert peak < 16 * 64 * 64 * 16 ** 2
+
+
+def test_rig_on_64x64_d16_peaks_below_one_operator_stack(tmp_path):
+    peak = traced_planted_run(tmp_path, "rig", (64, 64), 16, 1)
     assert peak < 16 * 64 * 64 * 16 ** 2
 
 

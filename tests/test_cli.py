@@ -665,14 +665,10 @@ def test_gns_admits_4097_and_the_flag_raises_and_lowers_its_limit(tmp_path, caps
 def test_gns_on_the_2_16_point_mass_stays_under_the_budget(tmp_path):
     src = tmp_path / "phi.json"
     dump_json(function_to_payload(delta(make_group((2,) * 16))), src)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "abelian_spectra.cli", "gns", "--input", str(src),
-         "--output", str(tmp_path / "out.json")],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert usage.ru_maxrss * 1024 < cli.OPERATOR_STACK_BUDGET  # ru_maxrss is in KiB
+    code, peak = child_peak_rss(["gns", "--input", str(src),
+                                 "--output", str(tmp_path / "out.json")])
+    assert code == 0
+    assert peak < cli.OPERATOR_STACK_BUDGET
     assert json.loads((tmp_path / "out.json").read_text())["results"]["rank"] == 65536
 
 
@@ -700,6 +696,45 @@ def test_decompose_on_a_2_16_d16_input_stays_under_the_budget(tmp_path):
     report = json.loads(out.read_text())
     assert report["passed"] is True
     assert sum(report["results"]["multiplicities"]) == 16
+
+
+def test_rig_on_a_2_16_d16_input_stays_under_the_budget(tmp_path):
+    # the coordinates are a permutation and the relations are certified on
+    # the 16 binary powers; the |G| x r x r gap stacks it used to hold put
+    # its estimate over the budget
+    src = planted_rep_file(tmp_path, (2,) * 16, 16)
+    out = tmp_path / "out.json"
+    code, peak = child_peak_rss(["rig", "--input", str(src), "--output", str(out)])
+    assert code == 0
+    assert peak < cli.OPERATOR_STACK_BUDGET // 2
+    report = json.loads(out.read_text())
+    assert report["passed"] is True
+    assert sum(len(comp["support"]) for comp in report["results"]["components"]) == 16
+
+
+@pytest.mark.parametrize("flag", ["--input", "--xi"])
+def test_an_input_file_over_the_bound_is_refused_before_parsing(tmp_path, capsys, monkeypatch,
+                                                                flag):
+    from abelian_spectra import make_representation
+    G = make_group((4,))
+    files = {"--input": write_representation(tmp_path / "rep.json",
+                                             make_representation(G, [np.diag([1j])])),
+             "--xi": write_function(tmp_path / "xi.json", (4,), np.ones(4), domain="dual")}
+    argv = ["rig", "--input", str(files["--input"]), "--xi", str(files["--xi"])]
+    bound = 2 ** 17  # a budget of 2 MiB still admits rig on Z_4 at d = 1
+    monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", 16 * bound)
+    assert run_cli(capsys, argv)[0] == 0
+    # not JSON: only a refusal before parsing names the size
+    files[flag].write_text("[" * (bound + 1))
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert f"{files[flag]} is {bound + 1} bytes, over the input bound of {bound} bytes" in err
+    assert "Traceback" not in err
+    # at the bound the file is parsed, and its nesting depth refused
+    files[flag].write_text("[" * bound)
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "is not valid JSON" in err
 
 
 def test_rig_admits_a_planted_8192_d2_input(tmp_path, capsys):

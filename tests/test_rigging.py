@@ -383,7 +383,7 @@ def test_pipeline_respects_the_haar_weight(rng):
 
 
 # ---------------------------------------------------------------------------
-# one-pass residuals over the whole group
+# certified residuals against the per-element oracles
 # ---------------------------------------------------------------------------
 
 def random_multiplicity_free_system(rng):
@@ -407,31 +407,83 @@ def random_multiplicity_free_system(rng):
     return model, xi, space, build_decomposition(space, xi, rng=rng)
 
 
-def regular_2x2_system(rng):
-    G = make_group((2, 2))
-    xi = DualFunction(G, np.array([1.0, 2.0, 0.5, 1.5], dtype=complex))
-    model, _, space, decomp = rigged_system(G, xi, rng=rng)
-    return model, xi, space, decomp
+def planted_components(orders, dim, mult, rng):
+    """(model, xi, space) for each cyclic component of V diag(<e_j|chi_b>)
+    V^dagger on dim // mult characters, each mult times, as ``rig`` builds
+    them, with random amplitudes on each component support."""
+    G = make_group(orders)
+    slots = np.repeat(rng.choice(G.size, size=dim // mult, replace=False), mult)
+    V, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    diagonals = G.pairing_rows(G.generator_indices)[:, slots]
+    pvm = spectral_measure(make_representation(G, [V @ np.diag(d) @ V.conj().T
+                                                   for d in diagonals]))
+    systems = []
+    for component in cyclic_decomposition(pvm):
+        model = diagonalize(component, pvm)
+        vals = np.zeros(G.size, dtype=complex)
+        vals[model._columns] = rng.uniform(0.5, 2.0, size=len(model.support)) * np.exp(
+            2j * np.pi * rng.random(len(model.support)))
+        xi = DualFunction(G, vals)
+        systems.append((model, xi, gns_construct(phi_from_cyclic(model, xi))))
+    return systems
 
 
-@pytest.mark.parametrize("system", [random_multiplicity_free_system, regular_2x2_system])
-def test_stored_maxima_equal_the_per_element_relations(system, rng):
-    _, _, space, decomp = system(rng)
+def oracle_maxima(model, space, decomp, W):
+    """The three relations' worst gaps over all of G, element by element."""
     G = space.group
     recon = max(float(np.linalg.norm(reconstruct_operator(decomp, space, g)
                                      - space.operator(g))) for g in G.elements)
     eig = max(eigen_residual(decomp, space, g, chi)
               for g in G.elements for chi in decomp.support)
-    assert decomp.reconstruction_residual == pytest.approx(recon, abs=1e-12)
-    assert decomp.eigen_equation_residual == pytest.approx(eig, abs=1e-12)
+    itw = max(float(np.linalg.norm(W @ space.operator(g)
+                                   - np.diag(model.multiplication_symbol(g)) @ W))
+              for g in G.elements)
+    return recon, eig, itw
 
 
-def test_stored_maxima_see_mixed_eigenvector_coordinates(monkeypatch, rng):
+# (orders, dim, multiplicity): trivial factors, one and several factors,
+# several components
+CERTIFIED_SHAPES = [((1,), 1, 1), ((1, 4), 2, 1), ((3, 1, 2), 3, 1), ((5,), 3, 1),
+                    ((8,), 4, 1), ((6,), 6, 1), ((3, 4), 5, 1), ((2, 3), 4, 2),
+                    ((2, 2, 2), 4, 2), ((4, 4), 6, 3), ((2,) * 4, 8, 2), ((7, 1), 3, 1)]
+
+
+@pytest.mark.parametrize("perturb", [0.0, 1e-3], ids=["exact", "perturbed"])
+@pytest.mark.parametrize("orders, dim, mult", CERTIFIED_SHAPES)
+def test_certified_residuals_bound_the_per_element_oracles(monkeypatch, rng, orders, dim,
+                                                           mult, perturb):
+    # perturbed: coordinates off by 1e-3 in every entry, so they are neither
+    # eigenvectors nor orthonormal and each gap, and C's unitarity defect,
+    # is of that size
+    original = rigging._eigenvector_coords
+    noise = {}
+
+    def coords(space, support):
+        C = original(space, support)
+        E = noise.setdefault(C.shape, rng.normal(size=C.shape) + 1j * rng.normal(size=C.shape))
+        return C + perturb * E
+
+    monkeypatch.setattr(rigging, "_eigenvector_coords", coords)
+    for model, xi, space in planted_components(orders, dim, mult, rng):
+        decomp = build_decomposition(space, xi, tol=1.0)
+        result = intertwiner(space, model, xi)
+        recon, eig, itw = oracle_maxima(model, space, decomp, result.matrix)
+        assert decomp.reconstruction_residual >= recon
+        assert decomp.eigen_equation_residual >= eig
+        assert result.intertwining_residual >= itw
+        if not perturb:
+            assert max(decomp.reconstruction_residual, decomp.eigen_equation_residual,
+                       result.intertwining_residual, result.unitarity_residual) < 1e-12
+        elif space.group.size > 1:  # on the trivial group only recon sees C
+            assert min(recon, eig, itw) > 1e-5
+
+
+def test_stored_maxima_see_mixed_eigenvector_coordinates(monkeypatch, tmp_path, capsys, rng):
     model, xi, space, _ = random_multiplicity_free_system(rng)
     original = rigging._eigenvector_coords
 
-    def mixed(space, table, support):
-        v = original(space, table, support).copy()
+    def mixed(space, support):
+        v = original(space, support).copy()
         v[:, 0], v[:, 1] = v[:, 0] + 1e-3 * v[:, 1], v[:, 1] - 1e-3 * v[:, 0]
         return v
 
@@ -439,17 +491,33 @@ def test_stored_maxima_see_mixed_eigenvector_coordinates(monkeypatch, rng):
     decomp = build_decomposition(space, xi, tol=1.0)
     assert decomp.reconstruction_residual > 1e-6
     assert decomp.eigen_equation_residual > 1e-6
+    # the CLI reports the breach and exits 4
+    from abelian_spectra import cli
+    from abelian_spectra.fileio import dump_json, representation_to_payload
+    src = tmp_path / "rep.json"
+    dump_json(representation_to_payload(regular_representation(make_group((2, 3)))), src)
+    code = cli.main(["rig", "--input", str(src), "--output", str(tmp_path / "out.json")])
+    assert code == 4
+    assert "passed: False" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("system", [random_multiplicity_free_system, regular_2x2_system])
-def test_intertwining_residual_equals_the_per_element_loop(system, rng):
-    model, xi, space, _ = system(rng)
-    result = intertwiner(space, model, xi)
-    W = result.matrix
-    expected = max(
-        float(np.linalg.norm(W @ space.operator(g) - np.diag(model.table[i]) @ W))
-        for i, g in enumerate(space.group.elements))
-    assert result.intertwining_residual == pytest.approx(expected, abs=1e-12)
+def test_rig_builds_no_character_table(monkeypatch, tmp_path):
+    # the relations are certified on the binary powers, the coordinates are
+    # read off the quotient support: no |G| x r table is built on the way
+    from abelian_spectra import cli
+    from abelian_spectra.fileio import dump_json, representation_to_payload
+    built = []
+    for name in ("gns_construct", "diagonalize"):
+        monkeypatch.setattr(cli, name, lambda *args, _f=getattr(cli, name): built.append(
+            _f(*args)) or built[-1])
+    src = tmp_path / "rep.json"
+    dump_json(representation_to_payload(regular_representation(make_group((2, 3)))), src)
+    assert cli.main(["rig", "--input", str(src), "--output", str(tmp_path / "out.json")]) == 0
+    spaces = [obj for obj in built if isinstance(obj, rigging.GNSSpace)]
+    models = [obj for obj in built if isinstance(obj, rigging.DiagonalModel)]
+    assert spaces and models
+    assert not any({"characters", "quotient_basis"} & set(vars(space)) for space in spaces)
+    assert not any("table" in vars(model) for model in models)
 
 
 def test_phi_from_cyclic_equals_the_per_character_sum(rng):
