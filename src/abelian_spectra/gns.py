@@ -17,7 +17,6 @@ stays in ``algebra`` as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +45,8 @@ class GNSSpace:
     first ``rank`` of those characters are the support, whose indices
     ``support`` holds.  With ``eta``, the class of the identity point mass,
     they fix the quotient; ``positivity`` is the report it was admitted on.
-    The |G| x rank tables ``characters``[g, s] = <g|psi_s> and
-    ``quotient_basis`` Q, their conjugates scaled to unit form norm, are
-    built on first use.
+    Every accessor reads the pairing at the support through
+    ``Group.pairing_at`` or one transform; only ``quotient_basis`` is |G| x rank.
     """
 
     group: Group
@@ -59,29 +57,28 @@ class GNSSpace:
     eta: np.ndarray
     positivity: PositivityReport
 
-    @cached_property
-    def characters(self) -> np.ndarray:
-        return self.group.pairing_rows(self.support).T
-
-    @cached_property
+    @property
     def quotient_basis(self) -> np.ndarray:
-        return self.characters.conj() / np.sqrt(self.group.size * self.eigenvalues[:self.rank])
+        """Q[g, s] = conj(<g|psi_s>) / sqrt(|G| lambda_s), the support characters
+        conjugated and scaled to unit form norm: a |G| x rank table."""
+        group = self.group
+        return (group.pairing_at(np.arange(group.size), self.support).conj()
+                / np.sqrt(group.size * self.eigenvalues[:self.rank]))
 
     def class_coordinates(self, f: GroupFunction) -> np.ndarray:
-        """Coordinates of the class of f in the orthonormal quotient basis."""
-        if f.group != self.group:
-            raise GroupMismatchError("function lives on a different group")
-        return (self.quotient_basis * self.eigenvalues[:self.rank]).conj().T @ f.values
+        """Coordinates of the class of f in the orthonormal quotient basis,
+        (Q lambda)^dagger f = sqrt(lambda_s / |G|) sum_g <g|psi_s> f(g): one
+        inverse transform of f read at the support."""
+        return np.sqrt(self.eigenvalues[:self.rank] / self.group.size) * _support_sums(self, f)
 
     def operator(self, g: Element) -> np.ndarray:
         """Image of g: the support characters evaluated at g, on the diagonal."""
-        return np.diag(self.characters[self.group.element_index(g)])
+        return np.diag(self.group.pairing_at([self.group.element_index(g)], self.support)[0])
 
     def generator_images(self) -> np.ndarray:
         """Diagonals of the generator images, k x rank: row j holds the
-        support characters evaluated at the generator of factor j, with the
-        exact phases of ``pairing_rows``."""
-        return self.group.pairing_rows(self.group.generator_indices)[:, self.support]
+        support characters evaluated at the generator of factor j."""
+        return self.group.pairing_at(self.group.generator_indices, self.support)
 
     def representation(self) -> UnitaryRep:
         """The quotient representation as dense diagonal images, validated."""
@@ -144,15 +141,24 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
                     positivity=report)
 
 
+def _support_sums(space: GNSSpace, f: GroupFunction) -> np.ndarray:
+    """sum_g f(g) <g|psi_s> over the support, one inverse transform of f.
+
+    Built on ``_transform``, not ``fourier``, so it stays independent of the
+    transform the eigenvector functionals read.
+    """
+    if f.group != space.group:
+        raise GroupMismatchError("function lives on a different group")
+    return _transform(space.group, f.values, inverse=True)[space.support]
+
+
 def gns_algebra_action(space: GNSSpace, f: GroupFunction) -> np.ndarray:
     """Quotient image of convolution by f (the lift of the algebra).
 
     Convolution by f scales the support character psi by
     weight * sum_g f(g) <g|psi>, so the image is diagonal.
     """
-    if f.group != space.group:
-        raise GroupMismatchError("function lives on a different group")
-    return np.diag(space.group.haar_weight * (f.values @ space.characters))
+    return np.diag(space.group.haar_weight * _support_sums(space, f))
 
 
 def reconstruct_phi(space: GNSSpace) -> GroupFunction:

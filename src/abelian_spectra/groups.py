@@ -170,49 +170,24 @@ class Group:
     # -- the pairing ---------------------------------------------------
 
     def pairing(self, g: Element, chi: Character) -> complex:
-        """<g|chi> = exp(2*pi*i * sum_j g_j chi_j / n_j), a root of unity.
-
-        The phase is accumulated with exact integer arithmetic over the
-        common denominator lcm(orders), so equal phases give bit-equal
-        results.
-        """
-        self._check_coords(g.coords, "element")
-        self._check_coords(chi.coords, "character")
-        L = self._lcm
-        num = 0
-        for x, c, n in zip(g.coords, chi.coords, self.orders):
-            num += x * c * (L // n)
-        return complex(np.exp(2j * np.pi * ((num % L) / L)))
-
-    def pairing_rows(self, rows) -> np.ndarray:
-        """Rows T[rows] of the pairing table T[i, j] = <g_i|chi_j>.
-
-        ``rows`` is anything that indexes the enumeration (a slice or an
-        index array).  The table is symmetric, so the same call also
-        yields character columns.  Phases use exact integer arithmetic as
-        in ``pairing``.
-        """
-        return self._pairing(self._coords[rows], self._coords)
+        """<g|chi> = exp(2*pi*i * sum_j g_j chi_j / n_j), a root of unity."""
+        return complex(self.pairing_at([self.element_index(g)], [self.character_index(chi)])[0, 0])
 
     def pairing_at(self, rows, cols) -> np.ndarray:
-        """The block T[rows][:, cols] of the pairing table for index arrays
-        ``rows`` and ``cols``, from the coordinates of those indices alone
-        (no |G|-long table); entries are bit-equal to ``pairing_rows``'s."""
-        return self._pairing(self._coords_of(rows), self._coords_of(cols))
-
-    def _pairing(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """<g|chi> for coordinate rows g of ``left`` and chi of ``right``."""
+        """The block T[rows][:, cols] of the pairing table T[i, j] = <g_i|chi_j>
+        for index arrays ``rows`` and ``cols``, from the coordinates of those
+        indices alone.  The only code that evaluates the pairing: the phase is
+        accumulated with exact integer arithmetic over the common denominator
+        lcm(orders), so equal phases give bit-equal entries and the table is
+        exactly symmetric."""
+        left, right = (np.stack(np.unravel_index(np.asarray(idx, dtype=np.intp), self.orders),
+                                axis=-1) for idx in (rows, cols))
         L = self._lcm
         return np.exp((2j * np.pi / L) * ((left * (L // self._orders_arr)) @ right.T % L))
 
-    def _coords_of(self, indices) -> np.ndarray:
-        """Coordinate rows of the given enumeration indices, shape (len, k)."""
-        flat = np.asarray(indices, dtype=np.intp)
-        return np.stack(np.unravel_index(flat, self.orders), axis=-1).astype(np.int64)
-
     def pairing_block(self, start: int, stop: int) -> np.ndarray:
         """Rows [start, stop) of the pairing table."""
-        return self.pairing_rows(slice(start, stop))
+        return self.pairing_at(np.arange(start, stop), np.arange(self.size))
 
     def pairing_table(self) -> np.ndarray:
         """Full |G| x |G| pairing table; quadratic memory, use with care."""

@@ -275,7 +275,8 @@ def reconstruction_residual(pvm: ProjectionValuedMeasure) -> float:
     ``relation_certificate`` bounds it from the binary powers.
     """
     group = pvm.group
-    table = group.pairing_rows([group.character_index(chi) for chi in pvm.support]).T
+    table = group.pairing_at(np.arange(group.size),
+                             [group.character_index(chi) for chi in pvm.support])
     stack = np.array([pvm.projections[chi] for chi in pvm.support])
     gap = table @ stack.reshape(len(stack), -1)
     gap -= pvm.rep.operators.reshape(group.size, -1)
@@ -342,8 +343,7 @@ class DiagonalModel:
 
     ``isometry`` V satisfies V^dagger pi(g) V = diag(<g|chi>) over the
     support in enumeration order; ``symbols(rows)`` gives the diagonal
-    symbols at the element indices ``rows`` and ``table`` all of them,
-    table[i, s] = <g_i | support[s]>, a |G| x s array built on first use.
+    symbols <g_i | support[s]> at the element indices i in ``rows``.
     """
 
     group: Group
@@ -355,14 +355,7 @@ class DiagonalModel:
         return [self.group.character_index(chi) for chi in self.support]
 
     def symbols(self, rows) -> np.ndarray:
-        """Rows ``rows`` (element indices) of ``table``, bit-equal to them."""
         return self.group.pairing_at(rows, self._columns)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        table = self.group.pairing_rows(self._columns).T
-        table.setflags(write=False)
-        return table
 
     def multiplication_symbol(self, g: Element) -> np.ndarray:
         return self.symbols([self.group.element_index(g)])[0]
@@ -391,7 +384,7 @@ def diagonalization_residual(model: DiagonalModel, rep: UnitaryRep) -> float:
     V = model.isometry
     D = V.conj().T @ rep.operators @ V
     diag = np.arange(V.shape[1])
-    D[:, diag, diag] -= model.table
+    D[:, diag, diag] -= model.symbols(np.arange(model.group.size))
     return float(np.max(np.linalg.norm(D, axis=(1, 2))))
 
 

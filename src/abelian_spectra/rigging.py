@@ -239,8 +239,10 @@ def reconstruct_operator(decomp: SpectralDecomposition, space: GNSSpace,
     Returns sum_chi <g|chi> |F_chi><F_chi| nu(chi) in quotient
     coordinates; equals the quotient image of g.
     """
+    group = space.group
     C = np.reshape([vec.coords for vec in decomp.eigenvectors], (len(decomp.support), space.rank))
-    P = np.array([[space.group.pairing(g, chi) for chi in decomp.support]])
+    P = group.pairing_at([group.element_index(g)],
+                         [group.character_index(chi) for chi in decomp.support])
     return _resolve(C, P)[0]
 
 
@@ -252,9 +254,10 @@ def eigen_residual(decomp: SpectralDecomposition, space: GNSSpace,
     functionals; its eigenvalue at chi is the conjugated pairing.
     """
     group = space.group
-    D = space.characters[[group.element_index(g)]]
+    row = [group.element_index(g)]
     C = decomp.eigenvector(chi).coords[None]
-    return float(_eigen_gaps(C, np.array([[group.pairing(g, chi)]]), D)[0, 0])
+    P, D = group.pairing_at(row, [group.character_index(chi)]), group.pairing_at(row, space.support)
+    return float(_eigen_gaps(C, P, D)[0, 0])
 
 
 @dataclass(frozen=True)

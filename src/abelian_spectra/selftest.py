@@ -144,7 +144,7 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _rep_from_slots(rng: np.random.Generator, group: Group,
                     slots: np.ndarray) -> UnitaryRep:
     V = random_unitary(rng, len(slots))
-    diagonals = group.pairing_rows(group.generator_indices)[:, slots]
+    diagonals = group.pairing_at(group.generator_indices, slots)
     return make_representation(group, [V @ np.diag(d) @ V.conj().T for d in diagonals])
 
 
@@ -655,7 +655,8 @@ def _resolution_data(space, decomp):
     generator-power stack pi(g), |G| x rank x rank with rank <= max_dim."""
     group = space.group
     C = np.array([vec.coords for vec in decomp.eigenvectors])
-    P = group.pairing_rows([group.character_index(chi) for chi in decomp.support]).T
+    P = group.pairing_at(np.arange(group.size),
+                         [group.character_index(chi) for chi in decomp.support])
     return C, P, space.representation().operators
 
 

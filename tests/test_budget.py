@@ -32,7 +32,7 @@ def planted_representation(orders, dim, mult, seed):
     rng = np.random.default_rng(seed)
     G = make_group(orders)
     support = rng.choice(G.size, size=dim // mult, replace=False)
-    diagonals = G.pairing_rows(G.generator_indices)[:, np.repeat(support, mult)]
+    diagonals = G.pairing_at(G.generator_indices, np.repeat(support, mult))
     V = random_unitary(rng, dim)
     return make_representation(G, [V @ np.diag(d) @ V.conj().T for d in diagonals])
 

@@ -740,7 +740,7 @@ def test_an_input_file_over_the_bound_is_refused_before_parsing(tmp_path, capsys
 def test_rig_admits_a_planted_8192_d2_input(tmp_path, capsys):
     from abelian_spectra import make_representation
     G = make_group((8192,))
-    diagonal = G.pairing_rows([5, 700])[:, 1]
+    diagonal = G.pairing_at([1], [5, 700])[0]
     src = write_representation(tmp_path / "rep.json", make_representation(G, [np.diag(diagonal)]))
     code, report, _ = stdout_report(capsys, ["rig", "--input", str(src)])
     assert code == 0
@@ -784,7 +784,7 @@ def conjugated_rep(G, rng):
     from abelian_spectra import make_representation
     picks = rng.choice(G.size, size=2, replace=False)[[0, 0, 1]]
     V, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    diagonals = G.pairing_rows(picks)[:, G.generator_indices].T
+    diagonals = G.pairing_at(G.generator_indices, picks)
     return make_representation(G, [V @ np.diag(d) @ V.conj().T for d in diagonals])
 
 
@@ -844,7 +844,7 @@ def test_gns_emits_generator_diagonals_not_dense_images(tmp_path, capsys):
     assert [len(row) for row in diagonals] == [256] * 8
     space = gns_construct(delta(G))
     gens = np.eye(8, dtype=np.int64) % 2
-    rows = space.characters[[G.element_index(G.element(c)) for c in gens]]
+    rows = G.pairing_at([G.element_index(G.element(c)) for c in gens], space.support)
     diagonals = np.array([as_complex(row) for row in diagonals])
     np.testing.assert_array_equal(diagonals, rows)
     assert make_representation(G, [np.diag(row) for row in diagonals]).dim == 256
@@ -858,7 +858,7 @@ def test_decompose_and_rig_emit_generator_diagonals_not_tables(tmp_path, capsys,
     G = make_group((2,) * 10)
     support = np.sort(rng.choice(G.size, size=8, replace=False))
     V, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-    diagonals = G.pairing_rows(support)[:, G.generator_indices].T
+    diagonals = G.pairing_at(G.generator_indices, support)
     src = write_representation(tmp_path / "rep.json", make_representation(
         G, [V @ np.diag(d) @ V.conj().T for d in diagonals]))
     for command in ("decompose", "rig"):
@@ -873,10 +873,11 @@ def test_decompose_and_rig_emit_generator_diagonals_not_tables(tmp_path, capsys,
             rows = comp.get("diagonal_model", comp)["generator_diagonals"]
             assert [len(row) for row in rows] == [len(cols)] * 10
             rows = np.array([as_complex(row) for row in rows])
-            np.testing.assert_array_equal(rows, G.pairing_rows(cols)[:, G.generator_indices].T)
+            np.testing.assert_array_equal(rows, G.pairing_at(G.generator_indices, cols))
             # prod_j row_j^{g_j} is the table row of g, for every g
             table = np.prod(rows[None] ** G._coords[:, :, None], axis=1)
-            np.testing.assert_allclose(table, G.pairing_rows(cols).T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(table, G.pairing_at(np.arange(G.size), cols),
+                                       rtol=0, atol=1e-12)
 
 
 def test_gns_exits_3_when_a_generator_diagonal_breaks_a_relation(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Quotient construction for positive-type functions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,13 @@ def assert_closed_form_matches_the_dense_form(orders, rng):
         assert space.rank == len(mask)
         Q = space.quotient_basis
         np.testing.assert_allclose(Q.conj().T @ gram @ Q, np.eye(space.rank), atol=1e-9)
+        # the table-free accessors: one inverse transform of f read at the support
+        f = random_function(G, rng)
+        np.testing.assert_allclose(space.class_coordinates(f),
+                                   (Q * space.eigenvalues[:space.rank]).conj().T @ f.values,
+                                   rtol=0, atol=1e-12)
+        summed = weight * sum(f(g) * space.operator(g) for g in G.elements)
+        np.testing.assert_allclose(gns_algebra_action(space, f), summed, rtol=0, atol=1e-12)
 
 
 def test_quotient_basis_is_orthonormal_for_the_form(small_group, rng):
@@ -95,6 +104,35 @@ def test_quotient_basis_is_orthonormal_for_the_form(small_group, rng):
 @pytest.mark.parametrize("orders", [(4,), (6,), (2, 4), (3, 5, 2)])
 def test_closed_form_matches_the_dense_form_on_mixed_shapes(orders, rng):
     assert_closed_form_matches_the_dense_form(orders, rng)
+
+
+def traced_peak(compute):
+    """compute()'s tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_class_coordinates_of_a_full_rank_quotient_build_no_table():
+    # a 65536 x 65536 table of the support characters would take 64 GiB
+    G = make_group((65536,))
+    space = gns_construct(delta(G))
+    assert space.rank == G.size
+    g = G.element((12345,))
+    assert traced_peak(lambda: space.class_coordinates(delta(G, g))) < 16 * 2 ** 20
+
+
+def test_operator_reads_one_row_of_the_pairing():
+    # the dense 1024 x 1024 diagonal image is 16 MiB; a |G| x r table would add 16 more
+    G = make_group((1024,))
+    space = gns_construct(delta(G))
+    g = G.element((5,))
+    assert traced_peak(lambda: space.operator(g)) < 20 * 2 ** 20
+    np.testing.assert_array_equal(np.diag(space.operator(g)),
+                                  G.pairing_at([5], space.support)[0])
 
 
 def test_construction_check_catches_a_wrong_spectrum(monkeypatch):

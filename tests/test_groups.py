@@ -197,9 +197,17 @@ def test_pairing_block_matches_table(small_group):
 
 
 def test_pairing_rows_match_the_table(small_group):
-    G = small_group
-    rows = np.arange(G.size)[::-1]
-    np.testing.assert_array_equal(G.pairing_rows(rows), G.pairing_table()[rows])
+    # pairing_at reads any block of the table from its indices alone, bit-equal
+    # to the table, and pairing is its single entry
+    rng = np.random.default_rng(0)
+    for G in (small_group, make_group((3, 1, 4))):
+        table = G.pairing_table()
+        rows, cols = rng.permutation(G.size), rng.permutation(G.size)[:max(1, G.size // 2)]
+        np.testing.assert_array_equal(G.pairing_at(rows, cols), table[np.ix_(rows, cols)])
+        assert G.pairing_at(rows, []).shape == (G.size, 0)
+        for i, g in enumerate(G.elements):
+            for j, chi in enumerate(G.characters):
+                assert G.pairing(g, chi) == G.pairing_at([i], [j])[0, 0] == table[i, j]
 
 
 def test_pairing_is_multiplicative_in_the_element():

@@ -334,7 +334,8 @@ def test_diagonal_model_on_z2_regular():
     G = make_group((2,))
     pvm = spectral_measure(regular_representation(G))
     model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
-    np.testing.assert_allclose(model.table, [[1.0, 1.0], [1.0, -1.0]], atol=1e-12)
+    np.testing.assert_allclose(model.symbols(np.arange(G.size)), [[1.0, 1.0], [1.0, -1.0]],
+                               atol=1e-12)
     assert diagonalization_residual(model, pvm.rep) < 1e-12
 
 
@@ -342,17 +343,19 @@ def test_diagonal_model_table_on_z4_regular():
     G = make_group((4,))
     pvm = spectral_measure(regular_representation(G))
     model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
-    np.testing.assert_allclose(model.table[1], [1.0, 1j, -1.0, -1j], atol=1e-12)
+    table = model.symbols(np.arange(G.size))
+    np.testing.assert_allclose(table[1], [1.0, 1j, -1.0, -1j], atol=1e-12)
     g = G.element((1,))
-    np.testing.assert_array_equal(model.multiplication_symbol(g), model.table[1])
+    np.testing.assert_array_equal(model.multiplication_symbol(g), table[1])
 
 
 def test_diagonal_model_scalar_case():
     G = make_group((3,))
     pvm = spectral_measure(trivial_representation(G, dim=1))
     model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
-    assert model.table.shape == (3, 1)
-    np.testing.assert_allclose(model.table, np.ones((3, 1)), atol=1e-12)
+    table = model.symbols(np.arange(G.size))
+    assert table.shape == (3, 1)
+    np.testing.assert_allclose(table, np.ones((3, 1)), atol=1e-12)
 
 
 def test_diagonalization_residual_small_for_random_cases(rng):

@@ -414,7 +414,7 @@ def planted_components(orders, dim, mult, rng):
     G = make_group(orders)
     slots = np.repeat(rng.choice(G.size, size=dim // mult, replace=False), mult)
     V, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    diagonals = G.pairing_rows(G.generator_indices)[:, slots]
+    diagonals = G.pairing_at(G.generator_indices, slots)
     pvm = spectral_measure(make_representation(G, [V @ np.diag(d) @ V.conj().T
                                                    for d in diagonals]))
     systems = []
@@ -502,22 +502,30 @@ def test_stored_maxima_see_mixed_eigenvector_coordinates(monkeypatch, tmp_path, 
 
 
 def test_rig_builds_no_character_table(monkeypatch, tmp_path):
-    # the relations are certified on the binary powers, the coordinates are
-    # read off the quotient support: no |G| x r table is built on the way
+    # every character value is read through Group.pairing_at; gns reads the
+    # generator rows and decompose and rig certify on the identity and the
+    # L binary powers, so no call reads more than 1 + L rows of the table
     from abelian_spectra import cli
-    from abelian_spectra.fileio import dump_json, representation_to_payload
-    built = []
-    for name in ("gns_construct", "diagonalize"):
-        monkeypatch.setattr(cli, name, lambda *args, _f=getattr(cli, name): built.append(
-            _f(*args)) or built[-1])
-    src = tmp_path / "rep.json"
-    dump_json(representation_to_payload(regular_representation(make_group((2, 3)))), src)
-    assert cli.main(["rig", "--input", str(src), "--output", str(tmp_path / "out.json")]) == 0
-    spaces = [obj for obj in built if isinstance(obj, rigging.GNSSpace)]
-    models = [obj for obj in built if isinstance(obj, rigging.DiagonalModel)]
-    assert spaces and models
-    assert not any({"characters", "quotient_basis"} & set(vars(space)) for space in spaces)
-    assert not any("table" in vars(model) for model in models)
+    from abelian_spectra.fileio import dump_json, function_to_payload, representation_to_payload
+    pairing_at = Group.pairing_at
+    for orders in ((2,) * 10, (64, 64)):
+        G = make_group(orders)
+        slots = np.repeat(np.random.default_rng(1).choice(G.size, size=3, replace=False), 2)
+        V, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(6, 6)))
+        rep = make_representation(G, [V @ np.diag(d) @ V.T
+                                      for d in G.pairing_at(G.generator_indices, slots)])
+        phi, src = tmp_path / "phi.json", tmp_path / "rep.json"
+        dump_json(function_to_payload(delta(G)), phi)
+        dump_json(representation_to_payload(rep), src)
+        rows_bound = 1 + sum((n - 1).bit_length() for n in orders)
+        for command, path in (("gns", phi), ("decompose", src), ("rig", src)):
+            rows = []
+            monkeypatch.setattr(Group, "pairing_at", lambda self, r, c: rows.append(
+                np.size(r)) or pairing_at(self, r, c))
+            code = cli.main([command, "--input", str(path), "--output", str(tmp_path / "o.json")])
+            monkeypatch.setattr(Group, "pairing_at", pairing_at)
+            assert code == 0
+            assert rows and max(rows) <= rows_bound, (orders, command, rows)
 
 
 def test_phi_from_cyclic_equals_the_per_character_sum(rng):
