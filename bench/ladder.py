@@ -1,0 +1,155 @@
+"""Scaling ladder of single layers, timed in-process at one BLAS thread.
+
+    python3 bench/ladder.py [--parent REV] [--output BENCH_0.json]
+
+Run from the root of a checkout.  Times two layers on a ladder of group
+orders |G| in {256, 4096, 65536}:
+
+- ``fileio.parse_complex_array`` on |G| ``[re, im]`` pairs, as ``json``
+  decodes them;
+- ``algebra._transform`` on a |G| x c array, c in {1, 16}, for the
+  shapes (n,), (sqrt n, sqrt n) and (2,)^log2 n.
+
+Each time is the median of 5 calls.  Each row records the git SHA, the
+number of usable cores, the numpy and BLAS versions, and the log-log
+slope of each series between adjacent rungs (1 is linear in |G|).  A row
+is measured in a fresh interpreter that imports the package from the
+row's ``src/``.  ``--parent REV`` adds a first row for revision REV,
+extracted with ``git archive`` into a temporary directory.  This is a
+measurement, not a test: timings on shared machines are too noisy to
+gate on.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ORDERS = (256, 4096, 65536)
+COLUMNS = (1, 16)
+REPEATS = 5
+BLAS_THREADS = 1
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def shapes(n: int) -> dict[str, tuple[int, ...]]:
+    k = int(math.log2(n))
+    return {"n": (n,), "sqrt_n^2": (math.isqrt(n),) * 2, "2^k": (2,) * k}
+
+
+def median_seconds(call) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def measure() -> list[dict]:
+    """Time every case with the package on ``sys.path``."""
+    import numpy as np
+    from abelian_spectra import make_group
+    from abelian_spectra.algebra import _transform
+    from abelian_spectra.fileio import parse_complex_array
+
+    rng = np.random.default_rng(0)
+    cases = []
+    for n in ORDERS:
+        raw = rng.standard_normal((n, 2)).tolist()
+        cases.append({"layer": "fileio.parse_complex_array", "shape": "pairs",
+                      "size": n, "columns": None,
+                      "median_s": median_seconds(lambda: parse_complex_array(raw, "values"))})
+        for name, orders in shapes(n).items():
+            group = make_group(orders, size_cap=n)
+            for c in COLUMNS:
+                values = rng.standard_normal((n, c)) + 1j * rng.standard_normal((n, c))
+                cases.append({"layer": "algebra._transform", "shape": name,
+                              "size": n, "columns": c,
+                              "median_s": median_seconds(lambda: _transform(group, values))})
+    return cases
+
+
+def slopes(cases: list[dict]) -> list[dict]:
+    """log(t2/t1) / log(n2/n1) between adjacent rungs of each series."""
+    series: dict[tuple, list[dict]] = {}
+    for case in cases:
+        series.setdefault((case["layer"], case["shape"], case["columns"]), []).append(case)
+    out = []
+    for (layer, shape, columns), rungs in series.items():
+        rungs = sorted(rungs, key=lambda c: c["size"])
+        for lo, hi in zip(rungs, rungs[1:]):
+            out.append({"layer": layer, "shape": shape, "columns": columns,
+                        "from": lo["size"], "to": hi["size"],
+                        "slope": round(math.log(hi["median_s"] / lo["median_s"])
+                                       / math.log(hi["size"] / lo["size"]), 3)})
+    return out
+
+
+def environment() -> dict:
+    import numpy as np
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+            "numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "blas_threads": BLAS_THREADS}
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def row(label: str, tree: Path, sha: str) -> dict:
+    """One row, measured in a child interpreter on ``tree``'s ``src/``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               **{var: str(BLAS_THREADS) for var in THREAD_VARS})
+    proc = subprocess.run([sys.executable, __file__, "--measure"], env=env,
+                          capture_output=True, text=True, check=True)
+    cases = json.loads(proc.stdout)
+    return {"label": label, "git_sha": sha, **environment(),
+            "cases": cases, "slopes": slopes(cases)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", metavar="REV",
+                        help="also measure this revision, as the first row")
+    parser.add_argument("--output", default="BENCH_0.json")
+    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure()))
+        return 0
+    rows = []
+    if args.parent:
+        sha = git("rev-parse", args.parent)
+        with tempfile.TemporaryDirectory() as tmp:
+            archive = subprocess.run(["git", "archive", sha, "src"], cwd=ROOT,
+                                     capture_output=True, check=True).stdout
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+            rows.append(row("parent", Path(tmp), sha))
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no", "src"))
+    rows.append(row("change", ROOT, git("rev-parse", "HEAD") + ("+dirty" if dirty else "")))
+    report = {"ladder": "bench/ladder.py", "orders": list(ORDERS), "columns": list(COLUMNS),
+              "repeats": REPEATS, "statistic": "median", "rows": rows}
+    Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
+    for r in rows:
+        print(r["label"], r["git_sha"])
+        for case in r["cases"]:
+            print(f"  {case['layer']:28} {case['shape']:9} n={case['size']:<6} "
+                  f"c={case['columns']!s:4} {case['median_s'] * 1e3:9.3f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

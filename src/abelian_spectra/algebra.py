@@ -79,13 +79,25 @@ def _transform(group: Group, values: np.ndarray, inverse: bool = False) -> np.nd
     out[g] = sum_chi <g|chi> values[chi].  The leading axis is reshaped
     onto the factor grid and transformed by the N-d FFT, one 1-d FFT per
     factor axis (cheaper per call than ``fftn`` on small groups); trailing
-    axes are carried through untouched.
+    axes are carried through untouched.  An axis of order 2 is the
+    butterfly (a + b, a - b) in both directions, bit-equal to the FFT's, in
+    place with one half-size temporary, on a copy of the input, if not yet
+    on an FFT's output.
     """
     values = np.asarray(values, dtype=complex)
     fft, norm = (np.fft.ifft, "forward") if inverse else (np.fft.fft, "backward")
     out = values.reshape(group.orders + values.shape[1:])
-    for axis in range(group.num_factors):
-        out = fft(out, axis=axis, norm=norm)
+    for axis, n in enumerate(group.orders):
+        if n != 2:
+            out = fft(out, axis=axis, norm=norm)
+            continue
+        if np.may_share_memory(out, values):
+            out = out.copy()
+        head = (slice(None),) * axis
+        a, b = out[head + (slice(0, 1),)], out[head + (slice(1, 2),)]
+        diff = a - b
+        a += b
+        b[...] = diff
     return out.reshape(values.shape)
 
 

@@ -21,7 +21,7 @@ from abelian_spectra import (
     is_positive_type,
     make_group,
 )
-from abelian_spectra.algebra import apply_hermitian_form, transform_positivity
+from abelian_spectra.algebra import _transform, apply_hermitian_form, transform_positivity
 from conftest import SMALL_ORDER_LISTS, random_function, random_positive_type
 
 
@@ -203,6 +203,27 @@ def test_fft_engine_matches_direct_sums(orders, weight, rng):
                                table @ F.values / (weight * G.size), rtol=0, atol=1e-12)
     np.testing.assert_allclose(convolve(f, h).values, weight * h.values[diff] @ f.values,
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("orders,columns", [
+    ((2,), ()), ((2,) * 11, ()), ((2, 3, 2), ()), ((4, 2, 2), (3,))])
+def test_transform_is_bit_equal_to_numpy_fftn(orders, columns, rng):
+    """Order-2 axes run as butterflies, the others through np.fft; the result
+    is bit-equal to fftn over the factor axes, which fftn transforms last
+    first, so they are passed reversed.  The input is read, never written."""
+    G = make_group(orders)
+    values = (rng.standard_normal((G.size,) + columns)
+              + 1j * rng.standard_normal((G.size,) + columns))
+    grid = values.reshape(orders + columns)
+    axes = tuple(reversed(range(len(orders))))
+    forward = np.fft.fftn(grid, axes=axes).reshape(values.shape)
+    inverse = np.fft.ifftn(grid, axes=axes, norm="forward").reshape(values.shape)
+    before = values.copy()
+    for writable in (True, False):
+        values.setflags(write=writable)
+        assert np.array_equal(_transform(G, values), forward)
+        assert np.array_equal(_transform(G, values, inverse=True), inverse)
+        assert np.array_equal(values, before)
 
 
 def test_plancherel_identity(small_group, rng):

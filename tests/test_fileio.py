@@ -1,6 +1,7 @@
 """JSON payload schemas and parsing errors."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from abelian_spectra.fileio import (
     representation_from_payload,
     representation_to_payload,
 )
+from test_cli_fuzz import BAD_ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +90,71 @@ def test_parse_complex_array_rejects_non_finite_entries(raw, message):
 def test_parse_complex_array_checks_length():
     with pytest.raises(FileFormatError, match="has 1 entries, expected 2"):
         parse_complex_array([[1.0, 0.0]], "values", expected=2)
+
+
+def _entry_by_entry(raw):
+    """The pairs as ``complex(re, im)`` one entry at a time."""
+    return np.array([complex(re, im) for re, im in raw], dtype=complex)
+
+
+def test_parse_complex_array_is_bit_identical_to_complex_per_entry(rng):
+    floats = rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)
+    raw = floats.reshape(-1, 2).tolist() + [
+        [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [5e-324, -5e-324],
+        [2 ** 53 + 1, -(2 ** 53 + 1)], [2 ** 1000, 0], [0, -(2 ** 1000)],
+        [np.float64(0.1), np.float64(-0.0)], [3, -7], [1e308, -1.7976931348623157e308]]
+    got = parse_complex_array(raw, "values")
+    assert got.dtype == complex and got.shape == (len(raw),)
+    assert got.tobytes() == _entry_by_entry(raw).tobytes()
+    assert parse_complex_array([], "values").shape == (0,)
+
+
+def _one_defect_message(entry):
+    """The message tail the parser gives for ``entry`` as its only defect."""
+    if isinstance(entry, list) and len(entry) == 2 and all(type(x) is float for x in entry):
+        return f"must be finite, got {entry!r}"  # NaN or infinity
+    if entry == [10 ** 400, 0]:
+        return "must be finite"  # beyond the float range: no float to show
+    return f"must be a [re, im] number pair, got {entry!r}"
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES, ids=repr)
+def test_parse_complex_array_names_a_defect_deep_in_a_long_array(entry):
+    raw = [[float(i), -0.5] for i in range(8192)]
+    raw[4097] = entry
+    with pytest.raises(FileFormatError) as info:
+        parse_complex_array(raw, "values")
+    assert str(info.value) == f"field 'values' entry 4097 {_one_defect_message(entry)}"
+
+
+@pytest.mark.parametrize("first,second,message", [
+    # an out-of-range integer is found in the same pass as a malformed entry
+    ([10 ** 400, 0], [True, 0.0], "entry 3 must be finite"),
+    ([True, 0.0], [10 ** 400, 0], "entry 3 must be a [re, im] number pair"),
+    ([1.0], ["1", 0.0], "entry 3 must be a [re, im] number pair"),
+    ([float("inf"), 0.0], [0.0, float("nan")], "entry 3 must be finite, got [inf, 0.0]"),
+    # NaN and infinity are found after every entry is known to be a pair
+    ([float("nan"), 0.0], [True, 0.0], "entry 7 must be a [re, im] number pair"),
+])
+def test_parse_complex_array_names_the_first_defect(first, second, message):
+    raw = [[0.0, 0.0]] * 10
+    raw[3], raw[7] = first, second
+    with pytest.raises(FileFormatError) as info:
+        parse_complex_array(raw, "values")
+    assert str(info.value).startswith(f"field 'values' {message}")
+
+
+def test_parse_complex_array_peak_memory_is_a_few_bytes_per_pair(rng):
+    n = 65536
+    raw = rng.standard_normal((n, 2)).tolist()
+    tracemalloc.start()
+    try:
+        out = parse_complex_array(raw, "values")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n,)
+    assert peak / n <= 24
 
 
 # ---------------------------------------------------------------------------
