@@ -92,11 +92,6 @@ def test_parse_complex_array_checks_length():
         parse_complex_array([[1.0, 0.0]], "values", expected=2)
 
 
-def _entry_by_entry(raw):
-    """The pairs as ``complex(re, im)`` one entry at a time."""
-    return np.array([complex(re, im) for re, im in raw], dtype=complex)
-
-
 def test_parse_complex_array_is_bit_identical_to_complex_per_entry(rng):
     floats = rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)
     raw = floats.reshape(-1, 2).tolist() + [
@@ -105,7 +100,8 @@ def test_parse_complex_array_is_bit_identical_to_complex_per_entry(rng):
         [np.float64(0.1), np.float64(-0.0)], [3, -7], [1e308, -1.7976931348623157e308]]
     got = parse_complex_array(raw, "values")
     assert got.dtype == complex and got.shape == (len(raw),)
-    assert got.tobytes() == _entry_by_entry(raw).tobytes()
+    want = np.array([complex(re, im) for re, im in raw], dtype=complex)
+    assert got.tobytes() == want.tobytes()
     assert parse_complex_array([], "values").shape == (0,)
 
 
