@@ -2,13 +2,16 @@
 
     python3 bench/ladder.py [--parent REV] [--output BENCH_0.json]
 
-Run from the root of a checkout.  Times two layers on a ladder of group
+Run from the root of a checkout.  Times three layers on a ladder of group
 orders |G| in {256, 4096, 65536}:
 
 - ``fileio.parse_complex_array`` on |G| ``[re, im]`` pairs, as ``json``
   decodes them;
 - ``algebra._transform`` on a |G| x c array, c in {1, 16}, for the
-  shapes (n,), (sqrt n, sqrt n) and (2,)^log2 n.
+  shapes (n,), (sqrt n, sqrt n) and (2,)^log2 n;
+- ``rigging.build_decomposition`` on a planted quotient of rank r = 8
+  (phi the inverse transform of |xi|^2 on 8 drawn characters), for the
+  same three shapes.
 
 Each time is the median of 5 calls.  Each row records the git SHA, the
 number of usable cores, the numpy and BLAS versions, and the log-log
@@ -37,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ORDERS = (256, 4096, 65536)
 COLUMNS = (1, 16)
+RIG_RANK = 8
 REPEATS = 5
 BLAS_THREADS = 1
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -59,7 +63,8 @@ def median_seconds(call) -> float:
 def measure() -> list[dict]:
     """Time every case with the package on ``sys.path``."""
     import numpy as np
-    from abelian_spectra import make_group
+    from abelian_spectra import (DualFunction, GroupFunction, build_decomposition,
+                                 gns_construct, make_group)
     from abelian_spectra.algebra import _transform
     from abelian_spectra.fileio import parse_complex_array
 
@@ -77,6 +82,17 @@ def measure() -> list[dict]:
                 cases.append({"layer": "algebra._transform", "shape": name,
                               "size": n, "columns": c,
                               "median_s": median_seconds(lambda: _transform(group, values))})
+    rng = np.random.default_rng(1)
+    for n in ORDERS:
+        for name, orders in shapes(n).items():
+            group = make_group(orders, size_cap=n)
+            amps = np.zeros(n, dtype=complex)
+            amps[rng.choice(n, size=RIG_RANK, replace=False)] = rng.uniform(0.5, 2.0, RIG_RANK)
+            phi = GroupFunction(group, _transform(group, np.abs(amps) ** 2, inverse=True))
+            space, xi = gns_construct(phi), DualFunction(group, amps)
+            cases.append({"layer": "rigging.build_decomposition", "shape": name,
+                          "size": n, "columns": None,
+                          "median_s": median_seconds(lambda: build_decomposition(space, xi))})
     return cases
 
 
@@ -141,7 +157,7 @@ def main(argv=None) -> int:
     dirty = bool(git("status", "--porcelain", "--untracked-files=no", "src"))
     rows.append(row("change", ROOT, git("rev-parse", "HEAD") + ("+dirty" if dirty else "")))
     report = {"ladder": "bench/ladder.py", "orders": list(ORDERS), "columns": list(COLUMNS),
-              "repeats": REPEATS, "statistic": "median", "rows": rows}
+              "rig_rank": RIG_RANK, "repeats": REPEATS, "statistic": "median", "rows": rows}
     Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
     for r in rows:
         print(r["label"], r["git_sha"])

@@ -135,9 +135,7 @@ def convolve(f: GroupFunction, h: GroupFunction) -> GroupFunction:
 
 def involution(f: GroupFunction) -> GroupFunction:
     """The star involution f*(g) = conj(f(-g))."""
-    group = f.group
-    neg_idx = (-group._coords % group._orders_arr) @ group._strides
-    return GroupFunction(group, np.conj(f.values[neg_idx]))
+    return GroupFunction(f.group, np.conj(f.values[f.group.neg_indices()]))
 
 
 def fourier(f: GroupFunction) -> DualFunction:

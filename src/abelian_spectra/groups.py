@@ -162,6 +162,10 @@ class Group:
         self._check_coords(chi.coords, "character")
         return Character(tuple((-x) % n for x, n in zip(chi.coords, self.orders)))
 
+    def neg_indices(self, indices=slice(None)) -> np.ndarray:
+        """index(-g) for every enumeration index in ``indices`` (all of G by default)."""
+        return (-self._coords[indices] % self._orders_arr) @ self._strides
+
     def element_order(self, g: Element) -> int:
         """Order of g: lcm over factors of n_j / gcd(g_j, n_j)."""
         self._check_coords(g.coords, "element")

@@ -296,8 +296,8 @@ def apply_algebra(pvm: ProjectionValuedMeasure, f: GroupFunction) -> np.ndarray:
         raise GroupMismatchError("function and measure live on different groups")
     F = fourier(f).values
     out = np.zeros((pvm.rep.dim, pvm.rep.dim), dtype=complex)
-    for chi in pvm.support:
-        j = group.character_index(group.neg_character(chi))
+    neg = group.neg_indices([group.character_index(chi) for chi in pvm.support])
+    for chi, j in zip(pvm.support, neg):
         out += F[j] * pvm.projections[chi]
     return out
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (DualFunction, GroupFunction, _transform, apply_hermitian_form,
-                      checked_finite, fourier)
+                      checked_finite)
 from .errors import (
     GroupMismatchError,
     InconsistencyError,
@@ -52,14 +52,18 @@ class GeneralizedEigenvector:
 
     def act(self, f: GroupFunction) -> complex:
         """Antilinear action: weight * conj(transform of f at chi^{-1})."""
-        return complex(_functional_values((self,), f)[0])
+        if not isinstance(f, GroupFunction):
+            raise GroupMismatchError("a functional acts on functions on the group domain")
+        return complex(_functional_values((self,), f.group, f.values[:, None])[0, 0])
 
 
-def _functional_values(eigenvectors, f: GroupFunction) -> np.ndarray:
-    """Every functional's action on f, weight * conj(F(chi^{-1})), from one transform."""
-    group = f.group
-    neg = [group.character_index(group.neg_character(vec.character)) for vec in eigenvectors]
-    return np.array([vec.weight for vec in eigenvectors]) * np.conj(fourier(f).values[neg])
+def _functional_values(eigenvectors, group: Group, values: np.ndarray) -> np.ndarray:
+    """Every functional's action on every column of the |G| x c ``values``:
+    the r x c array weight * conj(F(chi^{-1})), F = haar_weight * transform,
+    from one stacked transform and one array of inverse-character indices."""
+    neg = group.neg_indices([group.character_index(vec.character) for vec in eigenvectors])
+    weights = np.array([vec.weight for vec in eigenvectors])
+    return weights[:, None] * np.conj(group.haar_weight * _transform(group, values)[neg])
 
 
 @dataclass(frozen=True)
@@ -216,17 +220,20 @@ def _identity_residual(space: GNSSpace,
     """Worst deviation of <f|h>_phi from sum_chi F_chi(f) conj(F_chi(h)).
 
     Deliberately evaluated through ``_functional_values``, the formula ``act``
-    applies, so a corrupted eigenvector formula is caught, not compensated for.
-    Both sides grow with |G| and |xi|^2, so each gap is divided by the
-    Cauchy-Schwarz bound sqrt(<f|f>_phi <h|h>_phi) whenever that is positive.
+    applies, so a corrupted eigenvector formula is caught, not compensated for:
+    one call on the stacked f columns and one on the h columns.  Their
+    transposes are made C-contiguous (pair x character) before the sums,
+    whose pairwise rounding follows the memory layout.  Both sides grow with
+    |G| and |xi|^2, so each gap is divided by the Cauchy-Schwarz bound
+    sqrt(<f|f>_phi <h|h>_phi) whenever that is positive.
     """
     group = space.group
     draws = rng.standard_normal((IDENTITY_CHECK_PAIRS, 4, group.size))
     f, h = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
     del draws  # not held through the form's transforms
     lhs = np.sum(f.conj() * apply_hermitian_form(space.phi, h.T).T, axis=1)
-    act_f, act_h = (np.array([_functional_values(eigenvectors, GroupFunction(group, v))
-                              for v in side]) for side in (f, h))
+    act_f, act_h = (np.ascontiguousarray(_functional_values(eigenvectors, group, side.T).T)
+                    for side in (f, h))
     bound = np.linalg.norm(act_f, axis=1) * np.linalg.norm(act_h, axis=1)
     gaps = np.abs(lhs - np.sum(act_f * act_h.conj(), axis=1)) / np.where(bound > 0, bound, 1.0)
     return float(gaps.max(initial=0.0))

@@ -679,7 +679,7 @@ def _prop_operator_reconstruction(rng, cfg):
         # sum_chi <g|chi> |F_chi><F_chi| for every g, against pi(g) and as
         # the inverse of its value at -g
         rebuilt = (C.T * P[:, None, :]) @ C.conj()
-        neg = (-group._coords % group._orders_arr) @ group._strides
+        neg = group.neg_indices()
         eye = np.eye(space.rank)
         r = float(np.linalg.norm(rebuilt[0] - eye))  # the identity is element 0
         r = max(r, np.linalg.norm(rebuilt - ops, axis=(1, 2)).max())

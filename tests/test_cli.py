@@ -321,7 +321,7 @@ def test_rig_identity_check_on_a_small_amplitude_catches_a_corruption(tmp_path, 
     xi = write_function(tmp_path / "xi.json", (16,), [1e-13] * 16, domain="dual")
     values = rigging._functional_values
     monkeypatch.setattr(rigging, "_functional_values",
-                        lambda vecs, f: values(vecs, f) * (1 + 1e-6))
+                        lambda vecs, group, v: values(vecs, group, v) * (1 + 1e-6))
     code, _, err = run_cli(capsys, ["rig", "--input", str(src), "--xi", str(xi)])
     assert code == 4
     assert "inner-product identity residual" in err
@@ -439,12 +439,12 @@ def test_selftest_validates_its_flags(capsys):
 # a planted defect is caught, not absorbed
 # ---------------------------------------------------------------------------
 
-def broken_functional_values(eigenvectors, f):
+def broken_functional_values(eigenvectors, group, values):
     # drops the character inversion in the functionals' action
-    group = f.group
-    from abelian_spectra import fourier
+    from abelian_spectra.algebra import _transform
     j = [group.character_index(vec.character) for vec in eigenvectors]
-    return np.array([vec.weight for vec in eigenvectors]) * np.conj(fourier(f).values[j])
+    F = group.haar_weight * _transform(group, values)
+    return np.array([vec.weight for vec in eigenvectors])[:, None] * np.conj(F[j])
 
 
 def test_corrupted_functional_fails_the_identity_check(monkeypatch):

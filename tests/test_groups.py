@@ -127,6 +127,15 @@ def test_neg_character():
     assert G.neg_character(G.character((0,))).coords == (0,)
 
 
+def test_neg_indices_invert_every_character(small_group):
+    G = small_group
+    expected = [G.character_index(G.neg_character(chi)) for chi in G.characters]
+    assert G.neg_indices().tolist() == expected
+    rows = np.random.default_rng(0).permutation(G.size)[: max(1, G.size // 2)]
+    assert G.neg_indices(rows).tolist() == [expected[i] for i in rows]
+    assert G.neg_indices([]).shape == (0,)
+
+
 def test_element_order():
     G = make_group((2, 3))
     assert G.element_order(G.element((1, 2))) == 6

@@ -10,6 +10,7 @@ from abelian_spectra import (
     GroupMismatchError,
     InconsistencyError,
     NotCyclicError,
+    ShapeMismatchError,
     SupportError,
     build_decomposition,
     cyclic_decomposition,
@@ -30,6 +31,7 @@ from abelian_spectra import (
     trivial_representation,
 )
 from abelian_spectra import rigging
+from abelian_spectra.algebra import _transform, apply_hermitian_form
 from conftest import random_function
 
 
@@ -543,3 +545,94 @@ def test_measure_and_decomposition_never_enumerate_the_characters():
     model, _, _, decomp = rigged_system(G, rng=np.random.default_rng(0))
     assert len(decomp.support) == G.size == len(model.support)
     assert "characters" not in G.__dict__
+
+
+# ---------------------------------------------------------------------------
+# the batched functional reader
+# ---------------------------------------------------------------------------
+
+def weighted_quotient(orders, r, rng):
+    """(space, eigenvectors) of phi = inverse transform of |xi|^2 on r drawn
+    characters, with amplitude moduli drawn in [0.5, 2]."""
+    G = make_group(orders)
+    vals = np.zeros(G.size, dtype=complex)
+    vals[rng.choice(G.size, size=r, replace=False)] = rng.uniform(0.5, 2.0, r) * np.exp(
+        2j * np.pi * rng.random(r))
+    xi = DualFunction(G, vals)
+    phi = GroupFunction(G, _transform(G, np.abs(vals) ** 2, inverse=True))
+    space = gns_construct(phi)
+    return space, list(build_decomposition(space, xi, rng=rng).eigenvectors)
+
+
+def per_pair_identity_residual(space, eigenvectors, rng):
+    """The identity check as one ``fourier`` call per test function."""
+    group = space.group
+    draws = rng.standard_normal((rigging.IDENTITY_CHECK_PAIRS, 4, group.size))
+    f, h = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+    lhs = np.sum(f.conj() * apply_hermitian_form(space.phi, h.T).T, axis=1)
+    neg = [group.character_index(group.neg_character(vec.character)) for vec in eigenvectors]
+    weights = np.array([vec.weight for vec in eigenvectors])
+    act_f, act_h = (np.array([weights * np.conj(fourier(GroupFunction(group, v)).values[neg])
+                              for v in side]) for side in (f, h))
+    bound = np.linalg.norm(act_f, axis=1) * np.linalg.norm(act_h, axis=1)
+    gaps = np.abs(lhs - np.sum(act_f * act_h.conj(), axis=1)) / np.where(bound > 0, bound, 1.0)
+    return float(gaps.max(initial=0.0))
+
+
+FUNCTIONAL_SHAPES = [((1,), 1), ((3, 1, 4), 1), ((3, 1, 4), 5), ((2,) * 5, 1), ((2,) * 5, 4),
+                     ((16, 16), 1), ((16, 16), 8), ((4, 4, 4, 4), 1), ((4, 4, 4, 4), 6)]
+
+
+@pytest.mark.parametrize("orders, r", FUNCTIONAL_SHAPES)
+def test_identity_residual_equals_the_per_pair_loop(orders, r):
+    space, eigenvectors = weighted_quotient(orders, r, np.random.default_rng(r))
+    assert len(eigenvectors) == r
+    assert any(vec.weight != 1.0 for vec in eigenvectors)
+    for seed in range(3):
+        batched = rigging._identity_residual(space, eigenvectors, np.random.default_rng(seed))
+        looped = per_pair_identity_residual(space, eigenvectors, np.random.default_rng(seed))
+        assert batched == looped
+
+
+@pytest.mark.parametrize("orders, r", FUNCTIONAL_SHAPES)
+def test_act_is_an_entry_of_the_stacked_functional_values(orders, r, rng):
+    space, eigenvectors = weighted_quotient(orders, r, rng)
+    G = space.group
+    stack = rng.normal(size=(G.size, 5)) + 1j * rng.normal(size=(G.size, 5))
+    values = rigging._functional_values(eigenvectors, G, stack)
+    assert values.shape == (r, 5)
+    f = GroupFunction(G, stack[:, 3])
+    for k, vec in enumerate(eigenvectors):
+        assert vec.act(f) == values[k, 3]
+
+
+def test_act_rejects_a_dual_function_and_a_foreign_character():
+    G = make_group((8,))
+    _, _, _, decomp = rigged_system(G)
+    with pytest.raises(GroupMismatchError):
+        decomp.eigenvectors[0].act(ones_amplitude(G))
+    with pytest.raises(ShapeMismatchError):
+        decomp.eigenvectors[5].act(delta(make_group((4,))))
+
+
+def test_rig_reads_the_functionals_twice_per_component(monkeypatch, tmp_path):
+    # one stacked transform for the f side and one for the h side of the
+    # identity check, however many pairs it draws
+    from abelian_spectra import cli
+    from abelian_spectra.fileio import dump_json, load_json, representation_to_payload
+    G = make_group((16, 16))
+    rng = np.random.default_rng(5)
+    slots = np.repeat(rng.choice(G.size, size=8, replace=False), 4)
+    V, _ = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
+    rep = make_representation(G, [V @ np.diag(d) @ V.conj().T
+                                  for d in G.pairing_at(G.generator_indices, slots)])
+    src, out = tmp_path / "rep.json", tmp_path / "rig.json"
+    dump_json(representation_to_payload(rep), src)
+    calls = []
+    values = rigging._functional_values
+    monkeypatch.setattr(rigging, "_functional_values",
+                        lambda *args: calls.append(args[2].shape) or values(*args))
+    assert cli.main(["rig", "--input", str(src), "--output", str(out)]) == 0
+    components = load_json(out)["results"]["components"]
+    assert len(components) == 4
+    assert calls == [(G.size, rigging.IDENTITY_CHECK_PAIRS)] * (2 * len(components))
