@@ -2,7 +2,7 @@
 
     python3 bench/ladder.py [--parent REV] [--output BENCH_0.json]
 
-Run from the root of a checkout.  Times three layers on a ladder of group
+Run from the root of a checkout.  Times four layers on a ladder of group
 orders |G| in {256, 4096, 65536}:
 
 - ``fileio.parse_complex_array`` on |G| ``[re, im]`` pairs, as ``json``
@@ -11,9 +11,15 @@ orders |G| in {256, 4096, 65536}:
   shapes (n,), (sqrt n, sqrt n) and (2,)^log2 n;
 - ``rigging.build_decomposition`` on a planted quotient of rank r = 8
   (phi the inverse transform of |xi|^2 on 8 drawn characters), for the
-  same three shapes.
+  same three shapes;
+- ``representations.spectral_measure`` on a planted representation of
+  dimension d in {8, 64} (``perfbench/workloads.planted_representation``,
+  d / m characters of multiplicity m = max(1, d // |G|)), for the same
+  three shapes.  A case whose ``cli.peak_estimate`` for ``decompose`` is
+  over the CLI's budget is recorded as "skipped (budget)" and not run.
 
-Each time is the median of 5 calls.  Each row records the git SHA, the
+Each time is the median of 5 calls; one more call, under ``tracemalloc``,
+gives the case's traced peak in bytes.  Each row records the git SHA, the
 number of usable cores, the numpy and BLAS versions, and the log-log
 slope of each series between adjacent rungs (1 is linear in |G|).  A row
 is measured in a fresh interpreter that imports the package from the
@@ -35,12 +41,14 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORDERS = (256, 4096, 65536)
 COLUMNS = (1, 16)
 RIG_RANK = 8
+DIMS = (8, 64)
 REPEATS = 5
 BLAS_THREADS = 1
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -51,22 +59,32 @@ def shapes(n: int) -> dict[str, tuple[int, ...]]:
     return {"n": (n,), "sqrt_n^2": (math.isqrt(n),) * 2, "2^k": (2,) * k}
 
 
-def median_seconds(call) -> float:
+def timed(call) -> dict:
+    """The median of REPEATS timed calls, and the traced peak of one more."""
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"median_s": statistics.median(times), "peak_bytes": peak}
 
 
 def measure() -> list[dict]:
     """Time every case with the package on ``sys.path``."""
     import numpy as np
-    from abelian_spectra import (DualFunction, GroupFunction, build_decomposition,
-                                 gns_construct, make_group)
+    from abelian_spectra import (DualFunction, GroupFunction, build_decomposition, cli,
+                                 gns_construct, make_group, make_representation,
+                                 spectral_measure)
     from abelian_spectra.algebra import _transform
     from abelian_spectra.fileio import parse_complex_array
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import planted_representation
 
     rng = np.random.default_rng(0)
     cases = []
@@ -74,14 +92,14 @@ def measure() -> list[dict]:
         raw = rng.standard_normal((n, 2)).tolist()
         cases.append({"layer": "fileio.parse_complex_array", "shape": "pairs",
                       "size": n, "columns": None,
-                      "median_s": median_seconds(lambda: parse_complex_array(raw, "values"))})
+                      **timed(lambda: parse_complex_array(raw, "values"))})
         for name, orders in shapes(n).items():
             group = make_group(orders, size_cap=n)
             for c in COLUMNS:
                 values = rng.standard_normal((n, c)) + 1j * rng.standard_normal((n, c))
                 cases.append({"layer": "algebra._transform", "shape": name,
                               "size": n, "columns": c,
-                              "median_s": median_seconds(lambda: _transform(group, values))})
+                              **timed(lambda: _transform(group, values))})
     rng = np.random.default_rng(1)
     for n in ORDERS:
         for name, orders in shapes(n).items():
@@ -92,7 +110,21 @@ def measure() -> list[dict]:
             space, xi = gns_construct(phi), DualFunction(group, amps)
             cases.append({"layer": "rigging.build_decomposition", "shape": name,
                           "size": n, "columns": None,
-                          "median_s": median_seconds(lambda: build_decomposition(space, xi))})
+                          **timed(lambda: build_decomposition(space, xi))})
+    rng = np.random.default_rng(2)
+    for n in ORDERS:
+        for name, orders in shapes(n).items():
+            group = make_group(orders, size_cap=n)
+            for d in DIMS:
+                case = {"layer": "representations.spectral_measure", "shape": name,
+                        "size": n, "columns": None, "dim": d}
+                if cli.peak_estimate("decompose", orders, d) > cli.OPERATOR_STACK_BUDGET:
+                    cases.append({**case, "median_s": None, "peak_bytes": None,
+                                  "status": "skipped (budget)"})
+                    continue
+                generators, _ = planted_representation(rng, orders, d, max(1, d // n))
+                rep = make_representation(group, generators)
+                cases.append({**case, **timed(lambda: spectral_measure(rep))})
     return cases
 
 
@@ -100,12 +132,14 @@ def slopes(cases: list[dict]) -> list[dict]:
     """log(t2/t1) / log(n2/n1) between adjacent rungs of each series."""
     series: dict[tuple, list[dict]] = {}
     for case in cases:
-        series.setdefault((case["layer"], case["shape"], case["columns"]), []).append(case)
+        if case["median_s"] is not None:
+            key = (case["layer"], case["shape"], case["columns"], case.get("dim"))
+            series.setdefault(key, []).append(case)
     out = []
-    for (layer, shape, columns), rungs in series.items():
+    for (layer, shape, columns, dim), rungs in series.items():
         rungs = sorted(rungs, key=lambda c: c["size"])
         for lo, hi in zip(rungs, rungs[1:]):
-            out.append({"layer": layer, "shape": shape, "columns": columns,
+            out.append({"layer": layer, "shape": shape, "columns": columns, "dim": dim,
                         "from": lo["size"], "to": hi["size"],
                         "slope": round(math.log(hi["median_s"] / lo["median_s"])
                                        / math.log(hi["size"] / lo["size"]), 3)})
@@ -157,13 +191,16 @@ def main(argv=None) -> int:
     dirty = bool(git("status", "--porcelain", "--untracked-files=no", "src"))
     rows.append(row("change", ROOT, git("rev-parse", "HEAD") + ("+dirty" if dirty else "")))
     report = {"ladder": "bench/ladder.py", "orders": list(ORDERS), "columns": list(COLUMNS),
-              "rig_rank": RIG_RANK, "repeats": REPEATS, "statistic": "median", "rows": rows}
+              "dims": list(DIMS), "rig_rank": RIG_RANK, "repeats": REPEATS,
+              "statistic": "median", "rows": rows}
     Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
     for r in rows:
         print(r["label"], r["git_sha"])
         for case in r["cases"]:
-            print(f"  {case['layer']:28} {case['shape']:9} n={case['size']:<6} "
-                  f"c={case['columns']!s:4} {case['median_s'] * 1e3:9.3f} ms")
+            cost = (f"{case['median_s'] * 1e3:9.3f} ms {case['peak_bytes'] / 2**20:8.2f} MiB"
+                    if case["median_s"] is not None else case["status"])
+            print(f"  {case['layer']:33} {case['shape']:9} n={case['size']:<6} "
+                  f"c={case['columns']!s:4} d={case.get('dim')!s:4} {cost}")
     return 0
 
 

@@ -255,7 +255,7 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
 
     kets = dirac_kets(pvm)
     mults = np.zeros(group.size, dtype=int)
-    mults[list(map(group.character_index, pvm.multiplicities))] = list(pvm.multiplicities.values())
+    mults[pvm.indices] = pvm.multiplicities
     residuals = {f"pvm_{k}": v for k, v in sorted(pvm.residuals.items())}
     residuals.update(relation_certificate(pvm, models))
     passed = all(v <= tol for v in residuals.values())
@@ -345,7 +345,7 @@ def cmd_rig(args: argparse.Namespace, tol: float):
     for index, comp in enumerate(components):
         model = diagonalize(comp, pvm)
         vals = np.zeros(group.size, dtype=complex)
-        vals[model._columns] = xi_global.values[model._columns] if xi_global is not None else 1.0
+        vals[model.columns] = xi_global.values[model.columns] if xi_global is not None else 1.0
         xi = DualFunction(group, vals)
         space = gns_construct(phi_from_cyclic(model, xi))
         decomp = build_decomposition(

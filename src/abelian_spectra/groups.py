@@ -118,6 +118,11 @@ class Group:
         """All characters in enumeration order (the dual is self-indexed)."""
         return self.characters
 
+    def characters_at(self, indices) -> tuple[Character, ...]:
+        """The characters at the enumeration indices ``indices``."""
+        coords = np.unravel_index(np.asarray(indices, dtype=np.intp), self.orders)
+        return tuple(map(Character, zip(*(c.tolist() for c in coords))))
+
     def element(self, coords: Iterable[int]) -> Element:
         el = Element(tuple(coords))
         self._check_coords(el.coords, "element")

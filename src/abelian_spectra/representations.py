@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ ORDER_TOL = 1e-9
 PVM_TOL = 1e-9
 RANK_TOL = 1e-9
 RANGE_ACCEPT_TOL = 1e-6
+BLOCK_BYTES = 2**18
 DEGENERATE_TOL = 1e-12
 
 
@@ -156,31 +157,52 @@ def trivial_representation(group: Group, dim: int = 1) -> UnitaryRep:
 class ProjectionValuedMeasure:
     """Spectral projections of a representation, indexed by characters.
 
-    ``support`` lists the characters with a nonzero projection in
-    enumeration order; ``nu`` is the counting measure on the support.
+    ``indices`` are the ascending enumeration indices of the support, the
+    characters with a nonzero projection; ``projections`` (s x d x d) and
+    ``multiplicities`` follow that order, and so do the column blocks of the
+    unitary ``basis``, orthonormal bases of the ranges.  ``nu`` is the
+    counting measure on the support.
     """
 
     rep: UnitaryRep
-    support: tuple[Character, ...]
-    projections: dict
-    multiplicities: dict
-    range_bases: dict
-    nu: dict
+    indices: np.ndarray
+    projections: np.ndarray
+    multiplicities: np.ndarray
+    basis: np.ndarray
     residuals: dict
 
     @property
     def group(self) -> Group:
         return self.rep.group
 
+    @cached_property
+    def support(self) -> tuple[Character, ...]:
+        return self.group.characters_at(self.indices)
+
+    @cached_property
+    def range_bases(self) -> dict:
+        """Each support character's column block of ``basis``, as a view."""
+        ends = np.cumsum(self.multiplicities).tolist()
+        return {chi: self.basis[:, end - m:end]
+                for chi, m, end in zip(self.support, self.multiplicities.tolist(), ends)}
+
+    @property
+    def nu(self) -> dict:
+        return dict.fromkeys(self.support, 1.0)
+
     def projection(self, chi: Character) -> np.ndarray:
-        self.group._check_coords(chi.coords, "character")
-        if chi in self.projections:
-            return self.projections[chi]
-        return np.zeros((self.rep.dim, self.rep.dim), dtype=complex)
+        hit = self.indices == self.group.character_index(chi)
+        return self.projections[hit.argmax()] if hit.any() else np.zeros(
+            (self.rep.dim, self.rep.dim), dtype=complex)
 
     def multiplicity(self, chi: Character) -> int:
-        self.group._check_coords(chi.coords, "character")
-        return int(self.multiplicities.get(chi, 0))
+        return int(self.multiplicities @ (self.indices == self.group.character_index(chi)))
+
+
+def _blocks(count: int, d: int):
+    """Slices covering range(count), each of at most BLOCK_BYTES of d x d matrices."""
+    step = max(1, BLOCK_BYTES // (16 * max(d, 1) ** 2))
+    return (slice(i, i + step) for i in range(0, count, step))
 
 
 def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
@@ -194,78 +216,71 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     ``generator_powers(U_j, n_j)`` gives every P_j(c).  The product is taken
     one factor at a time: each partial product A of the factors so far is
     paired with every P_j(c) through tr(A P_j(c)), an O(d^2) inner product,
-    and only the pairs with trace above 1/2 are multiplied.  A projection's
-    rank is its trace and the traces of the survivors add up to d, so at
-    most d pairs survive each step.  Time O(sum_j n_j d^3 + k d^4), memory
-    O(sum_j n_j d^2); nothing is |G|-sized.  A support character's
-    multiplicity is rint(tr P(chi)), and each range basis is the top-``mult``
-    eigenvectors of one batched ``eigh``.  Construction validates
-    idempotency, hermiticity, completeness, mutual orthogonality and rank of
-    the ranges, and that multiplicities add up to the dimension; a violation
-    raises NumericalDegeneracyError carrying the residuals.
+    and only the pairs with trace above 1/2 are multiplied, block by block
+    into the next stack: at most d survive, as ranks are traces and add up
+    to d.  A multiplicity is rint(tr P(chi)).  Every range basis comes from
+    one O(d^3) eigensolve of H = sum_t (t + 1) P(chi_t): the eigenvectors of
+    eigenvalue t + 1, the t-th column block B_t, span the range of
+    P(chi_t).  Time O(sum_j n_j d^3 + k d^4); memory the returned s x d x d
+    stack plus at most the previous factor's products and the O(sum_j n_j
+    d^2) transformed powers, nothing |G|-sized.  Validated: idempotency,
+    hermiticity, completeness, ranks adding up to d, and orthogonality, the
+    worst entry of P(chi_t) - B_t B_t^dagger; each B_t needs as many columns
+    with Rayleigh value above RANGE_ACCEPT_TOL and eigenvalue within 1/2 of
+    t + 1 as the multiplicity.  A violation raises NumericalDegeneracyError
+    carrying the residuals.
     """
     group, d = rep.group, rep.dim
     P = np.eye(d, dtype=complex)[None]
-    coords = np.zeros((1, 0), dtype=np.int64)
+    indices = np.zeros(1, dtype=np.int64)
     for U, n in zip(rep.generators, group.orders):
         factor = np.fft.fft(generator_powers(U, n), axis=0, norm="forward")
         # tr(A P_j(c)) = <vec(A^T), vec(P_j(c))>, one (s x d^2) @ (d^2 x n) product
         traces = P.swapaxes(1, 2).reshape(len(P), d * d) @ factor.reshape(n, d * d).T
         rows, cols = np.nonzero(traces.real > 0.5)  # row-major: enumeration order
-        P = P[rows] @ factor[cols]
-        coords = np.column_stack([coords[rows], cols])
-    mults = np.rint(np.trace(P, axis1=1, axis2=2).real).astype(int)
-    idem = float(np.max(np.linalg.norm(P @ P - P, axis=(1, 2)), initial=0.0))
-    herm = float(np.max(np.linalg.norm(P - P.conj().swapaxes(1, 2), axis=(1, 2)),
-                        initial=0.0))
+        out = np.empty((len(rows), d, d), dtype=complex)
+        for b in _blocks(len(rows), d):
+            np.matmul(P[rows[b]], factor[cols[b]], out=out[b])
+        P, indices = out, indices[rows] * n + cols
+    del factor
     P.setflags(write=False)
-    support = [Character(tuple(row)) for row in coords.tolist()]
-
-    bases: dict = {}
-    eigvals, eigvecs = np.linalg.eigh(P)  # ascending, so the range is the last columns
-    for chi, lam, vecs, mult in zip(support, eigvals, eigvecs, mults):
-        found = int(np.count_nonzero(lam[d - mult:] > RANGE_ACCEPT_TOL))
-        if found < mult:
-            raise NumericalDegeneracyError(
-                f"range basis of P({chi.coords}) found {found} directions "
-                f"for multiplicity {mult}",
-                residuals={"multiplicity": float(mult), "basis_rank": float(found)})
-        basis = vecs[:, d - mult:].copy()  # a view would keep all s x d x d eigenvectors
-        basis.setflags(write=False)
-        bases[chi] = basis
-    projections = dict(zip(support, P))
-    multiplicities = dict(zip(support, mults.tolist()))
-
-    # Orthogonality of the ranges via the stacked basis Gram matrix; this
-    # bounds max ||P(chi) P(chi')|| without forming all pairwise products.
-    B = np.hstack([np.zeros((d, 0)), *bases.values()])
-    ortho = float(np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1])), initial=0.0))
-    complete = float(np.linalg.norm(P.sum(axis=0) - np.eye(rep.dim)))
-
-    mult_total = sum(multiplicities.values())
-    residuals = {
-        "idempotency": idem,
-        "hermiticity": herm,
-        "orthogonality": ortho,
-        "completeness": complete,
-        "multiplicity_sum": float(abs(mult_total - rep.dim)),
-    }
-    if max(idem, herm, ortho, complete) > PVM_TOL or mult_total != rep.dim:
+    mults = np.rint(np.trace(P, axis1=1, axis2=2).real).astype(int)
+    if mults.sum() != d:
         raise NumericalDegeneracyError(
-            "projection-valued measure violates its invariants "
-            f"(idempotency {idem:.3e}, hermiticity {herm:.3e}, orthogonality {ortho:.3e}, "
-            f"completeness {complete:.3e}, multiplicity sum {mult_total} vs dim {rep.dim})",
-            residuals=residuals)
+            f"projection ranks add up to {mults.sum()}, not the dimension {d}",
+            residuals={"multiplicity_sum": float(abs(mults.sum() - d))})
 
-    return ProjectionValuedMeasure(
-        rep=rep,
-        support=tuple(support),
-        projections=projections,
-        multiplicities=multiplicities,
-        range_bases=bases,
-        nu={chi: 1.0 for chi in support},
-        residuals=residuals,
-    )
+    lam, W = np.linalg.eigh((np.arange(1.0, len(P) + 1) @ P.reshape(len(P), d * d)).reshape(d, d))
+    W.setflags(write=False)
+    # columns of each block, padded to the widest with the zero column d
+    width = np.arange(mults.max(initial=0))
+    cols = np.where(width < mults[:, None], (np.cumsum(mults) - mults)[:, None] + width, d)
+    padded = np.column_stack([W, np.zeros(d)])
+    near = np.append(np.abs(lam - np.repeat(np.arange(1, len(P) + 1), mults)) <= 0.5, False)
+    found = np.empty(len(P), dtype=int)
+    idem = herm = ortho = 0.0
+    for b in _blocks(len(P), d):
+        Pb, Bb = P[b], padded[:, cols[b]].transpose(1, 0, 2)
+        idem = max(idem, np.linalg.norm(Pb @ Pb - Pb, axis=(1, 2)).max())
+        herm = max(herm, np.linalg.norm(Pb - Pb.conj().swapaxes(1, 2), axis=(1, 2)).max())
+        ortho = max(ortho, np.abs(Pb - Bb @ Bb.conj().swapaxes(1, 2)).max())
+        rayleigh = (Bb.conj() * (Pb @ Bb)).sum(axis=1).real
+        found[b] = ((rayleigh > RANGE_ACCEPT_TOL) & near[cols[b]]).sum(axis=1)
+    if np.any(found < mults):
+        t = int(np.argmax(found < mults))
+        raise NumericalDegeneracyError(
+            f"range basis of P({group.characters_at(indices[t:t + 1])[0].coords}) found "
+            f"{found[t]} directions for multiplicity {mults[t]}",
+            residuals={"multiplicity": float(mults[t]), "basis_rank": float(found[t])})
+    complete = float(np.linalg.norm(P.sum(axis=0) - np.eye(d)))
+    residuals = {"idempotency": float(idem), "hermiticity": float(herm),
+                 "orthogonality": float(ortho), "completeness": complete, "multiplicity_sum": 0.0}
+    if max(residuals.values()) > PVM_TOL:
+        raise NumericalDegeneracyError("projection-valued measure violates its invariants ("
+                                       + ", ".join(f"{k} {v:.3e}" for k, v in residuals.items())
+                                       + ")", residuals=residuals)
+    return ProjectionValuedMeasure(rep=rep, indices=indices, projections=P,
+                                   multiplicities=mults, basis=W, residuals=residuals)
 
 
 def reconstruction_residual(pvm: ProjectionValuedMeasure) -> float:
@@ -275,10 +290,8 @@ def reconstruction_residual(pvm: ProjectionValuedMeasure) -> float:
     ``relation_certificate`` bounds it from the binary powers.
     """
     group = pvm.group
-    table = group.pairing_at(np.arange(group.size),
-                             [group.character_index(chi) for chi in pvm.support])
-    stack = np.array([pvm.projections[chi] for chi in pvm.support])
-    gap = table @ stack.reshape(len(stack), -1)
+    gap = group.pairing_at(np.arange(group.size), pvm.indices) @ pvm.projections.reshape(
+        len(pvm.indices), -1)
     gap -= pvm.rep.operators.reshape(group.size, -1)
     return float(np.max(np.linalg.norm(gap, axis=1)))
 
@@ -294,12 +307,8 @@ def apply_algebra(pvm: ProjectionValuedMeasure, f: GroupFunction) -> np.ndarray:
     group = pvm.group
     if f.group != group:
         raise GroupMismatchError("function and measure live on different groups")
-    F = fourier(f).values
-    out = np.zeros((pvm.rep.dim, pvm.rep.dim), dtype=complex)
-    neg = group.neg_indices([group.character_index(chi) for chi in pvm.support])
-    for chi, j in zip(pvm.support, neg):
-        out += F[j] * pvm.projections[chi]
-    return out
+    return np.tensordot(fourier(f).values[group.neg_indices(pvm.indices)], pvm.projections,
+                        axes=1)
 
 
 @dataclass(frozen=True)
@@ -308,6 +317,7 @@ class CyclicComponent:
 
     cyclic_vector: np.ndarray
     support: tuple[Character, ...]
+    columns: np.ndarray  # the support's enumeration indices
     isometry: np.ndarray
     projection_norms: tuple[float, ...]
 
@@ -320,20 +330,19 @@ def cyclic_decomposition(pvm: ProjectionValuedMeasure) -> list[CyclicComponent]:
     basis of range P(chi); their sum is the layer's cyclic vector and the
     normalised projections P(chi) u / ||P(chi) u|| form its isometry.
     """
-    if not pvm.support:
-        return []
-    layers = max(pvm.multiplicities[chi] for chi in pvm.support)
+    mults, starts = pvm.multiplicities, np.cumsum(pvm.multiplicities) - pvm.multiplicities
     components = []
-    for i in range(1, layers + 1):
-        supp = tuple(chi for chi in pvm.support if pvm.multiplicities[chi] >= i)
-        u = sum(pvm.range_bases[chi][:, i - 1] for chi in supp)
-        ws = [pvm.projections[chi] @ u for chi in supp]
-        norms = [float(np.linalg.norm(w)) for w in ws]
-        iso = np.column_stack([w / norm if norm > 0 else w for w, norm in zip(ws, norms)])
+    for i in range(1, mults.max(initial=0) + 1):
+        keep = mults >= i
+        u = pvm.basis[:, starts[keep] + i - 1].sum(axis=1)
+        ws = (pvm.projections @ u)[keep]
+        norms = np.linalg.norm(ws, axis=1)
+        iso = (ws / np.where(norms > 0, norms, 1.0)[:, None]).T
         iso.setflags(write=False)
         u.setflags(write=False)
         components.append(CyclicComponent(
-            cyclic_vector=u, support=supp, isometry=iso, projection_norms=tuple(norms)))
+            cyclic_vector=u, support=tuple(compress(pvm.support, keep)),
+            columns=pvm.indices[keep], isometry=iso, projection_norms=tuple(norms.tolist())))
     return components
 
 
@@ -342,20 +351,17 @@ class DiagonalModel:
     """Multiplication-operator model of a cyclic component.
 
     ``isometry`` V satisfies V^dagger pi(g) V = diag(<g|chi>) over the
-    support in enumeration order; ``symbols(rows)`` gives the diagonal
-    symbols <g_i | support[s]> at the element indices i in ``rows``.
+    support (enumeration indices ``columns``); ``symbols(rows)`` gives the
+    diagonal symbols <g_i | support[s]> at the element indices i in ``rows``.
     """
 
     group: Group
     support: tuple[Character, ...]
+    columns: np.ndarray
     isometry: np.ndarray
 
-    @cached_property
-    def _columns(self) -> list[int]:
-        return [self.group.character_index(chi) for chi in self.support]
-
     def symbols(self, rows) -> np.ndarray:
-        return self.group.pairing_at(rows, self._columns)
+        return self.group.pairing_at(rows, self.columns)
 
     def multiplication_symbol(self, g: Element) -> np.ndarray:
         return self.symbols([self.group.element_index(g)])[0]
@@ -373,7 +379,7 @@ def diagonalize(component: CyclicComponent, pvm: ProjectionValuedMeasure) -> Dia
                 f"projection norm {norm:.3e} at character {chi.coords} is below "
                 f"{DEGENERATE_TOL:.1e}; the component is degenerate on its support")
     return DiagonalModel(group=pvm.group, support=component.support,
-                         isometry=component.isometry)
+                         columns=component.columns, isometry=component.isometry)
 
 
 def diagonalization_residual(model: DiagonalModel, rep: UnitaryRep) -> float:
@@ -462,9 +468,9 @@ def relation_certificate(pvm: ProjectionValuedMeasure,
     indices, A = binary_powers(pvm.rep)
     eye = np.eye(d)
     unitarity = np.linalg.norm(A.conj().swapaxes(1, 2) @ A - eye, axis=(1, 2)).sum()
-    P = np.array([pvm.projections[chi] for chi in pvm.support]).reshape(-1, d * d)
-    phases = group.pairing_at(indices, [group.character_index(chi) for chi in pvm.support])
-    recon = np.linalg.norm(A.reshape(-1, d * d) - phases @ P, axis=1)
+    phases = group.pairing_at(indices, pvm.indices)
+    recon = np.linalg.norm(A.reshape(-1, d * d) - phases @ pvm.projections.reshape(-1, d * d),
+                           axis=1)
     diag = leak = np.zeros(len(indices))
     for model in models:
         V = model.isometry
@@ -510,9 +516,9 @@ class KetSystem:
 
 def dirac_kets(pvm: ProjectionValuedMeasure) -> KetSystem:
     """Orthonormal bases of all projection ranges, labelled (chi, k)."""
-    kets = tuple(Ket(character=chi, index=k + 1, vector=pvm.range_bases[chi][:, k])
-                 for chi in pvm.support for k in range(pvm.multiplicities[chi]))
-    return KetSystem(group=pvm.group, kets=kets, nu=dict(pvm.nu))
+    kets = tuple(Ket(character=chi, index=k + 1, vector=B[:, k])
+                 for chi, B in pvm.range_bases.items() for k in range(B.shape[1]))
+    return KetSystem(group=pvm.group, kets=kets, nu=pvm.nu)
 
 
 def functional_calculus(pvm: ProjectionValuedMeasure,
@@ -539,7 +545,5 @@ def functional_calculus(pvm: ProjectionValuedMeasure,
     if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) > 0:
         raise NotSelfAdjointError("spectral labels must be real")
 
-    out = np.zeros((pvm.rep.dim, pvm.rep.dim), dtype=complex)
-    for chi, a in zip(pvm.support, arr.real):
-        out += complex(func(float(a))) * pvm.projections[chi]
-    return out
+    weights = np.array([complex(func(float(a))) for a in arr.real], dtype=complex)
+    return np.tensordot(weights, pvm.projections, axes=1)

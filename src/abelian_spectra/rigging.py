@@ -98,7 +98,7 @@ def _vanishes(amps: np.ndarray) -> np.ndarray:
 
 def _cyclic_amplitudes(model: DiagonalModel, xi: DualFunction) -> np.ndarray:
     """xi on the model support; NotCyclicError where it vanishes there."""
-    amps = xi.values[model._columns]
+    amps = xi.values[model.columns]
     for chi, amp, vanishes in zip(model.support, amps, _vanishes(amps)):
         if vanishes:
             raise NotCyclicError(f"cyclic amplitude vanishes at support character "
@@ -119,7 +119,7 @@ def phi_from_cyclic(model: DiagonalModel, xi: DualFunction) -> GroupFunction:
         raise GroupMismatchError("cyclic amplitude lives on a different group")
     group = model.group
     moduli = np.zeros(group.size)
-    moduli[model._columns] = np.abs(_cyclic_amplitudes(model, xi))
+    moduli[model.columns] = np.abs(_cyclic_amplitudes(model, xi))
     return checked_finite("phi of the cyclic amplitude", lambda: GroupFunction(
         group, _transform(group, moduli ** 2, inverse=True)))
 
@@ -180,7 +180,7 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
     if xi.group != group:
         raise GroupMismatchError("cyclic amplitude lives on a different group")
     keep = np.flatnonzero(~_vanishes(xi.values))
-    support = [Character(tuple(group._coords[k])) for k in keep]
+    support = group.characters_at(keep)
     if len(support) != space.rank:
         raise InconsistencyError(
             f"cyclic amplitude is supported on {len(support)} characters but the "

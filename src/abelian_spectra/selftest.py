@@ -433,7 +433,7 @@ def _prop_projection_validity(rng, cfg):
     for _ in range(8):
         rep, pvm = _pvm_instance(rng, cfg)
         r = max(pvm.residuals.values())
-        r = max(r, abs(sum(pvm.multiplicities.values()) - rep.dim))
+        r = max(r, abs(int(pvm.multiplicities.sum()) - rep.dim))
         for chi in pvm.support:
             p = pvm.projection(chi)
             r = max(r, float(np.linalg.norm(p @ p - p)))
@@ -491,7 +491,7 @@ def _prop_component_invariance(rng, cfg):
                 r = max(r, float(np.linalg.norm(
                     comps[a].isometry.conj().T @ comps[b].isometry)))
         r = max(r, float(np.linalg.norm(total - np.eye(rep.dim))))
-        expected = max(pvm.multiplicities.values()) if pvm.support else 0
+        expected = int(pvm.multiplicities.max(initial=0))
         r = max(r, abs(len(comps) - expected))
         yield r, dict(representation=rep)
 

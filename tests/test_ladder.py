@@ -1,0 +1,34 @@
+"""Smoke test of the scaling ladder: ``bench/ladder.py`` still runs every
+layer against the package as it is, on two small rungs and one call each."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+LADDER = Path(__file__).resolve().parent.parent / "bench" / "ladder.py"
+
+
+def load_ladder():
+    spec = importlib.util.spec_from_file_location("ladder", LADDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ladder_measures_every_layer_and_shape(monkeypatch):
+    ladder = load_ladder()
+    monkeypatch.setattr(sys, "path", list(sys.path))  # measure() adds perfbench/
+    monkeypatch.setattr(ladder, "ORDERS", (16, 64))
+    monkeypatch.setattr(ladder, "REPEATS", 1)
+    cases = ladder.measure()
+    layers = {"fileio.parse_complex_array", "algebra._transform",
+              "rigging.build_decomposition", "representations.spectral_measure"}
+    assert {case["layer"] for case in cases} == layers
+    for layer in layers - {"fileio.parse_complex_array"}:
+        for n in (16, 64):
+            shapes = {case["shape"] for case in cases
+                      if case["layer"] == layer and case["size"] == n}
+            assert shapes == set(ladder.shapes(n)), (layer, n)
+    assert all(case["median_s"] > 0 and case["peak_bytes"] > 0 for case in cases)
+    dims = {case["dim"] for case in cases if case["layer"] == "representations.spectral_measure"}
+    assert dims == set(ladder.DIMS)

@@ -176,7 +176,7 @@ def test_measure_residuals_and_counting_measure(small_group):
     assert len(pvm.support) == small_group.size  # regular rep supports every character
     assert all(v == 1.0 for v in pvm.nu.values())
     assert max(pvm.residuals.values()) < 1e-9
-    assert sum(pvm.multiplicities.values()) == small_group.size
+    assert pvm.multiplicities.sum() == small_group.size
 
 
 def test_measure_matches_independent_eigenstructure(rng):
@@ -230,6 +230,58 @@ def test_measure_allocates_less_than_one_operator_stack(rng):
         tracemalloc.stop()
     assert len(pvm.support) == 4
     assert peak < stack
+
+
+def test_measure_peaks_below_two_projection_stacks(rng):
+    """The measure holds the stack it returns plus at most the previous
+    factor's products: on 64 planted characters of (4,8,8) at d = 64 its
+    traced peak stays below two s x d x d stacks."""
+    G = make_group((4, 8, 8))
+    picks = rng.choice(G.size, size=64, replace=False)
+    rep, _ = conjugated_diagonal_rep(G, [G.characters[i] for i in picks], rng)
+    tracemalloc.start()
+    try:
+        pvm = spectral_measure(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pvm.support) == 64
+    assert peak < 2 * pvm.projections.nbytes
+
+
+def test_measure_raises_when_a_basis_column_leaves_its_range(monkeypatch):
+    """A unitary whose first column is rotated, by 1e-3, into the second
+    keeps its Rayleigh values and eigenvalues but no longer spans P(chi_0):
+    the orthogonality residual catches it."""
+    eigh = np.linalg.eigh
+
+    def rotated(H):
+        lam, W = eigh(H)
+        c, s = np.cos(1e-3), np.sin(1e-3)
+        W[:, :2] = W[:, :2] @ np.array([[c, -s], [s, c]])
+        return lam, W
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated)
+    with pytest.raises(NumericalDegeneracyError) as info:
+        spectral_measure(regular_representation(make_group((4,))))
+    assert info.value.residuals["orthogonality"] > representations.PVM_TOL
+
+
+def test_measure_raises_when_an_eigenvalue_leaves_its_label(monkeypatch):
+    """A column whose eigenvalue of sum_t (t + 1) P(chi_t) is more than 1/2
+    from its block's label t + 1 does not count toward that block's basis."""
+    eigh = np.linalg.eigh
+
+    def shifted(H):
+        lam, W = eigh(H)
+        lam[0] += 0.75
+        return lam, W
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    with pytest.raises(NumericalDegeneracyError) as info:
+        spectral_measure(regular_representation(make_group((4,))))
+    assert info.value.residuals["multiplicity"] == 1.0
+    assert info.value.residuals["basis_rank"] == 0.0
 
 
 def test_reconstruction_residual_is_tiny(small_group):
@@ -371,12 +423,7 @@ def test_degenerate_component_is_rejected():
     G = make_group((2,))
     pvm = spectral_measure(regular_representation(G))
     comp = cyclic_decomposition(pvm)[0]
-    broken = type(comp)(
-        cyclic_vector=comp.cyclic_vector,
-        support=comp.support,
-        isometry=comp.isometry,
-        projection_norms=(1.0, 0.0),
-    )
+    broken = replace(comp, projection_norms=(1.0, 0.0))
     with pytest.raises(DegenerateComponentError):
         diagonalize(broken, pvm)
 
@@ -493,7 +540,7 @@ def loop_reconstruction_residual(pvm):
     G = pvm.group
     worst = 0.0
     for g in G.elements:
-        rebuilt = sum(G.pairing(g, chi) * pvm.projections[chi] for chi in pvm.support)
+        rebuilt = sum(G.pairing(g, chi) * pvm.projection(chi) for chi in pvm.support)
         worst = max(worst, np.linalg.norm(pvm.rep.apply(g) - rebuilt))
     return worst
 
@@ -559,10 +606,9 @@ def test_mixing_components_breaks_invariance_and_diagonalization(rng):
 
 def test_perturbed_projection_breaks_the_reconstruction(rng):
     pvm = spectral_measure(multiplicity_two_rep(rng))
-    chi = pvm.support[0]
-    bumped = pvm.projections[chi].copy()
-    bumped[0, 0] += 1e-6
-    broken = replace(pvm, projections={**pvm.projections, chi: bumped})
+    bumped = pvm.projections.copy()
+    bumped[0, 0, 0] += 1e-6
+    broken = replace(pvm, projections=bumped)
     residual = reconstruction_residual(broken)
     assert residual > 1e-7
     assert abs(residual - loop_reconstruction_residual(broken)) < 1e-12
@@ -626,10 +672,9 @@ def test_certificate_catches_a_mixed_component_and_a_perturbed_projection(rng):
     certified = relation_certificate(pvm, [diagonalize(mixed, pvm)])
     assert certified["diagonalization"] >= diagonalization_residual(diagonalize(mixed, pvm), rep)
     assert certified["component_invariance"] >= invariance_residual(mixed, rep) > 1e-6
-    chi = pvm.support[0]
-    bumped = pvm.projections[chi].copy()
-    bumped[0, 0] += 1e-6
-    broken = replace(pvm, projections={**pvm.projections, chi: bumped})
+    bumped = pvm.projections.copy()
+    bumped[0, 0, 0] += 1e-6
+    broken = replace(pvm, projections=bumped)
     assert relation_certificate(broken, [])["reconstruction"] >= reconstruction_residual(broken)
     assert reconstruction_residual(broken) > 1e-7
 
@@ -638,8 +683,8 @@ def test_measure_keeps_no_view_of_the_transformed_stack(rng):
     rep = multiplicity_two_rep(rng)
     pvm = spectral_measure(rep)
     assert len(pvm.support) < rep.group.size
-    for P in pvm.projections.values():
-        assert P.base is None or P.base.size < rep.group.size * rep.dim ** 2
+    P = pvm.projections
+    assert P.base is None or P.base.size < rep.group.size * rep.dim ** 2
 
 
 def test_measure_raises_when_a_projection_is_not_idempotent(non_idempotent_measure):

@@ -423,7 +423,7 @@ def planted_components(orders, dim, mult, rng):
     for component in cyclic_decomposition(pvm):
         model = diagonalize(component, pvm)
         vals = np.zeros(G.size, dtype=complex)
-        vals[model._columns] = rng.uniform(0.5, 2.0, size=len(model.support)) * np.exp(
+        vals[model.columns] = rng.uniform(0.5, 2.0, size=len(model.support)) * np.exp(
             2j * np.pi * rng.random(len(model.support)))
         xi = DualFunction(G, vals)
         systems.append((model, xi, gns_construct(phi_from_cyclic(model, xi))))

@@ -201,7 +201,7 @@ def test_multiplicity_free_generator_matches_its_name():
         G = make_group(random_orders(rng, 8))
         rep = random_multiplicity_free_representation(rng, G, max_dim=4)
         pvm = spectral_measure(rep)
-        assert all(m == 1 for m in pvm.multiplicities.values())
+        assert all(m == 1 for m in pvm.multiplicities)
 
 
 def test_oracle_agrees_on_the_regular_representation():
