@@ -242,7 +242,7 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
     models = [diagonalize(comp, pvm) for comp in components]
     comp_payloads = [
         {
-            "support": [list(chi.coords) for chi in comp.support],
+            "support": group.coords_at(comp.columns).tolist(),
             "cyclic_vector": comp.cyclic_vector,
             "projection_norms": [float(x) for x in comp.projection_norms],
             "diagonal_model": {
@@ -261,7 +261,7 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
     passed = all(v <= tol for v in residuals.values())
 
     results = {
-        "support": [list(chi.coords) for chi in pvm.support],
+        "support": group.coords_at(pvm.indices).tolist(),
         "multiplicities": mults.tolist(),
         "components": comp_payloads,
         "kets": [
@@ -278,7 +278,7 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
         inputs={"group": group_to_payload(group), "dim": rep.dim},
         results=results, residuals=residuals, passed=passed)
     lines = [
-        f"support: {len(pvm.support)} characters, dim {rep.dim}",
+        f"support: {len(pvm.indices)} characters, dim {rep.dim}",
         f"components: {len(components)}",
         f"max residual: {max(residuals.values()):.3e}",
         f"passed: {passed}",
@@ -363,8 +363,8 @@ def cmd_rig(args: argparse.Namespace, tol: float):
         for key, value in residuals.items():
             worst[key] = max(worst[key], value)
         comp_payloads.append({
-            "support": [list(chi.coords) for chi in decomp.support],
-            "weights": [vec.weight for vec in decomp.eigenvectors],
+            "support": group.coords_at(decomp.columns).tolist(),
+            "weights": decomp.weights.tolist(),
             "generator_diagonals": model.symbols(group.generator_indices),
             "residuals": residuals,
         })

@@ -118,10 +118,13 @@ class Group:
         """All characters in enumeration order (the dual is self-indexed)."""
         return self.characters
 
+    def coords_at(self, indices) -> np.ndarray:
+        """The coordinate rows (len(indices) x k) of the enumeration indices ``indices``."""
+        return np.stack(np.unravel_index(np.asarray(indices, dtype=np.intp), self.orders), axis=-1)
+
     def characters_at(self, indices) -> tuple[Character, ...]:
         """The characters at the enumeration indices ``indices``."""
-        coords = np.unravel_index(np.asarray(indices, dtype=np.intp), self.orders)
-        return tuple(map(Character, zip(*(c.tolist() for c in coords))))
+        return tuple(map(Character, self.coords_at(indices).tolist()))
 
     def element(self, coords: Iterable[int]) -> Element:
         el = Element(tuple(coords))
@@ -189,8 +192,7 @@ class Group:
         accumulated with exact integer arithmetic over the common denominator
         lcm(orders), so equal phases give bit-equal entries and the table is
         exactly symmetric."""
-        left, right = (np.stack(np.unravel_index(np.asarray(idx, dtype=np.intp), self.orders),
-                                axis=-1) for idx in (rows, cols))
+        left, right = self.coords_at(rows), self.coords_at(cols)
         L = self._lcm
         return np.exp((2j * np.pi / L) * ((left * (L // self._orders_arr)) @ right.T % L))
 

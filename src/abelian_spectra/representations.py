@@ -234,7 +234,8 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     P = np.eye(d, dtype=complex)[None]
     indices = np.zeros(1, dtype=np.int64)
     for U, n in zip(rep.generators, group.orders):
-        factor = np.fft.fft(generator_powers(U, n), axis=0, norm="forward")
+        factor = generator_powers(U, n)
+        np.fft.fft(factor, axis=0, norm="forward", out=factor)  # in place: one n x d x d stack
         # tr(A P_j(c)) = <vec(A^T), vec(P_j(c))>, one (s x d^2) @ (d^2 x n) product
         traces = P.swapaxes(1, 2).reshape(len(P), d * d) @ factor.reshape(n, d * d).T
         rows, cols = np.nonzero(traces.real > 0.5)  # row-major: enumeration order

@@ -18,6 +18,7 @@ reconstruction identities below hold exactly in this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,29 +41,30 @@ IDENTITY_CHECK_PAIRS = 8
 
 @dataclass(frozen=True)
 class GeneralizedEigenvector:
-    """Eigenvector-functional attached to one support character.
+    """Eigenvector-functional attached to one support character of ``group``.
 
     ``weight`` is the modulus of the cyclic amplitude at the character;
     ``coords`` is the unit quotient vector representing the functional.
     """
 
+    group: Group
     character: Character
     weight: float
     coords: np.ndarray
 
     def act(self, f: GroupFunction) -> complex:
         """Antilinear action: weight * conj(transform of f at chi^{-1})."""
-        if not isinstance(f, GroupFunction):
-            raise GroupMismatchError("a functional acts on functions on the group domain")
-        return complex(_functional_values((self,), f.group, f.values[:, None])[0, 0])
+        if not isinstance(f, GroupFunction) or f.group != self.group:
+            raise GroupMismatchError("a functional acts on functions on its own group")
+        return complex(_functional_values(self.group, [self.group.character_index(self.character)],
+                                          np.array([self.weight]), f.values[:, None])[0, 0])
 
 
-def _functional_values(eigenvectors, group: Group, values: np.ndarray) -> np.ndarray:
+def _functional_values(group: Group, columns, weights, values: np.ndarray) -> np.ndarray:
     """Every functional's action on every column of the |G| x c ``values``:
     the r x c array weight * conj(F(chi^{-1})), F = haar_weight * transform,
-    from one stacked transform and one array of inverse-character indices."""
-    neg = group.neg_indices([group.character_index(vec.character) for vec in eigenvectors])
-    weights = np.array([vec.weight for vec in eigenvectors])
+    for the characters at the indices ``columns``, from one stacked transform."""
+    neg = group.neg_indices(columns)
     return weights[:, None] * np.conj(group.haar_weight * _transform(group, values)[neg])
 
 
@@ -70,18 +72,32 @@ def _functional_values(eigenvectors, group: Group, values: np.ndarray) -> np.nda
 class SpectralDecomposition:
     """Complete system of generalized eigenvectors of a quotient representation.
 
+    ``support``, ``eigenvectors`` and ``nu`` are derived from the arrays.
     ``reconstruction_residual`` and ``eigen_equation_residual`` bound the
     worst gaps over all of G of the relations ``reconstruct_operator`` and
     ``eigen_residual`` give for one element, certified on the binary powers.
     """
 
     group: Group
-    support: tuple[Character, ...]
-    eigenvectors: tuple[GeneralizedEigenvector, ...]
-    nu: dict
+    columns: np.ndarray  # the support's enumeration indices, ascending
+    weights: np.ndarray  # |xi| on the support, in that order
+    coords: np.ndarray  # read-only; row k is the unit quotient vector of support[k]
     identity_residual: float
     reconstruction_residual: float
     eigen_equation_residual: float
+
+    @cached_property
+    def support(self) -> tuple[Character, ...]:
+        return self.group.characters_at(self.columns)
+
+    @cached_property
+    def eigenvectors(self) -> tuple[GeneralizedEigenvector, ...]:
+        return tuple(GeneralizedEigenvector(self.group, chi, weight, c) for chi, weight, c
+                     in zip(self.support, self.weights.tolist(), self.coords))
+
+    @property
+    def nu(self) -> dict:
+        return dict.fromkeys(self.support, 1.0)
 
     def eigenvector(self, chi: Character) -> GeneralizedEigenvector:
         for vec in self.eigenvectors:
@@ -124,20 +140,20 @@ def phi_from_cyclic(model: DiagonalModel, xi: DualFunction) -> GroupFunction:
         group, _transform(group, moduli ** 2, inverse=True)))
 
 
-def _eigenvector_coords(space: GNSSpace, support) -> np.ndarray:
+def _eigenvector_coords(space: GNSSpace, columns: np.ndarray) -> np.ndarray:
     """Unit quotient coordinates of the eigenvectors, one row per character
-    of ``support``.  By character orthogonality, Q^dagger applied to the
-    inverse character of chi is sqrt(|G|/lambda_t) e_t when chi is the t-th
-    quotient support character, and 0 when chi is off that support, which
-    InconsistencyError names: each row is the unit vector e_t, and the rows
-    of a matching support form a permutation."""
-    group = space.group
-    position = dict(zip(space.support.tolist(), range(space.rank)))
-    slots = [position.get(group.character_index(chi)) for chi in support]
-    off = [chi.coords for chi, t in zip(support, slots) if t is None]
-    if off:
+    at the enumeration indices ``columns``.  By character orthogonality,
+    Q^dagger applied to the inverse character of chi is sqrt(|G|/lambda_t)
+    e_t when chi is the t-th quotient support character, and 0 when chi is
+    off that support, which InconsistencyError names: each row is the unit
+    vector e_t, and the rows of a matching support form a permutation."""
+    position = np.full(space.group.size, -1)
+    position[space.support] = np.arange(space.rank)
+    slots = position[columns]
+    if (slots < 0).any():
+        off = list(map(tuple, space.group.coords_at(columns[slots < 0]).tolist()))
         raise InconsistencyError(f"characters {off} have no component in the quotient")
-    return np.eye(space.rank, dtype=complex)[np.asarray(slots, dtype=np.intp)]
+    return np.eye(space.rank, dtype=complex)[slots]
 
 
 # One formula per operator relation, over rows m of element data: C stacks
@@ -180,18 +196,17 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
     if xi.group != group:
         raise GroupMismatchError("cyclic amplitude lives on a different group")
     keep = np.flatnonzero(~_vanishes(xi.values))
-    support = group.characters_at(keep)
-    if len(support) != space.rank:
+    if len(keep) != space.rank:
         raise InconsistencyError(
-            f"cyclic amplitude is supported on {len(support)} characters but the "
+            f"cyclic amplitude is supported on {len(keep)} characters but the "
             f"quotient rank is {space.rank}")
 
-    C = _eigenvector_coords(space, support)
+    C = _eigenvector_coords(space, keep)
     C.setflags(write=False)
-    eigenvectors = [GeneralizedEigenvector(character=chi, weight=float(abs(xi(chi))), coords=c)
-                    for chi, c in zip(support, C)]
+    amps = xi.values[keep]
+    weights = np.hypot(amps.real, amps.imag)  # bit-equal to abs(complex); np.abs is not
 
-    residual = _identity_residual(space, eigenvectors,
+    residual = _identity_residual(space, keep, weights,
                                   rng if rng is not None else np.random.default_rng(0))
     if residual > tol:
         raise InconsistencyError(
@@ -202,10 +217,7 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
     P, D = group.pairing_at(rows, keep), group.pairing_at(rows, space.support)
     u_C = float(np.linalg.norm(C.conj().T @ C - np.eye(space.rank)))
     return SpectralDecomposition(
-        group=group,
-        support=tuple(support),
-        eigenvectors=tuple(eigenvectors),
-        nu={chi: 1.0 for chi in support},
+        group=group, columns=keep, weights=weights, coords=C,
         identity_residual=residual,
         reconstruction_residual=certified_gap(
             _reconstruction_gaps(C, P, D), (len(rows) - 1) * (2 + u_C) * u_C, space.rank),
@@ -214,8 +226,7 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
     )
 
 
-def _identity_residual(space: GNSSpace,
-                       eigenvectors: list[GeneralizedEigenvector],
+def _identity_residual(space: GNSSpace, columns: np.ndarray, weights: np.ndarray,
                        rng: np.random.Generator) -> float:
     """Worst deviation of <f|h>_phi from sum_chi F_chi(f) conj(F_chi(h)).
 
@@ -232,7 +243,7 @@ def _identity_residual(space: GNSSpace,
     f, h = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
     del draws  # not held through the form's transforms
     lhs = np.sum(f.conj() * apply_hermitian_form(space.phi, h.T).T, axis=1)
-    act_f, act_h = (np.ascontiguousarray(_functional_values(eigenvectors, group, side.T).T)
+    act_f, act_h = (np.ascontiguousarray(_functional_values(group, columns, weights, side.T).T)
                     for side in (f, h))
     bound = np.linalg.norm(act_f, axis=1) * np.linalg.norm(act_h, axis=1)
     gaps = np.abs(lhs - np.sum(act_f * act_h.conj(), axis=1)) / np.where(bound > 0, bound, 1.0)
@@ -247,10 +258,7 @@ def reconstruct_operator(decomp: SpectralDecomposition, space: GNSSpace,
     coordinates; equals the quotient image of g.
     """
     group = space.group
-    C = np.reshape([vec.coords for vec in decomp.eigenvectors], (len(decomp.support), space.rank))
-    P = group.pairing_at([group.element_index(g)],
-                         [group.character_index(chi) for chi in decomp.support])
-    return _resolve(C, P)[0]
+    return _resolve(decomp.coords, group.pairing_at([group.element_index(g)], decomp.columns))[0]
 
 
 def eigen_residual(decomp: SpectralDecomposition, space: GNSSpace,
@@ -296,7 +304,7 @@ def intertwiner(space: GNSSpace, model: DiagonalModel,
             f"quotient rank is {space.rank}")
     _cyclic_amplitudes(model, xi)
 
-    W = _eigenvector_coords(space, model.support).conj()
+    W = _eigenvector_coords(space, model.columns).conj()
     rows = binary_power_indices(group)
     D, T = group.pairing_at(rows, space.support), model.symbols(rows)
     gaps = W * D[:, None, :] - T[:, :, None] * W

@@ -637,10 +637,10 @@ def _rig_setup(rng, cfg):
     (component,) = cyclic_decomposition(pvm)
     model = diagonalize(component, pvm)
     vals = np.zeros(group.size, dtype=complex)
-    for chi in model.support:
+    for col in model.columns:
         radius = rng.uniform(0.5, 2.0)
         phase = rng.uniform(0.0, 2 * np.pi)
-        vals[group.character_index(chi)] = radius * np.exp(1j * phase)
+        vals[col] = radius * np.exp(1j * phase)
     xi = DualFunction(group, vals)
     phi = phi_from_cyclic(model, xi)
     space = gns_construct(phi)
@@ -654,10 +654,8 @@ def _resolution_data(space, decomp):
     pairings P[g, k] = <g|chi_k> over all of G, and the quotient's
     generator-power stack pi(g), |G| x rank x rank with rank <= max_dim."""
     group = space.group
-    C = np.array([vec.coords for vec in decomp.eigenvectors])
-    P = group.pairing_at(np.arange(group.size),
-                         [group.character_index(chi) for chi in decomp.support])
-    return C, P, space.representation().operators
+    P = group.pairing_at(np.arange(group.size), decomp.columns)
+    return decomp.coords, P, space.representation().operators
 
 
 @_property("eigenvector-system")
@@ -726,9 +724,8 @@ def _prop_functional_coordinate_agreement(rng, cfg):
 def _prop_eigenvector_orthonormality(rng, cfg):
     for _ in range(5):
         rep, model, xi, phi, space, decomp = _rig_setup(rng, cfg)
-        basis = np.stack([vec.coords for vec in decomp.eigenvectors], axis=1)
-        gram = basis.conj().T @ basis
-        yield float(np.linalg.norm(gram - np.eye(len(decomp.support)))), dict(xi=xi)
+        gram = decomp.coords.conj() @ decomp.coords.T
+        yield float(np.linalg.norm(gram - np.eye(len(decomp.columns)))), dict(xi=xi)
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,22 @@ def test_rig_with_amplitude_file(tmp_path, capsys):
     assert report["results"]["components"][0]["weights"] == [3.0, 4.0]
 
 
+def test_rig_reports_each_weight_as_the_modulus_of_its_amplitude(tmp_path, capsys):
+    # on complex phases np.abs is an ulp off abs(complex) for about a third
+    # of the values; the report carries abs(complex)
+    G = make_group((256,))
+    src = planted_rep_file(tmp_path, G.orders, 32)
+    rng = np.random.default_rng(4)
+    amps = rng.uniform(0.5, 2.0, G.size) * np.exp(2j * np.pi * rng.random(G.size))
+    xi = write_function(tmp_path / "xi.json", G.orders, amps, domain="dual")
+    code, report, err = stdout_report(capsys, ["rig", "--input", str(src), "--xi", str(xi)])
+    assert code == 0, err
+    (comp,) = report["results"]["components"]
+    picked = amps[[G.character_index(G.character(c)) for c in comp["support"]]]
+    assert comp["weights"] == [abs(complex(x)) for x in picked]
+    assert (np.abs(picked) != comp["weights"]).any()
+
+
 def test_rig_identity_check_is_relative_to_the_form_norms(tmp_path, capsys):
     # |xi| = 30 on (64,) puts both sides of <f|h>_phi near 1e6, so their
     # absolute gap is about 1e-10; relative to the Cauchy-Schwarz bound it
@@ -294,11 +310,11 @@ def test_rig_identity_check_is_relative_to_the_form_norms(tmp_path, capsys):
     assert report["residuals"]["identity"] < 1e-14
 
 
-def planted_rep_file(tmp_path, orders, dim):
+def planted_rep_file(tmp_path, orders, dim, mult=1):
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
     from workloads import planted_representation
     from abelian_spectra import make_representation
-    generators, _ = planted_representation(np.random.default_rng(3), orders, dim, 1)
+    generators, _ = planted_representation(np.random.default_rng(3), orders, dim, mult)
     return write_representation(tmp_path / "rep.json",
                                 make_representation(make_group(orders), generators))
 
@@ -321,7 +337,7 @@ def test_rig_identity_check_on_a_small_amplitude_catches_a_corruption(tmp_path, 
     xi = write_function(tmp_path / "xi.json", (16,), [1e-13] * 16, domain="dual")
     values = rigging._functional_values
     monkeypatch.setattr(rigging, "_functional_values",
-                        lambda vecs, group, v: values(vecs, group, v) * (1 + 1e-6))
+                        lambda *args: values(*args) * (1 + 1e-6))
     code, _, err = run_cli(capsys, ["rig", "--input", str(src), "--xi", str(xi)])
     assert code == 4
     assert "inner-product identity residual" in err
@@ -364,6 +380,20 @@ def test_rig_handles_multiplicity(tmp_path, capsys):
     for comp in comps:
         assert comp["support"] == [[0]]
         assert comp["weights"] == [1.0]
+
+
+def test_rig_looks_up_no_character_one_at_a_time(tmp_path, capsys, monkeypatch):
+    # every component's support travels as one index array
+    from abelian_spectra import Group
+    src = planted_rep_file(tmp_path, (4, 4, 4, 4), 32, mult=4)
+    calls = []
+    character_index = Group.character_index
+    monkeypatch.setattr(Group, "character_index",
+                        lambda self, chi: calls.append(chi) or character_index(self, chi))
+    code, report, err = stdout_report(capsys, ["rig", "--input", str(src)])
+    assert code == 0, err
+    assert [len(comp["support"]) for comp in report["results"]["components"]] == [8] * 4
+    assert calls == []
 
 
 def test_rig_report_is_byte_deterministic(tmp_path, capsys):
@@ -439,12 +469,11 @@ def test_selftest_validates_its_flags(capsys):
 # a planted defect is caught, not absorbed
 # ---------------------------------------------------------------------------
 
-def broken_functional_values(eigenvectors, group, values):
+def broken_functional_values(group, columns, weights, values):
     # drops the character inversion in the functionals' action
     from abelian_spectra.algebra import _transform
-    j = [group.character_index(vec.character) for vec in eigenvectors]
     F = group.haar_weight * _transform(group, values)
-    return np.array([vec.weight for vec in eigenvectors])[:, None] * np.conj(F[j])
+    return weights[:, None] * np.conj(F[columns])
 
 
 def test_corrupted_functional_fails_the_identity_check(monkeypatch):

@@ -249,6 +249,22 @@ def test_measure_peaks_below_two_projection_stacks(rng):
     assert peak < 2 * pvm.projections.nbytes
 
 
+def test_measure_transforms_each_power_stack_in_place(rng):
+    """On one large cyclic factor the n x d x d generator powers dominate the
+    measure: transformed in place, its traced peak on (16384,) at d = 8 stays
+    below 1.5 power stacks, where a separate transform would hold two."""
+    G = make_group((16384,))
+    rep, _ = conjugated_diagonal_rep(G, G.characters_at(rng.choice(G.size, 8, replace=False)), rng)
+    tracemalloc.start()
+    try:
+        pvm = spectral_measure(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pvm.support) == 8
+    assert peak < 1.5 * 16 * G.size * rep.dim ** 2
+
+
 def test_measure_raises_when_a_basis_column_leaves_its_range(monkeypatch):
     """A unitary whose first column is rotated, by 1e-3, into the second
     keeps its Rayleigh values and eigenvalues but no longer spans P(chi_0):

@@ -10,7 +10,6 @@ from abelian_spectra import (
     GroupMismatchError,
     InconsistencyError,
     NotCyclicError,
-    ShapeMismatchError,
     SupportError,
     build_decomposition,
     cyclic_decomposition,
@@ -552,7 +551,7 @@ def test_measure_and_decomposition_never_enumerate_the_characters():
 # ---------------------------------------------------------------------------
 
 def weighted_quotient(orders, r, rng):
-    """(space, eigenvectors) of phi = inverse transform of |xi|^2 on r drawn
+    """(space, decomposition) of phi = inverse transform of |xi|^2 on r drawn
     characters, with amplitude moduli drawn in [0.5, 2]."""
     G = make_group(orders)
     vals = np.zeros(G.size, dtype=complex)
@@ -561,7 +560,7 @@ def weighted_quotient(orders, r, rng):
     xi = DualFunction(G, vals)
     phi = GroupFunction(G, _transform(G, np.abs(vals) ** 2, inverse=True))
     space = gns_construct(phi)
-    return space, list(build_decomposition(space, xi, rng=rng).eigenvectors)
+    return space, build_decomposition(space, xi, rng=rng)
 
 
 def per_pair_identity_residual(space, eigenvectors, rng):
@@ -585,24 +584,26 @@ FUNCTIONAL_SHAPES = [((1,), 1), ((3, 1, 4), 1), ((3, 1, 4), 5), ((2,) * 5, 1), (
 
 @pytest.mark.parametrize("orders, r", FUNCTIONAL_SHAPES)
 def test_identity_residual_equals_the_per_pair_loop(orders, r):
-    space, eigenvectors = weighted_quotient(orders, r, np.random.default_rng(r))
+    space, decomp = weighted_quotient(orders, r, np.random.default_rng(r))
+    eigenvectors = decomp.eigenvectors
     assert len(eigenvectors) == r
     assert any(vec.weight != 1.0 for vec in eigenvectors)
     for seed in range(3):
-        batched = rigging._identity_residual(space, eigenvectors, np.random.default_rng(seed))
+        batched = rigging._identity_residual(space, decomp.columns, decomp.weights,
+                                             np.random.default_rng(seed))
         looped = per_pair_identity_residual(space, eigenvectors, np.random.default_rng(seed))
         assert batched == looped
 
 
 @pytest.mark.parametrize("orders, r", FUNCTIONAL_SHAPES)
 def test_act_is_an_entry_of_the_stacked_functional_values(orders, r, rng):
-    space, eigenvectors = weighted_quotient(orders, r, rng)
+    space, decomp = weighted_quotient(orders, r, rng)
     G = space.group
     stack = rng.normal(size=(G.size, 5)) + 1j * rng.normal(size=(G.size, 5))
-    values = rigging._functional_values(eigenvectors, G, stack)
+    values = rigging._functional_values(G, decomp.columns, decomp.weights, stack)
     assert values.shape == (r, 5)
     f = GroupFunction(G, stack[:, 3])
-    for k, vec in enumerate(eigenvectors):
+    for k, vec in enumerate(decomp.eigenvectors):
         assert vec.act(f) == values[k, 3]
 
 
@@ -611,8 +612,11 @@ def test_act_rejects_a_dual_function_and_a_foreign_character():
     _, _, _, decomp = rigged_system(G)
     with pytest.raises(GroupMismatchError):
         decomp.eigenvectors[0].act(ones_amplitude(G))
-    with pytest.raises(ShapeMismatchError):
-        decomp.eigenvectors[5].act(delta(make_group((4,))))
+    # a function on another group, whether or not the character's
+    # coordinates fit that group
+    for k in (1, 5):
+        with pytest.raises(GroupMismatchError):
+            decomp.eigenvectors[k].act(delta(make_group((4,))))
 
 
 def test_rig_reads_the_functionals_twice_per_component(monkeypatch, tmp_path):
@@ -631,7 +635,7 @@ def test_rig_reads_the_functionals_twice_per_component(monkeypatch, tmp_path):
     calls = []
     values = rigging._functional_values
     monkeypatch.setattr(rigging, "_functional_values",
-                        lambda *args: calls.append(args[2].shape) or values(*args))
+                        lambda *args: calls.append(args[3].shape) or values(*args))
     assert cli.main(["rig", "--input", str(src), "--output", str(out)]) == 0
     components = load_json(out)["results"]["components"]
     assert len(components) == 4

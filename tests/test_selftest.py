@@ -141,12 +141,12 @@ def test_failing_property_is_reported_with_a_finite_sentinel(monkeypatch, name, 
 def mix_first_two_eigenvectors(decomp, angle=1e-6):
     """The decomposition with its first two eigenvector coordinates rotated
     into each other: still orthonormal, no longer eigenvectors."""
-    vecs = list(decomp.eigenvectors)
-    if len(vecs) > 1:
-        a, b = vecs[0].coords, vecs[1].coords
+    C = decomp.coords.copy()
+    if len(C) > 1:
+        a, b = decomp.coords[:2]
         c, s = np.cos(angle), np.sin(angle)
-        vecs[:2] = [replace(vecs[0], coords=c * a + s * b), replace(vecs[1], coords=c * b - s * a)]
-    return replace(decomp, eigenvectors=tuple(vecs))
+        C[0], C[1] = c * a + s * b, c * b - s * a
+    return replace(decomp, coords=C)
 
 
 @pytest.mark.parametrize("name, attribute, corrupt", [
