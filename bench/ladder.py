@@ -2,7 +2,7 @@
 
     python3 bench/ladder.py [--parent REV] [--output BENCH_0.json]
 
-Run from the root of a checkout.  Times four layers on a ladder of group
+Run from the root of a checkout.  Times five layers on a ladder of group
 orders |G| in {256, 4096, 65536}:
 
 - ``fileio.parse_complex_array`` on |G| ``[re, im]`` pairs, as ``json``
@@ -16,15 +16,20 @@ orders |G| in {256, 4096, 65536}:
   dimension d in {8, 64} (``perfbench/workloads.planted_representation``,
   d / m characters of multiplicity m = max(1, d // |G|)), for the same
   three shapes.  A case whose ``cli.peak_estimate`` for ``decompose`` is
-  over the CLI's budget is recorded as "skipped (budget)" and not run.
+  over the CLI's budget is recorded as "skipped (budget)" and not run;
+- ``cli.main``, one in-process ``gns`` request on a planted rank-r phi
+  file on the shape (n,), writing its report into a temporary directory.
 
 Each time is the median of 5 calls; one more call, under ``tracemalloc``,
 gives the case's traced peak in bytes.  Each row records the git SHA, the
 number of usable cores, the numpy and BLAS versions, and the log-log
 slope of each series between adjacent rungs (1 is linear in |G|).  A row
-is measured in a fresh interpreter that imports the package from the
-row's ``src/``.  ``--parent REV`` adds a first row for revision REV,
-extracted with ``git archive`` into a temporary directory.  This is a
+is measured ROUNDS times, each in a fresh interpreter that imports the
+package from the row's ``src/``, and reports each case's median over the
+rounds (``rounds_s`` keeps the per-round times).  ``--parent REV`` adds a
+first row for revision REV, extracted with ``git archive`` into a
+temporary directory; the rounds then alternate parent and change, so
+that drift of the machine does not read as a change.  This is a
 measurement, not a test: timings on shared machines are too noisy to
 gate on.
 """
@@ -32,6 +37,8 @@ gate on.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -50,6 +57,7 @@ COLUMNS = (1, 16)
 RIG_RANK = 8
 DIMS = (8, 64)
 REPEATS = 5
+ROUNDS = 3
 BLAS_THREADS = 1
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -82,7 +90,7 @@ def measure() -> list[dict]:
                                  gns_construct, make_group, make_representation,
                                  spectral_measure)
     from abelian_spectra.algebra import _transform
-    from abelian_spectra.fileio import parse_complex_array
+    from abelian_spectra.fileio import dump_json, function_to_payload, parse_complex_array
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import planted_representation
 
@@ -125,6 +133,24 @@ def measure() -> list[dict]:
                 generators, _ = planted_representation(rng, orders, d, max(1, d // n))
                 rep = make_representation(group, generators)
                 cases.append({**case, **timed(lambda: spectral_measure(rep))})
+    rng = np.random.default_rng(3)
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in ORDERS:
+            group = make_group((n,), size_cap=n)
+            amps = np.zeros(n)
+            amps[rng.choice(n, size=RIG_RANK, replace=False)] = rng.uniform(0.5, 2.0, RIG_RANK)
+            phi = GroupFunction(group, _transform(group, amps ** 2, inverse=True))
+            path = os.path.join(tmp, f"phi{n}.json")
+            dump_json(function_to_payload(phi), path)
+            argv = ["gns", "--input", path, "--output", os.path.join(tmp, "out.json"),
+                    "--max-group-size", str(n)]
+
+            def request():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+
+            cases.append({"layer": "cli.main", "shape": "n", "size": n, "columns": None,
+                          **timed(request)})
     return cases
 
 
@@ -159,15 +185,26 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def row(label: str, tree: Path, sha: str) -> dict:
-    """One row, measured in a child interpreter on ``tree``'s ``src/``."""
+def measure_round(tree: Path) -> list[dict]:
+    """Every case once, measured in a child interpreter on ``tree``'s ``src/``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                **{var: str(BLAS_THREADS) for var in THREAD_VARS})
     proc = subprocess.run([sys.executable, __file__, "--measure"], env=env,
                           capture_output=True, text=True, check=True)
-    cases = json.loads(proc.stdout)
-    return {"label": label, "git_sha": sha, **environment(),
-            "cases": cases, "slopes": slopes(cases)}
+    return json.loads(proc.stdout)
+
+
+def combine(rounds: list[list[dict]]) -> list[dict]:
+    """Each case with its median time and traced peak over the rounds."""
+    cases = []
+    for per_round in zip(*rounds):
+        case = dict(per_round[0])
+        if case["median_s"] is not None:
+            times = [c["median_s"] for c in per_round]
+            case.update(median_s=statistics.median(times), rounds_s=times,
+                        peak_bytes=statistics.median(c["peak_bytes"] for c in per_round))
+        cases.append(case)
+    return cases
 
 
 def main(argv=None) -> int:
@@ -180,19 +217,29 @@ def main(argv=None) -> int:
     if args.measure:
         print(json.dumps(measure()))
         return 0
-    rows = []
-    if args.parent:
-        sha = git("rev-parse", args.parent)
-        with tempfile.TemporaryDirectory() as tmp:
+    trees = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.parent:
+            sha = git("rev-parse", args.parent)
             archive = subprocess.run(["git", "archive", sha, "src"], cwd=ROOT,
                                      capture_output=True, check=True).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-            rows.append(row("parent", Path(tmp), sha))
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no", "src"))
-    rows.append(row("change", ROOT, git("rev-parse", "HEAD") + ("+dirty" if dirty else "")))
+            trees["parent"] = (Path(tmp), sha)
+        dirty = bool(git("status", "--porcelain", "--untracked-files=no", "src"))
+        trees["change"] = (ROOT, git("rev-parse", "HEAD") + ("+dirty" if dirty else ""))
+        rounds: dict[str, list] = {label: [] for label in trees}
+        for _ in range(ROUNDS):
+            for label, (tree, sha) in trees.items():
+                rounds[label].append(measure_round(tree))
+    rows = []
+    for label, (_, sha) in trees.items():
+        cases = combine(rounds[label])
+        rows.append({"label": label, "git_sha": sha, **environment(),
+                     "cases": cases, "slopes": slopes(cases)})
     report = {"ladder": "bench/ladder.py", "orders": list(ORDERS), "columns": list(COLUMNS),
               "dims": list(DIMS), "rig_rank": RIG_RANK, "repeats": REPEATS,
-              "statistic": "median", "rows": rows}
+              "rounds": ROUNDS, "statistic": "median over rounds of the median of repeats",
+              "rows": rows}
     Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
     for r in rows:
         print(r["label"], r["git_sha"])

@@ -12,6 +12,7 @@ property breach, 5 mathematical precondition failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -89,6 +90,7 @@ _EXIT_CODES = (
 )
 
 
+@functools.cache  # built on the first main() call and reused: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abelian-spectra",

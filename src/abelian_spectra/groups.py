@@ -114,10 +114,6 @@ class Group:
     def characters(self) -> tuple[Character, ...]:
         return tuple(Character(tuple(row)) for row in self._coords)
 
-    def dual_group(self) -> tuple[Character, ...]:
-        """All characters in enumeration order (the dual is self-indexed)."""
-        return self.characters
-
     def coords_at(self, indices) -> np.ndarray:
         """The coordinate rows (len(indices) x k) of the enumeration indices ``indices``."""
         return np.stack(np.unravel_index(np.asarray(indices, dtype=np.intp), self.orders), axis=-1)
@@ -170,9 +166,16 @@ class Group:
         self._check_coords(chi.coords, "character")
         return Character(tuple((-x) % n for x, n in zip(chi.coords, self.orders)))
 
+    @cached_property
+    def _neg_index(self) -> np.ndarray:
+        """index(-g) at every enumeration index g, read-only."""
+        neg = (-self._coords % self._orders_arr) @ self._strides
+        neg.setflags(write=False)
+        return neg
+
     def neg_indices(self, indices=slice(None)) -> np.ndarray:
         """index(-g) for every enumeration index in ``indices`` (all of G by default)."""
-        return (-self._coords[indices] % self._orders_arr) @ self._strides
+        return self._neg_index[indices]
 
     def element_order(self, g: Element) -> int:
         """Order of g: lcm over factors of n_j / gcd(g_j, n_j)."""
@@ -235,8 +238,6 @@ def make_group(orders: Sequence[int], size_cap: int = DEFAULT_SIZE_CAP) -> Group
     orders, or a total size above ``size_cap``.
     """
     orders = tuple(orders)
-    if len(orders) == 0:
-        raise InvalidGroupError("a group needs at least one cyclic factor")
     for n in orders:
         if int(n) != n or int(n) < 1:
             raise InvalidGroupError(f"cyclic factor orders must be positive integers, got {n!r}")

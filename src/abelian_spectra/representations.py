@@ -364,9 +364,6 @@ class DiagonalModel:
     def symbols(self, rows) -> np.ndarray:
         return self.group.pairing_at(rows, self.columns)
 
-    def multiplication_symbol(self, g: Element) -> np.ndarray:
-        return self.symbols([self.group.element_index(g)])[0]
-
 
 def diagonalize(component: CyclicComponent, pvm: ProjectionValuedMeasure) -> DiagonalModel:
     """Diagonal model of a cyclic component.

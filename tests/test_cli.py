@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, routing, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -558,6 +559,37 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "abelian-spectra" in capsys.readouterr().out
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    phi = write_function(tmp_path / "phi.json", (2, 4), np.eye(1, 8)[0])
+    rep = write_representation(tmp_path / "rep.json", regular_representation(make_group((4,))))
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    code, first, _ = run_cli(capsys, ["gns", "--input", str(phi)])
+    assert code == 0
+    assert run_cli(capsys, ["decompose", "--input", str(rep), "--seed", "3"])[0] == 0
+    code, _, err = run_cli(capsys, ["gns", "--input", str(phi), "--seed", "-1"])
+    assert code == 2 and "--seed must be >= 0" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transform"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: abelian-spectra") and "invalid choice: 'transform'" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"abelian-spectra {cli.__version__}\n"
+    code, again, _ = run_cli(capsys, ["gns", "--input", str(phi)])
+    assert code == 0 and again == first
+    assert progs.count("abelian-spectra") == 1
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])

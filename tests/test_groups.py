@@ -51,12 +51,6 @@ def test_element_and_character_index_are_inverse_to_enumeration(small_group):
         assert G.character_index(chi) == i
 
 
-def test_dual_group_matches_characters():
-    G = make_group((2, 4))
-    assert G.dual_group() == G.characters
-    assert len(G.dual_group()) == G.size
-
-
 @pytest.mark.parametrize("orders", [(), (0,), (-3,), (2, 0, 5)])
 def test_make_group_rejects_bad_orders(orders):
     with pytest.raises(InvalidGroupError):
@@ -134,6 +128,21 @@ def test_neg_indices_invert_every_character(small_group):
     rows = np.random.default_rng(0).permutation(G.size)[: max(1, G.size // 2)]
     assert G.neg_indices(rows).tolist() == [expected[i] for i in rows]
     assert G.neg_indices([]).shape == (0,)
+
+
+@pytest.mark.parametrize("orders", [(3, 1, 4), (2,) * 5])
+def test_neg_indices_read_one_cached_array(orders):
+    G = make_group(orders)
+    coords = np.array([g.coords for g in G.elements])
+    formula = (-coords % np.array(orders)) @ G._strides
+    for indices in (slice(1, None, 2), [5, 0, 5, G.size - 1], np.arange(G.size)[::-1]):
+        got = G.neg_indices(indices)
+        assert got.dtype == formula.dtype
+        np.testing.assert_array_equal(got, formula[indices])
+    cached = G._neg_index
+    assert G.neg_indices().base is cached and not cached.flags.writeable
+    with pytest.raises(ValueError):
+        G.neg_indices()[0] = 1
 
 
 def test_element_order():

@@ -413,8 +413,6 @@ def test_diagonal_model_table_on_z4_regular():
     model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
     table = model.symbols(np.arange(G.size))
     np.testing.assert_allclose(table[1], [1.0, 1j, -1.0, -1j], atol=1e-12)
-    g = G.element((1,))
-    np.testing.assert_array_equal(model.multiplication_symbol(g), table[1])
 
 
 def test_diagonal_model_scalar_case():

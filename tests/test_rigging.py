@@ -437,7 +437,7 @@ def oracle_maxima(model, space, decomp, W):
     eig = max(eigen_residual(decomp, space, g, chi)
               for g in G.elements for chi in decomp.support)
     itw = max(float(np.linalg.norm(W @ space.operator(g)
-                                   - np.diag(model.multiplication_symbol(g)) @ W))
+                                   - np.diag(model.symbols([G.element_index(g)])[0]) @ W))
               for g in G.elements)
     return recon, eig, itw
 
