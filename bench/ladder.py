@@ -147,7 +147,9 @@ def measure() -> list[dict]:
 
             def request():
                 with contextlib.redirect_stdout(io.StringIO()):
-                    assert cli.main(argv) == 0
+                    code = cli.main(argv)
+                if code != 0:
+                    raise RuntimeError(f"gns on ({n},) exited {code}")
 
             cases.append({"layer": "cli.main", "shape": "n", "size": n, "columns": None,
                           **timed(request)})

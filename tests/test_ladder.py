@@ -32,3 +32,13 @@ def test_ladder_measures_every_layer_and_shape(monkeypatch):
     assert all(case["median_s"] > 0 and case["peak_bytes"] > 0 for case in cases)
     dims = {case["dim"] for case in cases if case["layer"] == "representations.spectral_measure"}
     assert dims == set(ladder.DIMS)
+
+
+def test_rounds_combine_into_each_case_median():
+    ladder = load_ladder()
+    skipped = {"layer": "b", "median_s": None, "peak_bytes": None, "status": "skipped (budget)"}
+    rounds = [[{"layer": "a", "median_s": t, "peak_bytes": p}, skipped]
+              for t, p in ((3.0, 10), (1.0, 30), (2.0, 20))]
+    timed, untimed = ladder.combine(rounds)
+    assert timed == {"layer": "a", "median_s": 2.0, "rounds_s": [3.0, 1.0, 2.0], "peak_bytes": 20}
+    assert untimed == skipped
