@@ -1,10 +1,9 @@
 """Unitary representations of finite abelian groups and their spectral data.
 
 A representation is stored through the images of the cyclic-factor
-generators; commuting unitaries with the right orders determine the whole
-representation.  Character averaging produces the projection-valued
-measure in closed form, from which cyclic components, diagonal models,
-orthonormal ket systems, and functional calculus are derived.
+generators.  Character averaging, factor by factor, gives the
+projection-valued measure as one unitary basis, from which cyclic
+components, diagonal models, ket systems and functional calculus follow.
 """
 
 from __future__ import annotations
@@ -57,11 +56,8 @@ class UnitaryRep:
 
     @cached_property
     def operators(self) -> np.ndarray:
-        """All |G| operators stacked in element enumeration order.
-
-        An oracle: the all-G residuals, the self-test and the tests read it;
-        the spectral measure and the CLI never build it.
-        """
+        """All |G| operators in element enumeration order: an oracle for the
+        all-G residuals, the self-test and the tests; the CLI never builds it."""
         d = self.dim
         stack = np.eye(d, dtype=complex)[None]
         for U, n in zip(self.generators, self.group.orders):
@@ -70,9 +66,8 @@ class UnitaryRep:
 
 
 def generator_powers(U: np.ndarray, n: int) -> np.ndarray:
-    """U^0, ..., U^{n-1} stacked, by doubling: the block [m, 2m) is the block
-    [0, m) times U^m, so ceil(log2 n) batched products (and as many
-    squarings) build the stack instead of n - 1 chained ones."""
+    """U^0, ..., U^{n-1} by doubling: the block [m, 2m) is the block [0, m)
+    times U^m, ceil(log2 n) batched products instead of n - 1 chained ones."""
     d = U.shape[0]
     out = np.empty((n, d, d), dtype=complex)
     out[0] = np.eye(d)
@@ -95,13 +90,10 @@ def _require(relation: str, message: str, residual, tol: float) -> None:
 
 
 def make_representation(group: Group, generator_images: Sequence[np.ndarray]) -> UnitaryRep:
-    """Validate generator images and assemble a UnitaryRep.
-
-    Checks, in order: one square image per cyclic factor with a common
-    dimension, unitarity, pairwise commutation, and U_j^{n_j} = I.  Every
-    failure names the violated relation and its residual norm; a NaN
-    residual counts as a failure.
-    """
+    """Validate generator images and assemble a UnitaryRep: one square image
+    per factor with a common dimension, unitarity, pairwise commutation and
+    U_j^{n_j} = I, in that order.  A failure names the relation and its
+    residual norm; a NaN residual fails."""
     mats = [np.asarray(U, dtype=complex) for U in generator_images]
     if len(mats) != group.num_factors:
         raise ShapeMismatchError(
@@ -129,12 +121,10 @@ def make_representation(group: Group, generator_images: Sequence[np.ndarray]) ->
 
 
 def check_diagonal_generators(group: Group, diagonals: np.ndarray) -> None:
-    """``make_representation``'s unitarity and order checks, in O(k r), for
-    diagonal images given by their k x r diagonals s: |s| = 1 and s^{n_j} = 1
-    (diagonals commute).  Each gap is measured by its largest entry, the
-    operator norm of the diagonal gap, not by make_representation's Frobenius
-    norm: every entry of s^{n_j} is off by about n_j eps, so the Frobenius
-    norm grows as sqrt(r) and would refuse exact phases at large rank."""
+    """``make_representation``'s unitarity and order checks in O(k r) for the
+    k x r diagonals s of diagonal images: |s| = 1 and s^{n_j} = 1.  A gap is
+    its largest entry (the operator norm), as the Frobenius norm of n_j eps
+    entries grows as sqrt(r) and would refuse exact phases at large rank."""
     for j, (s, n) in enumerate(zip(diagonals, group.orders)):
         _require(f"unitary[{j}]", f"generator {j} not unitary",
                  np.abs(np.abs(s) ** 2 - 1.0).max(initial=0.0), UNITARY_TOL)
@@ -157,16 +147,14 @@ def trivial_representation(group: Group, dim: int = 1) -> UnitaryRep:
 class ProjectionValuedMeasure:
     """Spectral projections of a representation, indexed by characters.
 
-    ``indices`` are the ascending enumeration indices of the support, the
-    characters with a nonzero projection; ``projections`` (s x d x d) and
-    ``multiplicities`` follow that order, and so do the column blocks of the
-    unitary ``basis``, orthonormal bases of the ranges.  ``nu`` is the
-    counting measure on the support.
+    ``indices`` are the ascending enumeration indices of the support (the
+    characters with a nonzero projection); ``multiplicities`` follow them,
+    and so do the column blocks B_t of the unitary ``basis``, orthonormal
+    bases of the ranges: P(chi_t) = B_t B_t^dagger.  ``nu`` counts the support.
     """
 
     rep: UnitaryRep
     indices: np.ndarray
-    projections: np.ndarray
     multiplicities: np.ndarray
     basis: np.ndarray
     residuals: dict
@@ -186,9 +174,20 @@ class ProjectionValuedMeasure:
         return {chi: self.basis[:, end - m:end]
                 for chi, m, end in zip(self.support, self.multiplicities.tolist(), ends)}
 
+    @cached_property
+    def projections(self) -> np.ndarray:
+        """The s x d x d stack of every B_t B_t^dagger, for the oracles and tests."""
+        return self.combine(np.eye(len(self.indices)))
+
     @property
     def nu(self) -> dict:
         return dict.fromkeys(self.support, 1.0)
+
+    def combine(self, weights: np.ndarray) -> np.ndarray:
+        """sum_t w_t P(chi_t) = W diag(w, each w_t repeated by multiplicity) W^dagger
+        for weights of shape (..., s), one d x d matrix per leading index."""
+        W = self.basis
+        return (W * np.repeat(weights, self.multiplicities, axis=-1)[..., None, :]) @ W.conj().T
 
     def projection(self, chi: Character) -> np.ndarray:
         hit = self.indices == self.group.character_index(chi)
@@ -205,111 +204,143 @@ def _blocks(count: int, d: int):
     return (slice(i, i + step) for i in range(0, count, step))
 
 
-def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
-    """Projection-valued measure by character averaging, built factor by factor.
+def _frobenius(stack: np.ndarray) -> float:
+    """The largest Frobenius norm in a stack of matrices."""
+    squares = np.abs(stack)
+    return float(np.sqrt(np.square(squares, out=squares).sum(axis=(1, 2)).max()))
 
-    P(chi) = (1/|G|) sum_g conj(<g|chi>) pi(g), the closed-form inversion
-    of the reconstruction identity pi(g) = sum_chi <g|chi> P(chi) through
-    character orthogonality.  On Z_{n_1} x ... x Z_{n_k} the average
-    factors: P(chi) = prod_j P_j(chi_j) with P_j(c) = (1/n_j) sum_m
-    omega_j^{-mc} U_j^m, so one FFT along the power axis of
-    ``generator_powers(U_j, n_j)`` gives every P_j(c).  The product is taken
-    one factor at a time: each partial product A of the factors so far is
-    paired with every P_j(c) through tr(A P_j(c)), an O(d^2) inner product,
-    and only the pairs with trace above 1/2 are multiplied, block by block
-    into the next stack: at most d survive, as ranks are traces and add up
-    to d.  A multiplicity is rint(tr P(chi)).  Every range basis comes from
-    one O(d^3) eigensolve of H = sum_t (t + 1) P(chi_t): the eigenvectors of
-    eigenvalue t + 1, the t-th column block B_t, span the range of
-    P(chi_t).  Time O(sum_j n_j d^3 + k d^4); memory the returned s x d x d
-    stack plus at most the previous factor's products and the O(sum_j n_j
-    d^2) transformed powers, nothing |G|-sized.  Validated: idempotency,
-    hermiticity, completeness, ranks adding up to d, and orthogonality, the
-    worst entry of P(chi_t) - B_t B_t^dagger; each B_t needs as many columns
-    with Rayleigh value above RANGE_ACCEPT_TOL and eigenvalue within 1/2 of
-    t + 1 as the multiplicity.  A violation raises NumericalDegeneracyError
-    carrying the residuals.
+
+def _projection_runs(rep: UnitaryRep):
+    """(orders, stack) for runs of consecutive factors, stack[c] = prod_j P_j(c_j)
+    over the run's characters c in enumeration order, each P_j from one in-place
+    FFT of ``generator_powers(U_j, n_j)``.  A run takes in the next factor while
+    its stack stays within BLOCK_BYTES / 4, so a small group takes few steps."""
+    d, run, shape = rep.dim, None, ()
+    for U, n in zip(rep.generators, rep.group.orders):
+        if run is not None and len(run) * n * 16 * d * d > BLOCK_BYTES // 4:
+            yield shape, run
+            run = factor = None  # dropped before the next powers are built
+        factor = generator_powers(U, n)
+        np.fft.fft(factor, axis=0, norm="forward", out=factor)
+        run, shape = (factor, (n,)) if run is None else (
+            (run[:, None] @ factor[None]).reshape(-1, d, d), shape + (n,))
+    if run is not None:
+        yield shape, run
+
+
+def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
+    """Projection-valued measure by character averaging, refined factor by factor.
+
+    P(chi) = (1/|G|) sum_g conj(<g|chi>) pi(g) factors as prod_j P_j(chi_j),
+    P_j(c) = (1/n_j) sum_m omega_j^{-mc} U_j^m: one FFT of the powers of U_j.
+    The measure is one d x d unitary W whose column blocks B_a span the joint
+    eigenspaces of the factors taken so far, so every restriction M =
+    B_a^dagger P_j(c) B_a is a projection.  A step keeps the pairs with tr M
+    above 1/2 (traces off the block projectors B_a B_a^dagger, a chunk at a
+    time) and replaces each block by B_a V, V from one batched ``eigh`` per
+    block width of sum_c l_c M over its kept pieces, labelled l_c = 1, 2, ...
+    in enumeration order: gaps 1, no |G|-sized label, pieces in order.  At
+    the end W is ``basis`` and the block widths are the multiplicities.  Time
+    O(sum_j n_j d^3); memory W, one factor's transformed powers, the kept
+    restrictions and BLOCK_BYTES chunks: no s x d x d stack.  Validated on
+    each M with V its piece's columns: idempotency ||M^2 - M||, hermiticity
+    ||M - M^dagger||, orthogonality max |M - V V^dagger|, rint(tr M) columns
+    with eigenvalue within 1/2 of l_c and Rayleigh value above
+    RANGE_ACCEPT_TOL, ranks filling each block; completeness ||W^dagger W - I||.
+    A violation raises NumericalDegeneracyError carrying the residuals.
     """
     group, d = rep.group, rep.dim
-    P = np.eye(d, dtype=complex)[None]
-    indices = np.zeros(1, dtype=np.int64)
-    for U, n in zip(rep.generators, group.orders):
-        factor = generator_powers(U, n)
-        np.fft.fft(factor, axis=0, norm="forward", out=factor)  # in place: one n x d x d stack
-        # tr(A P_j(c)) = <vec(A^T), vec(P_j(c))>, one (s x d^2) @ (d^2 x n) product
-        traces = P.swapaxes(1, 2).reshape(len(P), d * d) @ factor.reshape(n, d * d).T
-        rows, cols = np.nonzero(traces.real > 0.5)  # row-major: enumeration order
-        out = np.empty((len(rows), d, d), dtype=complex)
-        for b in _blocks(len(rows), d):
-            np.matmul(P[rows[b]], factor[cols[b]], out=out[b])
-        P, indices = out, indices[rows] * n + cols
-    del factor
-    P.setflags(write=False)
-    mults = np.rint(np.trace(P, axis1=1, axis2=2).real).astype(int)
-    if mults.sum() != d:
-        raise NumericalDegeneracyError(
-            f"projection ranks add up to {mults.sum()}, not the dimension {d}",
-            residuals={"multiplicity_sum": float(abs(mults.sum() - d))})
-
-    lam, W = np.linalg.eigh((np.arange(1.0, len(P) + 1) @ P.reshape(len(P), d * d)).reshape(d, d))
+    W = np.eye(d, d + 1, dtype=complex)  # the basis and a zero column, which pads blocks
+    widths = ends = np.array([d])
+    indices, done, idem, herm, ortho = np.zeros(1, dtype=np.int64), 0, 0.0, 0.0, 0.0
+    for shape, factor in _projection_runs(rep):
+        n, done = len(factor), done + len(shape)
+        span = np.arange(widths.max())
+        cols = np.where(span < widths[:, None], (ends - widths)[:, None] + span, -1)
+        # tr(B^dagger P B) = sum_ik conj(Q_ik) P_ik for the block projector Q = B B^dagger
+        traces = np.empty((len(widths), n), dtype=complex)
+        for b in _blocks(len(widths), d):
+            B = W[:, cols[b]]
+            np.matmul((B.conj().transpose(1, 0, 2) @ B.transpose(1, 2, 0)).reshape(-1, d * d),
+                      factor.reshape(n, d * d).T, out=traces[b])
+        rows, cs = np.nonzero(traces.real > 0.5)  # row-major: enumeration order
+        ranks = np.rint(traces.real[rows, cs]).astype(int)
+        sums = np.bincount(rows, ranks, minlength=len(widths))
+        if (sums != widths).any():  # the pieces of each block must fill it
+            off = float(np.abs(sums - widths).sum())
+            raise NumericalDegeneracyError(f"projection ranks miss the dimension {d} by {off:.0f}",
+                                           residuals={"multiplicity_sum": off})
+        ends, pw = np.cumsum(ranks), widths[rows]
+        for m in set(pw.tolist()):
+            pairs = (pw == m).nonzero()[0]
+            rp, r, label = rows[pairs], ranks[pairs], np.arange(len(pairs))
+            block = cols[rp, :m]  # each pair's block: m columns of W
+            M = np.empty((len(pairs), m, m), dtype=complex)
+            for b in _blocks(len(pairs), d):
+                B = W[:, block[b]].transpose(1, 0, 2)
+                PB = factor[cs[pairs[b]]] @ B
+                M[b] = B.conj().swapaxes(1, 2) @ PB
+            del B, PB
+            first = np.searchsorted(rp, rp)  # the first pair of each pair's block
+            heads = (first == label).nonzero()[0]
+            label = label - first + 1.0  # the pieces of a block are labelled 1, 2, ...
+            # eigenvalue l on the piece labelled l, ascending: the pieces in order
+            lam, V = np.linalg.eigh(np.add.reduceat(M * label[:, None, None], heads))
+            bi = np.searchsorted(heads, first)
+            lo = ends[pairs] - r - block[:, 0]  # each piece's first column in its block
+            own = (span[:m] >= lo[:, None]) & (span[:m] < (lo + r)[:, None])
+            Vp = V[bi] * own[:, None, :]  # each piece's columns
+            ray = np.matmul(M, Vp)
+            ray *= Vp.conj()
+            found = (own & (ray.sum(axis=1).real > RANGE_ACCEPT_TOL)
+                     & (np.abs(lam[bi] - label[:, None]) <= 0.5)).sum(axis=1)
+            if (found < r).any():
+                t = int(np.argmax(found < r))
+                chi = np.unravel_index(indices[rp[t]] * n + cs[pairs[t]], group.orders[:done])
+                raise NumericalDegeneracyError(
+                    f"range basis of P({tuple(map(int, chi))}) on the first {done} factors "
+                    f"found {found[t]} directions for multiplicity {r[t]}",
+                    residuals={"multiplicity": float(r[t]), "basis_rank": float(found[t])})
+            gap = Vp @ Vp.conj().swapaxes(1, 2)  # one buffer for the three gaps
+            ortho = max(ortho, np.abs(np.subtract(gap, M, out=gap)).max())
+            idem = max(idem, _frobenius(np.subtract(np.matmul(M, M, out=gap), M, out=gap)))
+            np.conjugate(M.swapaxes(1, 2), out=gap)
+            herm = max(herm, _frobenius(np.subtract(gap, M, out=gap)))
+            del gap, Vp, ray
+            at = block[heads]  # B V in place of each block B
+            W[:, at] = (W[:, at].transpose(1, 0, 2) @ V).transpose(1, 0, 2)
+        widths, indices = ranks, indices[rows] * n + cs
+        del factor
+    W = np.ascontiguousarray(W[:, :d])
     W.setflags(write=False)
-    # columns of each block, padded to the widest with the zero column d
-    width = np.arange(mults.max(initial=0))
-    cols = np.where(width < mults[:, None], (np.cumsum(mults) - mults)[:, None] + width, d)
-    padded = np.column_stack([W, np.zeros(d)])
-    near = np.append(np.abs(lam - np.repeat(np.arange(1, len(P) + 1), mults)) <= 0.5, False)
-    found = np.empty(len(P), dtype=int)
-    idem = herm = ortho = 0.0
-    for b in _blocks(len(P), d):
-        Pb, Bb = P[b], padded[:, cols[b]].transpose(1, 0, 2)
-        idem = max(idem, np.linalg.norm(Pb @ Pb - Pb, axis=(1, 2)).max())
-        herm = max(herm, np.linalg.norm(Pb - Pb.conj().swapaxes(1, 2), axis=(1, 2)).max())
-        ortho = max(ortho, np.abs(Pb - Bb @ Bb.conj().swapaxes(1, 2)).max())
-        rayleigh = (Bb.conj() * (Pb @ Bb)).sum(axis=1).real
-        found[b] = ((rayleigh > RANGE_ACCEPT_TOL) & near[cols[b]]).sum(axis=1)
-    if np.any(found < mults):
-        t = int(np.argmax(found < mults))
-        raise NumericalDegeneracyError(
-            f"range basis of P({group.characters_at(indices[t:t + 1])[0].coords}) found "
-            f"{found[t]} directions for multiplicity {mults[t]}",
-            residuals={"multiplicity": float(mults[t]), "basis_rank": float(found[t])})
-    complete = float(np.linalg.norm(P.sum(axis=0) - np.eye(d)))
-    residuals = {"idempotency": float(idem), "hermiticity": float(herm),
-                 "orthogonality": float(ortho), "completeness": complete, "multiplicity_sum": 0.0}
+    residuals = {"idempotency": idem, "hermiticity": herm, "orthogonality": float(ortho),
+                 "completeness": _frobenius((W.conj().T @ W - np.eye(d))[None]),
+                 "multiplicity_sum": 0.0}
     if max(residuals.values()) > PVM_TOL:
         raise NumericalDegeneracyError("projection-valued measure violates its invariants ("
                                        + ", ".join(f"{k} {v:.3e}" for k, v in residuals.items())
                                        + ")", residuals=residuals)
-    return ProjectionValuedMeasure(rep=rep, indices=indices, projections=P,
-                                   multiplicities=mults, basis=W, residuals=residuals)
+    return ProjectionValuedMeasure(rep=rep, indices=indices, multiplicities=widths, basis=W,
+                                   residuals=residuals)
 
 
 def reconstruction_residual(pvm: ProjectionValuedMeasure) -> float:
-    """max_g || pi(g) - sum_chi <g|chi> P(chi) ||, one product over all of G.
-
-    An oracle over the operator stack, for the self-test and the tests;
-    ``relation_certificate`` bounds it from the binary powers.
-    """
+    """max_g || pi(g) - sum_chi <g|chi> P(chi) ||, over the operator stack: an
+    oracle, which ``relation_certificate`` bounds from the binary powers."""
     group = pvm.group
-    gap = group.pairing_at(np.arange(group.size), pvm.indices) @ pvm.projections.reshape(
-        len(pvm.indices), -1)
-    gap -= pvm.rep.operators.reshape(group.size, -1)
-    return float(np.max(np.linalg.norm(gap, axis=1)))
+    gap = pvm.combine(group.pairing_at(np.arange(group.size), pvm.indices))
+    gap -= pvm.rep.operators
+    return float(np.max(np.linalg.norm(gap, axis=(1, 2))))
 
 
 def apply_algebra(pvm: ProjectionValuedMeasure, f: GroupFunction) -> np.ndarray:
-    """Lift of the convolution algebra through the spectral measure.
-
-    Returns sum_g f(g) pi(g) assembled spectrally.  The reconstruction
-    convention pi(g) = sum_chi <g|chi> P(chi) forces the scalar symbol on
-    the chi block to be the transform evaluated at the inverse character,
-    so that delta_g maps to pi(g) and convolution maps to composition.
-    """
+    """sum_g f(g) pi(g) through the spectral measure.  As pi(g) = sum_chi
+    <g|chi> P(chi), the symbol on the chi block is the transform at the
+    inverse character: delta_g maps to pi(g), convolution to composition."""
     group = pvm.group
     if f.group != group:
         raise GroupMismatchError("function and measure live on different groups")
-    return np.tensordot(fourier(f).values[group.neg_indices(pvm.indices)], pvm.projections,
-                        axes=1)
+    return pvm.combine(fourier(f).values[group.neg_indices(pvm.indices)])
 
 
 @dataclass(frozen=True)
@@ -326,19 +357,19 @@ class CyclicComponent:
 def cyclic_decomposition(pvm: ProjectionValuedMeasure) -> list[CyclicComponent]:
     """Split the space into cyclic components, one per multiplicity layer.
 
-    Layer i (1-based) collects, for every support character of
-    multiplicity >= i, the i-th vector of the deterministic orthonormal
-    basis of range P(chi); their sum is the layer's cyclic vector and the
-    normalised projections P(chi) u / ||P(chi) u|| form its isometry.
+    Layer i (1-based) sums the i-th columns u of the range bases of every
+    character of multiplicity >= i into its cyclic vector; the normalised
+    P(chi_t) u = B_t (B_t^dagger u) / ||...|| form its isometry.
     """
-    mults, starts = pvm.multiplicities, np.cumsum(pvm.multiplicities) - pvm.multiplicities
+    W, mults = pvm.basis, pvm.multiplicities
+    starts = np.cumsum(mults) - mults
     components = []
     for i in range(1, mults.max(initial=0) + 1):
         keep = mults >= i
-        u = pvm.basis[:, starts[keep] + i - 1].sum(axis=1)
-        ws = (pvm.projections @ u)[keep]
-        norms = np.linalg.norm(ws, axis=1)
-        iso = (ws / np.where(norms > 0, norms, 1.0)[:, None]).T
+        u = W[:, starts[keep] + i - 1].sum(axis=1)
+        ws = np.add.reduceat(W * (W.conj().T @ u), starts, axis=1)[:, keep]
+        norms = np.linalg.norm(ws, axis=0)
+        iso = ws / np.where(norms > 0, norms, 1.0)
         iso.setflags(write=False)
         u.setflags(write=False)
         components.append(CyclicComponent(
@@ -349,12 +380,9 @@ def cyclic_decomposition(pvm: ProjectionValuedMeasure) -> list[CyclicComponent]:
 
 @dataclass(frozen=True)
 class DiagonalModel:
-    """Multiplication-operator model of a cyclic component.
-
-    ``isometry`` V satisfies V^dagger pi(g) V = diag(<g|chi>) over the
-    support (enumeration indices ``columns``); ``symbols(rows)`` gives the
-    diagonal symbols <g_i | support[s]> at the element indices i in ``rows``.
-    """
+    """Multiplication-operator model of a cyclic component: V^dagger pi(g) V =
+    diag(<g|chi>) over the support (enumeration indices ``columns``) for the
+    ``isometry`` V; ``symbols(rows)`` gives <g_i | support[s]> for i in rows."""
 
     group: Group
     support: tuple[Character, ...]
@@ -366,11 +394,8 @@ class DiagonalModel:
 
 
 def diagonalize(component: CyclicComponent, pvm: ProjectionValuedMeasure) -> DiagonalModel:
-    """Diagonal model of a cyclic component.
-
-    Raises DegenerateComponentError when a projection of the cyclic
-    vector on the declared support is numerically zero.
-    """
+    """Diagonal model of a cyclic component; DegenerateComponentError when a
+    projection of the cyclic vector on its support is numerically zero."""
     for chi, norm in zip(component.support, component.projection_norms):
         if norm < DEGENERATE_TOL:
             raise DegenerateComponentError(
@@ -381,10 +406,7 @@ def diagonalize(component: CyclicComponent, pvm: ProjectionValuedMeasure) -> Dia
 
 
 def diagonalization_residual(model: DiagonalModel, rep: UnitaryRep) -> float:
-    """max_g || V^dagger pi(g) V - diag(<g|chi>) ||, over the whole stack.
-
-    An oracle, as ``reconstruction_residual`` is.
-    """
+    """max_g || V^dagger pi(g) V - diag(<g|chi>) ||, an oracle over the stack."""
     V = model.isometry
     D = V.conj().T @ rep.operators @ V
     diag = np.arange(V.shape[1])
@@ -393,11 +415,8 @@ def diagonalization_residual(model: DiagonalModel, rep: UnitaryRep) -> float:
 
 
 def invariance_residual(component: CyclicComponent, rep: UnitaryRep) -> float:
-    """max_g || (I - V V^dagger) pi(g) V V^dagger ||, over the whole stack.
-
-    Zero when pi(G) leaves the component's range invariant.  An oracle, as
-    ``reconstruction_residual`` is.
-    """
+    """max_g || (I - V V^dagger) pi(g) V V^dagger ||, an oracle over the stack:
+    zero when pi(G) leaves the component's range invariant."""
     proj = component.isometry @ component.isometry.conj().T
     leak = (np.eye(rep.dim) - proj) @ rep.operators @ proj
     return float(np.max(np.linalg.norm(leak, axis=(1, 2))))
@@ -405,16 +424,14 @@ def invariance_residual(component: CyclicComponent, rep: UnitaryRep) -> float:
 
 def binary_power_indices(group: Group) -> np.ndarray:
     """Element indices of the identity and of every 2^i e_j with 2^i < n_j,
-    factor by factor: 1 + L of them, L = sum_j ceil(log2 n_j), with
-    ceil(log2 n) = (n - 1).bit_length()."""
+    factor by factor: 1 + L of them, L = sum_j ceil(log2 n_j)."""
     return np.array([0] + [2 ** i * stride for n, stride in zip(group.orders, group._strides)
                            for i in range((n - 1).bit_length())])
 
 
 def binary_powers(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray]:
-    """``binary_power_indices`` and the (1 + L) x d x d stack of the identity
-    and the U_j^(2^i) at them.  Each power is squared from the input
-    generator, independently of ``generator_powers``."""
+    """``binary_power_indices`` and the identity and U_j^(2^i) at them, each
+    squared from the input generator, independently of ``generator_powers``."""
     mats = [np.eye(rep.dim, dtype=complex)]
     for U, n in zip(rep.generators, rep.group.orders):
         for _ in range((n - 1).bit_length()):
@@ -425,62 +442,45 @@ def binary_powers(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray]:
 
 def certified_gap(gaps: np.ndarray, defects: float, dim: int) -> float:
     """Bound on a relation's worst gap over G from its Frobenius-norm gaps
-    eps_t at the identity (t = 0) and the binary powers h_t of
-    ``binary_power_indices``, with ``defects`` = sum_t (delta_t + u_t).
-
-    Every g in G is a sum of distinct h_t, at most L = sum_j ceil(log2 n_j) of
-    them.  Let X(g) = Y(g) be the relation, Y multiplicative with
-    ||Y(h_t)|| <= 1, and ||X(g + h_t) - X(g) X(h_t)|| <= delta_t (g without
-    digit t), ||X(h_t)|| <= 1 + u_t.  Peeling a digit h off g = g' + h,
+    eps_t at the identity (t = 0) and the binary powers h_t, with
+    ``defects`` = sum_t (delta_t + u_t).  Every g is a sum of at most
+    L = sum_j ceil(log2 n_j) distinct h_t.  For a relation X(g) = Y(g), Y
+    multiplicative with ||Y(h_t)|| <= 1, ||X(g + h_t) - X(g) X(h_t)|| <=
+    delta_t and ||X(h_t)|| <= 1 + u_t, peeling a digit h off g = g' + h,
     X(g) - Y(g) = [X(g) - X(g') X(h)] + [X(g') - Y(g')] X(h) + Y(g') [X(h) - Y(h)],
-    so the gap at g is at most (sum_t eps_t + delta_t) prod_t (1 + u_t)
-    <= sum_t eps_t + defects whenever sum_t u_t <= 1 and
-    2 sum_t (eps_t + delta_t) <= 1, which any value under a tolerance below
-    1/2 meets.  Returned is that plus (L + 1) d^2 eps_mach, the error of
-    forming a product of L + 1 unitary d x d factors (|fl(AB) - AB| <=
-    d eps_mach |A||B| entrywise, and || |A||B| ||_F <= d), so the value also
-    bounds a computed all-G residual.  It is at most L times the worst gap
-    plus the defects, and tighter when the gaps grow along the squarings,
-    as round-off does.
-    """
+    bounds the gap at g by (sum_t eps_t + delta_t) prod_t (1 + u_t) <= sum_t
+    eps_t + defects, when sum_t u_t <= 1 and 2 sum_t (eps_t + delta_t) <= 1
+    (any value under a tolerance below 1/2).  Added is (L + 1) d^2 eps_mach,
+    the round-off of a product of L + 1 unitary d x d factors, so the value
+    also bounds a computed all-G residual."""
     return float(np.sum(gaps) + defects + len(gaps) * dim ** 2 * np.finfo(float).eps)
 
 
 def relation_certificate(pvm: ProjectionValuedMeasure,
                          models: Sequence[DiagonalModel]) -> dict[str, float]:
-    """``certified_gap`` bounds on the three all-G relation residuals, from
-    the gaps at the identity and each binary power A_t = pi(h_t) (squared
-    from the input generators by ``binary_powers``):
-
-    - reconstruction: || A_t - sum_chi <h_t|chi> P(chi) ||;
-    - diagonalization: || V^dagger A_t V - diag(<h_t|chi>) ||, worst model;
-    - component_invariance: || (I - V V^dagger) A_t V V^dagger ||, worst model.
-
-    pi is multiplicative and ||A_t|| <= 1 + u_t = 1 + || A_t^dagger A_t - I ||,
-    so the defects are sum_t u_t.  The bound is first order in the measure's
-    own defects: it takes the projections to multiply exactly (the pvm_*
-    residuals) and, for the diagonal models, the range leak to be the
-    invariance gap.  O(L d^3) per model, with no |G|-sized array.
-    """
-    group, d = pvm.group, pvm.rep.dim
-    indices, A = binary_powers(pvm.rep)
-    eye = np.eye(d)
-    unitarity = np.linalg.norm(A.conj().swapaxes(1, 2) @ A - eye, axis=(1, 2)).sum()
-    phases = group.pairing_at(indices, pvm.indices)
-    recon = np.linalg.norm(A.reshape(-1, d * d) - phases @ pvm.projections.reshape(-1, d * d),
-                           axis=1)
-    diag = leak = np.zeros(len(indices))
-    for model in models:
-        V = model.isometry
-        D = V.conj().T @ A @ V
-        r = np.arange(V.shape[1])
-        D[:, r, r] -= model.symbols(indices)
-        diag = np.maximum(diag, np.linalg.norm(D, axis=(1, 2)))
-        Q = V @ V.conj().T
-        leak = np.maximum(leak, np.linalg.norm((eye - Q) @ A @ Q, axis=(1, 2)))
-    return {key: certified_gap(gaps, unitarity, d)
-            for key, gaps in (("reconstruction", recon), ("diagonalization", diag),
-                              ("component_invariance", leak))}
+    """``certified_gap`` bounds on the three all-G relation residuals from the
+    gaps at the identity and each binary power A_t = pi(h_t) (``binary_powers``):
+    reconstruction || A_t - sum_chi <h_t|chi> P(chi) ||; diagonalization
+    || V^dagger A_t V - diag(<h_t|chi>) || and component_invariance
+    || (I - V V^dagger) A_t V V^dagger ||, each the worst model.  pi is
+    multiplicative and ||A_t|| <= 1 + || A_t^dagger A_t - I ||, the defects.
+    First order in the measure's own defects (the pvm_* residuals); O(L d^3)
+    per model, a chunk of powers at a time, with no |G|-sized array."""
+    d, (indices, A) = pvm.rep.dim, binary_powers(pvm.rep)
+    phases, eye = pvm.group.pairing_at(indices, pvm.indices), np.eye(d)
+    norms = np.zeros((4, len(A)))  # unitarity defects, then the three gaps
+    for b in _blocks(len(A), d):
+        Ab = A[b]
+        norms[0, b] = np.linalg.norm(Ab.conj().swapaxes(1, 2) @ Ab - eye, axis=(1, 2))
+        norms[1, b] = np.linalg.norm(pvm.combine(phases[b]) - Ab, axis=(1, 2))
+        for model in models:
+            V, r = model.isometry, np.arange(model.isometry.shape[1])
+            D, Q = V.conj().T @ Ab @ V, V @ V.conj().T
+            D[:, r, r] -= model.symbols(indices[b])
+            norms[2, b] = np.maximum(norms[2, b], np.linalg.norm(D, axis=(1, 2)))
+            norms[3, b] = np.maximum(norms[3, b], np.linalg.norm((eye - Q) @ Ab @ Q, axis=(1, 2)))
+    return {key: certified_gap(gaps, norms[0].sum(), d) for key, gaps in
+            zip(("reconstruction", "diagonalization", "component_invariance"), norms[1:])}
 
 
 @dataclass(frozen=True)
@@ -522,12 +522,9 @@ def dirac_kets(pvm: ProjectionValuedMeasure) -> KetSystem:
 def functional_calculus(pvm: ProjectionValuedMeasure,
                         labels: Mapping[Character, float] | Sequence[float],
                         func: Callable[[float], complex]) -> np.ndarray:
-    """sum_chi func(a(chi)) P(chi) for a real labelling a of the support.
-
-    ``labels`` is either a mapping from support characters to reals or a
-    sequence aligned with the support order.  Complex labels raise
-    NotSelfAdjointError: the labelled operator would not be self-adjoint.
-    """
+    """sum_chi func(a(chi)) P(chi) for a real labelling a of the support, a
+    mapping from support characters or a sequence in support order.  Complex
+    labels raise NotSelfAdjointError (the operator would not be self-adjoint)."""
     if isinstance(labels, Mapping):
         try:
             values = [labels[chi] for chi in pvm.support]
@@ -544,4 +541,4 @@ def functional_calculus(pvm: ProjectionValuedMeasure,
         raise NotSelfAdjointError("spectral labels must be real")
 
     weights = np.array([complex(func(float(a))) for a in arr.real], dtype=complex)
-    return np.tensordot(weights, pvm.projections, axes=1)
+    return pvm.combine(weights)

@@ -192,17 +192,25 @@ def test_measure_matches_independent_eigenstructure(rng):
         np.testing.assert_allclose(pvm.projection(chi), Q @ mask @ Q.conj().T, atol=1e-9)
 
 
-@pytest.mark.parametrize("orders", [(4,), (2, 3), (3, 5, 2), (12,), (2,) * 5, (3, 4, 2)])
+# the multiplicities planted on each shape: three characters, once, twice and
+# three times, except on the shapes of the spectral benchmark, which plant 64
+# characters once at d = 64 and 8 characters four times at d = 32
+DENSE_CASE_MULTS = {(4, 8, 8): (1,) * 64, (2,) * 8: (4,) * 8}
+
+
+@pytest.mark.parametrize("orders", [(4,), (2, 3), (3, 5, 2), (12,), (2,) * 5, (3, 4, 2),
+                                    (4, 8, 8), (2,) * 8])
 def test_measure_matches_dense_character_average(orders, rng):
     """Support, multiplicities and projections equal the dense average over
     the pairing table, and each range basis is an orthonormal basis of the
     range of its projection."""
     G = make_group(orders)
-    picks = rng.choice(G.size, size=3, replace=False)
-    slots = [G.characters[i] for i, mult in zip(picks, (1, 2, 3)) for _ in range(mult)]
+    mults = DENSE_CASE_MULTS.get(orders, (1, 2, 3))
+    picks = rng.choice(G.size, size=len(mults), replace=False)
+    slots = [G.characters[i] for i, mult in zip(picks, mults) for _ in range(mult)]
     rep, _ = conjugated_diagonal_rep(G, slots, rng)
     pvm = spectral_measure(rep)
-    dense = np.einsum("gx,gij->xij", np.conj(G.pairing_table()), rep.operators) / G.size
+    dense = np.tensordot(np.conj(G.pairing_table()), rep.operators, axes=(0, 0)) / G.size
     ranks = np.trace(dense, axis1=1, axis2=2).real
     assert pvm.support == tuple(G.characters[i] for i in sorted(picks))
     assert [pvm.multiplicity(chi) for chi in G.characters] == np.rint(ranks).tolist()
@@ -232,12 +240,9 @@ def test_measure_allocates_less_than_one_operator_stack(rng):
     assert peak < stack
 
 
-def test_measure_peaks_below_two_projection_stacks(rng):
-    """The measure holds the stack it returns plus at most the previous
-    factor's products: on 64 planted characters of (4,8,8) at d = 64 its
-    traced peak stays below two s x d x d stacks."""
-    G = make_group((4, 8, 8))
-    picks = rng.choice(G.size, size=64, replace=False)
+def measure_peak(G, rng, count=64):
+    """``spectral_measure``'s traced peak on ``count`` planted characters of G."""
+    picks = rng.choice(G.size, size=count, replace=False)
     rep, _ = conjugated_diagonal_rep(G, [G.characters[i] for i in picks], rng)
     tracemalloc.start()
     try:
@@ -245,8 +250,21 @@ def test_measure_peaks_below_two_projection_stacks(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(pvm.support) == 64
-    assert peak < 2 * pvm.projections.nbytes
+    assert len(pvm.support) == count
+    return peak
+
+
+def test_measure_peaks_below_two_projection_stacks(rng):
+    """The measure holds one d x d basis, one factor's transformed powers and
+    chunks of BLOCK_BYTES: on 64 planted characters of (4,8,8) at d = 64 its
+    traced peak stays within 2 MiB, half of one 4 MiB s x d x d stack."""
+    assert measure_peak(make_group((4, 8, 8)), rng) <= 2 * 2 ** 20
+
+
+def test_measure_peak_on_sixteen_order_two_factors(rng):
+    """(2,)^16 at d = 64: sixteen refinement steps, each on a 2 x d x d
+    power stack, stay within 1 MiB."""
+    assert measure_peak(make_group((2,) * 16), rng) <= 2 ** 20
 
 
 def test_measure_transforms_each_power_stack_in_place(rng):
@@ -266,15 +284,15 @@ def test_measure_transforms_each_power_stack_in_place(rng):
 
 
 def test_measure_raises_when_a_basis_column_leaves_its_range(monkeypatch):
-    """A unitary whose first column is rotated, by 1e-3, into the second
-    keeps its Rayleigh values and eigenvalues but no longer spans P(chi_0):
-    the orthogonality residual catches it."""
+    """Eigenvectors of each restriction whose top column is rotated, by 1e-3,
+    into the one below keep their eigenvalues but no longer span the range
+    of the restriction: the orthogonality residual catches it."""
     eigh = np.linalg.eigh
 
     def rotated(H):
         lam, W = eigh(H)
         c, s = np.cos(1e-3), np.sin(1e-3)
-        W[:, :2] = W[:, :2] @ np.array([[c, -s], [s, c]])
+        W[..., -2:] = W[..., -2:] @ np.array([[c, -s], [s, c]])
         return lam, W
 
     monkeypatch.setattr(np.linalg, "eigh", rotated)
@@ -284,8 +302,9 @@ def test_measure_raises_when_a_basis_column_leaves_its_range(monkeypatch):
 
 
 def test_measure_raises_when_an_eigenvalue_leaves_its_label(monkeypatch):
-    """A column whose eigenvalue of sum_t (t + 1) P(chi_t) is more than 1/2
-    from its block's label t + 1 does not count toward that block's basis."""
+    """An eigenvalue of a restriction B^dagger P_j(c) B more than 1/2 from 1
+    does not count toward the basis of its range: shifting the first
+    restriction's eigenvalues by 0.75 leaves its range no direction."""
     eigh = np.linalg.eigh
 
     def shifted(H):
@@ -620,9 +639,9 @@ def test_mixing_components_breaks_invariance_and_diagonalization(rng):
 
 def test_perturbed_projection_breaks_the_reconstruction(rng):
     pvm = spectral_measure(multiplicity_two_rep(rng))
-    bumped = pvm.projections.copy()
-    bumped[0, 0, 0] += 1e-6
-    broken = replace(pvm, projections=bumped)
+    bumped = pvm.basis.copy()
+    bumped[0, 0] += 1e-6
+    broken = replace(pvm, basis=bumped)
     residual = reconstruction_residual(broken)
     assert residual > 1e-7
     assert abs(residual - loop_reconstruction_residual(broken)) < 1e-12
@@ -686,9 +705,9 @@ def test_certificate_catches_a_mixed_component_and_a_perturbed_projection(rng):
     certified = relation_certificate(pvm, [diagonalize(mixed, pvm)])
     assert certified["diagonalization"] >= diagonalization_residual(diagonalize(mixed, pvm), rep)
     assert certified["component_invariance"] >= invariance_residual(mixed, rep) > 1e-6
-    bumped = pvm.projections.copy()
-    bumped[0, 0, 0] += 1e-6
-    broken = replace(pvm, projections=bumped)
+    bumped = pvm.basis.copy()
+    bumped[0, 0] += 1e-6
+    broken = replace(pvm, basis=bumped)
     assert relation_certificate(broken, [])["reconstruction"] >= reconstruction_residual(broken)
     assert reconstruction_residual(broken) > 1e-7
 
