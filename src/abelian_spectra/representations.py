@@ -211,19 +211,18 @@ def _frobenius(stack: np.ndarray) -> float:
 
 
 def _projection_runs(rep: UnitaryRep):
-    """(orders, stack) for runs of consecutive factors, stack[c] = prod_j P_j(c_j)
-    over the run's characters c in enumeration order, each P_j from one in-place
-    FFT of ``generator_powers(U_j, n_j)``.  A run takes in the next factor while
-    its stack stays within BLOCK_BYTES / 4, so a small group takes few steps."""
+    """(orders, stack[c] = prod_j P_j(c_j)) over runs of consecutive factors, c in
+    enumeration order, each P_j an in-place FFT of ``generator_powers(U_j, n_j)``;
+    a run grows while its stack stays within BLOCK_BYTES / 2."""
     d, run, shape = rep.dim, None, ()
     for U, n in zip(rep.generators, rep.group.orders):
-        if run is not None and len(run) * n * 16 * d * d > BLOCK_BYTES // 4:
+        if run is not None and len(run) * n * 16 * d * d > BLOCK_BYTES // 2:
             yield shape, run
             run = factor = None  # dropped before the next powers are built
         factor = generator_powers(U, n)
         np.fft.fft(factor, axis=0, norm="forward", out=factor)
         run, shape = (factor, (n,)) if run is None else (
-            (run[:, None] @ factor[None]).reshape(-1, d, d), shape + (n,))
+            (run[:, None] @ factor[None]).reshape(len(run) * n, d, d), shape + (n,))
     if run is not None:
         yield shape, run
 
@@ -231,10 +230,10 @@ def _projection_runs(rep: UnitaryRep):
 def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     """Projection-valued measure by character averaging, refined factor by factor.
 
-    P(chi) = (1/|G|) sum_g conj(<g|chi>) pi(g) factors as prod_j P_j(chi_j),
-    P_j(c) = (1/n_j) sum_m omega_j^{-mc} U_j^m: one FFT of the powers of U_j.
-    The measure is one d x d unitary W whose column blocks B_a span the joint
-    eigenspaces of the factors taken so far, so every restriction M =
+    P(chi) = (1/|G|) sum_g conj(<g|chi>) pi(g) = prod_j P_j(chi_j), P_j(c) =
+    (1/n_j) sum_m omega_j^{-mc} U_j^m: one FFT of the powers of U_j.  W is one
+    d x d unitary whose column blocks B_a span the joint eigenspaces of the
+    factors taken so far (a run of small factors is one step), so each M =
     B_a^dagger P_j(c) B_a is a projection.  A step keeps the pairs with tr M
     above 1/2 (traces off the block projectors B_a B_a^dagger, a chunk at a
     time) and replaces each block by B_a V, V from one batched ``eigh`` per
@@ -246,20 +245,24 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     each M with V its piece's columns: idempotency ||M^2 - M||, hermiticity
     ||M - M^dagger||, orthogonality max |M - V V^dagger|, rint(tr M) columns
     with eigenvalue within 1/2 of l_c and Rayleigh value above
-    RANGE_ACCEPT_TOL, ranks filling each block; completeness ||W^dagger W - I||.
-    A violation raises NumericalDegeneracyError carrying the residuals.
+    RANGE_ACCEPT_TOL, ranks filling each block, and completeness ||sum_c M - I||
+    over its kept pieces.  A violation raises NumericalDegeneracyError.
     """
     group, d = rep.group, rep.dim
     W = np.eye(d, d + 1, dtype=complex)  # the basis and a zero column, which pads blocks
     widths = ends = np.array([d])
-    indices, done, idem, herm, ortho = np.zeros(1, dtype=np.int64), 0, 0.0, 0.0, 0.0
+    indices, done = np.zeros(1, dtype=np.int64), 0
+    idem = herm = ortho = complete = 0.0
     for shape, factor in _projection_runs(rep):
-        n, done = len(factor), done + len(shape)
+        fresh, n, done = done == 0, len(factor), done + len(shape)  # fresh: W is still I
         span = np.arange(widths.max())
-        cols = np.where(span < widths[:, None], (ends - widths)[:, None] + span, -1)
-        # tr(B^dagger P B) = sum_ik conj(Q_ik) P_ik for the block projector Q = B B^dagger
-        traces = np.empty((len(widths), n), dtype=complex)
-        for b in _blocks(len(widths), d):
+        cols = span[None] if fresh else np.where(
+            span < widths[:, None], (ends - widths)[:, None] + span, -1)
+        # tr(B^dagger P B) = sum_ik conj(Q_ik) P_ik for the block projector Q = B B^dagger,
+        # and tr P for the one block of a fresh basis
+        traces = (np.trace(factor, axis1=1, axis2=2)[None] if fresh
+                  else np.empty((len(widths), n), dtype=complex))
+        for b in _blocks(0 if fresh else len(widths), d):
             B = W[:, cols[b]]
             np.matmul((B.conj().transpose(1, 0, 2) @ B.transpose(1, 2, 0)).reshape(-1, d * d),
                       factor.reshape(n, d * d).T, out=traces[b])
@@ -275,21 +278,22 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
             pairs = (pw == m).nonzero()[0]
             rp, r, label = rows[pairs], ranks[pairs], np.arange(len(pairs))
             block = cols[rp, :m]  # each pair's block: m columns of W
-            M = np.empty((len(pairs), m, m), dtype=complex)
-            for b in _blocks(len(pairs), d):
+            # the restrictions, which on a fresh basis are the P(c) themselves
+            M = factor[cs[pairs]] if fresh else np.empty((len(pairs), m, m), dtype=complex)
+            for b in _blocks(0 if fresh else len(pairs), d):
                 B = W[:, block[b]].transpose(1, 0, 2)
                 PB = factor[cs[pairs[b]]] @ B
                 M[b] = B.conj().swapaxes(1, 2) @ PB
-            del B, PB
+            B = PB = None
             first = np.searchsorted(rp, rp)  # the first pair of each pair's block
             heads = (first == label).nonzero()[0]
             label = label - first + 1.0  # the pieces of a block are labelled 1, 2, ...
             # eigenvalue l on the piece labelled l, ascending: the pieces in order
             lam, V = np.linalg.eigh(np.add.reduceat(M * label[:, None, None], heads))
+            complete = max(complete, _frobenius(np.add.reduceat(M, heads) - np.eye(m)))
             bi = np.searchsorted(heads, first)
-            lo = ends[pairs] - r - block[:, 0]  # each piece's first column in its block
-            own = (span[:m] >= lo[:, None]) & (span[:m] < (lo + r)[:, None])
-            Vp = V[bi] * own[:, None, :]  # each piece's columns
+            own = np.repeat(label, r).reshape(-1, m)[bi] == label[:, None]  # piece's columns
+            Vp = V[bi] * own[:, None, :]
             ray = np.matmul(M, Vp)
             ray *= Vp.conj()
             found = (own & (ray.sum(axis=1).real > RANGE_ACCEPT_TOL)
@@ -301,21 +305,21 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
                     f"range basis of P({tuple(map(int, chi))}) on the first {done} factors "
                     f"found {found[t]} directions for multiplicity {r[t]}",
                     residuals={"multiplicity": float(r[t]), "basis_rank": float(found[t])})
-            gap = Vp @ Vp.conj().swapaxes(1, 2)  # one buffer for the three gaps
+            gap = np.matmul(Vp, Vp.conj().swapaxes(1, 2), out=ray)  # one buffer, three gaps
             ortho = max(ortho, np.abs(np.subtract(gap, M, out=gap)).max())
             idem = max(idem, _frobenius(np.subtract(np.matmul(M, M, out=gap), M, out=gap)))
             np.conjugate(M.swapaxes(1, 2), out=gap)
             herm = max(herm, _frobenius(np.subtract(gap, M, out=gap)))
             del gap, Vp, ray
-            at = block[heads]  # B V in place of each block B
-            W[:, at] = (W[:, at].transpose(1, 0, 2) @ V).transpose(1, 0, 2)
+            at = block[heads]  # B V in place of each block B, and V on a fresh basis
+            W[:, at] = V.transpose(1, 0, 2) if fresh else (
+                W[:, at].transpose(1, 0, 2) @ V).transpose(1, 0, 2)
         widths, indices = ranks, indices[rows] * n + cs
         del factor
     W = np.ascontiguousarray(W[:, :d])
     W.setflags(write=False)
     residuals = {"idempotency": idem, "hermiticity": herm, "orthogonality": float(ortho),
-                 "completeness": _frobenius((W.conj().T @ W - np.eye(d))[None]),
-                 "multiplicity_sum": 0.0}
+                 "completeness": complete, "multiplicity_sum": 0.0}
     if max(residuals.values()) > PVM_TOL:
         raise NumericalDegeneracyError("projection-valued measure violates its invariants ("
                                        + ", ".join(f"{k} {v:.3e}" for k, v in residuals.items())
@@ -449,23 +453,20 @@ def certified_gap(gaps: np.ndarray, defects: float, dim: int) -> float:
     delta_t and ||X(h_t)|| <= 1 + u_t, peeling a digit h off g = g' + h,
     X(g) - Y(g) = [X(g) - X(g') X(h)] + [X(g') - Y(g')] X(h) + Y(g') [X(h) - Y(h)],
     bounds the gap at g by (sum_t eps_t + delta_t) prod_t (1 + u_t) <= sum_t
-    eps_t + defects, when sum_t u_t <= 1 and 2 sum_t (eps_t + delta_t) <= 1
-    (any value under a tolerance below 1/2).  Added is (L + 1) d^2 eps_mach,
-    the round-off of a product of L + 1 unitary d x d factors, so the value
-    also bounds a computed all-G residual."""
+    eps_t + defects if sum_t u_t <= 1 and 2 sum_t (eps_t + delta_t) <= 1.  Added
+    (L + 1) d^2 eps_mach, the round-off of a product of L + 1 unitary d x d
+    factors, makes it bound a computed all-G residual too."""
     return float(np.sum(gaps) + defects + len(gaps) * dim ** 2 * np.finfo(float).eps)
 
 
 def relation_certificate(pvm: ProjectionValuedMeasure,
                          models: Sequence[DiagonalModel]) -> dict[str, float]:
-    """``certified_gap`` bounds on the three all-G relation residuals from the
-    gaps at the identity and each binary power A_t = pi(h_t) (``binary_powers``):
-    reconstruction || A_t - sum_chi <h_t|chi> P(chi) ||; diagonalization
-    || V^dagger A_t V - diag(<h_t|chi>) || and component_invariance
-    || (I - V V^dagger) A_t V V^dagger ||, each the worst model.  pi is
-    multiplicative and ||A_t|| <= 1 + || A_t^dagger A_t - I ||, the defects.
-    First order in the measure's own defects (the pvm_* residuals); O(L d^3)
-    per model, a chunk of powers at a time, with no |G|-sized array."""
+    """``certified_gap`` bounds on the all-G relation residuals from the gaps at
+    the identity and each binary power A_t = pi(h_t): reconstruction || A_t -
+    sum_chi <h_t|chi> P(chi) ||; diagonalization || V^dagger A_t V - diag(<h_t|chi>) ||
+    and component_invariance || (I - V V^dagger) A_t V V^dagger ||, the worst
+    model.  The defects are || A_t^dagger A_t - I ||; first order in the pvm_*
+    residuals; O(L d^3) per model, a chunk of powers at a time."""
     d, (indices, A) = pvm.rep.dim, binary_powers(pvm.rep)
     phases, eye = pvm.group.pairing_at(indices, pvm.indices), np.eye(d)
     norms = np.zeros((4, len(A)))  # unitarity defects, then the three gaps

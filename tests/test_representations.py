@@ -284,15 +284,15 @@ def test_measure_transforms_each_power_stack_in_place(rng):
 
 
 def test_measure_raises_when_a_basis_column_leaves_its_range(monkeypatch):
-    """Eigenvectors of each restriction whose top column is rotated, by 1e-3,
-    into the one below keep their eigenvalues but no longer span the range
-    of the restriction: the orthogonality residual catches it."""
+    """A unitary whose first column is rotated, by 1e-3, into the second
+    keeps its Rayleigh values and eigenvalues but no longer spans P(chi_0):
+    the orthogonality residual catches it."""
     eigh = np.linalg.eigh
 
     def rotated(H):
         lam, W = eigh(H)
         c, s = np.cos(1e-3), np.sin(1e-3)
-        W[..., -2:] = W[..., -2:] @ np.array([[c, -s], [s, c]])
+        W[..., :2] = W[..., :2] @ np.array([[c, -s], [s, c]])
         return lam, W
 
     monkeypatch.setattr(np.linalg, "eigh", rotated)
@@ -302,9 +302,8 @@ def test_measure_raises_when_a_basis_column_leaves_its_range(monkeypatch):
 
 
 def test_measure_raises_when_an_eigenvalue_leaves_its_label(monkeypatch):
-    """An eigenvalue of a restriction B^dagger P_j(c) B more than 1/2 from 1
-    does not count toward the basis of its range: shifting the first
-    restriction's eigenvalues by 0.75 leaves its range no direction."""
+    """A column whose eigenvalue of sum_c l_c B^dagger P(c) B is more than 1/2
+    from its piece's label l_c does not count toward that piece's basis."""
     eigh = np.linalg.eigh
 
     def shifted(H):
