@@ -64,8 +64,8 @@ DEFAULT_TOL = 1e-9
 OPERATOR_STACK_BUDGET = 256 * 2**20
 # (STACKS, PER_ENTRY, PER_ELEMENT), tracemalloc peaks rounded up.  A "stack"
 # is 16 dim^2 (sum_j n_j + min(dim, |G|)) bytes for decompose and rig: the
-# generator powers and their FFT, and the support projections; neither builds
-# a |G|-sized operator array.  It is 16 N max(N, dim^2) for selftest.  Then
+# powers, transformed in place, and a step's restrictions beside a dim x dim
+# basis (fitted before that).  It is 16 N max(N, dim^2) for selftest.  Then
 # bytes per dim x dim entry (range bases, kets and isometries) and per group
 # element (decompose's multiplicity list; rig's phi and quotient, and its
 # identity check, which draws 8 x 4 x |G| floats), plus PEAK_BASE;

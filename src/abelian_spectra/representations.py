@@ -204,10 +204,9 @@ def _blocks(count: int, d: int):
     return (slice(i, i + step) for i in range(0, count, step))
 
 
-def _frobenius(stack: np.ndarray) -> float:
-    """The largest Frobenius norm in a stack of matrices."""
-    squares = np.abs(stack)
-    return float(np.sqrt(np.square(squares, out=squares).sum(axis=(1, 2)).max()))
+def _square_norm(stack: np.ndarray) -> float:
+    """The largest squared Frobenius norm in a stack of matrices."""
+    return (np.abs(stack) ** 2).sum(axis=(1, 2)).max()
 
 
 def _projection_runs(rep: UnitaryRep):
@@ -223,30 +222,28 @@ def _projection_runs(rep: UnitaryRep):
         np.fft.fft(factor, axis=0, norm="forward", out=factor)
         run, shape = (factor, (n,)) if run is None else (
             (run[:, None] @ factor[None]).reshape(len(run) * n, d, d), shape + (n,))
-    if run is not None:
-        yield shape, run
+    yield shape, run  # a group has at least one factor
 
 
 def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     """Projection-valued measure by character averaging, refined factor by factor.
 
     P(chi) = (1/|G|) sum_g conj(<g|chi>) pi(g) = prod_j P_j(chi_j), P_j(c) =
-    (1/n_j) sum_m omega_j^{-mc} U_j^m: one FFT of the powers of U_j.  W is one
-    d x d unitary whose column blocks B_a span the joint eigenspaces of the
-    factors taken so far (a run of small factors is one step), so each M =
-    B_a^dagger P_j(c) B_a is a projection.  A step keeps the pairs with tr M
-    above 1/2 (traces off the block projectors B_a B_a^dagger, a chunk at a
-    time) and replaces each block by B_a V, V from one batched ``eigh`` per
-    block width of sum_c l_c M over its kept pieces, labelled l_c = 1, 2, ...
-    in enumeration order: gaps 1, no |G|-sized label, pieces in order.  At
-    the end W is ``basis`` and the block widths are the multiplicities.  Time
-    O(sum_j n_j d^3); memory W, one factor's transformed powers, the kept
-    restrictions and BLOCK_BYTES chunks: no s x d x d stack.  Validated on
-    each M with V its piece's columns: idempotency ||M^2 - M||, hermiticity
-    ||M - M^dagger||, orthogonality max |M - V V^dagger|, rint(tr M) columns
-    with eigenvalue within 1/2 of l_c and Rayleigh value above
+    (1/n_j) sum_m omega_j^{-mc} U_j^m: one FFT of the powers of U_j.  The column
+    blocks B_a of one d x d unitary W span the joint eigenspaces of the factors
+    taken so far (a run of small factors is one step), so M = B_a^dagger P_j(c)
+    B_a is a projection.  A step keeps the pairs with tr M > 1/2 (traces off the
+    block projectors B_a B_a^dagger, a chunk at a time) and replaces each block
+    by B_a V, V from one batched ``eigh`` per block width of sum_c l_c M over
+    its pieces, labelled l_c = 1, 2, ... in enumeration order: gaps 1, no
+    |G|-sized label.  At the end W is ``basis`` and the block widths are the
+    multiplicities.  Time O(sum_j n_j d^3 + k d^4); memory W, one factor's
+    transformed powers, the kept M and BLOCK_BYTES chunks: no s x d x d stack.
+    Validated on each M with V its piece's columns: idempotency ||M^2 - M||,
+    hermiticity ||M - M^dagger||, orthogonality max |M - V V^dagger|, rint(tr M)
+    columns with eigenvalue within 1/2 of l_c and Rayleigh value above
     RANGE_ACCEPT_TOL, ranks filling each block, and completeness ||sum_c M - I||
-    over its kept pieces.  A violation raises NumericalDegeneracyError.
+    over its pieces.  A violation raises NumericalDegeneracyError.
     """
     group, d = rep.group, rep.dim
     W = np.eye(d, d + 1, dtype=complex)  # the basis and a zero column, which pads blocks
@@ -258,9 +255,8 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
         span = np.arange(widths.max())
         cols = span[None] if fresh else np.where(
             span < widths[:, None], (ends - widths)[:, None] + span, -1)
-        # tr(B^dagger P B) = sum_ik conj(Q_ik) P_ik for the block projector Q = B B^dagger,
-        # and tr P for the one block of a fresh basis
-        traces = (np.trace(factor, axis1=1, axis2=2)[None] if fresh
+        # tr(B^dagger P B) = sum_ik conj(Q_ik) P_ik, Q = B B^dagger (I on a fresh basis)
+        traces = (np.eye(d).reshape(1, d * d) @ factor.reshape(n, d * d).T if fresh
                   else np.empty((len(widths), n), dtype=complex))
         for b in _blocks(0 if fresh else len(widths), d):
             B = W[:, cols[b]]
@@ -276,7 +272,7 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
         ends, pw = np.cumsum(ranks), widths[rows]
         for m in set(pw.tolist()):
             pairs = (pw == m).nonzero()[0]
-            rp, r, label = rows[pairs], ranks[pairs], np.arange(len(pairs))
+            rp, r, idx = rows[pairs], ranks[pairs], np.arange(len(pairs))
             block = cols[rp, :m]  # each pair's block: m columns of W
             # the restrictions, which on a fresh basis are the P(c) themselves
             M = factor[cs[pairs]] if fresh else np.empty((len(pairs), m, m), dtype=complex)
@@ -284,20 +280,23 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
                 B = W[:, block[b]].transpose(1, 0, 2)
                 PB = factor[cs[pairs[b]]] @ B
                 M[b] = B.conj().swapaxes(1, 2) @ PB
-            B = PB = None
             first = np.searchsorted(rp, rp)  # the first pair of each pair's block
-            heads = (first == label).nonzero()[0]
-            label = label - first + 1.0  # the pieces of a block are labelled 1, 2, ...
-            # eigenvalue l on the piece labelled l, ascending: the pieces in order
-            lam, V = np.linalg.eigh(np.add.reduceat(M * label[:, None, None], heads))
-            complete = max(complete, _frobenius(np.add.reduceat(M, heads) - np.eye(m)))
-            bi = np.searchsorted(heads, first)
-            own = np.repeat(label, r).reshape(-1, m)[bi] == label[:, None]  # piece's columns
-            Vp = V[bi] * own[:, None, :]
-            ray = np.matmul(M, Vp)
-            ray *= Vp.conj()
-            found = (own & (ray.sum(axis=1).real > RANGE_ACCEPT_TOL)
-                     & (np.abs(lam[bi] - label[:, None]) <= 0.5)).sum(axis=1)
+            heads = (first == idx).nonzero()[0]
+            bi, label = np.searchsorted(heads, first), idx - first + 1.0
+            # each block's pieces summed with weights l = 1, 2, ... in order, and with 1
+            weights = np.zeros((2, len(heads), len(pairs)))
+            weights[0, bi, idx], weights[1, bi, idx] = label, 1.0
+            H, S = (weights @ M.reshape(len(idx), -1)).reshape(2, -1, m, m)
+            complete = max(complete, _square_norm(S - np.eye(m)))
+            lam, V = np.linalg.eigh(H)  # eigenvalue l on the piece labelled l, in order
+            H = S = None
+            # each piece's columns of its block's V, from lo on, padded to the widest piece
+            lo, span_r = ends[pairs] - r - block[:, 0], span[:r.max()]
+            own, pc = span_r < r[:, None], np.minimum(lo[:, None] + span_r, m - 1)
+            Vc = V[bi[:, None, None], span[:m, None], pc[:, None, :]] * own[:, None, :]
+            ray = (Vc.conj() * (M @ Vc)).sum(axis=1).real
+            near = np.abs(lam[bi[:, None], pc] - label[:, None]) <= 0.5
+            found = (own & near & (ray > RANGE_ACCEPT_TOL)).sum(axis=1)
             if (found < r).any():
                 t = int(np.argmax(found < r))
                 chi = np.unravel_index(indices[rp[t]] * n + cs[pairs[t]], group.orders[:done])
@@ -305,21 +304,22 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
                     f"range basis of P({tuple(map(int, chi))}) on the first {done} factors "
                     f"found {found[t]} directions for multiplicity {r[t]}",
                     residuals={"multiplicity": float(r[t]), "basis_rank": float(found[t])})
-            gap = np.matmul(Vp, Vp.conj().swapaxes(1, 2), out=ray)  # one buffer, three gaps
-            ortho = max(ortho, np.abs(np.subtract(gap, M, out=gap)).max())
-            idem = max(idem, _frobenius(np.subtract(np.matmul(M, M, out=gap), M, out=gap)))
-            np.conjugate(M.swapaxes(1, 2), out=gap)
-            herm = max(herm, _frobenius(np.subtract(gap, M, out=gap)))
-            del gap, Vp, ray
+            for b in _blocks(len(pairs), m):  # the three gaps, a chunk of pieces at a time
+                Mb, Vb = M[b], Vc[b]
+                ortho = max(ortho, np.abs(Vb @ Vb.conj().swapaxes(1, 2) - Mb).max())
+                idem = max(idem, _square_norm(Mb @ Mb - Mb))
+                herm = max(herm, _square_norm(Mb.conj().swapaxes(1, 2) - Mb))
             at = block[heads]  # B V in place of each block B, and V on a fresh basis
             W[:, at] = V.transpose(1, 0, 2) if fresh else (
                 W[:, at].transpose(1, 0, 2) @ V).transpose(1, 0, 2)
+            M = V = Vc = Mb = Vb = B = PB = None  # dropped before the next step
         widths, indices = ranks, indices[rows] * n + cs
         del factor
     W = np.ascontiguousarray(W[:, :d])
     W.setflags(write=False)
-    residuals = {"idempotency": idem, "hermiticity": herm, "orthogonality": float(ortho),
-                 "completeness": complete, "multiplicity_sum": 0.0}
+    residuals = {"idempotency": float(np.sqrt(idem)), "hermiticity": float(np.sqrt(herm)),
+                 "orthogonality": float(ortho), "completeness": float(np.sqrt(complete)),
+                 "multiplicity_sum": 0.0}
     if max(residuals.values()) > PVM_TOL:
         raise NumericalDegeneracyError("projection-valued measure violates its invariants ("
                                        + ", ".join(f"{k} {v:.3e}" for k, v in residuals.items())
