@@ -280,6 +280,7 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
                 B = W[:, block[b]].transpose(1, 0, 2)
                 PB = factor[cs[pairs[b]]] @ B
                 M[b] = B.conj().swapaxes(1, 2) @ PB
+            B = PB = None
             first = np.searchsorted(rp, rp)  # the first pair of each pair's block
             heads = (first == idx).nonzero()[0]
             bi, label = np.searchsorted(heads, first), idx - first + 1.0
@@ -312,13 +313,13 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
             at = block[heads]  # B V in place of each block B, and V on a fresh basis
             W[:, at] = V.transpose(1, 0, 2) if fresh else (
                 W[:, at].transpose(1, 0, 2) @ V).transpose(1, 0, 2)
-            M = V = Vc = Mb = Vb = B = PB = None  # dropped before the next step
+            M = V = Vc = Mb = Vb = None  # dropped before the next step
         widths, indices = ranks, indices[rows] * n + cs
         del factor
     W = np.ascontiguousarray(W[:, :d])
     W.setflags(write=False)
-    residuals = {"idempotency": float(np.sqrt(idem)), "hermiticity": float(np.sqrt(herm)),
-                 "orthogonality": float(ortho), "completeness": float(np.sqrt(complete)),
+    residuals = {"idempotency": float(idem) ** 0.5, "hermiticity": float(herm) ** 0.5,
+                 "orthogonality": float(ortho), "completeness": float(complete) ** 0.5,
                  "multiplicity_sum": 0.0}
     if max(residuals.values()) > PVM_TOL:
         raise NumericalDegeneracyError("projection-valued measure violates its invariants ("

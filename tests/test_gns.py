@@ -148,20 +148,6 @@ def test_construction_check_catches_a_wrong_spectrum(monkeypatch):
         gns_construct(delta(G))
 
 
-def test_construction_check_catches_a_wrong_spectrum_on_random_combinations(monkeypatch):
-    # rank 16 > 2 CHECK_COMBINATIONS: the check runs on random combinations
-    G = make_group((16,))
-    exact = gns.fourier
-
-    def skewed(f):
-        F = exact(f)
-        return DualFunction(F.group, F.values * (1.0 + 1e-6 * (np.arange(16) == 5)))
-
-    monkeypatch.setattr(gns, "fourier", skewed)
-    with pytest.raises(InconsistencyError, match="not eigenvectors of the form"):
-        gns_construct(delta(G))
-
-
 def test_class_coordinates_requires_the_same_group():
     space = gns_construct(delta(make_group((2,))))
     other = delta(make_group((3,)))
