@@ -274,9 +274,10 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
             pairs = (pw == m).nonzero()[0]
             rp, r, idx = rows[pairs], ranks[pairs], np.arange(len(pairs))
             block = cols[rp, :m]  # each pair's block: m columns of W
-            # the restrictions, which on a fresh basis are the P(c) themselves
-            M = factor[cs[pairs]] if fresh else np.empty((len(pairs), m, m), dtype=complex)
-            for b in _blocks(0 if fresh else len(pairs), d):
+            # the restrictions: the P(c) on a fresh basis, the traces on 1 x 1 blocks
+            M = (factor[cs[pairs]] if fresh else traces[rp, cs[pairs]].reshape(-1, 1, 1) if m == 1
+                 else np.empty((len(pairs), m, m), dtype=complex))
+            for b in _blocks(0 if fresh or m == 1 else len(pairs), d):
                 B = W[:, block[b]].transpose(1, 0, 2)
                 PB = factor[cs[pairs[b]]] @ B
                 M[b] = B.conj().swapaxes(1, 2) @ PB

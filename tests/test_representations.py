@@ -725,6 +725,15 @@ def test_measure_raises_when_a_projection_is_not_idempotent(non_idempotent_measu
     assert info.value.residuals["idempotency"] > representations.PVM_TOL
 
 
+def test_measure_completeness_sees_pieces_that_do_not_sum_to_their_block(
+        non_idempotent_measure):
+    # every P(c) gains 1e-6 I / 4, so the four pieces of the one block sum to
+    # (1 + 1e-6) I: completeness ||sum_c M_c - I|| = 2e-6 reports it
+    with pytest.raises(NumericalDegeneracyError) as info:
+        spectral_measure(regular_representation(make_group((4,))))
+    assert info.value.residuals["completeness"] == pytest.approx(2e-6, rel=1e-3)
+
+
 def test_measure_raises_when_a_range_basis_falls_short(monkeypatch):
     monkeypatch.setattr(representations, "RANGE_ACCEPT_TOL", 2.0)
     with pytest.raises(NumericalDegeneracyError) as info:
