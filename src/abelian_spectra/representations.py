@@ -235,15 +235,14 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     B_a is a projection.  A step keeps the pairs with tr M > 1/2 (traces off the
     block projectors B_a B_a^dagger, a chunk at a time) and replaces each block
     by B_a V, V from one batched ``eigh`` per block width of sum_c l_c M over
-    its pieces, labelled l_c = 1, 2, ... in enumeration order: gaps 1, no
-    |G|-sized label.  At the end W is ``basis`` and the block widths are the
-    multiplicities.  Time O(sum_j n_j d^3 + k d^4); memory W, one factor's
-    transformed powers, the kept M and BLOCK_BYTES chunks: no s x d x d stack.
-    Validated on each M with V its piece's columns: idempotency ||M^2 - M||,
-    hermiticity ||M - M^dagger||, orthogonality max |M - V V^dagger|, rint(tr M)
-    columns with eigenvalue within 1/2 of l_c and Rayleigh value above
-    RANGE_ACCEPT_TOL, ranks filling each block, and completeness ||sum_c M - I||
-    over its pieces.  A violation raises NumericalDegeneracyError.
+    its pieces, labelled l_c = 1, 2, ... in enumeration order (gaps 1, no
+    |G|-sized label).  W ends as ``basis``, the widths as the multiplicities.
+    Time O(sum_j n_j d^3 + k d^4); memory W, one factor's powers, the kept M
+    and BLOCK_BYTES chunks.  Validated on each M, V its piece's columns:
+    idempotency ||M^2 - M||, hermiticity ||M - M^dagger||, orthogonality
+    max |M - V V^dagger|, rint(tr M) columns with eigenvalue within 1/2 of l_c
+    and Rayleigh value above RANGE_ACCEPT_TOL, ranks filling each block, and
+    completeness ||sum_c M - I||; a violation raises NumericalDegeneracyError.
     """
     group, d = rep.group, rep.dim
     W = np.eye(d, d + 1, dtype=complex)  # the basis and a zero column, which pads blocks
@@ -290,7 +289,9 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
             weights[0, bi, idx], weights[1, bi, idx] = label, 1.0
             H, S = (weights @ M.reshape(len(idx), -1)).reshape(2, -1, m, m)
             complete = max(complete, _square_norm(S - np.eye(m)))
-            lam, V = np.linalg.eigh(H)  # eigenvalue l on the piece labelled l, in order
+            split = len(heads) < len(idx)  # else every block keeps its columns: V = I
+            lam, V = (np.linalg.eigh(H) if split else  # eigenvalue l on the piece labelled l
+                      (M.diagonal(axis1=1, axis2=2).real, np.broadcast_to(np.eye(m), M.shape)))
             H = S = None
             # each piece's columns of its block's V, from lo on, padded to the widest piece
             lo, span_r = ends[pairs] - r - block[:, 0], span[:r.max()]
@@ -307,14 +308,13 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
                     f"found {found[t]} directions for multiplicity {r[t]}",
                     residuals={"multiplicity": float(r[t]), "basis_rank": float(found[t])})
             for b in _blocks(len(pairs), m):  # the three gaps, a chunk of pieces at a time
-                Mb, Vb = M[b], Vc[b]
-                ortho = max(ortho, np.abs(Vb @ Vb.conj().swapaxes(1, 2) - Mb).max())
-                idem = max(idem, _square_norm(Mb @ Mb - Mb))
-                herm = max(herm, _square_norm(Mb.conj().swapaxes(1, 2) - Mb))
-            at = block[heads]  # B V in place of each block B, and V on a fresh basis
-            W[:, at] = V.transpose(1, 0, 2) if fresh else (
-                W[:, at].transpose(1, 0, 2) @ V).transpose(1, 0, 2)
-            M = V = Vc = Mb = Vb = None  # dropped before the next step
+                ortho = max(ortho, np.abs(Vc[b] @ Vc[b].conj().swapaxes(1, 2) - M[b]).max())
+                idem = max(idem, _square_norm(M[b] @ M[b] - M[b]))
+                herm = max(herm, _square_norm(M[b].conj().swapaxes(1, 2) - M[b]))
+            if split:  # B V in place of each block B, and V on a fresh basis
+                W[:, block[heads]] = V.transpose(1, 0, 2) if fresh else (
+                    W[:, block[heads]].transpose(1, 0, 2) @ V).transpose(1, 0, 2)
+            M = V = Vc = None  # dropped before the next step
         widths, indices = ranks, indices[rows] * n + cs
         del factor
     W = np.ascontiguousarray(W[:, :d])

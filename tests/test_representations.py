@@ -725,6 +725,38 @@ def test_measure_raises_when_a_projection_is_not_idempotent(non_idempotent_measu
     assert info.value.residuals["idempotency"] > representations.PVM_TOL
 
 
+def test_measure_raises_when_a_projection_is_not_hermitian(monkeypatch):
+    # U gains 1e-6 at (0, 1) in the power stack, so every P(c) gains a
+    # non-Hermitian 1e-6 / 4 entry; ranks and labels stay
+    generator_powers = representations.generator_powers
+
+    def bumped(U, n):
+        out = generator_powers(U, n)
+        out[1, 0, 1] += 1e-6
+        return out
+
+    monkeypatch.setattr(representations, "generator_powers", bumped)
+    with pytest.raises(NumericalDegeneracyError) as info:
+        spectral_measure(regular_representation(make_group((4,))))
+    assert info.value.residuals["hermiticity"] > representations.PVM_TOL
+
+
+def test_measure_raises_when_the_kept_ranks_do_not_fill_a_block(monkeypatch):
+    # P(1) scaled to trace 0.3 is dropped, so the ranks kept for the one
+    # block of the regular representation of Z_4 add up to 3, not 4
+    runs = representations._projection_runs
+
+    def thinned(rep):
+        for shape, stack in runs(rep):
+            stack[1] *= 0.3
+            yield shape, stack
+
+    monkeypatch.setattr(representations, "_projection_runs", thinned)
+    with pytest.raises(NumericalDegeneracyError) as info:
+        spectral_measure(regular_representation(make_group((4,))))
+    assert info.value.residuals["multiplicity_sum"] == 1.0
+
+
 def test_measure_completeness_sees_pieces_that_do_not_sum_to_their_block(
         non_idempotent_measure):
     # every P(c) gains 1e-6 I / 4, so the four pieces of the one block sum to
