@@ -18,7 +18,11 @@ orders |G| in {256, 4096, 65536}:
   three shapes.  A case whose ``cli.peak_estimate`` for ``decompose`` is
   over the CLI's budget is recorded as "skipped (budget)" and not run;
 - ``cli.main``, one in-process ``gns`` request on a planted rank-r phi
-  file on the shape (n,), writing its report into a temporary directory.
+  file on the shape (n,), and one ``rig`` request on a planted
+  representation of (n,) of dimension 8, two characters of multiplicity
+  4 (skipped like ``spectral_measure`` when ``cli.peak_estimate`` for
+  ``rig`` is over the budget), each writing its report into a temporary
+  directory.
 
 Each time is the median of 5 calls; one more call, under ``tracemalloc``,
 gives the case's traced peak in bytes.  Each row records the git SHA, the
@@ -55,6 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ORDERS = (256, 4096, 65536)
 COLUMNS = (1, 16)
 RIG_RANK = 8
+RIG_DIM, RIG_MULTIPLICITY = 8, 4
 DIMS = (8, 64)
 REPEATS = 5
 ROUNDS = 3
@@ -90,7 +95,8 @@ def measure() -> list[dict]:
                                  gns_construct, make_group, make_representation,
                                  spectral_measure)
     from abelian_spectra.algebra import _transform
-    from abelian_spectra.fileio import dump_json, function_to_payload, parse_complex_array
+    from abelian_spectra.fileio import (dump_json, function_to_payload, parse_complex_array,
+                                        representation_to_payload)
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import planted_representation
 
@@ -134,7 +140,15 @@ def measure() -> list[dict]:
                 rep = make_representation(group, generators)
                 cases.append({**case, **timed(lambda: spectral_measure(rep))})
     rng = np.random.default_rng(3)
+
+    def request(argv: list[str]) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"{argv[0]} on {argv[2]} exited {code}")
+
     with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.json")
         for n in ORDERS:
             group = make_group((n,), size_cap=n)
             amps = np.zeros(n)
@@ -142,17 +156,22 @@ def measure() -> list[dict]:
             phi = GroupFunction(group, _transform(group, amps ** 2, inverse=True))
             path = os.path.join(tmp, f"phi{n}.json")
             dump_json(function_to_payload(phi), path)
-            argv = ["gns", "--input", path, "--output", os.path.join(tmp, "out.json"),
-                    "--max-group-size", str(n)]
-
-            def request():
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(argv)
-                if code != 0:
-                    raise RuntimeError(f"gns on ({n},) exited {code}")
-
-            cases.append({"layer": "cli.main", "shape": "n", "size": n, "columns": None,
-                          **timed(request)})
+            argv = ["gns", "--input", path, "--output", out, "--max-group-size", str(n)]
+            cases.append({"layer": "cli.main", "command": "gns", "shape": "n", "size": n,
+                          "columns": None, **timed(lambda: request(argv))})
+        for n in ORDERS:
+            case = {"layer": "cli.main", "command": "rig", "shape": "n", "size": n,
+                    "columns": None, "dim": RIG_DIM}
+            if cli.peak_estimate("rig", (n,), RIG_DIM) > cli.OPERATOR_STACK_BUDGET:
+                cases.append({**case, "median_s": None, "peak_bytes": None,
+                              "status": "skipped (budget)"})
+                continue
+            generators, _ = planted_representation(rng, (n,), RIG_DIM, RIG_MULTIPLICITY)
+            rep = make_representation(make_group((n,), size_cap=n), generators)
+            path = os.path.join(tmp, f"rep{n}.json")
+            dump_json(representation_to_payload(rep), path)
+            argv = ["rig", "--input", path, "--output", out, "--max-group-size", str(n)]
+            cases.append({**case, **timed(lambda: request(argv))})
     return cases
 
 
@@ -161,13 +180,15 @@ def slopes(cases: list[dict]) -> list[dict]:
     series: dict[tuple, list[dict]] = {}
     for case in cases:
         if case["median_s"] is not None:
-            key = (case["layer"], case["shape"], case["columns"], case.get("dim"))
+            key = (case["layer"], case.get("command"), case["shape"], case["columns"],
+                   case.get("dim"))
             series.setdefault(key, []).append(case)
     out = []
-    for (layer, shape, columns, dim), rungs in series.items():
+    for (layer, command, shape, columns, dim), rungs in series.items():
         rungs = sorted(rungs, key=lambda c: c["size"])
         for lo, hi in zip(rungs, rungs[1:]):
-            out.append({"layer": layer, "shape": shape, "columns": columns, "dim": dim,
+            out.append({"layer": layer, "command": command, "shape": shape,
+                        "columns": columns, "dim": dim,
                         "from": lo["size"], "to": hi["size"],
                         "slope": round(math.log(hi["median_s"] / lo["median_s"])
                                        / math.log(hi["size"] / lo["size"]), 3)})
@@ -248,7 +269,8 @@ def main(argv=None) -> int:
         for case in r["cases"]:
             cost = (f"{case['median_s'] * 1e3:9.3f} ms {case['peak_bytes'] / 2**20:8.2f} MiB"
                     if case["median_s"] is not None else case["status"])
-            print(f"  {case['layer']:33} {case['shape']:9} n={case['size']:<6} "
+            layer = " ".join(filter(None, (case["layer"], case.get("command"))))
+            print(f"  {layer:33} {case['shape']:9} n={case['size']:<6} "
                   f"c={case['columns']!s:4} d={case.get('dim')!s:4} {cost}")
     return 0
 

@@ -60,7 +60,7 @@ from .selftest import SelftestConfig, run_selftest
 DEFAULT_TOL = 1e-9
 # The memory budget: fourier and gns hold a few k x |G| arrays; decompose, rig
 # and selftest exit 2 first when their estimated peak is over it, and every
-# command refuses an input file over 1/16 of it before parsing it.
+# command refuses an input file over 3/128 of it (6 MiB) before parsing it.
 OPERATOR_STACK_BUDGET = 256 * 2**20
 # (STACKS, PER_ENTRY, PER_ELEMENT), tracemalloc peaks rounded up.  A "stack"
 # is 16 dim^2 (sum_j n_j + min(dim, |G|)) bytes for decompose and rig: the
@@ -195,9 +195,10 @@ def _check_budget(command: str, orders: Sequence[int], dim: int) -> None:
 
 
 def _load(path: str):
-    """The JSON in ``path``, refused over 1/16 of the budget (decoding a
-    file peaks at about 155-186 bytes per [re, im] pair)."""
-    return load_json(path, max_bytes=OPERATOR_STACK_BUDGET // 16)
+    """The JSON in ``path``, refused over 3/128 of the budget: decoding peaks
+    at up to about 17 traced bytes per file byte (short pairs like [0,0]),
+    so under half the budget, and a 65536-pair file indented by 2 passes."""
+    return load_json(path, max_bytes=3 * OPERATOR_STACK_BUDGET // 128)
 
 
 def _report_skeleton(command: str, args: argparse.Namespace, tol: float,
@@ -344,16 +345,21 @@ def cmd_rig(args: argparse.Namespace, tol: float):
     comp_payloads = []
     worst = dict.fromkeys(("identity", "reconstruction", "eigen_equation",
                            "intertwiner_unitarity", "intertwiner"), 0.0)
+    decomp = None
     for index, comp in enumerate(components):
         model = diagonalize(comp, pvm)
-        vals = np.zeros(group.size, dtype=complex)
-        vals[model.columns] = xi_global.values[model.columns] if xi_global is not None else 1.0
-        xi = DualFunction(group, vals)
-        space = gns_construct(phi_from_cyclic(model, xi))
-        decomp = build_decomposition(
-            space, xi, tol=tol,
-            rng=np.random.default_rng([args.seed, index]))
-        itw = intertwiner(space, model, xi)
+        # A layer's rigging depends only on its support and xi there.  Layer i
+        # holds the characters of multiplicity >= i, so equal supports are
+        # consecutive: a layer on the previous layer's support reuses its results.
+        if decomp is None or not np.array_equal(model.columns, decomp.columns):
+            vals = np.zeros(group.size, dtype=complex)
+            vals[model.columns] = xi_global.values[model.columns] if xi_global is not None else 1.0
+            xi = DualFunction(group, vals)
+            space = gns_construct(phi_from_cyclic(model, xi))
+            decomp = build_decomposition(
+                space, xi, tol=tol,
+                rng=np.random.default_rng([args.seed, index]))
+            itw = intertwiner(space, model, xi)
 
         residuals = {
             "identity": decomp.identity_residual,

@@ -437,13 +437,16 @@ def binary_power_indices(group: Group) -> np.ndarray:
 
 def binary_powers(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray]:
     """``binary_power_indices`` and the identity and U_j^(2^i) at them, each
-    squared from the input generator, independently of ``generator_powers``."""
-    mats = [np.eye(rep.dim, dtype=complex)]
+    squared from the input generator, independently of ``generator_powers``;
+    written into one preallocated stack."""
+    indices = binary_power_indices(rep.group)
+    mats = np.empty((len(indices), rep.dim, rep.dim), dtype=complex)
+    mats[0], t = np.eye(rep.dim), 1
     for U, n in zip(rep.generators, rep.group.orders):
         for _ in range((n - 1).bit_length()):
-            mats.append(U)
+            mats[t], t = U, t + 1
             U = U @ U
-    return binary_power_indices(rep.group), np.array(mats)
+    return indices, mats
 
 
 def certified_gap(gaps: np.ndarray, defects: float, dim: int) -> float:

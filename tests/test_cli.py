@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,6 +382,96 @@ def test_rig_handles_multiplicity(tmp_path, capsys):
     for comp in comps:
         assert comp["support"] == [[0]]
         assert comp["weights"] == [1.0]
+
+
+def layered_rep_file(tmp_path, mults):
+    """A representation of Z_8 with multiplicity mults[s] at character 2s + 1,
+    conjugated by a random unitary: its layer i holds the characters of
+    multiplicity >= i."""
+    from abelian_spectra import make_representation
+    G = make_group((8,))
+    chars = np.repeat(2 * np.arange(len(mults)) + 1, mults)
+    rng = np.random.default_rng(6)
+    V, _ = np.linalg.qr(rng.normal(size=(len(chars),) * 2)
+                        + 1j * rng.normal(size=(len(chars),) * 2))
+    diagonal = G.pairing_at(G.generator_indices, chars)[0]
+    return write_representation(tmp_path / "rep.json",
+                                make_representation(G, [V @ np.diag(diagonal) @ V.conj().T]))
+
+
+def per_layer_entries(src, seed=0):
+    """rig's component entries as built with every layer's own quotient,
+    eigenvector system and intertwiner, from default_rng([seed, index])."""
+    from abelian_spectra.fileio import load_json, representation_from_payload
+    rep = representation_from_payload(load_json(src))
+    G, pvm = rep.group, spectral_measure(rep)
+    entries = []
+    for index, comp in enumerate(cyclic_decomposition(pvm)):
+        model = diagonalize(comp, pvm)
+        vals = np.zeros(G.size, dtype=complex)
+        vals[model.columns] = 1.0
+        xi = DualFunction(G, vals)
+        space = gns_construct(phi_from_cyclic(model, xi))
+        decomp = build_decomposition(space, xi, tol=cli.DEFAULT_TOL,
+                                     rng=np.random.default_rng([seed, index]))
+        itw = rigging.intertwiner(space, model, xi)
+        entries.append({
+            "support": G.coords_at(decomp.columns).tolist(),
+            "weights": decomp.weights.tolist(),
+            "generator_diagonals": model.symbols(G.generator_indices),
+            "residuals": {
+                "identity": decomp.identity_residual,
+                "reconstruction": decomp.reconstruction_residual,
+                "eigen_equation": decomp.eigen_equation_residual,
+                "intertwiner_unitarity": itw.unitarity_residual,
+                "intertwiner": itw.intertwining_residual,
+            },
+        })
+    return json.loads(dump_json(entries))
+
+
+@pytest.mark.parametrize("layers", ["planted", "mixed"])
+def test_rig_builds_each_distinct_layer_once(tmp_path, capsys, monkeypatch, layers):
+    # four layers on one support build one rigging; three distinct supports
+    # (multiplicities 1, 2, 3) build three; every layer is still diagonalized
+    src = (planted_rep_file(tmp_path, (4, 4, 4, 4), 32, mult=4) if layers == "planted"
+           else layered_rep_file(tmp_path, [1, 2, 3]))
+    calls = {name: 0 for name in ("diagonalize", "phi_from_cyclic", "gns_construct",
+                                  "build_decomposition", "intertwiner")}
+    for name in calls:
+        def spy(*args, _name=name, _call=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    code, report, err = stdout_report(capsys, ["rig", "--input", str(src)])
+    assert code == 0, err
+    sizes = [len(comp["support"]) for comp in report["results"]["components"]]
+    assert sizes == ([8] * 4 if layers == "planted" else [3, 2, 1])
+    built = 1 if layers == "planted" else 3
+    assert calls == {"diagonalize": len(sizes), "phi_from_cyclic": built,
+                     "gns_construct": built, "build_decomposition": built, "intertwiner": built}
+
+
+@pytest.mark.parametrize("layers", ["planted", "mixed"])
+def test_rig_entries_match_a_rigging_built_per_layer(tmp_path, capsys, layers):
+    # the first layer of each support reports what its own rigging gives, to
+    # the last bit; a later layer on that support repeats that entry
+    src = (planted_rep_file(tmp_path, (4, 4, 4, 4), 32, mult=4) if layers == "planted"
+           else layered_rep_file(tmp_path, [1, 3, 3]))
+    code, report, err = stdout_report(capsys, ["rig", "--input", str(src), "--seed", "5"])
+    assert code == 0, err
+    entries, reference = report["results"]["components"], per_layer_entries(src, seed=5)
+    assert len(entries) == len(reference) == (4 if layers == "planted" else 3)
+    first = 0
+    for index, (entry, own) in enumerate(zip(entries, reference)):
+        if entry["support"] != entries[first]["support"]:
+            first = index
+        assert entry == (own if index == first else entries[first])
+        assert {k: v for k, v in entry.items() if k != "residuals"} == \
+            {k: v for k, v in own.items() if k != "residuals"}
+    assert first == (0 if layers == "planted" else 1)
+    assert report["residuals"]["identity"] <= max(
+        own["residuals"]["identity"] for own in reference)
 
 
 def test_rig_looks_up_no_character_one_at_a_time(tmp_path, capsys, monkeypatch):
@@ -782,8 +873,8 @@ def test_an_input_file_over_the_bound_is_refused_before_parsing(tmp_path, capsys
                                              make_representation(G, [np.diag([1j])])),
              "--xi": write_function(tmp_path / "xi.json", (4,), np.ones(4), domain="dual")}
     argv = ["rig", "--input", str(files["--input"]), "--xi", str(files["--xi"])]
-    bound = 2 ** 17  # a budget of 2 MiB still admits rig on Z_4 at d = 1
-    monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", 16 * bound)
+    bound = 3 * 2 ** 21 // 128  # a budget of 2 MiB still admits rig on Z_4 at d = 1
+    monkeypatch.setattr(cli, "OPERATOR_STACK_BUDGET", 2 ** 21)
     assert run_cli(capsys, argv)[0] == 0
     # not JSON: only a refusal before parsing names the size
     files[flag].write_text("[" * (bound + 1))
@@ -796,6 +887,44 @@ def test_an_input_file_over_the_bound_is_refused_before_parsing(tmp_path, capsys
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert "is not valid JSON" in err
+
+
+def input_bound(monkeypatch):
+    """The max_bytes that cli._load passes to load_json."""
+    bounds = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "load_json", lambda path, max_bytes: bounds.append(max_bytes))
+        cli._load("unread.json")
+    return bounds[0]
+
+
+def test_the_input_bound_keeps_decoding_within_half_the_budget(tmp_path, monkeypatch):
+    # the shortest pairs, [0,0], cost the most traced bytes per file byte;
+    # a file at the bound, decoded at this rate, peaks under half the budget
+    src = tmp_path / "zeros.json"
+    src.write_text(json.dumps({"group": {"orders": [2] * 16}, "domain": "group",
+                               "values": [[0, 0]] * 2 ** 16}, separators=(",", ":")))
+    tracemalloc.start()
+    try:
+        cli._load(str(src))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rate = peak / src.stat().st_size
+    assert rate > 12  # the measured rate is about 17
+    assert rate * input_bound(monkeypatch) <= cli.OPERATOR_STACK_BUDGET / 2
+
+
+def test_the_input_bound_admits_a_65536_pair_file_indented_by_2(tmp_path, capsys, monkeypatch,
+                                                                rng):
+    G = make_group((65536,))
+    f = GroupFunction(G, rng.standard_normal(G.size) + 1j * rng.standard_normal(G.size))
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps(json.loads(dump_json(function_to_payload(f))), indent=2))
+    assert cli.OPERATOR_STACK_BUDGET / 64 < src.stat().st_size <= input_bound(monkeypatch)
+    code, _, err = run_cli(capsys, ["fourier", "--input", str(src),
+                                    "--output", str(tmp_path / "F.json")])
+    assert code == 0, err
 
 
 def test_rig_admits_a_planted_8192_d2_input(tmp_path, capsys):

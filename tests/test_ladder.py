@@ -30,6 +30,7 @@ def test_ladder_measures_every_layer_and_shape(monkeypatch):
                       if case["layer"] == layer and case["size"] == n}
             assert shapes == ({"n"} if layer == "cli.main" else set(ladder.shapes(n))), (layer, n)
     assert all(case["median_s"] > 0 and case["peak_bytes"] > 0 for case in cases)
+    assert {case.get("command") for case in cases if case["layer"] == "cli.main"} == {"gns", "rig"}
     dims = {case["dim"] for case in cases if case["layer"] == "representations.spectral_measure"}
     assert dims == set(ladder.DIMS)
 
