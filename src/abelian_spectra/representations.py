@@ -443,9 +443,9 @@ def binary_powers(rep: UnitaryRep) -> tuple[np.ndarray, np.ndarray]:
     mats = np.empty((len(indices), rep.dim, rep.dim), dtype=complex)
     mats[0], t = np.eye(rep.dim), 1
     for U, n in zip(rep.generators, rep.group.orders):
-        for _ in range((n - 1).bit_length()):
-            mats[t], t = U, t + 1
-            U = U @ U
+        for i in range((n - 1).bit_length()):
+            mats[t] = U if i == 0 else mats[t - 1] @ mats[t - 1]
+            t += 1
     return indices, mats
 
 
