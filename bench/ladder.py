@@ -2,7 +2,7 @@
 
     python3 bench/ladder.py [--parent REV] [--output BENCH_0.json]
 
-Run from the root of a checkout.  Times five layers on a ladder of group
+Run from the root of a checkout.  Times six layers on a ladder of group
 orders |G| in {256, 4096, 65536}:
 
 - ``fileio.parse_complex_array`` on |G| ``[re, im]`` pairs, as ``json``
@@ -17,6 +17,9 @@ orders |G| in {256, 4096, 65536}:
   d / m characters of multiplicity m = max(1, d // |G|)), for the same
   three shapes.  A case whose ``cli.peak_estimate`` for ``decompose`` is
   over the CLI's budget is recorded as "skipped (budget)" and not run;
+- ``representations.cyclic_decomposition`` with ``diagonalize`` on every
+  layer, on the measure of each ``spectral_measure`` case, and skipped
+  where that case is;
 - ``cli.main``, one in-process ``gns`` request on a planted rank-r phi
   file on the shape (n,), and one ``rig`` request on a planted
   representation of (n,) of dimension 8, two characters of multiplicity
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -92,8 +96,8 @@ def measure() -> list[dict]:
     """Time every case with the package on ``sys.path``."""
     import numpy as np
     from abelian_spectra import (DualFunction, GroupFunction, build_decomposition, cli,
-                                 gns_construct, make_group, make_representation,
-                                 spectral_measure)
+                                 cyclic_decomposition, diagonalize, gns_construct, make_group,
+                                 make_representation, spectral_measure)
     from abelian_spectra.algebra import _transform
     from abelian_spectra.fileio import (dump_json, function_to_payload, parse_complex_array,
                                         representation_to_payload)
@@ -125,20 +129,30 @@ def measure() -> list[dict]:
             cases.append({"layer": "rigging.build_decomposition", "shape": name,
                           "size": n, "columns": None,
                           **timed(lambda: build_decomposition(space, xi))})
+    # an older tree's diagonalize also takes the measure
+    extra = len(inspect.signature(diagonalize).parameters) - 1
+
+    def layers(pvm):
+        return [diagonalize(comp, *[pvm][:extra]) for comp in cyclic_decomposition(pvm)]
+
     rng = np.random.default_rng(2)
     for n in ORDERS:
         for name, orders in shapes(n).items():
             group = make_group(orders, size_cap=n)
             for d in DIMS:
-                case = {"layer": "representations.spectral_measure", "shape": name,
-                        "size": n, "columns": None, "dim": d}
+                measure_case, layers_case = (
+                    {"layer": layer, "shape": name, "size": n, "columns": None, "dim": d}
+                    for layer in ("representations.spectral_measure",
+                                  "representations.cyclic_decomposition"))
                 if cli.peak_estimate("decompose", orders, d) > cli.OPERATOR_STACK_BUDGET:
-                    cases.append({**case, "median_s": None, "peak_bytes": None,
-                                  "status": "skipped (budget)"})
+                    cases += [{**case, "median_s": None, "peak_bytes": None,
+                               "status": "skipped (budget)"} for case in (measure_case, layers_case)]
                     continue
                 generators, _ = planted_representation(rng, orders, d, max(1, d // n))
                 rep = make_representation(group, generators)
-                cases.append({**case, **timed(lambda: spectral_measure(rep))})
+                cases.append({**measure_case, **timed(lambda: spectral_measure(rep))})
+                pvm = spectral_measure(rep)
+                cases.append({**layers_case, **timed(lambda: layers(pvm))})
     rng = np.random.default_rng(3)
 
     def request(argv: list[str]) -> None:

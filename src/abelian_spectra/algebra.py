@@ -119,12 +119,6 @@ def delta(group: Group, at: Element | None = None) -> GroupFunction:
     return GroupFunction(group, values)
 
 
-def character_function(group: Group, chi: Character) -> GroupFunction:
-    """The character chi as a function on the group, g -> <g|chi>."""
-    j = group.character_index(chi)
-    return GroupFunction(group, group.pairing_block(j, j + 1)[0])
-
-
 def convolve(f: GroupFunction, h: GroupFunction) -> GroupFunction:
     """(f * h)(g) = sum_{g'} f(g') h(g - g') (times the Haar weight)."""
     group = _same_group(f, h)

@@ -241,26 +241,25 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
     _check_budget("decompose", rep.group.orders, rep.dim)
     group = rep.group
     pvm = spectral_measure(rep)
-    components = cyclic_decomposition(pvm)
-    models = [diagonalize(comp, pvm) for comp in components]
+    components = [diagonalize(comp) for comp in cyclic_decomposition(pvm)]
     comp_payloads = [
         {
             "support": group.coords_at(comp.columns).tolist(),
             "cyclic_vector": comp.cyclic_vector,
             "projection_norms": [float(x) for x in comp.projection_norms],
             "diagonal_model": {
-                "isometry": model.isometry,
-                "generator_diagonals": model.symbols(group.generator_indices),
+                "isometry": comp.isometry,
+                "generator_diagonals": comp.symbols(group.generator_indices),
             },
         }
-        for comp, model in zip(components, models)
+        for comp in components
     ]
 
     kets = dirac_kets(pvm)
     mults = np.zeros(group.size, dtype=int)
     mults[pvm.indices] = pvm.multiplicities
     residuals = {f"pvm_{k}": v for k, v in sorted(pvm.residuals.items())}
-    residuals.update(relation_certificate(pvm, models))
+    residuals.update(relation_certificate(pvm, components))
     passed = all(v <= tol for v in residuals.values())
 
     results = {
@@ -341,25 +340,24 @@ def cmd_rig(args: argparse.Namespace, tol: float):
                 "cyclic amplitude and representation live on different groups")
 
     pvm = spectral_measure(rep)
-    components = cyclic_decomposition(pvm)
+    components = [diagonalize(comp) for comp in cyclic_decomposition(pvm)]
     comp_payloads = []
     worst = dict.fromkeys(("identity", "reconstruction", "eigen_equation",
                            "intertwiner_unitarity", "intertwiner"), 0.0)
     decomp = None
     for index, comp in enumerate(components):
-        model = diagonalize(comp, pvm)
         # A layer's rigging depends only on its support and xi there.  Layer i
         # holds the characters of multiplicity >= i, so equal supports are
         # consecutive: a layer on the previous layer's support reuses its results.
-        if decomp is None or not np.array_equal(model.columns, decomp.columns):
+        if decomp is None or not np.array_equal(comp.columns, decomp.columns):
             vals = np.zeros(group.size, dtype=complex)
-            vals[model.columns] = xi_global.values[model.columns] if xi_global is not None else 1.0
+            vals[comp.columns] = xi_global.values[comp.columns] if xi_global is not None else 1.0
             xi = DualFunction(group, vals)
-            space = gns_construct(phi_from_cyclic(model, xi))
+            space = gns_construct(phi_from_cyclic(comp, xi))
             decomp = build_decomposition(
                 space, xi, tol=tol,
                 rng=np.random.default_rng([args.seed, index]))
-            itw = intertwiner(space, model, xi)
+            itw = intertwiner(space, comp, xi)
 
         residuals = {
             "identity": decomp.identity_residual,
@@ -373,7 +371,7 @@ def cmd_rig(args: argparse.Namespace, tol: float):
         comp_payloads.append({
             "support": group.coords_at(decomp.columns).tolist(),
             "weights": decomp.weights.tolist(),
-            "generator_diagonals": model.symbols(group.generator_indices),
+            "generator_diagonals": comp.symbols(group.generator_indices),
             "residuals": residuals,
         })
 

@@ -73,11 +73,6 @@ def _as_int(value: Any, field: str) -> int:
     return value
 
 
-def complex_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def complex_vector_payload(v: np.ndarray) -> list[list[float]]:
     v = np.ravel(np.asarray(v, dtype=complex))
     return np.stack((v.real, v.imag), -1).tolist()

@@ -46,7 +46,7 @@ class GNSSpace:
     ``support`` holds.  With ``eta``, the class of the identity point mass,
     they fix the quotient; ``positivity`` is the report it was admitted on.
     Every accessor reads the pairing at the support through
-    ``Group.pairing_at`` or one transform; only ``quotient_basis`` is |G| x rank.
+    ``Group.pairing_at`` or one transform.
     """
 
     group: Group
@@ -56,14 +56,6 @@ class GNSSpace:
     support: np.ndarray
     eta: np.ndarray
     positivity: PositivityReport
-
-    @property
-    def quotient_basis(self) -> np.ndarray:
-        """Q[g, s] = conj(<g|psi_s>) / sqrt(|G| lambda_s), the support characters
-        conjugated and scaled to unit form norm: a |G| x rank table."""
-        group = self.group
-        return (group.pairing_at(np.arange(group.size), self.support).conj()
-                / np.sqrt(group.size * self.eigenvalues[:self.rank]))
 
     def class_coordinates(self, f: GroupFunction) -> np.ndarray:
         """Coordinates of the class of f in the orthonormal quotient basis,

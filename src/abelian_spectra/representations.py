@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -351,67 +351,62 @@ def apply_algebra(pvm: ProjectionValuedMeasure, f: GroupFunction) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CyclicComponent:
-    """Cyclic invariant subspace with multiplicity-free support."""
+    """Cyclic invariant subspace with multiplicity-free support, its own
+    diagonal model: V^dagger pi(g) V = diag(<g|chi>) over the support
+    (enumeration indices ``columns``) for the ``isometry`` V;
+    ``symbols(rows)`` gives <g_i | support[s]> for i in rows."""
 
+    group: Group
     cyclic_vector: np.ndarray
-    support: tuple[Character, ...]
-    columns: np.ndarray  # the support's enumeration indices
+    columns: np.ndarray
     isometry: np.ndarray
     projection_norms: tuple[float, ...]
 
-
-def cyclic_decomposition(pvm: ProjectionValuedMeasure) -> list[CyclicComponent]:
-    """Split the space into cyclic components, one per multiplicity layer.
-
-    Layer i (1-based) sums the i-th columns u of the range bases of every
-    character of multiplicity >= i into its cyclic vector; the normalised
-    P(chi_t) u = B_t (B_t^dagger u) / ||...|| form its isometry.
-    """
-    W, mults = pvm.basis, pvm.multiplicities
-    starts = np.cumsum(mults) - mults
-    components = []
-    for i in range(1, mults.max(initial=0) + 1):
-        keep = mults >= i
-        u = W[:, starts[keep] + i - 1].sum(axis=1)
-        ws = np.add.reduceat(W * (W.conj().T @ u), starts, axis=1)[:, keep]
-        norms = np.linalg.norm(ws, axis=0)
-        iso = ws / np.where(norms > 0, norms, 1.0)
-        iso.setflags(write=False)
-        u.setflags(write=False)
-        components.append(CyclicComponent(
-            cyclic_vector=u, support=tuple(compress(pvm.support, keep)),
-            columns=pvm.indices[keep], isometry=iso, projection_norms=tuple(norms.tolist())))
-    return components
-
-
-@dataclass(frozen=True)
-class DiagonalModel:
-    """Multiplication-operator model of a cyclic component: V^dagger pi(g) V =
-    diag(<g|chi>) over the support (enumeration indices ``columns``) for the
-    ``isometry`` V; ``symbols(rows)`` gives <g_i | support[s]> for i in rows."""
-
-    group: Group
-    support: tuple[Character, ...]
-    columns: np.ndarray
-    isometry: np.ndarray
+    @cached_property
+    def support(self) -> tuple[Character, ...]:
+        return self.group.characters_at(self.columns)
 
     def symbols(self, rows) -> np.ndarray:
         return self.group.pairing_at(rows, self.columns)
 
 
-def diagonalize(component: CyclicComponent, pvm: ProjectionValuedMeasure) -> DiagonalModel:
-    """Diagonal model of a cyclic component; DegenerateComponentError when a
-    projection of the cyclic vector on its support is numerically zero."""
-    for chi, norm in zip(component.support, component.projection_norms):
-        if norm < DEGENERATE_TOL:
-            raise DegenerateComponentError(
-                f"projection norm {norm:.3e} at character {chi.coords} is below "
-                f"{DEGENERATE_TOL:.1e}; the component is degenerate on its support")
-    return DiagonalModel(group=pvm.group, support=component.support,
-                         columns=component.columns, isometry=component.isometry)
+def cyclic_decomposition(pvm: ProjectionValuedMeasure) -> list[CyclicComponent]:
+    """Split the space into cyclic components, one per multiplicity layer.
+
+    Layer i (1-based) takes the i-th column of the range basis B_t of every
+    character of multiplicity >= i, and their sum u as its cyclic vector.
+    As ``basis`` is unitary, P(chi_t) u = B_t (B_t^dagger u) = B_t e_i: those
+    columns are the isometry, and their norms the projection norms.
+    """
+    W, mults = pvm.basis, pvm.multiplicities
+    starts = np.cumsum(mults) - mults
+    components = []
+    for i in range(mults.max(initial=0)):
+        keep = mults > i
+        iso = np.ascontiguousarray(W[:, starts[keep] + i])
+        u = iso.sum(axis=1)
+        iso.setflags(write=False)
+        u.setflags(write=False)
+        components.append(CyclicComponent(
+            group=pvm.group, cyclic_vector=u, columns=pvm.indices[keep], isometry=iso,
+            projection_norms=tuple(np.linalg.norm(iso, axis=0).tolist())))
+    return components
 
 
-def diagonalization_residual(model: DiagonalModel, rep: UnitaryRep) -> float:
+def diagonalize(component: CyclicComponent) -> CyclicComponent:
+    """The component, checked as a diagonal model: DegenerateComponentError
+    when a projection of the cyclic vector on its support is numerically zero."""
+    low = np.array(component.projection_norms) < DEGENERATE_TOL
+    if low.any():
+        t = int(low.argmax())
+        chi = component.group.characters_at(component.columns[t:t + 1])[0]
+        raise DegenerateComponentError(
+            f"projection norm {component.projection_norms[t]:.3e} at character {chi.coords} "
+            f"is below {DEGENERATE_TOL:.1e}; the component is degenerate on its support")
+    return component
+
+
+def diagonalization_residual(model: CyclicComponent, rep: UnitaryRep) -> float:
     """max_g || V^dagger pi(g) V - diag(<g|chi>) ||, an oracle over the stack."""
     V = model.isometry
     D = V.conj().T @ rep.operators @ V
@@ -465,7 +460,7 @@ def certified_gap(gaps: np.ndarray, defects: float, dim: int) -> float:
 
 
 def relation_certificate(pvm: ProjectionValuedMeasure,
-                         models: Sequence[DiagonalModel]) -> dict[str, float]:
+                         models: Sequence[CyclicComponent]) -> dict[str, float]:
     """``certified_gap`` bounds on the all-G relation residuals from the gaps at
     the identity and each binary power A_t = pi(h_t): reconstruction || A_t -
     sum_chi <h_t|chi> P(chi) ||; diagonalization || V^dagger A_t V - diag(<h_t|chi>) ||

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gns import GNSSpace
 from .groups import Character, Element, Group
-from .representations import DiagonalModel, binary_power_indices, certified_gap
+from .representations import CyclicComponent, binary_power_indices, certified_gap
 
 WEIGHT_FLOOR = 1e-12
 IDENTITY_TOL = 1e-9
@@ -112,17 +112,19 @@ def _vanishes(amps: np.ndarray) -> np.ndarray:
     return mods <= WEIGHT_FLOOR * mods.max(initial=0.0)
 
 
-def _cyclic_amplitudes(model: DiagonalModel, xi: DualFunction) -> np.ndarray:
+def _cyclic_amplitudes(model: CyclicComponent, xi: DualFunction) -> np.ndarray:
     """xi on the model support; NotCyclicError where it vanishes there."""
     amps = xi.values[model.columns]
-    for chi, amp, vanishes in zip(model.support, amps, _vanishes(amps)):
-        if vanishes:
-            raise NotCyclicError(f"cyclic amplitude vanishes at support character "
-                                 f"{chi.coords} (|xi| = {abs(amp):.3e})")
+    vanishes = _vanishes(amps)
+    if vanishes.any():
+        t = int(vanishes.argmax())
+        chi = model.group.characters_at(model.columns[t:t + 1])[0]
+        raise NotCyclicError(f"cyclic amplitude vanishes at support character "
+                             f"{chi.coords} (|xi| = {abs(amps[t]):.3e})")
     return amps
 
 
-def phi_from_cyclic(model: DiagonalModel, xi: DualFunction) -> GroupFunction:
+def phi_from_cyclic(model: CyclicComponent, xi: DualFunction) -> GroupFunction:
     """Positive-type function of the cyclic vector xi in a diagonal model.
 
     phi(g) = sum over the model support of <g|chi> |xi(chi)|^2 with the
@@ -284,7 +286,7 @@ class IntertwinerResult:
     intertwining_residual: float
 
 
-def intertwiner(space: GNSSpace, model: DiagonalModel,
+def intertwiner(space: GNSSpace, model: CyclicComponent,
                 xi: DualFunction) -> IntertwinerResult:
     """Unitary W with W pi_phi(g) W^dagger = diag(<g|chi>) on the model support.
 
@@ -298,9 +300,9 @@ def intertwiner(space: GNSSpace, model: DiagonalModel,
     group = space.group
     if model.group != group or xi.group != group:
         raise GroupMismatchError("quotient, model, and amplitude must share one group")
-    if len(model.support) != space.rank:
+    if len(model.columns) != space.rank:
         raise InconsistencyError(
-            f"diagonal model has {len(model.support)} support characters but the "
+            f"diagonal model has {len(model.columns)} support characters but the "
             f"quotient rank is {space.rank}")
     _cyclic_amplitudes(model, xi)
 

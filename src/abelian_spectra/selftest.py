@@ -502,8 +502,7 @@ def _prop_diagonalization(rng, cfg):
         rep, pvm = _pvm_instance(rng, cfg)
         r = 0.0
         for comp in cyclic_decomposition(pvm):
-            model = diagonalize(comp, pvm)
-            r = max(r, diagonalization_residual(model, rep))
+            r = max(r, diagonalization_residual(diagonalize(comp), rep))
         yield r, dict(representation=rep)
 
 
@@ -635,7 +634,7 @@ def _rig_setup(rng, cfg):
     rep = random_multiplicity_free_representation(rng, group, cfg.max_dim)
     pvm = spectral_measure(rep)
     (component,) = cyclic_decomposition(pvm)
-    model = diagonalize(component, pvm)
+    model = diagonalize(component)
     vals = np.zeros(group.size, dtype=complex)
     for col in model.columns:
         radius = rng.uniform(0.5, 2.0)

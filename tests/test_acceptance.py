@@ -168,7 +168,7 @@ def test_criterion_5_diagonalization():
         rep = random_representation(rng, G, max_dim=8)
         pvm = spectral_measure(rep)
         for comp in cyclic_decomposition(pvm):
-            model = diagonalize(comp, pvm)
+            model = diagonalize(comp)
             worst_total = max(worst_total, diagonalization_residual(model, rep))
             V = model.isometry
             for op in rep.operators:
@@ -232,7 +232,7 @@ def test_criterion_7_eigenvector_systems():
         pvm = spectral_measure(rep)
         comps = cyclic_decomposition(pvm)
         assert len(comps) == 1
-        model = diagonalize(comps[0], pvm)
+        model = diagonalize(comps[0])
         vals = np.zeros(G.size, dtype=complex)
         for chi in model.support:
             j = G.character_index(chi)

@@ -11,7 +11,6 @@ from abelian_spectra import (
     GroupFunction,
     GroupMismatchError,
     ShapeMismatchError,
-    character_function,
     convolve,
     delta,
     fourier,
@@ -54,12 +53,6 @@ def test_delta_is_a_point_mass():
     G = make_group((2, 2))
     np.testing.assert_array_equal(delta(G).values, [1, 0, 0, 0])
     np.testing.assert_array_equal(delta(G, G.element((1, 0))).values, [0, 0, 1, 0])
-
-
-def test_character_function_samples_the_pairing():
-    G = make_group((4,))
-    f = character_function(G, G.character((1,)))
-    np.testing.assert_allclose(f.values, [1, 1j, -1, -1j], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +151,8 @@ def test_inverse_transform_of_constant_is_point_mass():
 
 def test_transform_of_character_concentrates_on_it():
     G = make_group((3,))
-    F = fourier(character_function(G, G.character((1,))))
+    chi = G.character_index(G.character((1,)))
+    F = fourier(GroupFunction(G, G.pairing_at(np.arange(G.size), [chi])[:, 0]))
     np.testing.assert_allclose(F.values, [0.0, 3.0, 0.0], atol=1e-12)
 
 

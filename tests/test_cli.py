@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -407,7 +408,7 @@ def per_layer_entries(src, seed=0):
     G, pvm = rep.group, spectral_measure(rep)
     entries = []
     for index, comp in enumerate(cyclic_decomposition(pvm)):
-        model = diagonalize(comp, pvm)
+        model = diagonalize(comp)
         vals = np.zeros(G.size, dtype=complex)
         vals[model.columns] = 1.0
         xi = DualFunction(G, vals)
@@ -486,6 +487,42 @@ def test_rig_looks_up_no_character_one_at_a_time(tmp_path, capsys, monkeypatch):
     assert code == 0, err
     assert [len(comp["support"]) for comp in report["results"]["components"]] == [8] * 4
     assert calls == []
+
+
+@pytest.mark.parametrize("command, built", [("rig", 0), ("decompose", 1)])
+def test_layers_build_no_characters(tmp_path, capsys, monkeypatch, command, built):
+    # the layers travel as index arrays; decompose builds the support's
+    # characters once, to label its kets
+    from abelian_spectra import Group
+    src = planted_rep_file(tmp_path, (16, 16), 32, mult=4)
+    calls = []
+    characters_at = Group.characters_at
+    monkeypatch.setattr(Group, "characters_at",
+                        lambda self, idx: calls.append(idx) or characters_at(self, idx))
+    code, report, err = stdout_report(capsys, [command, "--input", str(src)])
+    assert code == 0, err
+    assert len(report["results"]["components"]) == 4
+    assert len(calls) == built
+
+
+def test_rig_exits_5_naming_the_character_where_xi_vanishes(tmp_path, capsys):
+    src = write_representation(tmp_path / "rep.json", regular_representation(make_group((4,))))
+    xi = write_function(tmp_path / "xi.json", (4,), [1, 1, 0, 1], domain="dual")
+    code, out, err = run_cli(capsys, ["rig", "--input", str(src), "--xi", str(xi)])
+    assert (code, out) == (5, "")
+    assert err == "error: cyclic amplitude vanishes at support character (2,) (|xi| = 0.000e+00)\n"
+
+
+@pytest.mark.parametrize("command", ["decompose", "rig"])
+def test_a_degenerate_layer_exits_4_naming_its_character(tmp_path, capsys, monkeypatch, command):
+    src = write_representation(tmp_path / "rep.json", regular_representation(make_group((4,))))
+    layers = cli.cyclic_decomposition
+    monkeypatch.setattr(cli, "cyclic_decomposition", lambda pvm: [
+        replace(comp, projection_norms=(1.0, 0.0, 1.0, 1.0)) for comp in layers(pvm)])
+    code, out, err = run_cli(capsys, [command, "--input", str(src)])
+    assert (code, out) == (4, "")
+    assert err == ("error: projection norm 0.000e+00 at character (1,) is below 1.0e-12; "
+                   "the component is degenerate on its support\n")
 
 
 def test_rig_report_is_byte_deterministic(tmp_path, capsys):
@@ -571,7 +608,7 @@ def broken_functional_values(group, columns, weights, values):
 def test_corrupted_functional_fails_the_identity_check(monkeypatch):
     G = make_group((4,))
     pvm = spectral_measure(regular_representation(G))
-    model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    model = diagonalize(cyclic_decomposition(pvm)[0])
     # asymmetric amplitude: |xi| at chi and at -chi differ
     xi = DualFunction(G, np.array([1.0, 2.0, 1.0, 3.0], dtype=complex))
     space = gns_construct(phi_from_cyclic(model, xi))

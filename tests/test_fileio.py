@@ -17,7 +17,6 @@ from abelian_spectra import (
 )
 from abelian_spectra.fileio import (
     complex_matrix_payload,
-    complex_pair,
     complex_vector_payload,
     dump_json,
     function_from_payload,
@@ -37,24 +36,24 @@ from test_cli_fuzz import BAD_ENTRIES
 # ---------------------------------------------------------------------------
 
 def test_complex_pair_and_vector():
-    assert complex_pair(1 - 2j) == [1.0, -2.0]
+    assert complex_vector_payload(np.array([1 - 2j])) == [[1.0, -2.0]]
     assert complex_vector_payload(np.array([1j, 2.0])) == [[0.0, 1.0], [2.0, 0.0]]
     assert complex_matrix_payload(np.eye(2)) == [
         [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     # negative zero, subnormals, huge values, ints and complex64 encode
-    # entry by entry as complex_pair does
+    # entry by entry as the pairs of Python complex numbers
     v = np.array([-0.0, complex(0.0, -0.0), 1e-320 - 5e300j, 0.1 + 0.3j])
     for arr in (v, np.arange(-3, 3), v[[0, 1, 3]].astype(np.complex64),
                 v.reshape(2, 2)):
-        want = [complex_pair(z) for z in np.ravel(arr)]
+        want = [[z.real, z.imag] for z in map(complex, np.ravel(arr))]
         got = complex_vector_payload(arr)
         assert got == want
         assert [str(x) for pair in got for x in pair] == [str(x) for pair in want for x in pair]
     cube = np.arange(12).reshape(2, 3, 2) * (1 - 1j)
     assert complex_matrix_payload(cube) == [
-        [[complex_pair(z) for z in row] for row in plane] for plane in cube]
+        [[[z.real, z.imag] for z in map(complex, row)] for row in plane] for plane in cube]
     assert complex_matrix_payload(v.reshape(2, 2)) == [
-        [complex_pair(z) for z in row] for row in v.reshape(2, 2)]
+        [[z.real, z.imag] for z in map(complex, row)] for row in v.reshape(2, 2)]
 
 
 def test_parse_complex_array_round_trips_floats():

@@ -86,7 +86,10 @@ def assert_closed_form_matches_the_dense_form(orders, rng):
         scale = float(np.max(np.abs(dense)))
         np.testing.assert_allclose(space.eigenvalues, dense, rtol=0, atol=1e-12 * scale)
         assert space.rank == len(mask)
-        Q = space.quotient_basis
+        # Q[g, s] = conj(<g|psi_s>) / sqrt(|G| lambda_s): the support characters
+        # conjugated and scaled to unit form norm
+        Q = (G.pairing_at(np.arange(G.size), space.support).conj()
+             / np.sqrt(G.size * space.eigenvalues[:space.rank]))
         np.testing.assert_allclose(Q.conj().T @ gram @ Q, np.eye(space.rank), atol=1e-9)
         # the table-free accessors: one inverse transform of f read at the support
         f = random_function(G, rng)

@@ -22,7 +22,8 @@ def test_ladder_measures_every_layer_and_shape(monkeypatch):
     monkeypatch.setattr(ladder, "REPEATS", 1)
     cases = ladder.measure()
     layers = {"fileio.parse_complex_array", "algebra._transform",
-              "rigging.build_decomposition", "representations.spectral_measure", "cli.main"}
+              "rigging.build_decomposition", "representations.spectral_measure",
+              "representations.cyclic_decomposition", "cli.main"}
     assert {case["layer"] for case in cases} == layers
     for layer in layers - {"fileio.parse_complex_array"}:
         for n in (16, 64):
@@ -31,8 +32,8 @@ def test_ladder_measures_every_layer_and_shape(monkeypatch):
             assert shapes == ({"n"} if layer == "cli.main" else set(ladder.shapes(n))), (layer, n)
     assert all(case["median_s"] > 0 and case["peak_bytes"] > 0 for case in cases)
     assert {case.get("command") for case in cases if case["layer"] == "cli.main"} == {"gns", "rig"}
-    dims = {case["dim"] for case in cases if case["layer"] == "representations.spectral_measure"}
-    assert dims == set(ladder.DIMS)
+    for layer in ("representations.spectral_measure", "representations.cyclic_decomposition"):
+        assert {case["dim"] for case in cases if case["layer"] == layer} == set(ladder.DIMS)
 
 
 def test_rounds_combine_into_each_case_median():

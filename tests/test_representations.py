@@ -1,5 +1,7 @@
 """Unitary representations, spectral projections, diagonal models, kets."""
 
+import os
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -406,6 +408,32 @@ def test_multiplicity_two_rep_splits_into_two_components(rng):
     assert [chi.coords for chi in comps[1].support] == [(1,)]
 
 
+@pytest.mark.parametrize("orders, dim, mult", [((2,) * 8, 32, 4), ((4, 8, 8), 64, 1)])
+def test_each_layer_is_read_off_the_basis(orders, dim, mult):
+    # layer i holds column i of every range basis B_t with multiplicity > i:
+    # bit-equal to the basis and to the kets of index i + 1, and its own copy
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    from workloads import planted_representation
+    generators, _ = planted_representation(np.random.default_rng(3), orders, dim, mult)
+    pvm = spectral_measure(make_representation(make_group(orders), generators))
+    comps = cyclic_decomposition(pvm)
+    assert len(comps) == mult
+    starts = np.cumsum(pvm.multiplicities) - pvm.multiplicities
+    kets = {(ket.character, ket.index): ket.vector for ket in dirac_kets(pvm).kets}
+    for i, comp in enumerate(comps):
+        keep = pvm.multiplicities > i
+        np.testing.assert_array_equal(comp.columns, pvm.indices[keep])
+        np.testing.assert_array_equal(comp.isometry, pvm.basis[:, starts[keep] + i])
+        for chi, column in zip(comp.support, comp.isometry.T):
+            np.testing.assert_array_equal(column, kets[chi, i + 1])
+        np.testing.assert_array_equal(comp.cyclic_vector, comp.isometry.sum(axis=1))
+        np.testing.assert_array_equal(comp.projection_norms,
+                                      np.linalg.norm(comp.isometry, axis=0))
+        assert comp.isometry.flags.c_contiguous
+        assert not comp.isometry.flags.writeable and not comp.cyclic_vector.flags.writeable
+        assert diagonalize(comp) is comp
+
+
 def test_cyclic_vector_generates_the_component(small_group):
     """The orbit of the cyclic vector under the algebra spans the component."""
     rep = regular_representation(small_group)
@@ -419,7 +447,7 @@ def test_cyclic_vector_generates_the_component(small_group):
 def test_diagonal_model_on_z2_regular():
     G = make_group((2,))
     pvm = spectral_measure(regular_representation(G))
-    model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    model = diagonalize(cyclic_decomposition(pvm)[0])
     np.testing.assert_allclose(model.symbols(np.arange(G.size)), [[1.0, 1.0], [1.0, -1.0]],
                                atol=1e-12)
     assert diagonalization_residual(model, pvm.rep) < 1e-12
@@ -428,7 +456,7 @@ def test_diagonal_model_on_z2_regular():
 def test_diagonal_model_table_on_z4_regular():
     G = make_group((4,))
     pvm = spectral_measure(regular_representation(G))
-    model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    model = diagonalize(cyclic_decomposition(pvm)[0])
     table = model.symbols(np.arange(G.size))
     np.testing.assert_allclose(table[1], [1.0, 1j, -1.0, -1j], atol=1e-12)
 
@@ -436,7 +464,7 @@ def test_diagonal_model_table_on_z4_regular():
 def test_diagonal_model_scalar_case():
     G = make_group((3,))
     pvm = spectral_measure(trivial_representation(G, dim=1))
-    model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    model = diagonalize(cyclic_decomposition(pvm)[0])
     table = model.symbols(np.arange(G.size))
     assert table.shape == (3, 1)
     np.testing.assert_allclose(table, np.ones((3, 1)), atol=1e-12)
@@ -447,7 +475,7 @@ def test_diagonalization_residual_small_for_random_cases(rng):
         G = make_group(orders)
         pvm = spectral_measure(regular_representation(G))
         for comp in cyclic_decomposition(pvm):
-            model = diagonalize(comp, pvm)
+            model = diagonalize(comp)
             assert diagonalization_residual(model, pvm.rep) < 1e-9
 
 
@@ -456,8 +484,9 @@ def test_degenerate_component_is_rejected():
     pvm = spectral_measure(regular_representation(G))
     comp = cyclic_decomposition(pvm)[0]
     broken = replace(comp, projection_norms=(1.0, 0.0))
-    with pytest.raises(DegenerateComponentError):
-        diagonalize(broken, pvm)
+    with pytest.raises(DegenerateComponentError, match=r"^projection norm 0\.000e\+00 at "
+                       r"character \(1,\) is below 1\.0e-12; the component is degenerate"):
+        diagonalize(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +645,7 @@ def test_one_pass_residuals_equal_per_element_loops(rng):
         pvm = spectral_measure(rep)
         assert abs(reconstruction_residual(pvm) - loop_reconstruction_residual(pvm)) < 1e-12
         for comp in cyclic_decomposition(pvm):
-            model = diagonalize(comp, pvm)
+            model = diagonalize(comp)
             assert abs(diagonalization_residual(model, rep)
                        - loop_diagonalization_residual(model, rep)) < 1e-12
             assert abs(invariance_residual(comp, rep)
@@ -627,7 +656,7 @@ def test_mixing_components_breaks_invariance_and_diagonalization(rng):
     rep = multiplicity_two_rep(rng)
     pvm = spectral_measure(rep)
     mixed = mixed_components(pvm)
-    model = diagonalize(mixed, pvm)
+    model = diagonalize(mixed)
     invariance = invariance_residual(mixed, rep)
     diag = diagonalization_residual(model, rep)
     assert invariance > 1e-6
@@ -687,7 +716,7 @@ def test_binary_powers_fill_one_stack(rng):
 def certificate_and_oracles(rep):
     pvm = spectral_measure(rep)
     components = cyclic_decomposition(pvm)
-    models = [diagonalize(comp, pvm) for comp in components]
+    models = [diagonalize(comp) for comp in components]
     oracles = {
         "reconstruction": reconstruction_residual(pvm),
         "diagonalization": max(diagonalization_residual(m, rep) for m in models),
@@ -718,8 +747,8 @@ def test_certificate_catches_a_mixed_component_and_a_perturbed_projection(rng):
     rep = multiplicity_two_rep(rng)
     pvm = spectral_measure(rep)
     mixed = mixed_components(pvm)
-    certified = relation_certificate(pvm, [diagonalize(mixed, pvm)])
-    assert certified["diagonalization"] >= diagonalization_residual(diagonalize(mixed, pvm), rep)
+    certified = relation_certificate(pvm, [diagonalize(mixed)])
+    assert certified["diagonalization"] >= diagonalization_residual(diagonalize(mixed), rep)
     assert certified["component_invariance"] >= invariance_residual(mixed, rep) > 1e-6
     bumped = pvm.basis.copy()
     bumped[0, 0] += 1e-6

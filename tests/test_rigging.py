@@ -36,7 +36,7 @@ from conftest import random_function
 
 def regular_model(group):
     pvm = spectral_measure(regular_representation(group))
-    return diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    return diagonalize(cyclic_decomposition(pvm)[0])
 
 
 def ones_amplitude(group):
@@ -67,7 +67,7 @@ def test_flat_amplitude_on_the_regular_model_gives_a_point_mass():
 def test_single_character_amplitude_gives_a_constant():
     G = make_group((3,))
     pvm = spectral_measure(trivial_representation(G, dim=1))
-    model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    model = diagonalize(cyclic_decomposition(pvm)[0])
     phi = phi_from_cyclic(model, ones_amplitude(G))
     np.testing.assert_allclose(phi.values, np.ones(3), atol=1e-12)
 
@@ -140,7 +140,7 @@ def test_eigenvector_coordinates_are_orthonormal(rng):
 def test_functional_action_is_the_weighted_transform_at_the_inverse():
     G = make_group((3,))
     pvm = spectral_measure(trivial_representation(G, dim=1))
-    model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    model = diagonalize(cyclic_decomposition(pvm)[0])
     xi = DualFunction(G, np.array([2.0, 0.0, 0.0], dtype=complex))
     space = gns_construct(phi_from_cyclic(model, xi))
     decomp = build_decomposition(space, xi)
@@ -171,7 +171,7 @@ def test_functional_action_agrees_with_quotient_coordinates(rng):
 def test_support_count_must_match_the_rank():
     G = make_group((3,))
     pvm = spectral_measure(trivial_representation(G, dim=1))
-    model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    model = diagonalize(cyclic_decomposition(pvm)[0])
     xi = DualFunction(G, np.array([1.0, 0.0, 0.0], dtype=complex))
     space = gns_construct(phi_from_cyclic(model, xi))  # rank 1
     wide = DualFunction(G, np.array([1.0, 1.0, 0.0], dtype=complex))
@@ -200,7 +200,7 @@ def test_eigenvector_lookup_rejects_missing_characters():
     G = make_group((4,))
     U = np.diag([1.0, -1.0]).astype(complex)  # spectrum {chi_0, chi_2}
     pvm = spectral_measure(make_representation(G, [U]))
-    model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    model = diagonalize(cyclic_decomposition(pvm)[0])
     xi = DualFunction(G, np.array([1.0, 0.0, 1.0, 0.0], dtype=complex))
     space = gns_construct(phi_from_cyclic(model, xi))
     decomp = build_decomposition(space, xi)
@@ -298,7 +298,7 @@ def test_intertwiner_maps_classes_to_transforms(rng):
 def test_intertwiner_scalar_case():
     G = make_group((3,))
     pvm = spectral_measure(trivial_representation(G, dim=1))
-    model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    model = diagonalize(cyclic_decomposition(pvm)[0])
     xi = DualFunction(G, np.array([1.0, 0.0, 0.0], dtype=complex))
     space = gns_construct(phi_from_cyclic(model, xi))
     result = intertwiner(space, model, xi)
@@ -309,7 +309,7 @@ def test_intertwiner_scalar_case():
 def test_intertwiner_rejects_rank_mismatch():
     G = make_group((3,))
     pvm = spectral_measure(trivial_representation(G, dim=1))
-    narrow_model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    narrow_model = diagonalize(cyclic_decomposition(pvm)[0])
     _, _, space, _ = rigged_system(G)  # rank 3
     with pytest.raises(InconsistencyError):
         intertwiner(space, narrow_model, ones_amplitude(G))
@@ -332,7 +332,7 @@ def test_a_character_off_the_quotient_support_is_named():
     space = gns_construct(inverse_fourier(DualFunction(G, spectrum)))
     rep = make_representation(G, [np.diag(np.exp(2j * np.pi * np.array([1, 3, 6]) / 16))])
     pvm = spectral_measure(rep)
-    model = diagonalize(cyclic_decomposition(pvm)[0], pvm)
+    model = diagonalize(cyclic_decomposition(pvm)[0])
     xi = DualFunction(G, np.isin(np.arange(16), [1, 3, 6]).astype(complex))
     for build in (intertwiner, lambda space, _, xi: build_decomposition(space, xi)):
         with pytest.raises(InconsistencyError, match=r"characters \[\(6,\)\] have no component"):
@@ -399,7 +399,7 @@ def random_multiplicity_free_system(rng):
         gens.append(Q @ np.diag(eig) @ Q.conj().T)
     pvm = spectral_measure(make_representation(G, gens))
     (component,) = cyclic_decomposition(pvm)
-    model = diagonalize(component, pvm)
+    model = diagonalize(component)
     vals = np.zeros(G.size, dtype=complex)
     for chi in model.support:
         vals[G.character_index(chi)] = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
@@ -420,7 +420,7 @@ def planted_components(orders, dim, mult, rng):
                                                    for d in diagonals]))
     systems = []
     for component in cyclic_decomposition(pvm):
-        model = diagonalize(component, pvm)
+        model = diagonalize(component)
         vals = np.zeros(G.size, dtype=complex)
         vals[model.columns] = rng.uniform(0.5, 2.0, size=len(model.support)) * np.exp(
             2j * np.pi * rng.random(len(model.support)))

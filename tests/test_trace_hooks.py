@@ -41,7 +41,9 @@ def test_tracer_records_quotient_spans_and_restores_the_package(tmp_path, capsys
     finally:
         tracer.uninstall()
 
-    assert {"gns.gns_construct", "gns.generator_images", "cli.gns", "cli.rig"} <= set(tracer.names)
+    assert {"gns.gns_construct", "gns.generator_images", "cli.gns", "cli.rig",
+            "representations.cyclic_decomposition",
+            "representations.diagonalize"} <= set(tracer.names)
     # gns checks the generator diagonals and never builds dense images
     assert "gns.representation" not in tracer.names
     # production quotients never build the dense form or run its eigenvalue route
@@ -85,7 +87,8 @@ def test_traced_decompose_records_the_spectral_spans_and_restores_the_package(tm
     finally:
         tracer.uninstall()
 
-    assert {"representations.spectral_measure", "cli.decompose"} <= set(tracer.names)
+    assert {"representations.spectral_measure", "representations.cyclic_decomposition",
+            "representations.diagonalize", "cli.decompose"} <= set(tracer.names)
     # the measure and the relation certificate use the generators, never the stack
     assert not {"representations.operators", "representations.reconstruction_residual",
                 "representations.diagonalization_residual"} & set(tracer.names)
