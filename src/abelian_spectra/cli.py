@@ -63,14 +63,16 @@ DEFAULT_TOL = 1e-9
 # command refuses an input file over 3/128 of it (6 MiB) before parsing it.
 OPERATOR_STACK_BUDGET = 256 * 2**20
 # (STACKS, PER_ENTRY, PER_ELEMENT), tracemalloc peaks rounded up.  A "stack"
-# is 16 dim^2 (sum_j n_j + min(dim, |G|)) bytes for decompose and rig: the
-# powers, transformed in place, and a step's restrictions beside a dim x dim
-# basis (fitted before that).  It is 16 N max(N, dim^2) for selftest.  Then
-# bytes per dim x dim entry (range bases, kets and isometries) and per group
-# element (decompose's multiplicity list; rig's phi and quotient, and its
-# identity check, which draws 8 x 4 x |G| floats), plus PEAK_BASE;
-# tests/test_budget.py checks every term.
-PEAK_MODEL = {"decompose": (3, 256, 128), "rig": (3, 256, 1792), "selftest": (6, 256, 0)}
+# is 16 dim^2 (min(dim, |G|) + 10 k) bytes for decompose and rig, k the
+# number of factors: the binary powers and the certificate's chunks, and the
+# k dim^2 parsed generator entries at about 155 bytes each; nothing is
+# n_j-sized (fitted on fresh interpreters after one tiny request).  It is
+# 16 N max(N, dim^2) for selftest.  Then bytes per dim x dim entry (range
+# bases, kets and isometries) and per group element (decompose's
+# multiplicity list; rig's phi and quotient, and its identity check, which
+# draws 8 x 4 x |G| floats), plus PEAK_BASE; tests/test_budget.py checks
+# every term.
+PEAK_MODEL = {"decompose": (1, 256, 128), "rig": (1, 256, 1792), "selftest": (6, 256, 0)}
 PEAK_BASE = 2**20
 TOL_ENV_VAR = "ABELIAN_SPECTRA_TOL"
 
@@ -181,7 +183,7 @@ def peak_estimate(command: str, orders: Sequence[int], dim: int) -> int:
     if command == "selftest":
         stack = 16 * size * max(size, dim ** 2)
     else:
-        stack = 16 * dim ** 2 * (sum(orders) + min(dim, size))
+        stack = 16 * dim ** 2 * (min(dim, size) + 10 * len(orders))
     return int(stacks * stack) + per_entry * dim ** 2 + per_element * size + PEAK_BASE
 
 

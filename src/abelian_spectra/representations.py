@@ -1,9 +1,11 @@
 """Unitary representations of finite abelian groups and their spectral data.
 
 A representation is stored through the images of the cyclic-factor
-generators.  Character averaging, factor by factor, gives the
+generators.  Their eigenvectors, refined factor by factor, give the
 projection-valued measure as one unitary basis, from which cyclic
 components, diagonal models, ket systems and functional calculus follow.
+The character average (1/|G|) sum_g conj(<g|chi>) pi(g), which the measure
+equals, is formed only by the oracles, over ``UnitaryRep.operators``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ COMMUTE_TOL = 1e-10
 ORDER_TOL = 1e-9
 PVM_TOL = 1e-9
 RANK_TOL = 1e-9
-RANGE_ACCEPT_TOL = 1e-6
 BLOCK_BYTES = 2**18
 DEGENERATE_TOL = 1e-12
 
@@ -204,127 +205,76 @@ def _blocks(count: int, d: int):
     return (slice(i, i + step) for i in range(0, count, step))
 
 
-def _square_norm(stack: np.ndarray) -> float:
-    """The largest squared Frobenius norm in a stack of matrices."""
-    return (np.abs(stack) ** 2).sum(axis=(1, 2)).max()
+def _label(eigenvalues: np.ndarray, n: int) -> np.ndarray:
+    """c = rint(n arg(lambda) / 2 pi) mod n: the n-th root of unity omega^c
+    nearest to each eigenvalue lambda."""
+    return np.rint(np.angle(eigenvalues) * (n / (2 * np.pi))).astype(np.int64) % n
 
 
-def _projection_runs(rep: UnitaryRep):
-    """(orders, stack[c] = prod_j P_j(c_j)) over runs of consecutive factors, c in
-    enumeration order, each P_j an in-place FFT of ``generator_powers(U_j, n_j)``;
-    a run grows while its stack stays within BLOCK_BYTES / 2."""
-    d, run, shape = rep.dim, None, ()
-    for U, n in zip(rep.generators, rep.group.orders):
-        if run is not None and len(run) * n * 16 * d * d > BLOCK_BYTES // 2:
-            yield shape, run
-            run = factor = None  # dropped before the next powers are built
-        factor = generator_powers(U, n)
-        np.fft.fft(factor, axis=0, norm="forward", out=factor)
-        run, shape = (factor, (n,)) if run is None else (
-            (run[:, None] @ factor[None]).reshape(len(run) * n, d, d), shape + (n,))
-    yield shape, run  # a group has at least one factor
+def _restriction_gap(M: np.ndarray, c: np.ndarray, n: int) -> float:
+    """max |M - diag(omega^c)| over a stack of restrictions and their labels."""
+    return np.abs(M - np.exp(2j * np.pi / n * c)[:, :, None] * np.eye(M.shape[-1])).max()
 
 
 def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
-    """Projection-valued measure by character averaging, refined factor by factor.
+    """Projection-valued measure from each generator's eigenvectors, refined
+    factor by factor.
 
-    P(chi) = (1/|G|) sum_g conj(<g|chi>) pi(g) = prod_j P_j(chi_j), P_j(c) =
-    (1/n_j) sum_m omega_j^{-mc} U_j^m: one FFT of the powers of U_j.  The column
-    blocks B_a of one d x d unitary W span the joint eigenspaces of the factors
-    taken so far (a run of small factors is one step), so M = B_a^dagger P_j(c)
-    B_a is a projection.  A step keeps the pairs with tr M > 1/2 (traces off the
-    block projectors B_a B_a^dagger, a chunk at a time) and replaces each block
-    by B_a V, V from one batched ``eigh`` per block width of sum_c l_c M over
-    its pieces, labelled l_c = 1, 2, ... in enumeration order (gaps 1, no
-    |G|-sized label).  W ends as ``basis``, the widths as the multiplicities.
-    Time O(sum_j n_j d^3 + k d^4); memory W, one factor's powers, the kept M
-    and BLOCK_BYTES chunks.  Validated on each M, V its piece's columns:
-    idempotency ||M^2 - M||, hermiticity ||M - M^dagger||, orthogonality
-    max |M - V V^dagger|, rint(tr M) columns with eigenvalue within 1/2 of l_c
-    and Rayleigh value above RANGE_ACCEPT_TOL, ranks filling each block, and
-    completeness ||sum_c M - I||; a violation raises NumericalDegeneracyError.
+    The column blocks B of one d x d unitary W span the joint eigenspaces of
+    the factors taken so far; W starts as I, one block.  U_j commutes with
+    the earlier generators, so it leaves each B invariant, and U_j^{n_j} = I,
+    so M = B^dagger U_j B has its spectrum in the n_j-th roots of unity:
+    P_j(c) restricted to B projects onto the omega^c eigenspace of M.  A step
+    labels each eigenvalue lambda by c = rint(n_j arg(lambda) / 2 pi) mod n_j.
+    The blocks of one width that are all omega^c I within PVM_TOL keep their
+    columns (a width-1 block is its own eigenvalue; a second label would be
+    2 sin(pi / n_j) away).  Else one batched ``eig`` of their M gives the
+    eigenvalues; each block's eigenvectors, sorted by label, are
+    orthonormalised by one batched ``qr``.  Eigenvectors of distinct labels
+    are orthogonal, so the columns of Q span each label's eigenspace in
+    turn; B Q replaces B, and each run of equal labels is a block of the next
+    step, in enumeration order.  W ends as ``basis`` and the widths as
+    the multiplicities.  Time O(k d^3), memory O(d^2), nothing n_j-sized.
+    Checked, the worst over steps and blocks: invariance ||U_j B - B M||,
+    restriction max |Q^dagger M Q - diag(omega^c)|, and completeness
+    ||W^dagger W - I|| at the end; a value above PVM_TOL raises
+    NumericalDegeneracyError naming it.
     """
     group, d = rep.group, rep.dim
-    W = np.eye(d, d + 1, dtype=complex)  # the basis and a zero column, which pads blocks
-    widths = ends = np.array([d])
-    indices, done = np.zeros(1, dtype=np.int64), 0
-    idem = herm = ortho = complete = 0.0
-    for shape, factor in _projection_runs(rep):
-        fresh, n, done = done == 0, len(factor), done + len(shape)  # fresh: W is still I
-        span = np.arange(widths.max())
-        cols = span[None] if fresh else np.where(
-            span < widths[:, None], (ends - widths)[:, None] + span, -1)
-        # tr(B^dagger P B) = sum_ik conj(Q_ik) P_ik, Q = B B^dagger (I on a fresh basis)
-        traces = (np.eye(d).reshape(1, d * d) @ factor.reshape(n, d * d).T if fresh
-                  else np.empty((len(widths), n), dtype=complex))
-        for b in _blocks(0 if fresh else len(widths), d):
-            B = W[:, cols[b]]
-            np.matmul((B.conj().transpose(1, 0, 2) @ B.transpose(1, 2, 0)).reshape(-1, d * d),
-                      factor.reshape(n, d * d).T, out=traces[b])
-        rows, cs = np.nonzero(traces.real > 0.5)  # row-major: enumeration order
-        ranks = np.rint(traces.real[rows, cs]).astype(int)
-        sums = np.bincount(rows, ranks, minlength=len(widths))
-        if (sums != widths).any():  # the pieces of each block must fill it
-            off = float(np.abs(sums - widths).sum())
-            raise NumericalDegeneracyError(f"projection ranks miss the dimension {d} by {off:.0f}",
-                                           residuals={"multiplicity_sum": off})
-        ends, pw = np.cumsum(ranks), widths[rows]
-        for m in set(pw.tolist()):
-            pairs = (pw == m).nonzero()[0]
-            rp, r, idx = rows[pairs], ranks[pairs], np.arange(len(pairs))
-            block = cols[rp, :m]  # each pair's block: m columns of W
-            # the restrictions: the P(c) on a fresh basis, the traces on 1 x 1 blocks
-            M = (factor[cs[pairs]] if fresh else traces[rp, cs[pairs]].reshape(-1, 1, 1) if m == 1
-                 else np.empty((len(pairs), m, m), dtype=complex))
-            for b in _blocks(0 if fresh or m == 1 else len(pairs), d):
-                B = W[:, block[b]].transpose(1, 0, 2)
-                PB = factor[cs[pairs[b]]] @ B
-                M[b] = B.conj().swapaxes(1, 2) @ PB
-            B = PB = None
-            first = np.searchsorted(rp, rp)  # the first pair of each pair's block
-            heads = (first == idx).nonzero()[0]
-            bi, label = np.searchsorted(heads, first), idx - first + 1.0
-            # each block's pieces summed with weights l = 1, 2, ... in order, and with 1
-            weights = np.zeros((2, len(heads), len(pairs)))
-            weights[0, bi, idx], weights[1, bi, idx] = label, 1.0
-            H, S = (weights @ M.reshape(len(idx), -1)).reshape(2, -1, m, m)
-            complete = max(complete, _square_norm(S - np.eye(m)))
-            split = len(heads) < len(idx)  # else every block keeps its columns: V = I
-            lam, V = (np.linalg.eigh(H) if split else  # eigenvalue l on the piece labelled l
-                      (M.diagonal(axis1=1, axis2=2).real, np.broadcast_to(np.eye(m), M.shape)))
-            H = S = None
-            # each piece's columns of its block's V, from lo on, padded to the widest piece
-            lo, span_r = ends[pairs] - r - block[:, 0], span[:r.max()]
-            own, pc = span_r < r[:, None], np.minimum(lo[:, None] + span_r, m - 1)
-            Vc = V[bi[:, None, None], span[:m, None], pc[:, None, :]] * own[:, None, :]
-            ray = (Vc.conj() * (M @ Vc)).sum(axis=1).real
-            near = np.abs(lam[bi[:, None], pc] - label[:, None]) <= 0.5
-            found = (own & near & (ray > RANGE_ACCEPT_TOL)).sum(axis=1)
-            if (found < r).any():
-                t = int(np.argmax(found < r))
-                chi = np.unravel_index(indices[rp[t]] * n + cs[pairs[t]], group.orders[:done])
-                raise NumericalDegeneracyError(
-                    f"range basis of P({tuple(map(int, chi))}) on the first {done} factors "
-                    f"found {found[t]} directions for multiplicity {r[t]}",
-                    residuals={"multiplicity": float(r[t]), "basis_rank": float(found[t])})
-            for b in _blocks(len(pairs), m):  # the three gaps, a chunk of pieces at a time
-                ortho = max(ortho, np.abs(Vc[b] @ Vc[b].conj().swapaxes(1, 2) - M[b]).max())
-                idem = max(idem, _square_norm(M[b] @ M[b] - M[b]))
-                herm = max(herm, _square_norm(M[b].conj().swapaxes(1, 2) - M[b]))
-            if split:  # B V in place of each block B, and V on a fresh basis
-                W[:, block[heads]] = V.transpose(1, 0, 2) if fresh else (
-                    W[:, block[heads]].transpose(1, 0, 2) @ V).transpose(1, 0, 2)
-            M = V = Vc = None  # dropped before the next step
-        widths, indices = ranks, indices[rows] * n + cs
-        del factor
-    W = np.ascontiguousarray(W[:, :d])
+    W = np.eye(d, dtype=complex)
+    widths, indices = np.array([d]), np.zeros(1, dtype=np.int64)
+    invariance = restriction = 0.0
+    for U, n in zip(rep.generators, group.orders):
+        starts, labels = np.cumsum(widths) - widths, np.empty(d, dtype=np.int64)
+        for m in set(widths.tolist()) - {0}:  # np.unique would import numpy.ma
+            cols = starts[widths == m, None] + np.arange(m)
+            B = W[:, cols].transpose(1, 0, 2)
+            UB = U @ B
+            M = B.conj().swapaxes(1, 2) @ UB
+            invariance = max(invariance, np.linalg.norm(UB - B @ M, axis=(1, 2)).max())
+            c = _label(M.diagonal(axis1=1, axis2=2), n)
+            gap = _restriction_gap(M, c, n)  # a block that does not split is omega^c I
+            if gap > PVM_TOL or (c != c[:, :1]).any():  # eigenvectors by label: B Q for B
+                lam, V = np.linalg.eig(M)
+                c = _label(lam, n)
+                order = np.argsort(c, axis=1, kind="stable")
+                c = np.take_along_axis(c, order, axis=1)
+                Q = np.linalg.qr(np.take_along_axis(V, order[:, None, :], axis=2)).Q
+                W[:, cols] = (B @ Q).transpose(1, 0, 2)
+                gap = _restriction_gap(Q.conj().swapaxes(1, 2) @ M @ Q, c, n)
+            restriction = max(restriction, gap)
+            labels[cols] = c
+        # each column's character so far, ascending: its runs are the new blocks
+        chars = np.repeat(indices, widths) * n + labels
+        heads = np.flatnonzero(np.diff(chars, prepend=-1))
+        indices, widths = chars[heads], np.diff(heads, append=d)
     W.setflags(write=False)
-    residuals = {"idempotency": float(idem) ** 0.5, "hermiticity": float(herm) ** 0.5,
-                 "orthogonality": float(ortho), "completeness": float(complete) ** 0.5,
-                 "multiplicity_sum": 0.0}
-    if max(residuals.values()) > PVM_TOL:
+    residuals = {"completeness": float(np.linalg.norm(W.conj().T @ W - np.eye(d))),
+                 "invariance": float(invariance), "restriction": float(restriction)}
+    failed = {k: v for k, v in residuals.items() if not v <= PVM_TOL}
+    if failed:
         raise NumericalDegeneracyError("projection-valued measure violates its invariants ("
-                                       + ", ".join(f"{k} {v:.3e}" for k, v in residuals.items())
+                                       + ", ".join(f"{k} {v:.3e}" for k, v in failed.items())
                                        + ")", residuals=residuals)
     return ProjectionValuedMeasure(rep=rep, indices=indices, multiplicities=widths, basis=W,
                                    residuals=residuals)

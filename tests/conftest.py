@@ -26,24 +26,21 @@ def random_positive_type(group: Group, rng: np.random.Generator) -> GroupFunctio
 
 @pytest.fixture
 def non_idempotent_measure(monkeypatch):
-    """Scale the m = 0 power U^0 = I of each generator-power stack by 1 + 1e-6.
+    """Scale the Q factor of every ``np.linalg.qr`` by 1 + 1e-6.
 
-    ``spectral_measure`` transforms the powers of each generator along the
-    power axis, so every P_j(c) gains 1e-6 I / n_j: the projections of a
-    one-factor representation such as the regular representation of Z_4
-    stop being idempotent, while their ranks, read off the traces, stay
-    the same.
+    ``spectral_measure`` orthonormalises each block's eigenvectors by QR and
+    writes B Q in place of the block B, so on a one-factor representation
+    such as the regular representation of Z_4 its basis becomes
+    (1 + 1e-6) times a unitary: the projections B_c B_c^dagger stop being
+    idempotent, while every eigenvalue keeps its label.
     """
-    from abelian_spectra import representations
+    qr = np.linalg.qr
 
-    generator_powers = representations.generator_powers
+    def scaled(a, *args, **kwargs):
+        out = qr(a, *args, **kwargs)
+        return out._replace(Q=out.Q * (1 + 1e-6))
 
-    def perturbed(U, n):
-        out = generator_powers(U, n)
-        out[0] *= 1 + 1e-6
-        return out
-
-    monkeypatch.setattr(representations, "generator_powers", perturbed)
+    monkeypatch.setattr(np.linalg, "qr", scaled)
 
 
 SMALL_ORDER_LISTS = [(1,), (2,), (3,), (4,), (5,), (2, 2), (2, 3), (2, 4), (2, 2, 2), (3, 3)]

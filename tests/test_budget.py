@@ -43,10 +43,10 @@ def planted_representation(orders, dim, mult, seed):
 CASES = [((256,), 1, 1), ((4, 4, 4), 1, 1), ((2,) * 8, 8, 1), ((16, 16), 8, 4),
          ((4, 4, 4), 32, 1), ((256,), 32, 4), ((2, 2), 32, 8), ((4096,), 1, 1),
          ((2,) * 16, 1, 1), ((2,), 128, 64)]
-# the stack term counts the generator powers, not |G|, so (2,)^16 at d = 16
-# is admitted and (65536,) at d = 4 is dominated by the powers and their FFT
-# for decompose, and by the per-element term for rig
-LARGE_CASES = [((2,) * 16, 16, 1), ((65536,), 4, 1)]
+# the stack term counts nothing n_j-sized, so (2,)^16 at d = 16 and (65536,)
+# at d = 64 are admitted (the second was refused while the measure held the
+# 65536 powers of its generator), and the per-element term dominates all three
+LARGE_CASES = [((2,) * 16, 16, 1), ((65536,), 4, 1), ((65536,), 64, 1)]
 
 
 def traced_planted_run(tmp_path, command, orders, dim, mult):

@@ -1002,7 +1002,7 @@ def test_decompose_exits_4_when_the_measure_breaks_its_invariants(
     src = write_representation(tmp_path / "rep.json", regular_representation(make_group((4,))))
     code, _, err = run_cli(capsys, ["decompose", "--input", str(src)])
     assert code == 4
-    assert "idempotency" in err
+    assert "completeness" in err
     assert "Traceback" not in err
 
 
@@ -1015,45 +1015,100 @@ def conjugated_rep(G, rng):
     return make_representation(G, [V @ np.diag(d) @ V.conj().T for d in diagonals])
 
 
-def corrupt_generator_powers(monkeypatch, corrupt):
-    """Route every stack of generator powers the measure builds through ``corrupt``."""
-    from abelian_spectra import representations
-    powers = representations.generator_powers
-    monkeypatch.setattr(representations, "generator_powers",
-                        lambda U, n: corrupt(powers(U, n)))
+def corrupt_measured_generators(monkeypatch, corrupt):
+    """Let ``decompose`` measure a copy of each generator routed through
+    ``corrupt``; the measure keeps the input representation, so the
+    certificate still squares its binary powers from the input generators."""
+    measure = cli.spectral_measure
+
+    def corrupted(rep):
+        seen = replace(rep, generators=tuple(corrupt(U.copy()) for U in rep.generators))
+        return replace(measure(seen), rep=rep)
+
+    monkeypatch.setattr(cli, "spectral_measure", corrupted)
 
 
 def test_decompose_exits_4_when_one_generator_power_is_corrupted(tmp_path, capsys, monkeypatch,
                                                                  rng):
+    # U_j + 1e-6 at (0, 1) is no longer normal: its eigenvectors are not
+    # orthogonal, so the QR basis is not one of eigenvectors of its labels
     src = write_representation(tmp_path / "rep.json", conjugated_rep(make_group((4, 3)), rng))
 
-    def bump(powers):
-        powers[1, 0, 1] += 1e-6
-        return powers
+    def bump(U):
+        U[0, 1] += 1e-6
+        return U
 
-    corrupt_generator_powers(monkeypatch, bump)
+    corrupt_measured_generators(monkeypatch, bump)
     code, _, err = run_cli(capsys, ["decompose", "--input", str(src)])
     assert code == 4
-    assert "projection-valued measure violates its invariants (idempotency" in err
+    assert "projection-valued measure violates its invariants (restriction" in err
     assert "Traceback" not in err
 
 
 def test_decompose_certificate_catches_a_consistently_rotated_power_stack(
         tmp_path, capsys, monkeypatch, rng):
-    # W U^m W^dagger for a rotation W that is 1e-6 from the identity: the
+    # W U W^dagger for a rotation W that is 1e-6 from the identity: the
     # measure of W U W^dagger is a valid one, so only the relations, checked
     # on binary powers squared from the input generators, can see the fault
     src = write_representation(tmp_path / "rep.json", conjugated_rep(make_group((4, 3)), rng))
     H = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     lam, Q = np.linalg.eigh(H + H.conj().T)
     W = (Q * np.exp(1e-6j * lam)) @ Q.conj().T
-    corrupt_generator_powers(monkeypatch, lambda powers: W @ powers @ W.conj().T)
+    corrupt_measured_generators(monkeypatch, lambda U: W @ U @ W.conj().T)
     code, report, err = stdout_report(capsys, ["decompose", "--input", str(src)])
     assert code == 4
     assert report["passed"] is False
     assert max(v for k, v in report["residuals"].items() if k.startswith("pvm_")) < 1e-9
     assert report["residuals"]["reconstruction"] > 1e-7
     assert "failed: reconstruction" in err
+
+
+def test_decompose_exits_3_when_a_generator_breaks_its_order(tmp_path, capsys):
+    # diag(1, -1) is unitary but has order 2, not dividing 3: refused before
+    # the measure labels its eigenvalues by the cube roots of unity
+    src = tmp_path / "rep.json"
+    src.write_text(json.dumps({"group": {"orders": [3]}, "dim": 2,
+                               "generators": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]]}))
+    code, _, err = run_cli(capsys, ["decompose", "--input", str(src)])
+    assert code == 3
+    assert "generator 0 does not have order dividing 3" in err
+    assert "Traceback" not in err
+
+
+def planted_65536(labels, rng):
+    """V diag(omega^c) V^dagger on (65536,), the labels sorted, V Haar-random:
+    the benchmark workloads' planted representation."""
+    from abelian_spectra import make_representation
+    from abelian_spectra.selftest import random_unitary
+    V = random_unitary(rng, len(labels))
+    phases = np.exp(2j * np.pi * np.sort(labels) / 65536)
+    return make_representation(make_group((65536,)), [V @ np.diag(phases) @ V.conj().T])
+
+
+@pytest.mark.parametrize("dim", [6, 8, 9])
+def test_decompose_passes_planted_65536_inputs(tmp_path, capsys, dim):
+    # the character average of 65536 powers carried enough round-off that the
+    # certified reconstruction of 26 of these 36 inputs read 1.0e-9 to 2.0e-9
+    failed = []
+    for seed in range(1, 13):
+        rng = np.random.default_rng(seed)
+        src = write_representation(tmp_path / "rep.json",
+                                   planted_65536(rng.choice(65536, dim, replace=False), rng))
+        code, out, _ = run_cli(capsys, ["decompose", "--input", str(src),
+                                        "--output", str(tmp_path / "out.json")])
+        if code:
+            failed.append((seed, code, out))
+    assert failed == []
+
+
+def test_decompose_passes_adjacent_labels_on_65536(tmp_path, capsys):
+    # neighbours 2 pi / 65536 apart, on both sides of 0 and of n/2
+    labels = [0, 1, 2, 65534, 65535, 32767, 32768, 32769]
+    src = write_representation(tmp_path / "rep.json",
+                               planted_65536(labels, np.random.default_rng(0)))
+    code, report, err = stdout_report(capsys, ["decompose", "--input", str(src)])
+    assert code == 0, err
+    assert report["results"]["support"] == [[c] for c in sorted(labels)]
 
 
 def test_gns_emits_generator_diagonals_not_dense_images(tmp_path, capsys):

@@ -33,8 +33,8 @@ from abelian_spectra import (
     spectral_measure,
     trivial_representation,
 )
-from abelian_spectra import representations
-from abelian_spectra.representations import binary_powers, generator_powers
+from abelian_spectra import algebra, representations
+from abelian_spectra.representations import UnitaryRep, binary_powers, generator_powers
 from conftest import random_function
 
 
@@ -225,6 +225,42 @@ def test_measure_matches_dense_character_average(orders, rng):
         np.testing.assert_allclose(P @ B, B, rtol=0, atol=1e-12)
 
 
+# the planted shapes of the spectral and rigging benchmark workloads, as
+# (orders, dim, multiplicity), and labels on both sides of 0 and of n/2 on
+# (4096,), where arg(lambda) wraps around and neighbours are 2 pi / n apart
+BENCHMARK_SHAPES = [((2048,), 8, 1), ((4, 8, 8), 64, 1), ((2,) * 8, 32, 4),
+                    ((256,), 8, 1), ((16, 16), 32, 4), ((4, 4, 4, 4), 32, 4)]
+ADJACENT_LABELS = [0, 1, 2, 4094, 4095, 2047, 2048, 2049]
+
+
+def character_average(rep):
+    """(1/|G|) sum_g conj(<g|chi>) pi(g) at every chi: the defining average,
+    over the operator stack through the transform engine, so it shares no
+    step with the measure's eigenvector route."""
+    return algebra._transform(rep.group, rep.operators) / rep.group.size
+
+
+@pytest.mark.parametrize("orders, dim, mult, labels",
+                         [(*shape, None) for shape in BENCHMARK_SHAPES]
+                         + [((4096,), 8, 1, ADJACENT_LABELS)],
+                         ids=[f"{'x'.join(map(str, o))}-d{d}x{m}" for o, d, m in BENCHMARK_SHAPES]
+                         + ["4096-adjacent"])
+def test_measure_projections_equal_the_character_average(orders, dim, mult, labels, rng):
+    """Support, multiplicities and projections equal the character average;
+    the average's own powers carry round-off growing with n_j (6e-13 on
+    (4096,)), hence 1e-11."""
+    G = make_group(orders)
+    picks = rng.choice(G.size, dim // mult, replace=False) if labels is None else labels
+    rep, _ = conjugated_diagonal_rep(G, G.characters_at(np.repeat(picks, mult)), rng)
+    pvm = spectral_measure(rep)
+    average = character_average(rep)
+    ranks = np.rint(np.trace(average, axis1=1, axis2=2).real).astype(int)
+    assert pvm.indices.tolist() == sorted(picks) == np.flatnonzero(ranks).tolist()
+    assert pvm.multiplicities.tolist() == ranks[pvm.indices].tolist()
+    np.testing.assert_allclose(pvm.projections, average[pvm.indices], rtol=0, atol=1e-11)
+    assert np.abs(np.delete(average, pvm.indices, axis=0)).max() < 1e-11
+
+
 def test_measure_allocates_less_than_one_operator_stack(rng):
     """The measure transforms the traces and averages only its support, so
     beside the cached operator stack it holds far less than another stack."""
@@ -257,67 +293,66 @@ def measure_peak(G, rng, count=64):
 
 
 def test_measure_peaks_below_two_projection_stacks(rng):
-    """The measure holds one d x d basis, one factor's transformed powers and
-    chunks of BLOCK_BYTES: on 64 planted characters of (4,8,8) at d = 64 its
-    traced peak stays within 2 MiB, half of one 4 MiB s x d x d stack."""
+    """The measure holds one d x d basis and a step's restrictions and
+    eigenvectors: on 64 planted characters of (4,8,8) at d = 64 its traced
+    peak stays within 2 MiB, half of one 4 MiB s x d x d stack."""
     assert measure_peak(make_group((4, 8, 8)), rng) <= 2 * 2 ** 20
 
 
 def test_measure_peak_on_sixteen_order_two_factors(rng):
-    """(2,)^16 at d = 64: sixteen refinement steps, each on a 2 x d x d
-    power stack, stay within 1 MiB."""
+    """(2,)^16 at d = 64: sixteen refinement steps stay within 1 MiB."""
     assert measure_peak(make_group((2,) * 16), rng) <= 2 ** 20
 
 
-def test_measure_transforms_each_power_stack_in_place(rng):
-    """On one large cyclic factor the n x d x d generator powers dominate the
-    measure: transformed in place, its traced peak on (16384,) at d = 8 stays
-    below 1.5 power stacks, where a separate transform would hold two."""
-    G = make_group((16384,))
-    rep, _ = conjugated_diagonal_rep(G, G.characters_at(rng.choice(G.size, 8, replace=False)), rng)
+def test_measure_holds_nothing_the_size_of_a_cyclic_factor(rng):
+    """Each step works on the d x d generator and W, so on (65536,) at d = 9
+    the measure's traced peak stays below 1 MiB (one 65536 x 9 x 9 power
+    stack is 81 MiB)."""
+    G = make_group((65536,))
+    rep, _ = conjugated_diagonal_rep(G, G.characters_at(rng.choice(G.size, 9, replace=False)), rng)
     tracemalloc.start()
     try:
         pvm = spectral_measure(rep)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(pvm.support) == 8
-    assert peak < 1.5 * 16 * G.size * rep.dim ** 2
+    assert len(pvm.support) == 9
+    assert peak < 2 ** 20
 
 
 def test_measure_raises_when_a_basis_column_leaves_its_range(monkeypatch):
-    """A unitary whose first column is rotated, by 1e-3, into the second
-    keeps its Rayleigh values and eigenvalues but no longer spans P(chi_0):
-    the orthogonality residual catches it."""
-    eigh = np.linalg.eigh
+    """A basis whose first column is rotated, by 1e-3, into the second stays
+    unitary but no longer spans the eigenspace of its label: the restriction
+    Q^dagger M Q gains an off-diagonal entry, and its residual catches it."""
+    qr = np.linalg.qr
 
-    def rotated(H):
-        lam, W = eigh(H)
+    def rotated(a, *args, **kwargs):
+        out = qr(a, *args, **kwargs)
         c, s = np.cos(1e-3), np.sin(1e-3)
-        W[..., :2] = W[..., :2] @ np.array([[c, -s], [s, c]])
-        return lam, W
+        out.Q[..., :2] = out.Q[..., :2] @ np.array([[c, -s], [s, c]])
+        return out
 
-    monkeypatch.setattr(np.linalg, "eigh", rotated)
+    monkeypatch.setattr(np.linalg, "qr", rotated)
     with pytest.raises(NumericalDegeneracyError) as info:
         spectral_measure(regular_representation(make_group((4,))))
-    assert info.value.residuals["orthogonality"] > representations.PVM_TOL
+    assert info.value.residuals["restriction"] > representations.PVM_TOL
 
 
 def test_measure_raises_when_an_eigenvalue_leaves_its_label(monkeypatch):
-    """A column whose eigenvalue of sum_c l_c B^dagger P(c) B is more than 1/2
-    from its piece's label l_c does not count toward that piece's basis."""
-    eigh = np.linalg.eigh
+    """An eigenvalue moved on to the next fourth root of unity labels its
+    eigenvector wrongly: Q^dagger M Q keeps the true eigenvalue on its
+    diagonal, so the restriction residual reads |1 - i|."""
+    eig = np.linalg.eig
 
-    def shifted(H):
-        lam, W = eigh(H)
-        lam[0] += 0.75
-        return lam, W
+    def shifted(a):
+        lam, V = eig(a)
+        lam[..., 0] *= 1j
+        return lam, V
 
-    monkeypatch.setattr(np.linalg, "eigh", shifted)
+    monkeypatch.setattr(np.linalg, "eig", shifted)
     with pytest.raises(NumericalDegeneracyError) as info:
         spectral_measure(regular_representation(make_group((4,))))
-    assert info.value.residuals["multiplicity"] == 1.0
-    assert info.value.residuals["basis_rank"] == 0.0
+    assert info.value.residuals["restriction"] == pytest.approx(2 ** 0.5)
 
 
 def test_reconstruction_residual_is_tiny(small_group):
@@ -768,53 +803,48 @@ def test_measure_keeps_no_view_of_the_transformed_stack(rng):
 def test_measure_raises_when_a_projection_is_not_idempotent(non_idempotent_measure):
     with pytest.raises(NumericalDegeneracyError) as info:
         spectral_measure(regular_representation(make_group((4,))))
-    assert info.value.residuals["idempotency"] > representations.PVM_TOL
+    assert info.value.residuals["completeness"] > representations.PVM_TOL
 
 
-def test_measure_raises_when_a_projection_is_not_hermitian(monkeypatch):
-    # U gains 1e-6 at (0, 1) in the power stack, so every P(c) gains a
-    # non-Hermitian 1e-6 / 4 entry; ranks and labels stay
-    generator_powers = representations.generator_powers
-
-    def bumped(U, n):
-        out = generator_powers(U, n)
-        out[1, 0, 1] += 1e-6
-        return out
-
-    monkeypatch.setattr(representations, "generator_powers", bumped)
+def test_measure_raises_when_a_block_is_not_invariant():
+    """Generators that commute only to about 1e-6, which make_representation
+    refuses, assembled directly: the eigenvectors of X are not quite
+    invariant under the rotated X', and only the invariance residual sees it."""
+    G = make_group((2, 2))
+    X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    R = np.array([[c, -s], [s, c]], dtype=complex)
+    rep = UnitaryRep(group=G, dim=2, generators=(X, R @ X @ R.conj().T))
     with pytest.raises(NumericalDegeneracyError) as info:
-        spectral_measure(regular_representation(make_group((4,))))
-    assert info.value.residuals["hermiticity"] > representations.PVM_TOL
+        spectral_measure(rep)
+    residuals = info.value.residuals
+    assert residuals["invariance"] > 1e-7
+    assert residuals["restriction"] <= representations.PVM_TOL
+    assert residuals["completeness"] <= representations.PVM_TOL
+    assert "(invariance" in str(info.value)
 
 
 def test_measure_raises_when_the_kept_ranks_do_not_fill_a_block(monkeypatch):
-    # P(1) scaled to trace 0.3 is dropped, so the ranks kept for the one
-    # block of the regular representation of Z_4 add up to 3, not 4
-    runs = representations._projection_runs
+    """Eigenvectors that span rank 3 of a width-4 block (the second a copy
+    of the first) leave the QR basis a column that is no eigenvector of its
+    label: the restriction residual catches it."""
+    eig = np.linalg.eig
 
-    def thinned(rep):
-        for shape, stack in runs(rep):
-            stack[1] *= 0.3
-            yield shape, stack
+    def thinned(a):
+        lam, V = eig(a)
+        V[..., 1] = V[..., 0]
+        return lam, V
 
-    monkeypatch.setattr(representations, "_projection_runs", thinned)
+    monkeypatch.setattr(np.linalg, "eig", thinned)
     with pytest.raises(NumericalDegeneracyError) as info:
         spectral_measure(regular_representation(make_group((4,))))
-    assert info.value.residuals["multiplicity_sum"] == 1.0
+    assert info.value.residuals["restriction"] > representations.PVM_TOL
 
 
 def test_measure_completeness_sees_pieces_that_do_not_sum_to_their_block(
         non_idempotent_measure):
-    # every P(c) gains 1e-6 I / 4, so the four pieces of the one block sum to
-    # (1 + 1e-6) I: completeness ||sum_c M_c - I|| = 2e-6 reports it
+    # the basis is (1 + 1e-6) times a unitary, so the four pieces B_c B_c^dagger
+    # sum to (1 + 1e-6)^2 I: completeness ||W^dagger W - I|| = 2 (2e-6) reports it
     with pytest.raises(NumericalDegeneracyError) as info:
         spectral_measure(regular_representation(make_group((4,))))
-    assert info.value.residuals["completeness"] == pytest.approx(2e-6, rel=1e-3)
-
-
-def test_measure_raises_when_a_range_basis_falls_short(monkeypatch):
-    monkeypatch.setattr(representations, "RANGE_ACCEPT_TOL", 2.0)
-    with pytest.raises(NumericalDegeneracyError) as info:
-        spectral_measure(regular_representation(make_group((4,))))
-    assert info.value.residuals["multiplicity"] == 1.0
-    assert info.value.residuals["basis_rank"] == 0.0
+    assert info.value.residuals["completeness"] == pytest.approx(4e-6, rel=1e-3)
