@@ -44,8 +44,7 @@ CASES = [((256,), 1, 1), ((4, 4, 4), 1, 1), ((2,) * 8, 8, 1), ((16, 16), 8, 4),
          ((4, 4, 4), 32, 1), ((256,), 32, 4), ((2, 2), 32, 8), ((4096,), 1, 1),
          ((2,) * 16, 1, 1), ((2,), 128, 64)]
 # the stack term counts nothing n_j-sized, so (2,)^16 at d = 16 and (65536,)
-# at d = 64 are admitted (the second was refused while the measure held the
-# 65536 powers of its generator), and the per-element term dominates all three
+# at d = 64 are admitted, and the per-element term dominates all three
 LARGE_CASES = [((2,) * 16, 16, 1), ((65536,), 4, 1), ((65536,), 64, 1)]
 
 

@@ -262,8 +262,8 @@ def test_measure_projections_equal_the_character_average(orders, dim, mult, labe
 
 
 def test_measure_allocates_less_than_one_operator_stack(rng):
-    """The measure transforms the traces and averages only its support, so
-    beside the cached operator stack it holds far less than another stack."""
+    """The measure works on d x d restrictions, so beside the cached operator
+    stack it holds far less than another stack."""
     G = make_group((64, 64))
     picks = rng.choice(G.size, size=4, replace=False)
     rep, _ = conjugated_diagonal_rep(G, [G.characters[i] for i in picks for _ in range(4)], rng)
