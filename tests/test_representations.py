@@ -181,6 +181,19 @@ def test_measure_residuals_and_counting_measure(small_group):
     assert pvm.multiplicities.sum() == small_group.size
 
 
+def test_measure_sorts_the_labels_of_a_diagonal_generator():
+    """A diagonal generator is its own restriction, already diagonal, but its
+    labels 2, 0, 2, 1 are out of order: the columns are still sorted into
+    one block per character."""
+    G = make_group((4,))
+    labels = np.array([2, 0, 2, 1])
+    pvm = spectral_measure(make_representation(G, [np.diag(1j ** labels)]))
+    assert pvm.indices.tolist() == [0, 1, 2]
+    assert pvm.multiplicities.tolist() == [1, 1, 2]
+    for t, c in enumerate(pvm.indices):
+        np.testing.assert_allclose(pvm.projections[t], np.diag(labels == c), rtol=0, atol=1e-15)
+
+
 def test_measure_matches_independent_eigenstructure(rng):
     """Character averaging agrees with the known conjugated-diagonal answer."""
     G = make_group((4,))
