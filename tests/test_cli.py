@@ -1031,7 +1031,7 @@ def corrupt_measured_generators(monkeypatch, corrupt):
 def test_decompose_exits_4_when_one_generator_power_is_corrupted(tmp_path, capsys, monkeypatch,
                                                                  rng):
     # U_j + 1e-6 at (0, 1) is no longer normal: its eigenvectors are not
-    # orthogonal, so the QR basis is not one of eigenvectors of its labels
+    # orthogonal, so the QR basis is not made of eigenvectors of its labels
     src = write_representation(tmp_path / "rep.json", conjugated_rep(make_group((4, 3)), rng))
 
     def bump(U):
@@ -1087,8 +1087,9 @@ def planted_65536(labels, rng):
 
 @pytest.mark.parametrize("dim", [6, 8, 9])
 def test_decompose_passes_planted_65536_inputs(tmp_path, capsys, dim):
-    # the character average of 65536 powers carried enough round-off that the
-    # certified reconstruction of 26 of these 36 inputs read 1.0e-9 to 2.0e-9
+    # each must pass the default --tol of 1e-9: the certificate repeats the
+    # measure's own error at each of 17 binary powers, so at (65536,) the
+    # measure must be accurate to well below 1e-10
     failed = []
     for seed in range(1, 13):
         rng = np.random.default_rng(seed)
