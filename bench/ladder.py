@@ -21,11 +21,12 @@ orders |G| in {256, 4096, 65536}:
   layer, on the measure of each ``spectral_measure`` case, and skipped
   where that case is;
 - ``cli.main``, one in-process ``gns`` request on a planted rank-r phi
-  file on the shape (n,), and one ``rig`` request on a planted
+  file on the shape (n,) and one on the full-rank point mass on (2,)^log2 n,
+  and one ``decompose`` and one ``rig`` request on a planted
   representation of (n,) of dimension 8, two characters of multiplicity
-  4 (skipped like ``spectral_measure`` when ``cli.peak_estimate`` for
-  ``rig`` is over the budget), each writing its report into a temporary
-  directory.
+  4 (each skipped like ``spectral_measure`` when its ``cli.peak_estimate``
+  is over the budget), each writing its report into a temporary
+  directory, whose size in bytes the case records as ``report_bytes``.
 
 Each time is the median of 5 calls; one more call, under ``tracemalloc``,
 gives the case's traced peak in bytes.  Each row records the git SHA, the
@@ -96,8 +97,8 @@ def measure() -> list[dict]:
     """Time every case with the package on ``sys.path``."""
     import numpy as np
     from abelian_spectra import (DualFunction, GroupFunction, build_decomposition, cli,
-                                 cyclic_decomposition, diagonalize, gns_construct, make_group,
-                                 make_representation, spectral_measure)
+                                 cyclic_decomposition, delta, diagonalize, gns_construct,
+                                 make_group, make_representation, spectral_measure)
     from abelian_spectra.algebra import _transform
     from abelian_spectra.fileio import (dump_json, function_to_payload, parse_complex_array,
                                         representation_to_payload)
@@ -163,6 +164,13 @@ def measure() -> list[dict]:
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.json")
+
+        def cli_case(command: str, shape: str, n: int, path: str, **extra) -> dict:
+            argv = [command, "--input", path, "--output", out, "--max-group-size", str(n)]
+            return {"layer": "cli.main", "command": command, "shape": shape, "size": n,
+                    "columns": None, **extra, **timed(lambda: request(argv)),
+                    "report_bytes": os.path.getsize(out)}
+
         for n in ORDERS:
             group = make_group((n,), size_cap=n)
             amps = np.zeros(n)
@@ -170,22 +178,24 @@ def measure() -> list[dict]:
             phi = GroupFunction(group, _transform(group, amps ** 2, inverse=True))
             path = os.path.join(tmp, f"phi{n}.json")
             dump_json(function_to_payload(phi), path)
-            argv = ["gns", "--input", path, "--output", out, "--max-group-size", str(n)]
-            cases.append({"layer": "cli.main", "command": "gns", "shape": "n", "size": n,
-                          "columns": None, **timed(lambda: request(argv))})
+            cases.append(cli_case("gns", "n", n, path))
         for n in ORDERS:
-            case = {"layer": "cli.main", "command": "rig", "shape": "n", "size": n,
-                    "columns": None, "dim": RIG_DIM}
-            if cli.peak_estimate("rig", (n,), RIG_DIM) > cli.OPERATOR_STACK_BUDGET:
-                cases.append({**case, "median_s": None, "peak_bytes": None,
-                              "status": "skipped (budget)"})
-                continue
+            path = os.path.join(tmp, f"delta{n}.json")
+            dump_json(function_to_payload(delta(make_group(shapes(n)["2^k"], size_cap=n))), path)
+            cases.append(cli_case("gns", "2^k", n, path))
+        for n in ORDERS:
             generators, _ = planted_representation(rng, (n,), RIG_DIM, RIG_MULTIPLICITY)
             rep = make_representation(make_group((n,), size_cap=n), generators)
             path = os.path.join(tmp, f"rep{n}.json")
             dump_json(representation_to_payload(rep), path)
-            argv = ["rig", "--input", path, "--output", out, "--max-group-size", str(n)]
-            cases.append({**case, **timed(lambda: request(argv))})
+            for command in ("decompose", "rig"):
+                if cli.peak_estimate(command, (n,), RIG_DIM) > cli.OPERATOR_STACK_BUDGET:
+                    cases.append({"layer": "cli.main", "command": command, "shape": "n",
+                                  "size": n, "columns": None, "dim": RIG_DIM,
+                                  "median_s": None, "peak_bytes": None,
+                                  "status": "skipped (budget)"})
+                else:
+                    cases.append(cli_case(command, "n", n, path, dim=RIG_DIM))
     return cases
 
 
@@ -283,6 +293,8 @@ def main(argv=None) -> int:
         for case in r["cases"]:
             cost = (f"{case['median_s'] * 1e3:9.3f} ms {case['peak_bytes'] / 2**20:8.2f} MiB"
                     if case["median_s"] is not None else case["status"])
+            if "report_bytes" in case:
+                cost += f" {case['report_bytes']:>9} B report"
             layer = " ".join(filter(None, (case["layer"], case.get("command"))))
             print(f"  {layer:33} {case['shape']:9} n={case['size']:<6} "
                   f"c={case['columns']!s:4} d={case.get('dim')!s:4} {cost}")

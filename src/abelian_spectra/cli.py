@@ -23,7 +23,6 @@ import numpy as np
 from ._version import __version__
 from .algebra import DualFunction, GroupFunction, checked_finite, fourier, inverse_fourier
 from .errors import (
-    DegenerateComponentError,
     FileFormatError,
     GroupMismatchError,
     InconsistencyError,
@@ -87,7 +86,7 @@ _EXIT_CODES = (
     ((FileFormatError, InvalidGroupError, ShapeMismatchError, GroupMismatchError, OSError),
      EXIT_INPUT),
     ((RepresentationValidationError,), EXIT_VALIDATION),
-    ((NumericalDegeneracyError, DegenerateComponentError, InconsistencyError), EXIT_NUMERICAL),
+    ((NumericalDegeneracyError, InconsistencyError), EXIT_NUMERICAL),
     ((PositiveTypeError, NotCyclicError, NotSelfAdjointError, SupportError), EXIT_PRECONDITION),
 )
 
@@ -244,18 +243,9 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
     group = rep.group
     pvm = spectral_measure(rep)
     components = [diagonalize(comp) for comp in cyclic_decomposition(pvm)]
-    comp_payloads = [
-        {
-            "support": group.coords_at(comp.columns).tolist(),
-            "cyclic_vector": comp.cyclic_vector,
-            "projection_norms": [float(x) for x in comp.projection_norms],
-            "diagonal_model": {
-                "isometry": comp.isometry,
-                "generator_diagonals": comp.symbols(group.generator_indices),
-            },
-        }
-        for comp in components
-    ]
+    # layer i's isometry is its support's kets of index i, its cyclic vector their sum
+    comp_payloads = [{"support": group.coords_at(comp.columns).tolist(), "layer": i}
+                     for i, comp in enumerate(components, start=1)]
 
     kets = dirac_kets(pvm)
     mults = np.zeros(group.size, dtype=int)
@@ -298,8 +288,7 @@ def cmd_gns(args: argparse.Namespace, tol: float):
     if not isinstance(f, GroupFunction):
         raise FileFormatError("quotient construction needs field 'domain' == 'group'")
     space = gns_construct(f)
-    diagonals = space.generator_images()
-    check_diagonal_generators(f.group, diagonals)  # raises on unitarity/order breach
+    check_diagonal_generators(f.group, space.generator_images())  # raises on a breach
     # relative to max |phi|, whose size the FFT round-off scales with (phi = 0
     # reconstructs exactly)
     gap, size = np.abs(reconstruct_phi(space).values - f.values).max(), np.abs(f.values).max()
@@ -309,10 +298,9 @@ def cmd_gns(args: argparse.Namespace, tol: float):
 
     results = {
         "rank": space.rank,
-        "gram_eigenvalues": [float(x) for x in space.eigenvalues],
-        # a list of rows, encoded one at a time: k |G| pairs at full rank
-        "generator_diagonals": list(diagonals),
-        "eta": space.eta.astype(complex),
+        "gram_eigenvalues": space.eigenvalues.tolist(),
+        # each generator's diagonal <e_j|psi_s> and eta_s follow from these
+        "support": f.group.coords_at(space.support).tolist(),
         "positivity": space.positivity.as_dict(),
     }
     report = _report_skeleton(
@@ -373,7 +361,6 @@ def cmd_rig(args: argparse.Namespace, tol: float):
         comp_payloads.append({
             "support": group.coords_at(decomp.columns).tolist(),
             "weights": decomp.weights.tolist(),
-            "generator_diagonals": comp.symbols(group.generator_indices),
             "residuals": residuals,
         })
 

@@ -40,10 +40,6 @@ class NumericalDegeneracyError(AbelianSpectraError):
         self.residuals = dict(residuals or {})
 
 
-class DegenerateComponentError(AbelianSpectraError):
-    """A cyclic component's projections are too small on its declared support."""
-
-
 class NotSelfAdjointError(AbelianSpectraError):
     """Spectral labels used for functional calculus must be real."""
 

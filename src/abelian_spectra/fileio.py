@@ -43,8 +43,9 @@ def load_json(path: str | Path, max_bytes: int | None = None) -> Any:
 def dump_json(payload: Any, path: str | Path | None = None) -> str:
     """The payload as compact strict JSON, also written to ``path`` if given.
     A complex numpy array in it encodes as ``complex_matrix_payload``, whose
-    pairs exist only while that array is encoded; any other array is refused."""
-    text = json.dumps(payload, separators=(",", ":"), allow_nan=False,
+    pairs exist only while that array is encoded; any other array is refused.
+    Payloads are trees built per call, so no cycle check is made."""
+    text = json.dumps(payload, separators=(",", ":"), allow_nan=False, check_circular=False,
                       default=_complex_array_pairs) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .algebra import GroupFunction, fourier
 from .errors import (
-    DegenerateComponentError,
     GroupMismatchError,
     NotSelfAdjointError,
     NumericalDegeneracyError,
@@ -35,7 +34,6 @@ ORDER_TOL = 1e-9
 PVM_TOL = 1e-9
 RANK_TOL = 1e-9
 BLOCK_BYTES = 2**18
-DEGENERATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -310,7 +308,6 @@ class CyclicComponent:
     cyclic_vector: np.ndarray
     columns: np.ndarray
     isometry: np.ndarray
-    projection_norms: tuple[float, ...]
 
     @cached_property
     def support(self) -> tuple[Character, ...]:
@@ -326,7 +323,7 @@ def cyclic_decomposition(pvm: ProjectionValuedMeasure) -> list[CyclicComponent]:
     Layer i (1-based) takes the i-th column of the range basis B_t of every
     character of multiplicity >= i, and their sum u as its cyclic vector.
     As ``basis`` is unitary, P(chi_t) u = B_t (B_t^dagger u) = B_t e_i: those
-    columns are the isometry, and their norms the projection norms.
+    columns, each of norm 1, are the isometry.
     """
     W, mults = pvm.basis, pvm.multiplicities
     starts = np.cumsum(mults) - mults
@@ -338,21 +335,15 @@ def cyclic_decomposition(pvm: ProjectionValuedMeasure) -> list[CyclicComponent]:
         iso.setflags(write=False)
         u.setflags(write=False)
         components.append(CyclicComponent(
-            group=pvm.group, cyclic_vector=u, columns=pvm.indices[keep], isometry=iso,
-            projection_norms=tuple(np.linalg.norm(iso, axis=0).tolist())))
+            group=pvm.group, cyclic_vector=u, columns=pvm.indices[keep], isometry=iso))
     return components
 
 
 def diagonalize(component: CyclicComponent) -> CyclicComponent:
-    """The component, checked as a diagonal model: DegenerateComponentError
-    when a projection of the cyclic vector on its support is numerically zero."""
-    low = np.array(component.projection_norms) < DEGENERATE_TOL
-    if low.any():
-        t = int(low.argmax())
-        chi = component.group.characters_at(component.columns[t:t + 1])[0]
-        raise DegenerateComponentError(
-            f"projection norm {component.projection_norms[t]:.3e} at character {chi.coords} "
-            f"is below {DEGENERATE_TOL:.1e}; the component is degenerate on its support")
+    """The component as its diagonal model, which it already is: its isometry
+    holds unit columns of the measure's unitary basis, so no projection of
+    its cyclic vector can vanish; ``relation_certificate`` bounds how far
+    V^dagger pi(g) V = diag(<g|chi>) holds over all of G."""
     return component
 
 

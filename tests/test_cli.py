@@ -221,8 +221,7 @@ def test_gns_of_the_zero_function_has_rank_zero(tmp_path, capsys):
     results = report["results"]
     assert results["rank"] == 0
     assert results["gram_eigenvalues"] == [0.0] * 6
-    assert results["eta"] == []
-    assert results["generator_diagonals"] == [[], []]  # two empty diagonals
+    assert results["support"] == []  # no support character, so empty diagonals
     assert report["passed"] is True
 
 
@@ -264,9 +263,8 @@ def test_rig_regular_z6(tmp_path, capsys):
     assert len(comps) == 1
     assert comps[0]["weights"] == [1.0] * 6
     assert len(comps[0]["support"]) == 6
-    # the diagonal of the generator holds the sixth roots of unity
-    row = as_complex(comps[0]["generator_diagonals"][0])
-    np.testing.assert_allclose(row, np.exp(2j * np.pi * np.arange(6) / 6), atol=1e-12)
+    # the diagonal of the generator, exp(2 pi i chi / 6), holds the sixth roots of unity
+    assert comps[0]["support"] == [[c] for c in range(6)]
     assert max(report["residuals"].values()) < 1e-9
     assert "component 0: 6 eigenvectors" in err
 
@@ -419,7 +417,6 @@ def per_layer_entries(src, seed=0):
         entries.append({
             "support": G.coords_at(decomp.columns).tolist(),
             "weights": decomp.weights.tolist(),
-            "generator_diagonals": model.symbols(G.generator_indices),
             "residuals": {
                 "identity": decomp.identity_residual,
                 "reconstruction": decomp.reconstruction_residual,
@@ -511,18 +508,6 @@ def test_rig_exits_5_naming_the_character_where_xi_vanishes(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["rig", "--input", str(src), "--xi", str(xi)])
     assert (code, out) == (5, "")
     assert err == "error: cyclic amplitude vanishes at support character (2,) (|xi| = 0.000e+00)\n"
-
-
-@pytest.mark.parametrize("command", ["decompose", "rig"])
-def test_a_degenerate_layer_exits_4_naming_its_character(tmp_path, capsys, monkeypatch, command):
-    src = write_representation(tmp_path / "rep.json", regular_representation(make_group((4,))))
-    layers = cli.cyclic_decomposition
-    monkeypatch.setattr(cli, "cyclic_decomposition", lambda pvm: [
-        replace(comp, projection_norms=(1.0, 0.0, 1.0, 1.0)) for comp in layers(pvm)])
-    code, out, err = run_cli(capsys, [command, "--input", str(src)])
-    assert (code, out) == (4, "")
-    assert err == ("error: projection norm 0.000e+00 at character (1,) is below 1.0e-12; "
-                   "the component is degenerate on its support\n")
 
 
 def test_rig_report_is_byte_deterministic(tmp_path, capsys):
@@ -1112,9 +1097,16 @@ def test_decompose_passes_adjacent_labels_on_65536(tmp_path, capsys):
     assert report["results"]["support"] == [[c] for c in sorted(labels)]
 
 
+def generator_diagonals(support, orders):
+    """The k x r diagonals <e_j|chi_s> = exp(2 pi i chi_{s,j} / n_j) of the
+    generator images on support rows chi_s, in closed form."""
+    chars = np.asarray(support, dtype=float).reshape(-1, len(orders))
+    return np.exp(2j * np.pi * chars.T / np.array(orders, dtype=float)[:, None])
+
+
 def test_gns_emits_generator_diagonals_not_dense_images(tmp_path, capsys):
     # the (2,)^8 point mass has full rank 256: eight dense 256 x 256 images
-    # made a 5.3 MB report, eight diagonals of 256 pairs stay under 100 kB
+    # made a 5.3 MB report; its support rows fix the eight diagonals
     from abelian_spectra import make_representation
     G = make_group((2,) * 8)
     src = tmp_path / "phi.json"
@@ -1122,21 +1114,45 @@ def test_gns_emits_generator_diagonals_not_dense_images(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, ["gns", "--input", str(src), "--output", str(out)])
     assert code == 0
-    assert out.stat().st_size < 100_000
-    diagonals = json.loads(out.read_text())["results"]["generator_diagonals"]
-    assert [len(row) for row in diagonals] == [256] * 8
-    space = gns_construct(delta(G))
-    gens = np.eye(8, dtype=np.int64) % 2
-    rows = G.pairing_at([G.element_index(G.element(c)) for c in gens], space.support)
-    diagonals = np.array([as_complex(row) for row in diagonals])
-    np.testing.assert_array_equal(diagonals, rows)
+    assert out.stat().st_size < 10_000
+    results = json.loads(out.read_text())["results"]
+    assert set(results) == {"rank", "gram_eigenvalues", "support", "positivity"}
+    diagonals = generator_diagonals(results["support"], G.orders)
+    assert diagonals.shape == (8, 256)
+    np.testing.assert_allclose(diagonals, gns_construct(delta(G)).generator_images(),
+                               rtol=0, atol=1e-15)
     assert make_representation(G, [np.diag(row) for row in diagonals]).dim == 256
+
+
+def test_gns_support_rows_are_the_characters_leading_the_eigenvalues(tmp_path, capsys):
+    # phi planted as the inverse transform of distinct weights on six
+    # characters: the support rows are those characters by descending
+    # eigenvalue, and eta_s = sqrt(lambda_s / |G|) rebuilds phi from them
+    G = make_group((4, 6))
+    rng = np.random.default_rng(8)
+    chars = rng.choice(G.size, size=6, replace=False)
+    spectrum = np.zeros(G.size)
+    spectrum[chars] = rng.uniform(0.5, 2.0, 6)
+    phi = np.fft.ifftn(spectrum.reshape(G.orders)).ravel()
+    src = write_function(tmp_path / "phi.json", G.orders, phi)
+    code, report, err = stdout_report(capsys, ["gns", "--input", str(src)])
+    assert code == 0, err
+    results = report["results"]
+    lam = np.array(results["gram_eigenvalues"])
+    leading = chars[np.argsort(-spectrum[chars])]
+    assert results["rank"] == 6
+    assert results["support"] == G.coords_at(leading).tolist()
+    np.testing.assert_allclose(lam[:6], spectrum[leading], rtol=1e-12)
+    np.testing.assert_allclose(lam[6:], 0.0, atol=1e-12)
+    eta = np.sqrt(lam[:6] / G.size)
+    rebuilt = G.pairing_at(np.arange(G.size), leading) @ np.abs(eta) ** 2
+    np.testing.assert_allclose(rebuilt, phi, rtol=0, atol=1e-14)
 
 
 def test_decompose_and_rig_emit_generator_diagonals_not_tables(tmp_path, capsys, rng):
     # V diag(<e_j|chi_s>) V^dagger on (2,)^10 with d = 8: each component's
-    # 1024 x r table is fixed by its ten generator rows, which are all the
-    # reports carry
+    # 1024 x r table is fixed by its support rows, which are all the reports
+    # carry of it
     from abelian_spectra import make_representation
     G = make_group((2,) * 10)
     support = np.sort(rng.choice(G.size, size=8, replace=False))
@@ -1144,23 +1160,60 @@ def test_decompose_and_rig_emit_generator_diagonals_not_tables(tmp_path, capsys,
     diagonals = G.pairing_at(G.generator_indices, support)
     src = write_representation(tmp_path / "rep.json", make_representation(
         G, [V @ np.diag(d) @ V.conj().T for d in diagonals]))
+    keys = {"decompose": {"support", "layer"}, "rig": {"support", "weights", "residuals"}}
     for command in ("decompose", "rig"):
         out = tmp_path / f"{command}.json"
         code, _, _ = run_cli(capsys, [command, "--input", str(src), "--output", str(out)])
         assert code == 0
-        assert out.stat().st_size < 50_000
-        text = out.read_text()
-        assert '"table"' not in text and '"eigenvalue_table"' not in text
-        for comp in json.loads(text)["results"]["components"]:
+        assert out.stat().st_size < 10_000
+        for comp in json.loads(out.read_text())["results"]["components"]:
+            assert set(comp) == keys[command]
             cols = [G.character_index(G.character(c)) for c in comp["support"]]
-            rows = comp.get("diagonal_model", comp)["generator_diagonals"]
-            assert [len(row) for row in rows] == [len(cols)] * 10
-            rows = np.array([as_complex(row) for row in rows])
-            np.testing.assert_array_equal(rows, G.pairing_at(G.generator_indices, cols))
+            rows = generator_diagonals(comp["support"], G.orders)
+            assert rows.shape == (10, len(cols))
+            np.testing.assert_allclose(rows, G.pairing_at(G.generator_indices, cols),
+                                       rtol=0, atol=1e-15)
             # prod_j row_j^{g_j} is the table row of g, for every g
             table = np.prod(rows[None] ** G._coords[:, :, None], axis=1)
             np.testing.assert_allclose(table, G.pairing_at(np.arange(G.size), cols),
                                        rtol=0, atol=1e-12)
+
+
+def test_each_decompose_layer_has_one_ket_of_its_index_per_support_character(tmp_path, capsys):
+    # multiplicities 1, 2, 3 give layers of three, two and one characters;
+    # layer i's isometry is its kets of index i, and its cyclic vector their sum
+    src = layered_rep_file(tmp_path, [1, 2, 3])
+    code, report, err = stdout_report(capsys, ["decompose", "--input", str(src)])
+    assert code == 0, err
+    results = report["results"]
+    assert [comp["layer"] for comp in results["components"]] == [1, 2, 3]
+    by_index = {}
+    for ket in results["kets"]:
+        by_index.setdefault(ket["index"], []).append(ket["character"])
+    assert sorted(by_index) == [1, 2, 3]
+    for comp in results["components"]:
+        assert by_index[comp["layer"]] == comp["support"]
+    assert [len(comp["support"]) for comp in results["components"]] == [3, 2, 1]
+
+
+@pytest.mark.parametrize("command", ["fourier", "decompose", "gns", "rig", "selftest"])
+def test_each_report_equals_the_cycle_checked_encoding(tmp_path, capsys, monkeypatch, command):
+    # dump_json skips json's cycle check; every report is a tree, so the
+    # checked encoding gives the same bytes
+    from abelian_spectra import fileio
+    rep = write_representation(tmp_path / "rep.json", regular_representation(make_group((2, 3))))
+    phi = write_function(tmp_path / "phi.json", (2, 3), [1, 0, 0, 0, 0, 0])
+    argv = {"fourier": ["--input", str(phi)], "decompose": ["--input", str(rep)],
+            "gns": ["--input", str(phi)], "rig": ["--input", str(rep)], "selftest": []}
+    payloads = []
+    monkeypatch.setattr(cli, "dump_json", lambda payload, *rest: payloads.append(payload)
+                        or dump_json(payload, *rest))
+    code, out, err = run_cli(capsys, [command, *argv[command]])
+    assert code == 0, err
+    (payload,) = payloads
+    checked = json.dumps(payload, separators=(",", ":"), allow_nan=False,
+                         default=fileio._complex_array_pairs) + "\n"
+    assert out == checked
 
 
 def test_gns_exits_3_when_a_generator_diagonal_breaks_a_relation(tmp_path, capsys, monkeypatch):

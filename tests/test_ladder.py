@@ -25,13 +25,17 @@ def test_ladder_measures_every_layer_and_shape(monkeypatch):
               "rigging.build_decomposition", "representations.spectral_measure",
               "representations.cyclic_decomposition", "cli.main"}
     assert {case["layer"] for case in cases} == layers
-    for layer in layers - {"fileio.parse_complex_array"}:
+    for layer in layers - {"fileio.parse_complex_array", "cli.main"}:
         for n in (16, 64):
             shapes = {case["shape"] for case in cases
                       if case["layer"] == layer and case["size"] == n}
-            assert shapes == ({"n"} if layer == "cli.main" else set(ladder.shapes(n))), (layer, n)
+            assert shapes == set(ladder.shapes(n)), (layer, n)
     assert all(case["median_s"] > 0 and case["peak_bytes"] > 0 for case in cases)
-    assert {case.get("command") for case in cases if case["layer"] == "cli.main"} == {"gns", "rig"}
+    requests = [case for case in cases if case["layer"] == "cli.main"]
+    assert sorted((case["command"], case["shape"], case["size"]) for case in requests) == \
+        sorted((command, shape, n) for n in (16, 64) for command, shape in
+               (("gns", "n"), ("gns", "2^k"), ("decompose", "n"), ("rig", "n")))
+    assert all(case["report_bytes"] > 0 for case in requests)
     for layer in ("representations.spectral_measure", "representations.cyclic_decomposition"):
         assert {case["dim"] for case in cases if case["layer"] == layer} == set(ladder.DIMS)
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from abelian_spectra import (
-    DegenerateComponentError,
     Group,
     GroupFunction,
     NotSelfAdjointError,
@@ -431,8 +430,8 @@ def test_regular_rep_is_one_cyclic_component(small_group):
     assert len(comps) == 1
     comp = comps[0]
     assert comp.support == pvm.support
-    np.testing.assert_allclose(comp.projection_norms, 1.0, atol=1e-9)
     V = comp.isometry
+    np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-9)
     np.testing.assert_allclose(V.conj().T @ V, np.eye(small_group.size), atol=1e-10)
 
 
@@ -443,7 +442,7 @@ def test_trivial_rep_splits_into_singleton_components():
     assert len(comps) == 3
     for comp in comps:
         assert comp.support == (G.character((0,)),)
-        assert len(comp.projection_norms) == 1
+        assert comp.isometry.shape == (3, 1)
 
 
 def test_multiplicity_two_rep_splits_into_two_components(rng):
@@ -475,8 +474,6 @@ def test_each_layer_is_read_off_the_basis(orders, dim, mult):
         for chi, column in zip(comp.support, comp.isometry.T):
             np.testing.assert_array_equal(column, kets[chi, i + 1])
         np.testing.assert_array_equal(comp.cyclic_vector, comp.isometry.sum(axis=1))
-        np.testing.assert_array_equal(comp.projection_norms,
-                                      np.linalg.norm(comp.isometry, axis=0))
         assert comp.isometry.flags.c_contiguous
         assert not comp.isometry.flags.writeable and not comp.cyclic_vector.flags.writeable
         assert diagonalize(comp) is comp
@@ -525,16 +522,6 @@ def test_diagonalization_residual_small_for_random_cases(rng):
         for comp in cyclic_decomposition(pvm):
             model = diagonalize(comp)
             assert diagonalization_residual(model, pvm.rep) < 1e-9
-
-
-def test_degenerate_component_is_rejected():
-    G = make_group((2,))
-    pvm = spectral_measure(regular_representation(G))
-    comp = cyclic_decomposition(pvm)[0]
-    broken = replace(comp, projection_norms=(1.0, 0.0))
-    with pytest.raises(DegenerateComponentError, match=r"^projection norm 0\.000e\+00 at "
-                       r"character \(1,\) is below 1\.0e-12; the component is degenerate"):
-        diagonalize(broken)
 
 
 # ---------------------------------------------------------------------------
