@@ -20,13 +20,20 @@ orders |G| in {256, 4096, 65536}:
 - ``representations.cyclic_decomposition`` with ``diagonalize`` on every
   layer, on the measure of each ``spectral_measure`` case, and skipped
   where that case is;
+- ``representations.spectral_measure`` off the ladder, at small d where
+  the fixed cost of each call sets the time: (3,) d1, (4, 4) d4 and
+  (2,)^8 d32 with multiplicity 4 (``SMALL_MEASURES``; these rows carry
+  their ``multiplicity``);
 - ``cli.main``, one in-process ``gns`` request on a planted rank-r phi
   file on the shape (n,) and one on the full-rank point mass on (2,)^log2 n,
   and one ``decompose`` and one ``rig`` request on a planted
   representation of (n,) of dimension 8, two characters of multiplicity
   4 (each skipped like ``spectral_measure`` when its ``cli.peak_estimate``
   is over the budget), each writing its report into a temporary
-  directory, whose size in bytes the case records as ``report_bytes``.
+  directory, whose size in bytes the case records as ``report_bytes``;
+  and one in-process ``selftest`` request at each of ``SELFTEST_SIZES``
+  (``--max-group-size``, ``--max-dim``), whose shape is written
+  "<size>-d<dim>".
 
 Each time is the median of 5 calls; one more call, under ``tracemalloc``,
 gives the case's traced peak in bytes.  Each row records the git SHA, the
@@ -66,6 +73,8 @@ COLUMNS = (1, 16)
 RIG_RANK = 8
 RIG_DIM, RIG_MULTIPLICITY = 8, 4
 DIMS = (8, 64)
+SMALL_MEASURES = (((3,), 1, 1), ((4, 4), 4, 1), ((2,) * 8, 32, 4))  # (orders, d, multiplicity)
+SELFTEST_SIZES = ((4, 2), (64, 16))
 REPEATS = 5
 ROUNDS = 3
 BLAS_THREADS = 1
@@ -103,7 +112,7 @@ def measure() -> list[dict]:
     from abelian_spectra.fileio import (dump_json, function_to_payload, parse_complex_array,
                                         representation_to_payload)
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import planted_representation
+    from workloads import case_name, planted_representation
 
     rng = np.random.default_rng(0)
     cases = []
@@ -154,20 +163,30 @@ def measure() -> list[dict]:
                 cases.append({**measure_case, **timed(lambda: spectral_measure(rep))})
                 pvm = spectral_measure(rep)
                 cases.append({**layers_case, **timed(lambda: layers(pvm))})
+    for orders, d, mult in SMALL_MEASURES:
+        generators, _ = planted_representation(rng, orders, d, mult)
+        rep = make_representation(make_group(orders), generators)
+        cases.append({"layer": "representations.spectral_measure",
+                      "shape": case_name(orders), "size": math.prod(orders),
+                      "columns": None, "dim": d, "multiplicity": mult,
+                      **timed(lambda: spectral_measure(rep))})
     rng = np.random.default_rng(3)
 
     def request(argv: list[str]) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
         if code != 0:
-            raise RuntimeError(f"{argv[0]} on {argv[2]} exited {code}")
+            raise RuntimeError(f"{' '.join(argv)} exited {code}")
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.json")
 
         def cli_case(command: str, shape: str, n: int, path: str, **extra) -> dict:
             argv = [command, "--input", path, "--output", out, "--max-group-size", str(n)]
-            return {"layer": "cli.main", "command": command, "shape": shape, "size": n,
+            return request_case(argv, shape, n, **extra)
+
+        def request_case(argv: list[str], shape: str, n: int, **extra) -> dict:
+            return {"layer": "cli.main", "command": argv[0], "shape": shape, "size": n,
                     "columns": None, **extra, **timed(lambda: request(argv)),
                     "report_bytes": os.path.getsize(out)}
 
@@ -196,6 +215,9 @@ def measure() -> list[dict]:
                                   "status": "skipped (budget)"})
                 else:
                     cases.append(cli_case(command, "n", n, path, dim=RIG_DIM))
+        for n, d in SELFTEST_SIZES:
+            cases.append(request_case(["selftest", "--max-group-size", str(n), "--max-dim",
+                                       str(d), "--output", out], f"{n}-d{d}", n, dim=d))
     return cases
 
 

@@ -22,7 +22,7 @@ DEFAULT_SIZE_CAP = 65536
 
 def _coerce_coords(coords: Iterable[int]) -> tuple[int, ...]:
     try:
-        return tuple(int(c) for c in coords)
+        return tuple(map(int, coords))
     except (TypeError, ValueError) as exc:
         raise ShapeMismatchError(f"coordinates must be integers, got {coords!r}") from exc
 
@@ -115,8 +115,9 @@ class Group:
         return tuple(Character(tuple(row)) for row in self._coords)
 
     def coords_at(self, indices) -> np.ndarray:
-        """The coordinate rows (len(indices) x k) of the enumeration indices ``indices``."""
-        return np.stack(np.unravel_index(np.asarray(indices, dtype=np.intp), self.orders), axis=-1)
+        """The coordinate rows (len(indices) x k) of the enumeration indices
+        ``indices``, a 1-d sequence; ValueError for one outside [0, |G|)."""
+        return np.array(np.unravel_index(np.asarray(indices, dtype=np.intp), self.orders)).T
 
     def characters_at(self, indices) -> tuple[Character, ...]:
         """The characters at the enumeration indices ``indices``."""
@@ -142,13 +143,19 @@ class Group:
                 raise ShapeMismatchError(
                     f"{kind} coordinate {c} out of range for cyclic factor of order {n}")
 
+    def _index(self, coords: tuple[int, ...], kind: str) -> int:
+        """coords . strides, by Horner's rule in the orders."""
+        self._check_coords(coords, kind)
+        index = 0
+        for c, n in zip(coords, self.orders):
+            index = index * n + c
+        return index
+
     def element_index(self, g: Element) -> int:
-        self._check_coords(g.coords, "element")
-        return int(np.dot(np.asarray(g.coords, dtype=np.int64), self._strides))
+        return self._index(g.coords, "element")
 
     def character_index(self, chi: Character) -> int:
-        self._check_coords(chi.coords, "character")
-        return int(np.dot(np.asarray(chi.coords, dtype=np.int64), self._strides))
+        return self._index(chi.coords, "character")
 
     # -- group law ----------------------------------------------------
 
@@ -186,18 +193,22 @@ class Group:
 
     def pairing(self, g: Element, chi: Character) -> complex:
         """<g|chi> = exp(2*pi*i * sum_j g_j chi_j / n_j), a root of unity."""
-        return complex(self.pairing_at([self.element_index(g)], [self.character_index(chi)])[0, 0])
+        self._check_coords(g.coords, "element")
+        self._check_coords(chi.coords, "character")
+        L = self._lcm
+        return complex(_roots(sum(x * y * (L // n) for x, y, n in
+                                  zip(g.coords, chi.coords, self.orders)) % L, L))
 
     def pairing_at(self, rows, cols) -> np.ndarray:
         """The block T[rows][:, cols] of the pairing table T[i, j] = <g_i|chi_j>
         for index arrays ``rows`` and ``cols``, from the coordinates of those
-        indices alone.  The only code that evaluates the pairing: the phase is
-        accumulated with exact integer arithmetic over the common denominator
-        lcm(orders), so equal phases give bit-equal entries and the table is
-        exactly symmetric."""
+        indices alone.  The phase is accumulated with exact integer arithmetic
+        over the common denominator lcm(orders) and mapped by ``_roots``, as
+        in ``pairing``, so equal phases give bit-equal entries and the table
+        is exactly symmetric."""
         left, right = self.coords_at(rows), self.coords_at(cols)
         L = self._lcm
-        return np.exp((2j * np.pi / L) * ((left * (L // self._orders_arr)) @ right.T % L))
+        return _roots((left * (L // self._orders_arr)) @ right.T % L, L)
 
     def pairing_block(self, start: int, stop: int) -> np.ndarray:
         """Rows [start, stop) of the pairing table."""
@@ -229,6 +240,12 @@ class Group:
         for k, n in enumerate(self.orders):
             out += ((coords[:, k, None] - coords[None, :, k]) % n) * self._strides[k]
         return out
+
+
+def _roots(phases, L: int):
+    """exp(2 pi i phases / L) for integer phases, an int or an array: the one
+    evaluation of the pairing's roots of unity."""
+    return np.exp((2j * np.pi / L) * phases)
 
 
 def make_group(orders: Sequence[int], size_cap: int = DEFAULT_SIZE_CAP) -> Group:

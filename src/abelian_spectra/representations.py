@@ -211,7 +211,10 @@ def _label(eigenvalues: np.ndarray, n: int) -> np.ndarray:
 
 def _restriction_gap(M: np.ndarray, c: np.ndarray, n: int) -> float:
     """max |M - diag(omega^c)| over a stack of restrictions and their labels."""
-    return np.abs(M - np.exp(2j * np.pi / n * c)[:, :, None] * np.eye(M.shape[-1])).max()
+    roots = np.exp(2j * np.pi / n * c)
+    if M.shape[-1] == 1:
+        return np.abs(M[:, 0, 0] - roots[:, 0]).max()
+    return np.abs(M - roots[:, :, None] * np.eye(M.shape[-1])).max()
 
 
 def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
@@ -231,8 +234,9 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     orthonormalised by one batched ``qr``.  Eigenvectors of distinct labels
     are orthogonal, so the columns of Q span each label's eigenspace in
     turn; B Q replaces B, and each run of equal labels is a block of the next
-    step, in enumeration order.  W ends as ``basis`` and the widths as
-    the multiplicities.  Time O(k d^3), memory O(d^2), nothing n_j-sized.
+    step, in enumeration order.  Until a step writes W it is I, whose one
+    block needs no gather and is exactly invariant.  W ends as ``basis`` and the widths as the multiplicities.  Time
+    O(k d^3), memory O(d^2), nothing n_j-sized.
     Checked, the worst over steps and blocks: invariance ||U_j B - B M||,
     restriction max |Q^dagger M Q - diag(omega^c)|, and completeness
     ||W^dagger W - I|| at the end; a value above PVM_TOL raises
@@ -242,30 +246,37 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     W = np.eye(d, dtype=complex)
     widths, indices = np.array([d]), np.zeros(1, dtype=np.int64)
     invariance = restriction = 0.0
+    identity = True  # W is still I
     for U, n in zip(rep.generators, group.orders):
         starts, labels = np.cumsum(widths) - widths, np.empty(d, dtype=np.int64)
         for m in set(widths.tolist()) - {0}:  # np.unique would import numpy.ma
             cols = starts[widths == m, None] + np.arange(m)
-            B = W[:, cols].transpose(1, 0, 2)
+            B = W[None] if identity else W[:, cols].transpose(1, 0, 2)
             UB = U @ B
             M = B.conj().swapaxes(1, 2) @ UB
-            invariance = max(invariance, np.linalg.norm(UB - B @ M, axis=(1, 2)).max())
+            if not identity:  # B = I is exactly invariant
+                invariance = max(invariance, np.linalg.norm(UB - B @ M, axis=(1, 2)).max())
             c = _label(M.diagonal(axis1=1, axis2=2), n)
-            gap = _restriction_gap(M, c, n)  # a block that does not split is omega^c I
-            if gap > PVM_TOL or (c != c[:, :1]).any():  # eigenvectors by label: B Q for B
+            split = (c != c[:, :1]).any()
+            if not split:  # a block that does not split is omega^c I
+                gap = _restriction_gap(M, c, n)
+            if split or gap > PVM_TOL:  # eigenvectors by label: B Q for B
                 lam, V = np.linalg.eig(M)
                 c = _label(lam, n)
                 order = np.argsort(c, axis=1, kind="stable")
-                c = np.take_along_axis(c, order, axis=1)
-                Q = np.linalg.qr(np.take_along_axis(V, order[:, None, :], axis=2)).Q
+                rows = np.arange(len(c))[:, None]
+                c = c[rows, order]
+                Q = np.linalg.qr(V.swapaxes(1, 2)[rows, order].swapaxes(1, 2)).Q
                 W[:, cols] = (B @ Q).transpose(1, 0, 2)
+                identity = False
                 gap = _restriction_gap(Q.conj().swapaxes(1, 2) @ M @ Q, c, n)
             restriction = max(restriction, gap)
             labels[cols] = c
-        # each column's character so far, ascending: its runs are the new blocks
+        # each column's character so far, ascending: its runs are the new
+        # blocks, bounded by the head of each run and then d
         chars = np.repeat(indices, widths) * n + labels
-        heads = np.flatnonzero(np.diff(chars, prepend=-1))
-        indices, widths = chars[heads], np.diff(heads, append=d)
+        bounds = np.flatnonzero(np.concatenate(([d > 0], chars[1:] != chars[:-1], [True])))
+        indices, widths = chars[bounds[:-1]], bounds[1:] - bounds[:-1]
     W.setflags(write=False)
     residuals = {"completeness": float(np.linalg.norm(W.conj().T @ W - np.eye(d))),
                  "invariance": float(invariance), "restriction": float(restriction)}

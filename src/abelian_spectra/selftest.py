@@ -35,7 +35,7 @@ from .fileio import (
     representation_to_payload,
 )
 from .gns import gns_algebra_action, gns_construct, reconstruct_phi
-from .groups import Group
+from .groups import Character, Element, Group
 from .representations import (
     ProjectionValuedMeasure,
     UnitaryRep,
@@ -110,6 +110,12 @@ def random_orders(rng: np.random.Generator, max_size: int) -> tuple[int, ...]:
 def random_group(rng: np.random.Generator, max_size: int, *,
                  haar_weight: float = 1.0) -> Group:
     return Group(random_orders(rng, max_size), haar_weight=haar_weight)
+
+
+def random_pick(rng: np.random.Generator, group: Group, kind=Element):
+    """A uniformly drawn element (or, with ``kind=Character``, character),
+    built alone rather than read from all |G| of them."""
+    return kind(group.coords_at([int(rng.integers(0, group.size))])[0])
 
 
 def random_function(rng: np.random.Generator, group: Group) -> GroupFunction:
@@ -271,9 +277,9 @@ def _prop_pairing_homomorphism(rng, cfg):
     for _ in range(10):
         group = random_group(rng, cfg.max_group_size)
         for _ in range(10):
-            g = group.elements[int(rng.integers(0, group.size))]
-            h = group.elements[int(rng.integers(0, group.size))]
-            chi = group.characters[int(rng.integers(0, group.size))]
+            g = random_pick(rng, group)
+            h = random_pick(rng, group)
+            chi = random_pick(rng, group, Character)
             prod = group.pairing(group.op(g, h), chi)
             split = group.pairing(g, chi) * group.pairing(h, chi)
             r = max(abs(prod - split), abs(abs(prod) - 1.0))
@@ -298,13 +304,13 @@ def _prop_element_order(rng, cfg):
     for _ in range(10):
         group = random_group(rng, cfg.max_group_size)
         for _ in range(5):
-            g = group.elements[int(rng.integers(0, group.size))]
+            g = random_pick(rng, group)
             n = group.element_order(g)
             acc = group.identity
             for _ in range(n):
                 acc = group.op(acc, g)
             r = 0.0 if acc == group.identity else 1.0
-            chi = group.characters[int(rng.integers(0, group.size))]
+            chi = random_pick(rng, group, Character)
             r = max(r, abs(group.pairing(g, chi) ** n - 1.0))
             yield r, dict(orders=list(group.orders), g=list(g.coords))
 
@@ -411,7 +417,7 @@ def _prop_gram_translation_invariance(rng, cfg):
         group = random_group(rng, cfg.max_group_size)
         phi = random_positive_type(rng, group)
         gram = hermitian_form(phi)
-        g = group.elements[int(rng.integers(0, group.size))]
+        g = random_pick(rng, group)
         perm = group.translate_indices(g)
         r = np.abs(gram[np.ix_(perm, perm)] - gram).max()
         r = max(r, float(np.abs(gram - gram.conj().T).max()))
@@ -567,8 +573,8 @@ def _prop_quotient_representation(rng, cfg):
         r = 0.0
         eye = np.eye(space.rank)
         for _ in range(5):
-            g = group.elements[int(rng.integers(0, group.size))]
-            h = group.elements[int(rng.integers(0, group.size))]
+            g = random_pick(rng, group)
+            h = random_pick(rng, group)
             og, oh = space.operator(g), space.operator(h)
             r = max(r, float(np.linalg.norm(og @ oh - space.operator(group.op(g, h)))))
             r = max(r, float(np.linalg.norm(og.conj().T @ og - eye)))

@@ -228,6 +228,31 @@ def test_pairing_rows_match_the_table(small_group):
                 assert G.pairing(g, chi) == G.pairing_at([i], [j])[0, 0] == table[i, j]
 
 
+@pytest.mark.parametrize("orders", [(4, 6), (3, 5, 7), (2, 2, 2, 2), (64,)])
+def test_scalar_pairing_is_bit_equal_to_the_block(orders):
+    # pairing takes its integer phase in Python ints and pairing_at in an
+    # integer matmul; both map it by the same exp, so every entry, signed
+    # zeros included, has the same bits
+    G = make_group(orders)
+    scalar = np.array([[G.pairing(g, chi) for chi in G.characters] for g in G.elements])
+    block = G.pairing_at(np.arange(G.size), np.arange(G.size))
+    assert scalar.dtype == block.dtype and scalar.tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("orders", [(4, 6), (3, 5, 7), (2, 2, 2, 2), (64,), (3, 1, 4)])
+def test_coords_at_reads_the_mixed_radix_digits(orders):
+    G = make_group(orders)
+    indices = np.arange(G.size)
+    np.testing.assert_array_equal(G.coords_at(indices),
+                                  np.stack(np.unravel_index(indices, orders), axis=-1))
+    assert G.coords_at([]).shape == (0, len(orders))
+    for i in range(G.size):
+        assert G.element_index(G.element(G.coords_at([i])[0])) == i
+    for outside in ([-1], [G.size], [0, G.size + 3]):
+        with pytest.raises(ValueError):
+            G.coords_at(outside)
+
+
 def test_pairing_is_multiplicative_in_the_element():
     G = make_group((3, 4))
     chi = G.character((2, 3))

@@ -1,5 +1,6 @@
 """Smoke test of the scaling ladder: ``bench/ladder.py`` still runs every
-layer against the package as it is, on two small rungs and one call each."""
+layer against the package as it is, on two small rungs and one call each,
+and its fixed small-d measures and self-test requests."""
 
 import importlib.util
 import sys
@@ -25,19 +26,28 @@ def test_ladder_measures_every_layer_and_shape(monkeypatch):
               "rigging.build_decomposition", "representations.spectral_measure",
               "representations.cyclic_decomposition", "cli.main"}
     assert {case["layer"] for case in cases} == layers
+    # the small-d measures carry their multiplicity and sit off the ladder
+    small = [case for case in cases if "multiplicity" in case]
+    assert sorted((case["layer"], case["shape"], case["size"], case["dim"], case["multiplicity"])
+                  for case in small) == [
+        ("representations.spectral_measure", "2^8", 256, 32, 4),
+        ("representations.spectral_measure", "3", 3, 1, 1),
+        ("representations.spectral_measure", "4x4", 16, 4, 1)]
+    rungs = [case for case in cases if "multiplicity" not in case]
     for layer in layers - {"fileio.parse_complex_array", "cli.main"}:
         for n in (16, 64):
-            shapes = {case["shape"] for case in cases
+            shapes = {case["shape"] for case in rungs
                       if case["layer"] == layer and case["size"] == n}
             assert shapes == set(ladder.shapes(n)), (layer, n)
     assert all(case["median_s"] > 0 and case["peak_bytes"] > 0 for case in cases)
     requests = [case for case in cases if case["layer"] == "cli.main"]
     assert sorted((case["command"], case["shape"], case["size"]) for case in requests) == \
-        sorted((command, shape, n) for n in (16, 64) for command, shape in
-               (("gns", "n"), ("gns", "2^k"), ("decompose", "n"), ("rig", "n")))
+        sorted([(command, shape, n) for n in (16, 64) for command, shape in
+                (("gns", "n"), ("gns", "2^k"), ("decompose", "n"), ("rig", "n"))]
+               + [("selftest", "4-d2", 4), ("selftest", "64-d16", 64)])
     assert all(case["report_bytes"] > 0 for case in requests)
     for layer in ("representations.spectral_measure", "representations.cyclic_decomposition"):
-        assert {case["dim"] for case in cases if case["layer"] == layer} == set(ladder.DIMS)
+        assert {case["dim"] for case in rungs if case["layer"] == layer} == set(ladder.DIMS)
 
 
 def test_rounds_combine_into_each_case_median():

@@ -34,6 +34,7 @@ from abelian_spectra import (
 )
 from abelian_spectra import algebra, representations
 from abelian_spectra.representations import UnitaryRep, binary_powers, generator_powers
+from abelian_spectra.selftest import joint_eigenprojections
 from conftest import random_function
 
 
@@ -191,6 +192,33 @@ def test_measure_sorts_the_labels_of_a_diagonal_generator():
     assert pvm.multiplicities.tolist() == [1, 1, 2]
     for t, c in enumerate(pvm.indices):
         np.testing.assert_allclose(pvm.projections[t], np.diag(labels == c), rtol=0, atol=1e-15)
+
+
+def test_measure_after_a_scalar_first_generator_matches_the_oracle(monkeypatch, rng):
+    """The first generator, i I up to round-off, does not split the one
+    block, so no step writes W and the second step still starts from
+    W = I with a full-width block, which it splits: one eig call in all,
+    on the second generator, and the measure agrees with the independent
+    joint eigendecomposition."""
+    G = make_group((4, 6))
+    slots = [G.character((1, c)) for c in (0, 5, 2, 2, 5, 3)]
+    rep, _ = conjugated_diagonal_rep(G, slots, rng)
+    np.testing.assert_allclose(rep.generators[0], 1j * np.eye(6), atol=1e-14)
+    eig, calls = np.linalg.eig, []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    pvm = spectral_measure(rep)
+    assert calls == [(1, 6, 6)]
+    assert pvm.indices.tolist() == [G.character_index(G.character((1, c))) for c in (0, 2, 3, 5)]
+    assert pvm.multiplicities.tolist() == [1, 2, 1, 2]
+    oracle = joint_eigenprojections(rep)
+    assert set(oracle) == set(pvm.support)
+    for chi, proj in oracle.items():
+        np.testing.assert_allclose(pvm.projection(chi), proj, rtol=0, atol=1e-12)
 
 
 def test_measure_matches_independent_eigenstructure(rng):

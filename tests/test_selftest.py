@@ -75,7 +75,9 @@ def test_each_property_passes_on_a_small_config(name):
     assert result.cases > 0
 
 
-@pytest.mark.parametrize("cfg", [SMALL, SelftestConfig()], ids=["small", "default"])
+@pytest.mark.parametrize("cfg", [SMALL, SelftestConfig(), SelftestConfig(max_group_size=4, max_dim=2),
+                                 SelftestConfig(max_group_size=64, max_dim=16, seed=1)],
+                         ids=["small", "default", "4-d2", "64-d16"])
 def test_every_property_keeps_its_name_case_count_and_tolerance(cfg):
     results, _ = run_selftest(cfg)
     assert [(res.name, res.cases, res.tolerance) for res in results] == REGISTRY
