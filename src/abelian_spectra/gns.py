@@ -111,21 +111,18 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
     # weight * F, so it maps v = sum_s a_s conj(psi_s), one transform of a
     # placed on the support, to the transform of weight * F * a (both taken
     # in one stacked transform).  The FFT's round-off is O(eps log |G|) of
-    # the image's RMS size, <= lam_max ||a||.  Up to 2 CHECK_COMBINATIONS
-    # support characters, each is its own column (a = I): no more columns
-    # than the combinations would take, no draw, and none left to chance.
+    # the image's RMS size, <= lam_max ||a||.  Up to rank 2 CHECK_COMBINATIONS
+    # each support character is its own column (a = I), with no draw.
     if rank <= 2 * CHECK_COMBINATIONS:
         a = np.eye(rank)
     else:
         draws = np.random.default_rng(0).standard_normal((2, rank, CHECK_COMBINATIONS))
         a = draws[0] + 1j * draws[1]
-    cols = a.shape[1]
-    placed = np.zeros((group.size, 2 * cols), dtype=complex)
-    placed[support, :cols] = a
-    placed[support, cols:] = a * (group.haar_weight * F[support])[:, None]
-    both = _transform(group, placed)
-    gap = checked_finite("form applied to the support characters", lambda: (
-        apply_hermitian_form(phi, both[:, :cols]) - both[:, cols:]))
+    placed = np.zeros((group.size, 2 * a.shape[1]), dtype=complex)
+    placed[support] = np.hstack([a, a * (group.haar_weight * F[support])[:, None]])
+    v, image = np.split(_transform(group, placed), 2, axis=1)
+    gap = checked_finite("form applied to the support characters",
+                         lambda: apply_hermitian_form(phi, v) - image)
     residual = 0.0 if rank == 0 else float(np.max(
         np.linalg.norm(gap / lam_max, axis=0)
         / (np.sqrt(group.size) * np.linalg.norm(a, axis=0))))

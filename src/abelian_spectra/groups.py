@@ -115,8 +115,7 @@ class Group:
         return tuple(Character(tuple(row)) for row in self._coords)
 
     def coords_at(self, indices) -> np.ndarray:
-        """The coordinate rows (len(indices) x k) of the enumeration indices
-        ``indices``, a 1-d sequence; ValueError for one outside [0, |G|)."""
+        """The coordinate rows (len(indices) x k) of the enumeration indices ``indices``."""
         return np.array(np.unravel_index(np.asarray(indices, dtype=np.intp), self.orders)).T
 
     def characters_at(self, indices) -> tuple[Character, ...]:
@@ -133,29 +132,25 @@ class Group:
         self._check_coords(chi.coords, "character")
         return chi
 
-    def _check_coords(self, coords: tuple[int, ...], kind: str) -> None:
+    def _check_coords(self, coords: tuple[int, ...], kind: str) -> int:
+        """The enumeration index of valid coordinates, by Horner's rule."""
         if len(coords) != len(self.orders):
             raise ShapeMismatchError(
                 f"{kind} has {len(coords)} coordinates but the group has "
                 f"{len(self.orders)} cyclic factors")
+        index = 0
         for c, n in zip(coords, self.orders):
             if not 0 <= c < n:
                 raise ShapeMismatchError(
                     f"{kind} coordinate {c} out of range for cyclic factor of order {n}")
-
-    def _index(self, coords: tuple[int, ...], kind: str) -> int:
-        """coords . strides, by Horner's rule in the orders."""
-        self._check_coords(coords, kind)
-        index = 0
-        for c, n in zip(coords, self.orders):
             index = index * n + c
         return index
 
     def element_index(self, g: Element) -> int:
-        return self._index(g.coords, "element")
+        return self._check_coords(g.coords, "element")
 
     def character_index(self, chi: Character) -> int:
-        return self._index(chi.coords, "character")
+        return self._check_coords(chi.coords, "character")
 
     # -- group law ----------------------------------------------------
 
@@ -243,8 +238,7 @@ class Group:
 
 
 def _roots(phases, L: int):
-    """exp(2 pi i phases / L) for integer phases, an int or an array: the one
-    evaluation of the pairing's roots of unity."""
+    """exp(2 pi i phases / L) for an int or an array of integer phases."""
     return np.exp((2j * np.pi / L) * phases)
 
 

@@ -211,10 +211,7 @@ def _label(eigenvalues: np.ndarray, n: int) -> np.ndarray:
 
 def _restriction_gap(M: np.ndarray, c: np.ndarray, n: int) -> float:
     """max |M - diag(omega^c)| over a stack of restrictions and their labels."""
-    roots = np.exp(2j * np.pi / n * c)
-    if M.shape[-1] == 1:
-        return np.abs(M[:, 0, 0] - roots[:, 0]).max()
-    return np.abs(M - roots[:, :, None] * np.eye(M.shape[-1])).max()
+    return np.abs(M - np.exp(2j * np.pi / n * c)[:, :, None] * np.eye(M.shape[-1])).max()
 
 
 def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
@@ -234,9 +231,9 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     orthonormalised by one batched ``qr``.  Eigenvectors of distinct labels
     are orthogonal, so the columns of Q span each label's eigenspace in
     turn; B Q replaces B, and each run of equal labels is a block of the next
-    step, in enumeration order.  Until a step writes W it is I, whose one
-    block needs no gather and is exactly invariant.  W ends as ``basis`` and the widths as the multiplicities.  Time
-    O(k d^3), memory O(d^2), nothing n_j-sized.
+    step, in enumeration order; until a step writes W, it is I, whose one
+    block needs no gather and is exactly invariant.  W ends as ``basis``, the
+    widths as the multiplicities.  Time O(k d^3), memory O(d^2), nothing n_j-sized.
     Checked, the worst over steps and blocks: invariance ||U_j B - B M||,
     restriction max |Q^dagger M Q - diag(omega^c)|, and completeness
     ||W^dagger W - I|| at the end; a value above PVM_TOL raises
@@ -272,8 +269,7 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
                 gap = _restriction_gap(Q.conj().swapaxes(1, 2) @ M @ Q, c, n)
             restriction = max(restriction, gap)
             labels[cols] = c
-        # each column's character so far, ascending: its runs are the new
-        # blocks, bounded by the head of each run and then d
+        # each column's character so far, ascending: its runs are the new blocks
         chars = np.repeat(indices, widths) * n + labels
         bounds = np.flatnonzero(np.concatenate(([d > 0], chars[1:] != chars[:-1], [True])))
         indices, widths = chars[bounds[:-1]], bounds[1:] - bounds[:-1]

@@ -113,8 +113,7 @@ def random_group(rng: np.random.Generator, max_size: int, *,
 
 
 def random_pick(rng: np.random.Generator, group: Group, kind=Element):
-    """A uniformly drawn element (or, with ``kind=Character``, character),
-    built alone rather than read from all |G| of them."""
+    """A uniformly drawn element (or character), built alone, not with all of G."""
     return kind(group.coords_at([int(rng.integers(0, group.size))])[0])
 
 
