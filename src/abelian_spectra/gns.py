@@ -111,16 +111,19 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
     # weight * F, so it maps v = sum_s a_s conj(psi_s), one transform of a
     # placed on the support, to the transform of weight * F * a (both taken
     # in one stacked transform).  The FFT's round-off is O(eps log |G|) of
-    # the image's RMS size, <= lam_max ||a||.  Up to rank 2 CHECK_COMBINATIONS
-    # each support character is its own column (a = I), with no draw.
+    # the image's RMS size, <= lam_max ||a||.  Up to rank 2 CHECK_COMBINATIONS,
+    # a = I: each support character alone, no draw, its image weight * F times it.
     if rank <= 2 * CHECK_COMBINATIONS:
-        a = np.eye(rank)
+        placed = np.zeros((group.size, rank), dtype=complex)
+        placed[support] = a = np.eye(rank)
+        v = _transform(group, placed)
+        image = v * (group.haar_weight * F[support])
     else:
         draws = np.random.default_rng(0).standard_normal((2, rank, CHECK_COMBINATIONS))
         a = draws[0] + 1j * draws[1]
-    placed = np.zeros((group.size, 2 * a.shape[1]), dtype=complex)
-    placed[support] = np.hstack([a, a * (group.haar_weight * F[support])[:, None]])
-    v, image = np.split(_transform(group, placed), 2, axis=1)
+        placed = np.zeros((group.size, 2 * CHECK_COMBINATIONS), dtype=complex)
+        placed[support] = np.hstack([a, a * (group.haar_weight * F[support])[:, None]])
+        v, image = np.split(_transform(group, placed), 2, axis=1)
     gap = checked_finite("form applied to the support characters",
                          lambda: apply_hermitian_form(phi, v) - image)
     residual = 0.0 if rank == 0 else float(np.max(
