@@ -122,8 +122,10 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
         draws = np.random.default_rng(0).standard_normal((2, rank, CHECK_COMBINATIONS))
         a = draws[0] + 1j * draws[1]
         placed = np.zeros((group.size, 2 * CHECK_COMBINATIONS), dtype=complex)
-        placed[support] = np.hstack([a, a * (group.haar_weight * F[support])[:, None]])
-        v, image = np.split(_transform(group, placed), 2, axis=1)
+        placed[support, :CHECK_COMBINATIONS] = a
+        placed[support, CHECK_COMBINATIONS:] = a * (group.haar_weight * F[support])[:, None]
+        both = _transform(group, placed)
+        v, image = both[:, :CHECK_COMBINATIONS], both[:, CHECK_COMBINATIONS:]
     gap = checked_finite("form applied to the support characters",
                          lambda: apply_hermitian_form(phi, v) - image)
     residual = 0.0 if rank == 0 else float(np.max(

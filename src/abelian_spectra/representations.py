@@ -242,8 +242,7 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     group, d = rep.group, rep.dim
     W = np.eye(d, dtype=complex)
     widths, indices = np.array([d]), np.zeros(1, dtype=np.int64)
-    invariance = restriction = 0.0
-    identity = True  # W is still I
+    invariance, restriction, identity = 0.0, 0.0, True  # identity: W is still I
     for U, n in zip(rep.generators, group.orders):
         starts, labels = np.cumsum(widths) - widths, np.empty(d, dtype=np.int64)
         for m in set(widths.tolist()) - {0}:  # np.unique would import numpy.ma

@@ -113,7 +113,6 @@ def random_group(rng: np.random.Generator, max_size: int, *,
 
 
 def random_pick(rng: np.random.Generator, group: Group, kind=Element):
-    """A uniformly drawn element (or character), built alone, not with all of G."""
     return kind(group.coords_at([int(rng.integers(0, group.size))])[0])
 
 
