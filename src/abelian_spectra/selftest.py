@@ -112,10 +112,6 @@ def random_group(rng: np.random.Generator, max_size: int, *,
     return Group(random_orders(rng, max_size), haar_weight=haar_weight)
 
 
-def random_pick(rng: np.random.Generator, group: Group, kind=Element):
-    return kind(group.coords_at([int(rng.integers(0, group.size))])[0])
-
-
 def random_function(rng: np.random.Generator, group: Group) -> GroupFunction:
     vals = rng.standard_normal(group.size) + 1j * rng.standard_normal(group.size)
     return GroupFunction(group, vals)
@@ -275,9 +271,9 @@ def _prop_pairing_homomorphism(rng, cfg):
     for _ in range(10):
         group = random_group(rng, cfg.max_group_size)
         for _ in range(10):
-            g = random_pick(rng, group)
-            h = random_pick(rng, group)
-            chi = random_pick(rng, group, Character)
+            g = Element(group.coords_at([int(rng.integers(0, group.size))])[0])
+            h = Element(group.coords_at([int(rng.integers(0, group.size))])[0])
+            chi = Character(group.coords_at([int(rng.integers(0, group.size))])[0])
             prod = group.pairing(group.op(g, h), chi)
             split = group.pairing(g, chi) * group.pairing(h, chi)
             r = max(abs(prod - split), abs(abs(prod) - 1.0))
@@ -302,13 +298,13 @@ def _prop_element_order(rng, cfg):
     for _ in range(10):
         group = random_group(rng, cfg.max_group_size)
         for _ in range(5):
-            g = random_pick(rng, group)
+            g = Element(group.coords_at([int(rng.integers(0, group.size))])[0])
             n = group.element_order(g)
             acc = group.identity
             for _ in range(n):
                 acc = group.op(acc, g)
             r = 0.0 if acc == group.identity else 1.0
-            chi = random_pick(rng, group, Character)
+            chi = Character(group.coords_at([int(rng.integers(0, group.size))])[0])
             r = max(r, abs(group.pairing(g, chi) ** n - 1.0))
             yield r, dict(orders=list(group.orders), g=list(g.coords))
 
@@ -415,7 +411,7 @@ def _prop_gram_translation_invariance(rng, cfg):
         group = random_group(rng, cfg.max_group_size)
         phi = random_positive_type(rng, group)
         gram = hermitian_form(phi)
-        g = random_pick(rng, group)
+        g = Element(group.coords_at([int(rng.integers(0, group.size))])[0])
         perm = group.translate_indices(g)
         r = np.abs(gram[np.ix_(perm, perm)] - gram).max()
         r = max(r, float(np.abs(gram - gram.conj().T).max()))
@@ -571,8 +567,8 @@ def _prop_quotient_representation(rng, cfg):
         r = 0.0
         eye = np.eye(space.rank)
         for _ in range(5):
-            g = random_pick(rng, group)
-            h = random_pick(rng, group)
+            g = Element(group.coords_at([int(rng.integers(0, group.size))])[0])
+            h = Element(group.coords_at([int(rng.integers(0, group.size))])[0])
             og, oh = space.operator(g), space.operator(h)
             r = max(r, float(np.linalg.norm(og @ oh - space.operator(group.op(g, h)))))
             r = max(r, float(np.linalg.norm(og.conj().T @ og - eye)))
