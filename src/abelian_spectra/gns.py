@@ -9,9 +9,9 @@ g acts on it diagonally through the pairing <g|psi>, and the class of the
 identity point mass is a cyclic vector whose diagonal matrix coefficient
 recovers phi.  Everything, the positivity verdict (F >= 0) included,
 follows from one transform of phi, checked against the form applied by
-FFT to the support characters, or at large rank to a few random
-combinations of them (Freivalds, "Probabilistic machines can use less
-running time", 1977); the dense form stays in ``algebra`` as the oracle.
+FFT to a few random combinations of the support characters (Freivalds,
+"Probabilistic machines can use less running time", 1977); the dense form
+stays in ``algebra`` as the oracle.
 """
 
 from __future__ import annotations
@@ -111,23 +111,15 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
     # weight * F, so it maps v = sum_s a_s conj(psi_s), one transform of a
     # placed on the support, to the transform of weight * F * a (both taken
     # in one stacked transform).  The FFT's round-off is O(eps log |G|) of
-    # the image's RMS size, <= lam_max ||a||.  Up to rank 2 CHECK_COMBINATIONS,
-    # a = I: each support character alone, no draw, its image weight * F times it.
-    if rank <= 2 * CHECK_COMBINATIONS:
-        placed = np.zeros((group.size, rank), dtype=complex)
-        placed[support] = a = np.eye(rank)
-        v = _transform(group, placed)
-        image = v * (group.haar_weight * F[support])
-    else:
-        draws = np.random.default_rng(0).standard_normal((2, rank, CHECK_COMBINATIONS))
-        a = draws[0] + 1j * draws[1]
-        placed = np.zeros((group.size, 2 * CHECK_COMBINATIONS), dtype=complex)
-        placed[support, :CHECK_COMBINATIONS] = a
-        placed[support, CHECK_COMBINATIONS:] = a * (group.haar_weight * F[support])[:, None]
-        both = _transform(group, placed)
-        v, image = both[:, :CHECK_COMBINATIONS], both[:, CHECK_COMBINATIONS:]
-    gap = checked_finite("form applied to the support characters",
-                         lambda: apply_hermitian_form(phi, v) - image)
+    # the image's RMS size, <= lam_max ||a||.
+    draws = np.random.default_rng(0).standard_normal((2, rank, CHECK_COMBINATIONS))
+    a = draws[0] + 1j * draws[1]
+    placed = np.zeros((group.size, 2 * CHECK_COMBINATIONS), dtype=complex)
+    placed[support, :CHECK_COMBINATIONS] = a
+    placed[support, CHECK_COMBINATIONS:] = a * (group.haar_weight * F[support])[:, None]
+    both = _transform(group, placed)
+    gap = checked_finite("form applied to the support characters", lambda: (
+        apply_hermitian_form(phi, both[:, :CHECK_COMBINATIONS]) - both[:, CHECK_COMBINATIONS:]))
     residual = 0.0 if rank == 0 else float(np.max(
         np.linalg.norm(gap / lam_max, axis=0)
         / (np.sqrt(group.size) * np.linalg.norm(a, axis=0))))

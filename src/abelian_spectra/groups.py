@@ -191,19 +191,19 @@ class Group:
         self._check_coords(g.coords, "element")
         self._check_coords(chi.coords, "character")
         L = self._lcm
-        return complex(_roots(sum(x * y * (L // n) for x, y, n in
-                                  zip(g.coords, chi.coords, self.orders)) % L, L))
+        return complex(np.exp((2j * np.pi / L) * (sum(x * y * (L // n) for x, y, n in
+                                                      zip(g.coords, chi.coords, self.orders)) % L)))
 
     def pairing_at(self, rows, cols) -> np.ndarray:
         """The block T[rows][:, cols] of the pairing table T[i, j] = <g_i|chi_j>
         for index arrays ``rows`` and ``cols``, from the coordinates of those
         indices alone.  The phase is accumulated with exact integer arithmetic
-        over the common denominator lcm(orders) and mapped by ``_roots``, as
+        over the common denominator lcm(orders) and mapped by the same exp as
         in ``pairing``, so equal phases give bit-equal entries and the table
         is exactly symmetric."""
         left, right = self.coords_at(rows), self.coords_at(cols)
         L = self._lcm
-        return _roots((left * (L // self._orders_arr)) @ right.T % L, L)
+        return np.exp((2j * np.pi / L) * ((left * (L // self._orders_arr)) @ right.T % L))
 
     def pairing_block(self, start: int, stop: int) -> np.ndarray:
         """Rows [start, stop) of the pairing table."""
@@ -235,11 +235,6 @@ class Group:
         for k, n in enumerate(self.orders):
             out += ((coords[:, k, None] - coords[None, :, k]) % n) * self._strides[k]
         return out
-
-
-def _roots(phases, L: int):
-    """exp(2 pi i phases / L) for an int or an array of integer phases."""
-    return np.exp((2j * np.pi / L) * phases)
 
 
 def make_group(orders: Sequence[int], size_cap: int = DEFAULT_SIZE_CAP) -> Group:

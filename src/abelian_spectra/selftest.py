@@ -35,7 +35,7 @@ from .fileio import (
     representation_to_payload,
 )
 from .gns import gns_algebra_action, gns_construct, reconstruct_phi
-from .groups import Character, Element, Group
+from .groups import Element, Group
 from .representations import (
     ProjectionValuedMeasure,
     UnitaryRep,
@@ -273,7 +273,7 @@ def _prop_pairing_homomorphism(rng, cfg):
         for _ in range(10):
             g = Element(group.coords_at([int(rng.integers(0, group.size))])[0])
             h = Element(group.coords_at([int(rng.integers(0, group.size))])[0])
-            chi = Character(group.coords_at([int(rng.integers(0, group.size))])[0])
+            chi = group.characters_at([int(rng.integers(0, group.size))])[0]
             prod = group.pairing(group.op(g, h), chi)
             split = group.pairing(g, chi) * group.pairing(h, chi)
             r = max(abs(prod - split), abs(abs(prod) - 1.0))
@@ -304,7 +304,7 @@ def _prop_element_order(rng, cfg):
             for _ in range(n):
                 acc = group.op(acc, g)
             r = 0.0 if acc == group.identity else 1.0
-            chi = Character(group.coords_at([int(rng.integers(0, group.size))])[0])
+            chi = group.characters_at([int(rng.integers(0, group.size))])[0]
             r = max(r, abs(group.pairing(g, chi) ** n - 1.0))
             yield r, dict(orders=list(group.orders), g=list(g.coords))
 
