@@ -2,7 +2,7 @@
 
     python3 bench/ladder.py [--parent REV] [--output BENCH_0.json]
 
-Run from the root of a checkout.  Times six layers on a ladder of group
+Run from the root of a checkout.  Times seven layers on a ladder of group
 orders |G| in {256, 4096, 65536}:
 
 - ``fileio.parse_complex_array`` on |G| ``[re, im]`` pairs, as ``json``
@@ -24,6 +24,11 @@ orders |G| in {256, 4096, 65536}:
   the fixed cost of each call sets the time: (3,) d1, (4, 4) d4 and
   (2,)^8 d32 with multiplicity 4 (``SMALL_MEASURES``; these rows carry
   their ``multiplicity``);
+- ``rigging.build_decomposition`` and ``rigging.intertwiner`` together, off
+  the ladder, on one planted layer of rank r (the one cyclic component of a
+  planted representation of dimension r, with random amplitudes on its
+  support) for each of ``RIG_LAYERS``: (65536,) at r in {64, 202} and
+  (2,)^16 at r = 64; these rows carry r as their ``dim``;
 - ``cli.main``, one in-process ``gns`` request on a planted rank-r phi
   file on the shape (n,) and one on the full-rank point mass on (2,)^log2 n,
   and one ``decompose`` and one ``rig`` request on a planted
@@ -74,6 +79,7 @@ RIG_RANK = 8
 RIG_DIM, RIG_MULTIPLICITY = 8, 4
 DIMS = (8, 64)
 SMALL_MEASURES = (((3,), 1, 1), ((4, 4), 4, 1), ((2,) * 8, 32, 4))  # (orders, d, multiplicity)
+RIG_LAYERS = (((65536,), 64), ((65536,), 202), ((2,) * 16, 64))  # (orders, r)
 SELFTEST_SIZES = ((4, 2), (64, 16))
 REPEATS = 5
 ROUNDS = 3
@@ -107,7 +113,8 @@ def measure() -> list[dict]:
     import numpy as np
     from abelian_spectra import (DualFunction, GroupFunction, build_decomposition, cli,
                                  cyclic_decomposition, delta, diagonalize, gns_construct,
-                                 make_group, make_representation, spectral_measure)
+                                 intertwiner, make_group, make_representation,
+                                 phi_from_cyclic, spectral_measure)
     from abelian_spectra.algebra import _transform
     from abelian_spectra.fileio import (dump_json, function_to_payload, parse_complex_array,
                                         representation_to_payload)
@@ -218,6 +225,19 @@ def measure() -> list[dict]:
         for n, d in SELFTEST_SIZES:
             cases.append(request_case(["selftest", "--max-group-size", str(n), "--max-dim",
                                        str(d), "--output", out], f"{n}-d{d}", n, dim=d))
+    rng = np.random.default_rng(4)
+    for orders, r in RIG_LAYERS:
+        group = make_group(orders, size_cap=math.prod(orders))
+        generators, _ = planted_representation(rng, orders, r, 1)
+        (model,) = layers(spectral_measure(make_representation(group, generators)))
+        vals = np.zeros(group.size, dtype=complex)
+        vals[model.columns] = rng.uniform(0.5, 2.0, r) * np.exp(2j * np.pi * rng.random(r))
+        xi = DualFunction(group, vals)
+        space = gns_construct(phi_from_cyclic(model, xi))
+        cases.append({"layer": "rigging.build_decomposition+intertwiner",
+                      "shape": case_name(orders), "size": group.size, "columns": None,
+                      "dim": r, **timed(lambda: (build_decomposition(space, xi),
+                                                 intertwiner(space, model, xi)))})
     return cases
 
 

@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", metavar="PATH",
                         help="write the JSON payload to this file")
         sp.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized checks (default 0)")
+                        help="seed of rig's inner-product identity checks and of "
+                             "selftest; gns and decompose only echo it (default 0)")
         sp.add_argument("--tol", type=float, default=None,
                         help=f"pass/fail residual threshold (default {DEFAULT_TOL:g}; "
                              f"env {TOL_ENV_VAR} overrides)")

@@ -193,9 +193,6 @@ class ProjectionValuedMeasure:
         return self.projections[hit.argmax()] if hit.any() else np.zeros(
             (self.rep.dim, self.rep.dim), dtype=complex)
 
-    def multiplicity(self, chi: Character) -> int:
-        return int(self.multiplicities @ (self.indices == self.group.character_index(chi)))
-
 
 def _blocks(count: int, d: int):
     """Slices covering range(count), each of at most BLOCK_BYTES of d x d matrices."""

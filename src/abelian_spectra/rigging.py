@@ -142,40 +142,36 @@ def phi_from_cyclic(model: CyclicComponent, xi: DualFunction) -> GroupFunction:
         group, _transform(group, moduli ** 2, inverse=True)))
 
 
-def _eigenvector_coords(space: GNSSpace, columns: np.ndarray) -> np.ndarray:
-    """Unit quotient coordinates of the eigenvectors, one row per character
-    at the enumeration indices ``columns``.  By character orthogonality,
-    Q^dagger applied to the inverse character of chi is sqrt(|G|/lambda_t)
-    e_t when chi is the t-th quotient support character, and 0 when chi is
-    off that support, which InconsistencyError names: each row is the unit
-    vector e_t, and the rows of a matching support form a permutation."""
+def _eigenvector_slots(space: GNSSpace, columns: np.ndarray) -> np.ndarray:
+    """Quotient slot of each character at the enumeration indices ``columns``.
+    By character orthogonality, Q^dagger applied to the inverse character of
+    chi is sqrt(|G|/lambda_t) e_t when chi is the t-th quotient support
+    character, and 0 when chi is off that support, which InconsistencyError
+    names: the eigenvector of chi has the unit coordinates e_t, t its slot.
+    Distinct characters get distinct slots, so r of them fill all r."""
     position = np.full(space.group.size, -1)
     position[space.support] = np.arange(space.rank)
     slots = position[columns]
     if (slots < 0).any():
         off = list(map(tuple, space.group.coords_at(columns[slots < 0]).tolist()))
         raise InconsistencyError(f"characters {off} have no component in the quotient")
-    return np.eye(space.rank, dtype=complex)[slots]
+    return slots
 
 
-# One formula per operator relation, over rows m of element data: C stacks
-# the eigenvector coordinates as rows, P[m, k] = <g_m|chi_k>, and D[m] is the
-# diagonal of pi(g_m) in quotient coordinates.  Production takes the rows at
-# the identity and the binary powers and bounds the gap by ``certified_gap``.
+# The quotient side in closed form: pi(g) is diag(D[g]) in quotient
+# coordinates, D[g, t] = <g|t-th quotient support character>, and the
+# eigenvector of chi_k is e_t at its slot t = slot_k.  With C the identity's
+# rows at the slots, every operator relation below reduces to the diagonal
+# of phases P[g, k] - D[g, slot_k], P[g, k] = <g|chi_k>: both sides multiply
+# unimodular phases, so a gap at g is at most the sum of the gaps at its
+# binary digits and ``certified_gap`` bounds it over G with no defects, from
+# the (L+1) x r table of |P - D[:, slots]| at the identity and the binary
+# powers.  ``reconstruct_operator`` and ``eigen_residual`` keep the dense
+# formulas on ``coords`` for one element, as references.
 
-def _resolve(C: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """C^T diag(P[m]) conj(C) = sum_k P[m, k] |c_k><c_k| for every m."""
-    return (C.T * P[:, None, :]) @ C.conj()
-
-
-def _reconstruction_gaps(C: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """|| C^T diag(P[m]) conj(C) - diag(D[m]) ||_F for every m."""
-    return np.linalg.norm(_resolve(C, P) - D[:, :, None] * np.eye(D.shape[1]), axis=(1, 2))
-
-
-def _eigen_gaps(C: np.ndarray, P: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """|| pi(g_m)^dagger c_k - conj(P[m, k]) c_k || = || (conj D[m] - conj P[m, k]) c_k ||."""
-    return np.linalg.norm((D.conj()[:, None, :] - P.conj()[:, :, None]) * C, axis=2)
+def _slot_gaps(space: GNSSpace, rows: np.ndarray, P: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """|P[m, k] - D[m, slot_k]| for the element indices ``rows``."""
+    return np.abs(P - space.group.pairing_at(rows, space.support[slots]))
 
 
 def build_decomposition(space: GNSSpace, xi: DualFunction, *,
@@ -187,12 +183,10 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
     must equal the quotient rank (InconsistencyError otherwise).  The
     inner-product identity <f|h>_phi = sum_chi conj(F(chi^{-1})) H(chi^{-1})
     |xi(chi)|^2 is verified on random pairs within a relative ``tol``.  The
-    operator reconstruction and the eigenvalue equation are certified over
-    G by ``certified_gap`` in O(L r^2).  R(g) = C^T diag(P[g]) conj(C) has
-    R(g + h) - R(g) R(h) = C^T diag(P[g]) (conj(C) C^T - I) diag(P[h]) conj(C)
-    and ||R(h)|| <= ||C||^2 <= 1 + u_C for u_C = || C^dagger C - I ||, so its
-    defects are L (2 + u_C) u_C; the eigenvalue gap is subadditive over the
-    digits of g (both sides multiply unimodular phases), so it has none.
+    operator reconstruction || C^T diag(P[g]) conj(C) - diag(D[g]) ||_F and
+    the eigenvalue equation max_k || (conj D[g] - conj P[g, k]) c_k || are,
+    on the slot map, the 2-norm and the maximum of the phase gaps at g; both
+    are certified over G by ``certified_gap`` in O(L r).
     """
     group = space.group
     if xi.group != group:
@@ -203,8 +197,7 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
             f"cyclic amplitude is supported on {len(keep)} characters but the "
             f"quotient rank is {space.rank}")
 
-    C = _eigenvector_coords(space, keep)
-    C.setflags(write=False)
+    slots = _eigenvector_slots(space, keep)
     amps = xi.values[keep]
     weights = np.hypot(amps.real, amps.imag)  # bit-equal to abs(complex); np.abs is not
 
@@ -216,15 +209,14 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
             "the quotient space does not match the cyclic amplitude")
 
     rows = binary_power_indices(group)
-    P, D = group.pairing_at(rows, keep), group.pairing_at(rows, space.support)
-    u_C = float(np.linalg.norm(C.conj().T @ C - np.eye(space.rank)))
+    gaps = _slot_gaps(space, rows, group.pairing_at(rows, keep), slots)
+    C = np.eye(space.rank, dtype=complex)[slots]
+    C.setflags(write=False)
     return SpectralDecomposition(
         group=group, columns=keep, weights=weights, coords=C,
         identity_residual=residual,
-        reconstruction_residual=certified_gap(
-            _reconstruction_gaps(C, P, D), (len(rows) - 1) * (2 + u_C) * u_C, space.rank),
-        eigen_equation_residual=certified_gap(
-            _eigen_gaps(C, P, D).max(axis=1, initial=0.0), 0.0, space.rank),
+        reconstruction_residual=certified_gap(np.linalg.norm(gaps, axis=1), 0.0, space.rank),
+        eigen_equation_residual=certified_gap(gaps.max(axis=1, initial=0.0), 0.0, space.rank),
     )
 
 
@@ -259,8 +251,9 @@ def reconstruct_operator(decomp: SpectralDecomposition, space: GNSSpace,
     Returns sum_chi <g|chi> |F_chi><F_chi| nu(chi) in quotient
     coordinates; equals the quotient image of g.
     """
-    group = space.group
-    return _resolve(decomp.coords, group.pairing_at([group.element_index(g)], decomp.columns))[0]
+    group, C = space.group, decomp.coords
+    P = group.pairing_at([group.element_index(g)], decomp.columns)
+    return ((C.T * P[:, None, :]) @ C.conj())[0]
 
 
 def eigen_residual(decomp: SpectralDecomposition, space: GNSSpace,
@@ -272,9 +265,9 @@ def eigen_residual(decomp: SpectralDecomposition, space: GNSSpace,
     """
     group = space.group
     row = [group.element_index(g)]
-    C = decomp.eigenvector(chi).coords[None]
-    P, D = group.pairing_at(row, [group.character_index(chi)]), group.pairing_at(row, space.support)
-    return float(_eigen_gaps(C, P, D)[0, 0])
+    p = group.pairing_at(row, [group.character_index(chi)])[0, 0]
+    D = group.pairing_at(row, space.support)[0]
+    return float(np.linalg.norm((D.conj() - p.conj()) * decomp.eigenvector(chi).coords))
 
 
 @dataclass(frozen=True)
@@ -291,9 +284,10 @@ def intertwiner(space: GNSSpace, model: CyclicComponent,
     """Unitary W with W pi_phi(g) W^dagger = diag(<g|chi>) on the model support.
 
     Rows of W are the eigenvector coordinates, so W maps the class of f to
-    its weighted transform across the support.  The gap Z(g) = W diag(D[g])
-    - diag(T[g]) W, T the model's symbols, has Z(g + h) = Z(g) diag(D[h]) +
-    diag(T[g]) Z(h), so ``certified_gap`` bounds it with no defects.  Raises
+    its weighted transform across the support.  On the slot map, the gap
+    || W diag(D[g]) - diag(T[g]) W ||_F, T the model's symbols, is the
+    2-norm of the phase gaps at g, which ``certified_gap`` bounds over G,
+    and || W^dagger W - I ||_F is || (count of each slot) - 1 ||_2.  Raises
     InconsistencyError on a rank mismatch and NotCyclicError when xi
     vanishes on the support.
     """
@@ -306,11 +300,10 @@ def intertwiner(space: GNSSpace, model: CyclicComponent,
             f"quotient rank is {space.rank}")
     _cyclic_amplitudes(model, xi)
 
-    W = _eigenvector_coords(space, model.columns).conj()
+    slots = _eigenvector_slots(space, model.columns)
     rows = binary_power_indices(group)
-    D, T = group.pairing_at(rows, space.support), model.symbols(rows)
-    gaps = W * D[:, None, :] - T[:, :, None] * W
+    gaps = _slot_gaps(space, rows, model.symbols(rows), slots)
     return IntertwinerResult(
-        matrix=W, unitarity_residual=float(np.linalg.norm(W.conj().T @ W - np.eye(space.rank))),
-        intertwining_residual=certified_gap(
-            np.linalg.norm(gaps, axis=(1, 2)), 0.0, space.rank))
+        matrix=np.eye(space.rank, dtype=complex)[slots].conj(),
+        unitarity_residual=float(np.linalg.norm(np.bincount(slots, minlength=space.rank) - 1)),
+        intertwining_residual=certified_gap(np.linalg.norm(gaps, axis=1), 0.0, space.rank))

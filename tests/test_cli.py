@@ -520,6 +520,23 @@ def test_rig_report_is_byte_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["gns", "decompose"])
+def test_gns_and_decompose_only_echo_the_seed(tmp_path, capsys, command):
+    # gns's construction check draws from a fixed generator and decompose
+    # draws nothing, so --seed changes only its own key
+    spectrum = np.array([[0.5, 1.3], [0.0, 2.0], [0.0, 0.0], [0.7, 0.0]])
+    src = (write_function(tmp_path / "phi.json", (4, 2), np.fft.ifftn(spectrum).ravel())
+           if command == "gns" else planted_rep_file(tmp_path, (4, 2), 4, 2))
+    reports = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"seed{seed}.json"
+        assert cli.main([command, "--input", str(src), "--seed", seed, "--output", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    capsys.readouterr()
+    assert [report.pop("seed") for report in reports] == [0, 7]
+    assert reports[0] == reports[1]
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

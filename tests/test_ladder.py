@@ -1,6 +1,6 @@
 """Smoke test of the scaling ladder: ``bench/ladder.py`` still runs every
 layer against the package as it is, on two small rungs and one call each,
-and its fixed small-d measures and self-test requests."""
+and its fixed small-d measures, rigged layers and self-test requests."""
 
 import importlib.util
 import sys
@@ -24,7 +24,8 @@ def test_ladder_measures_every_layer_and_shape(monkeypatch):
     cases = ladder.measure()
     layers = {"fileio.parse_complex_array", "algebra._transform",
               "rigging.build_decomposition", "representations.spectral_measure",
-              "representations.cyclic_decomposition", "cli.main"}
+              "representations.cyclic_decomposition", "cli.main",
+              "rigging.build_decomposition+intertwiner"}
     assert {case["layer"] for case in cases} == layers
     # the small-d measures carry their multiplicity and sit off the ladder
     small = [case for case in cases if "multiplicity" in case]
@@ -33,8 +34,13 @@ def test_ladder_measures_every_layer_and_shape(monkeypatch):
         ("representations.spectral_measure", "2^8", 256, 32, 4),
         ("representations.spectral_measure", "3", 3, 1, 1),
         ("representations.spectral_measure", "4x4", 16, 4, 1)]
-    rungs = [case for case in cases if "multiplicity" not in case]
-    for layer in layers - {"fileio.parse_complex_array", "cli.main"}:
+    # the rigged layers sit off the ladder at their own sizes, r as their dim
+    rigged = [case for case in cases if case["layer"] == "rigging.build_decomposition+intertwiner"]
+    assert sorted((case["shape"], case["size"], case["dim"]) for case in rigged) == [
+        ("2^16", 65536, 64), ("65536", 65536, 64), ("65536", 65536, 202)]
+    rungs = [case for case in cases if "multiplicity" not in case and case not in rigged]
+    for layer in layers - {"fileio.parse_complex_array", "cli.main",
+                           "rigging.build_decomposition+intertwiner"}:
         for n in (16, 64):
             shapes = {case["shape"] for case in rungs
                       if case["layer"] == layer and case["size"] == n}

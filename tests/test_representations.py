@@ -44,6 +44,14 @@ def sign_rep():
     return make_representation(G, [np.diag([1.0, -1.0]).astype(complex)])
 
 
+def multiplicity_table(pvm):
+    """Every character's multiplicity in enumeration order: ``multiplicities``
+    at ``indices``, 0 elsewhere."""
+    table = np.zeros(pvm.group.size, dtype=int)
+    table[pvm.indices] = pvm.multiplicities
+    return table.tolist()
+
+
 def conjugated_diagonal_rep(group, slot_characters, rng):
     """dim-n rep with known eigenstructure: Q diag(<gen|chi_slot>) Q^dagger."""
     dim = len(slot_characters)
@@ -150,8 +158,7 @@ def test_sign_rep_projections_are_coordinate_projections():
     assert pvm.support == (G.character((0,)), G.character((1,)))
     np.testing.assert_allclose(pvm.projection(G.character((0,))), np.diag([1.0, 0.0]), atol=1e-12)
     np.testing.assert_allclose(pvm.projection(G.character((1,))), np.diag([0.0, 1.0]), atol=1e-12)
-    assert pvm.multiplicity(G.character((0,))) == 1
-    assert pvm.multiplicity(G.character((1,))) == 1
+    assert multiplicity_table(pvm) == [1, 1]
 
 
 def test_regular_rep_projections_on_z2():
@@ -167,7 +174,7 @@ def test_trivial_rep_measure_concentrates_on_the_unit_character():
     G = make_group((4,))
     pvm = spectral_measure(trivial_representation(G, dim=3))
     assert pvm.support == (G.character((0,)),)
-    assert [pvm.multiplicity(chi) for chi in G.characters] == [3, 0, 0, 0]
+    assert multiplicity_table(pvm) == [3, 0, 0, 0]
     np.testing.assert_allclose(pvm.projection(G.character((0,))), np.eye(3), atol=1e-12)
     # off-support characters answer with the zero projection
     np.testing.assert_array_equal(pvm.projection(G.character((2,))), np.zeros((3, 3)))
@@ -227,8 +234,7 @@ def test_measure_matches_independent_eigenstructure(rng):
     slots = [G.character((0,)), G.character((1,)), G.character((1,)), G.character((3,))]
     rep, Q = conjugated_diagonal_rep(G, slots, rng)
     pvm = spectral_measure(rep)
-    assert pvm.multiplicity(G.character((1,))) == 2
-    assert pvm.multiplicity(G.character((2,))) == 0
+    assert multiplicity_table(pvm) == [1, 2, 0, 1]
     for chi in pvm.support:
         mask = np.diag([1.0 if slot == chi else 0.0 for slot in slots])
         np.testing.assert_allclose(pvm.projection(chi), Q @ mask @ Q.conj().T, atol=1e-9)
@@ -255,12 +261,12 @@ def test_measure_matches_dense_character_average(orders, rng):
     dense = np.tensordot(np.conj(G.pairing_table()), rep.operators, axes=(0, 0)) / G.size
     ranks = np.trace(dense, axis1=1, axis2=2).real
     assert pvm.support == tuple(G.characters[i] for i in sorted(picks))
-    assert [pvm.multiplicity(chi) for chi in G.characters] == np.rint(ranks).tolist()
+    assert multiplicity_table(pvm) == np.rint(ranks).tolist()
     for chi, P in zip(G.characters, dense):
         np.testing.assert_allclose(pvm.projection(chi), P, rtol=0, atol=1e-12)
-    for chi in pvm.support:
+    for chi, mult in zip(pvm.support, pvm.multiplicities.tolist()):
         B, P = pvm.range_bases[chi], pvm.projection(chi)
-        assert B.shape == (rep.dim, pvm.multiplicity(chi))
+        assert B.shape == (rep.dim, mult)
         np.testing.assert_allclose(B.conj().T @ B, np.eye(B.shape[1]), rtol=0, atol=1e-12)
         np.testing.assert_allclose(P @ B, B, rtol=0, atol=1e-12)
 

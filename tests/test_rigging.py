@@ -1,5 +1,7 @@
 """Generalized-eigenvector systems over quotient representations."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -449,57 +451,85 @@ CERTIFIED_SHAPES = [((1,), 1, 1), ((1, 4), 2, 1), ((3, 1, 2), 3, 1), ((5,), 3, 1
                     ((2, 2, 2), 4, 2), ((4, 4), 6, 3), ((2,) * 4, 8, 2), ((7, 1), 3, 1)]
 
 
-@pytest.mark.parametrize("perturb", [0.0, 1e-3], ids=["exact", "perturbed"])
+def patch_slots(monkeypatch, change):
+    """Route rigging's slot map through ``change``, which edits a copy in place."""
+    original = rigging._eigenvector_slots
+
+    def slots(space, columns):
+        out = original(space, columns).copy()
+        change(out)
+        return out
+
+    monkeypatch.setattr(rigging, "_eigenvector_slots", slots)
+
+
+def swap_first_two(slots):
+    if len(slots) >= 2:
+        slots[[0, 1]] = slots[[1, 0]]
+
+
+def repeat_first(slots):
+    slots[1] = slots[0]
+
+
+def rig_regular_representation(tmp_path):
+    """Exit code and report of ``rig`` on the regular representation of Z_2 x Z_3."""
+    from abelian_spectra import cli
+    from abelian_spectra.fileio import dump_json, representation_to_payload
+    src, out = tmp_path / "rep.json", tmp_path / "out.json"
+    dump_json(representation_to_payload(regular_representation(make_group((2, 3)))), src)
+    code = cli.main(["rig", "--input", str(src), "--output", str(out)])
+    return code, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["exact", "perturbed"])
 @pytest.mark.parametrize("orders, dim, mult", CERTIFIED_SHAPES)
 def test_certified_residuals_bound_the_per_element_oracles(monkeypatch, rng, orders, dim,
                                                            mult, perturb):
-    # perturbed: coordinates off by 1e-3 in every entry, so they are neither
-    # eigenvectors nor orthonormal and each gap, and C's unitarity defect,
-    # is of that size
-    original = rigging._eigenvector_coords
-    noise = {}
-
-    def coords(space, support):
-        C = original(space, support)
-        E = noise.setdefault(C.shape, rng.normal(size=C.shape) + 1j * rng.normal(size=C.shape))
-        return C + perturb * E
-
-    monkeypatch.setattr(rigging, "_eigenvector_coords", coords)
+    # perturbed: the first two characters swap their quotient slots where
+    # r >= 2, so the coordinates still form a permutation, now a wrong one,
+    # and every relation's gap is of order 1
+    if perturb:
+        patch_slots(monkeypatch, swap_first_two)
     for model, xi, space in planted_components(orders, dim, mult, rng):
         decomp = build_decomposition(space, xi, tol=1.0)
         result = intertwiner(space, model, xi)
-        recon, eig, itw = oracle_maxima(model, space, decomp, result.matrix)
-        assert decomp.reconstruction_residual >= recon
-        assert decomp.eigen_equation_residual >= eig
-        assert result.intertwining_residual >= itw
-        if not perturb:
-            assert max(decomp.reconstruction_residual, decomp.eigen_equation_residual,
-                       result.intertwining_residual, result.unitarity_residual) < 1e-12
-        elif space.group.size > 1:  # on the trivial group only recon sees C
-            assert min(recon, eig, itw) > 1e-5
+        oracles = oracle_maxima(model, space, decomp, result.matrix)
+        certified = (decomp.reconstruction_residual, decomp.eigen_equation_residual,
+                     result.intertwining_residual)
+        assert all(value >= oracle for value, oracle in zip(certified, oracles))
+        assert result.unitarity_residual == 0.0
+        if perturb and space.rank >= 2:
+            assert min(oracles) > 1e-5
+        else:
+            assert max(certified) < 1e-12
 
 
 def test_stored_maxima_see_mixed_eigenvector_coordinates(monkeypatch, tmp_path, capsys, rng):
     model, xi, space, _ = random_multiplicity_free_system(rng)
-    original = rigging._eigenvector_coords
-
-    def mixed(space, support):
-        v = original(space, support).copy()
-        v[:, 0], v[:, 1] = v[:, 0] + 1e-3 * v[:, 1], v[:, 1] - 1e-3 * v[:, 0]
-        return v
-
-    monkeypatch.setattr(rigging, "_eigenvector_coords", mixed)
+    patch_slots(monkeypatch, swap_first_two)
     decomp = build_decomposition(space, xi, tol=1.0)
-    assert decomp.reconstruction_residual > 1e-6
-    assert decomp.eigen_equation_residual > 1e-6
+    result = intertwiner(space, model, xi)
+    certified = (decomp.reconstruction_residual, decomp.eigen_equation_residual,
+                 result.intertwining_residual)
+    for value, oracle in zip(certified, oracle_maxima(model, space, decomp, result.matrix)):
+        assert value >= oracle > 1e-5
     # the CLI reports the breach and exits 4
-    from abelian_spectra import cli
-    from abelian_spectra.fileio import dump_json, representation_to_payload
-    src = tmp_path / "rep.json"
-    dump_json(representation_to_payload(regular_representation(make_group((2, 3)))), src)
-    code = cli.main(["rig", "--input", str(src), "--output", str(tmp_path / "out.json")])
+    code, report = rig_regular_representation(tmp_path)
     assert code == 4
     assert "passed: False" in capsys.readouterr().out
+    assert report["passed"] is False
+
+
+def test_a_repeated_slot_breaks_the_intertwiners_unitarity(monkeypatch, tmp_path, capsys, rng):
+    # W^dagger W = diag(count of each slot): one slot twice and one never
+    model, xi, space, _ = random_multiplicity_free_system(rng)
+    patch_slots(monkeypatch, repeat_first)
+    assert intertwiner(space, model, xi).unitarity_residual == np.sqrt(2)
+    code, report = rig_regular_representation(tmp_path)
+    assert code == 4
+    assert "passed: False" in capsys.readouterr().out
+    assert report["residuals"]["intertwiner_unitarity"] == np.sqrt(2)
 
 
 def test_rig_builds_no_character_table(monkeypatch, tmp_path):
