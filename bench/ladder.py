@@ -24,10 +24,11 @@ orders |G| in {256, 4096, 65536}:
   the fixed cost of each call sets the time: (3,) d1, (4, 4) d4 and
   (2,)^8 d32 with multiplicity 4 (``SMALL_MEASURES``; these rows carry
   their ``multiplicity``);
-- ``rigging.build_decomposition`` and ``rigging.intertwiner`` together, off
-  the ladder, on one planted layer of rank r (the one cyclic component of a
-  planted representation of dimension r, with random amplitudes on its
-  support) for each of ``RIG_LAYERS``: (65536,) at r in {64, 202} and
+- ``rigging.build_decomposition`` and ``rigging.intertwiner``, which
+  reads the decomposition, together, off the ladder, on one planted layer
+  of rank r (the one cyclic component of a planted representation of
+  dimension r, with random amplitudes on its support) for each of
+  ``RIG_LAYERS``: (65536,) at r in {64, 202} and
   (2,)^16 at r = 64; these rows carry r as their ``dim``;
 - ``cli.main``, one in-process ``gns`` request on a planted rank-r phi
   file on the shape (n,) and one on the full-rank point mass on (2,)^log2 n,
@@ -152,6 +153,13 @@ def measure() -> list[dict]:
     def layers(pvm):
         return [diagonalize(comp, *[pvm][:extra]) for comp in cyclic_decomposition(pvm)]
 
+    # older trees rebuild the intertwiner from (space, model, xi)
+    reads_decomp = "decomp" in inspect.signature(intertwiner).parameters
+
+    def rig_layer(space, model, xi):
+        decomp = build_decomposition(space, xi)
+        return intertwiner(decomp, model) if reads_decomp else intertwiner(space, model, xi)
+
     rng = np.random.default_rng(2)
     for n in ORDERS:
         for name, orders in shapes(n).items():
@@ -236,8 +244,7 @@ def measure() -> list[dict]:
         space = gns_construct(phi_from_cyclic(model, xi))
         cases.append({"layer": "rigging.build_decomposition+intertwiner",
                       "shape": case_name(orders), "size": group.size, "columns": None,
-                      "dim": r, **timed(lambda: (build_decomposition(space, xi),
-                                                 intertwiner(space, model, xi)))})
+                      "dim": r, **timed(lambda: rig_layer(space, model, xi))})
     return cases
 
 

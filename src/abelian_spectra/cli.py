@@ -219,6 +219,15 @@ def _report_skeleton(command: str, args: argparse.Namespace, tol: float,
     }
 
 
+def _verdict_lines(residuals: dict, tol: float, passed: bool) -> list[str]:
+    """The summary's verdict, naming each residual above ``tol`` when it failed."""
+    lines = [f"passed: {passed}"]
+    if not passed:
+        lines.append("failed: " + ", ".join(
+            f"{key} {value:.3e}" for key, value in residuals.items() if not value <= tol))
+    return lines
+
+
 def cmd_fourier(args: argparse.Namespace, tol: float):
     f = function_from_payload(_load(args.input), size_cap=_size_cap(args))
     if args.direction == "forward":
@@ -276,11 +285,8 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
         f"support: {len(pvm.indices)} characters, dim {rep.dim}",
         f"components: {len(components)}",
         f"max residual: {max(residuals.values()):.3e}",
-        f"passed: {passed}",
+        *_verdict_lines(residuals, tol, passed),
     ]
-    if not passed:
-        lines.append("failed: " + ", ".join(
-            f"{key} {value:.3e}" for key, value in residuals.items() if not value <= tol))
     return report, lines, EXIT_OK if passed else EXIT_NUMERICAL
 
 
@@ -348,7 +354,7 @@ def cmd_rig(args: argparse.Namespace, tol: float):
             decomp = build_decomposition(
                 space, xi, tol=tol,
                 rng=np.random.default_rng([args.seed, index]))
-            itw = intertwiner(space, comp, xi)
+            itw = intertwiner(decomp, comp)
 
         residuals = {
             "identity": decomp.identity_residual,
@@ -376,7 +382,7 @@ def cmd_rig(args: argparse.Namespace, tol: float):
     lines += [f"component {i}: {len(payload['support'])} eigenvectors, "
               f"max residual {max(payload['residuals'].values()):.3e}"
               for i, payload in enumerate(comp_payloads)]
-    lines.append(f"passed: {passed}")
+    lines += _verdict_lines(worst, tol, passed)
     return report, lines, EXIT_OK if passed else EXIT_NUMERICAL
 
 

@@ -111,15 +111,19 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
     # weight * F, so it maps v = sum_s a_s conj(psi_s), one transform of a
     # placed on the support, to the transform of weight * F * a (both taken
     # in one stacked transform).  The FFT's round-off is O(eps log |G|) of
-    # the image's RMS size, <= lam_max ||a||.
+    # the image's RMS size, <= lam_max ||a||.  Near float max the scaling and
+    # both transforms overflow too, so all of it is one checked stage.
     draws = np.random.default_rng(0).standard_normal((2, rank, CHECK_COMBINATIONS))
     a = draws[0] + 1j * draws[1]
-    placed = np.zeros((group.size, 2 * CHECK_COMBINATIONS), dtype=complex)
-    placed[support, :CHECK_COMBINATIONS] = a
-    placed[support, CHECK_COMBINATIONS:] = a * (group.haar_weight * F[support])[:, None]
-    both = _transform(group, placed)
-    gap = checked_finite("form applied to the support characters", lambda: (
-        apply_hermitian_form(phi, both[:, :CHECK_COMBINATIONS]) - both[:, CHECK_COMBINATIONS:]))
+
+    def form_gap():
+        placed = np.zeros((group.size, 2 * CHECK_COMBINATIONS), dtype=complex)
+        placed[support, :CHECK_COMBINATIONS] = a
+        placed[support, CHECK_COMBINATIONS:] = a * (group.haar_weight * F[support])[:, None]
+        v, image = np.split(_transform(group, placed), 2, axis=1)
+        return apply_hermitian_form(phi, v) - image
+
+    gap = checked_finite("form applied to the support characters", form_gap)
     residual = 0.0 if rank == 0 else float(np.max(
         np.linalg.norm(gap / lam_max, axis=0)
         / (np.sqrt(group.size) * np.linalg.norm(a, axis=0))))

@@ -112,18 +112,6 @@ def _vanishes(amps: np.ndarray) -> np.ndarray:
     return mods <= WEIGHT_FLOOR * mods.max(initial=0.0)
 
 
-def _cyclic_amplitudes(model: CyclicComponent, xi: DualFunction) -> np.ndarray:
-    """xi on the model support; NotCyclicError where it vanishes there."""
-    amps = xi.values[model.columns]
-    vanishes = _vanishes(amps)
-    if vanishes.any():
-        t = int(vanishes.argmax())
-        chi = model.group.characters_at(model.columns[t:t + 1])[0]
-        raise NotCyclicError(f"cyclic amplitude vanishes at support character "
-                             f"{chi.coords} (|xi| = {abs(amps[t]):.3e})")
-    return amps
-
-
 def phi_from_cyclic(model: CyclicComponent, xi: DualFunction) -> GroupFunction:
     """Positive-type function of the cyclic vector xi in a diagonal model.
 
@@ -136,8 +124,14 @@ def phi_from_cyclic(model: CyclicComponent, xi: DualFunction) -> GroupFunction:
     if xi.group != model.group:
         raise GroupMismatchError("cyclic amplitude lives on a different group")
     group = model.group
+    amps = xi.values[model.columns]
+    vanishes = _vanishes(amps)
+    if vanishes.any():
+        t = int(vanishes.argmax())
+        raise NotCyclicError(f"cyclic amplitude vanishes at support character "
+                             f"{model.support[t].coords} (|xi| = {abs(amps[t]):.3e})")
     moduli = np.zeros(group.size)
-    moduli[model.columns] = np.abs(_cyclic_amplitudes(model, xi))
+    moduli[model.columns] = np.abs(amps)
     return checked_finite("phi of the cyclic amplitude", lambda: GroupFunction(
         group, _transform(group, moduli ** 2, inverse=True)))
 
@@ -168,10 +162,6 @@ def _eigenvector_slots(space: GNSSpace, columns: np.ndarray) -> np.ndarray:
 # the (L+1) x r table of |P - D[:, slots]| at the identity and the binary
 # powers.  ``reconstruct_operator`` and ``eigen_residual`` keep the dense
 # formulas on ``coords`` for one element, as references.
-
-def _slot_gaps(space: GNSSpace, rows: np.ndarray, P: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """|P[m, k] - D[m, slot_k]| for the element indices ``rows``."""
-    return np.abs(P - space.group.pairing_at(rows, space.support[slots]))
 
 
 def build_decomposition(space: GNSSpace, xi: DualFunction, *,
@@ -209,7 +199,7 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
             "the quotient space does not match the cyclic amplitude")
 
     rows = binary_power_indices(group)
-    gaps = _slot_gaps(space, rows, group.pairing_at(rows, keep), slots)
+    gaps = np.abs(group.pairing_at(rows, keep) - group.pairing_at(rows, space.support[slots]))
     C = np.eye(space.rank, dtype=complex)[slots]
     C.setflags(write=False)
     return SpectralDecomposition(
@@ -279,31 +269,26 @@ class IntertwinerResult:
     intertwining_residual: float
 
 
-def intertwiner(space: GNSSpace, model: CyclicComponent,
-                xi: DualFunction) -> IntertwinerResult:
+def intertwiner(decomp: SpectralDecomposition, model: CyclicComponent) -> IntertwinerResult:
     """Unitary W with W pi_phi(g) W^dagger = diag(<g|chi>) on the model support.
 
     Rows of W are the eigenvector coordinates, so W maps the class of f to
-    its weighted transform across the support.  On the slot map, the gap
-    || W diag(D[g]) - diag(T[g]) W ||_F, T the model's symbols, is the
-    2-norm of the phase gaps at g, which ``certified_gap`` bounds over G,
-    and || W^dagger W - I ||_F is || (count of each slot) - 1 ||_2.  Raises
-    InconsistencyError on a rank mismatch and NotCyclicError when xi
-    vanishes on the support.
+    its weighted transform across the support: W is ``decomp.coords``, the
+    identity's rows at the slots, real and so equal to its conjugate.  The
+    model's symbols T on the decomposition's support are its pairings P, so
+    || W diag(D[g]) - diag(T[g]) W ||_F has the phase gaps of the operator
+    reconstruction and the same certificate; || W^dagger W - I ||_F is
+    || (column sums of W) - 1 ||_2, the count of each slot less one.  Raises
+    InconsistencyError when the model's support is not the decomposition's.
     """
-    group = space.group
-    if model.group != group or xi.group != group:
-        raise GroupMismatchError("quotient, model, and amplitude must share one group")
-    if len(model.columns) != space.rank:
+    if model.group != decomp.group:
+        raise GroupMismatchError("decomposition and model must share one group")
+    if not np.array_equal(model.columns, decomp.columns):
         raise InconsistencyError(
-            f"diagonal model has {len(model.columns)} support characters but the "
-            f"quotient rank is {space.rank}")
-    _cyclic_amplitudes(model, xi)
-
-    slots = _eigenvector_slots(space, model.columns)
-    rows = binary_power_indices(group)
-    gaps = _slot_gaps(space, rows, model.symbols(rows), slots)
+            f"the diagonal model's {len(model.columns)} support characters are not "
+            f"the {len(decomp.columns)} of the eigenvector system")
+    W = decomp.coords
     return IntertwinerResult(
-        matrix=np.eye(space.rank, dtype=complex)[slots].conj(),
-        unitarity_residual=float(np.linalg.norm(np.bincount(slots, minlength=space.rank) - 1)),
-        intertwining_residual=certified_gap(np.linalg.norm(gaps, axis=1), 0.0, space.rank))
+        matrix=W,
+        unitarity_residual=float(np.linalg.norm(W.sum(axis=0) - 1)),
+        intertwining_residual=decomp.reconstruction_residual)

@@ -700,7 +700,7 @@ def _prop_eigenvalue_equation(rng, cfg):
 def _prop_intertwiner(rng, cfg):
     for _ in range(5):
         rep, model, xi, phi, space, decomp = _rig_setup(rng, cfg)
-        result = intertwiner(space, model, xi)
+        result = intertwiner(decomp, model)
         r = max(result.unitarity_residual, result.intertwining_residual)
         yield r, dict(xi=xi)
 

@@ -249,7 +249,7 @@ def test_criterion_7_eigenvector_systems():
             for chi in decomp.support:
                 worst["eigen"] = max(worst["eigen"],
                                      eigen_residual(decomp, space, g, chi))
-        result = intertwiner(space, model, xi)
+        result = intertwiner(decomp, model)
         worst["unitarity"] = max(worst["unitarity"], result.unitarity_residual)
         worst["intertwining"] = max(worst["intertwining"],
                                     result.intertwining_residual)

@@ -413,7 +413,7 @@ def per_layer_entries(src, seed=0):
         space = gns_construct(phi_from_cyclic(model, xi))
         decomp = build_decomposition(space, xi, tol=cli.DEFAULT_TOL,
                                      rng=np.random.default_rng([seed, index]))
-        itw = rigging.intertwiner(space, model, xi)
+        itw = rigging.intertwiner(decomp, model)
         entries.append({
             "support": G.coords_at(decomp.columns).tolist(),
             "weights": decomp.weights.tolist(),
@@ -767,6 +767,25 @@ def test_gns_overflow_in_the_construction_check_exits_4_and_names_it(tmp_path, c
     assert code == 4
     assert "form applied to the support characters is not finite" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("command", ["gns", "rig"])
+def test_overflow_near_float_max_in_the_construction_check_raises_no_warning(
+        tmp_path, capsys, command):
+    # the support characters' scaling by weight * F and their transforms
+    # overflow before the form is applied: a (256,) point mass of 3e307, and
+    # a flat xi of 4.642e152 on a planted d8 representation; pytest turns
+    # any numpy RuntimeWarning into an error
+    if command == "gns":
+        argv = ["gns", "--input", str(write_function(tmp_path / "phi.json", (256,),
+                                                     3e307 * np.eye(256)[0]))]
+    else:
+        xi = write_function(tmp_path / "xi.json", (256,), [4.642e152] * 256, domain="dual")
+        argv = ["rig", "--input", str(planted_rep_file(tmp_path, (256,), 8)), "--xi", str(xi)]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 4
+    assert err == ("error: form applied to the support characters is not finite: "
+                   "it overflowed on finite input\n")
 
 
 def test_gns_catches_a_wrong_transform_value_at_full_rank_65536(tmp_path, capsys, monkeypatch):

@@ -275,8 +275,8 @@ def test_reconstruction_with_uneven_weights(rng):
 
 def test_intertwiner_is_unitary_and_intertwines_on_z2():
     G = make_group((2,))
-    model, _, space, _ = rigged_system(G)
-    result = intertwiner(space, model, ones_amplitude(G))
+    model, _, _, decomp = rigged_system(G)
+    result = intertwiner(decomp, model)
     assert result.unitarity_residual < 1e-12
     assert result.intertwining_residual < 1e-12
     # rows are the support characters' unit coordinates: a permutation, here
@@ -286,8 +286,8 @@ def test_intertwiner_is_unitary_and_intertwines_on_z2():
 
 def test_intertwiner_maps_classes_to_transforms(rng):
     G = make_group((6,))
-    model, _, space, _ = rigged_system(G)
-    result = intertwiner(space, model, ones_amplitude(G))
+    model, _, space, decomp = rigged_system(G)
+    result = intertwiner(decomp, model)
     for _ in range(5):
         f = random_function(G, rng)
         image = result.matrix @ space.class_coordinates(f)
@@ -303,7 +303,7 @@ def test_intertwiner_scalar_case():
     model = diagonalize(cyclic_decomposition(pvm)[0])
     xi = DualFunction(G, np.array([1.0, 0.0, 0.0], dtype=complex))
     space = gns_construct(phi_from_cyclic(model, xi))
-    result = intertwiner(space, model, xi)
+    result = intertwiner(build_decomposition(space, xi), model)
     assert result.matrix.shape == (1, 1)
     assert abs(result.matrix[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -312,17 +312,40 @@ def test_intertwiner_rejects_rank_mismatch():
     G = make_group((3,))
     pvm = spectral_measure(trivial_representation(G, dim=1))
     narrow_model = diagonalize(cyclic_decomposition(pvm)[0])
-    _, _, space, _ = rigged_system(G)  # rank 3
-    with pytest.raises(InconsistencyError):
-        intertwiner(space, narrow_model, ones_amplitude(G))
+    _, _, _, decomp = rigged_system(G)  # rank 3
+    with pytest.raises(InconsistencyError, match="support characters are not"):
+        intertwiner(decomp, narrow_model)
 
 
-def test_intertwiner_rejects_vanishing_amplitude():
-    G = make_group((2,))
-    model, _, space, _ = rigged_system(G)
-    bad = DualFunction(G, np.array([1.0, 0.0], dtype=complex))
-    with pytest.raises(NotCyclicError):
-        intertwiner(space, model, bad)
+def test_intertwiner_rejects_a_model_on_another_support():
+    # as many characters as the eigenvector system, but not the same ones
+    G = make_group((4,))
+
+    def model_on(chars):
+        rep = make_representation(G, [np.diag(np.exp(2j * np.pi * np.array(chars) / 4))])
+        return diagonalize(cyclic_decomposition(spectral_measure(rep))[0])
+
+    model = model_on([0, 1])
+    xi = DualFunction(G, np.isin(np.arange(4), [0, 1]).astype(complex))
+    decomp = build_decomposition(gns_construct(phi_from_cyclic(model, xi)), xi)
+    assert intertwiner(decomp, model).unitarity_residual == 0.0
+    with pytest.raises(InconsistencyError, match="support characters are not"):
+        intertwiner(decomp, model_on([0, 2]))
+
+
+def test_intertwiner_reads_no_pairing(monkeypatch, rng):
+    # the intertwiner is read off the decomposition: no slot lookup, no
+    # pairing block and no gap table of its own
+    for model, xi, space in planted_components((4, 4), 6, 3, rng):
+        decomp = build_decomposition(space, xi)
+        calls = []
+        with monkeypatch.context() as patch:
+            for owner, name in ((Group, "pairing_at"), (rigging, "_eigenvector_slots")):
+                patch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+            result = intertwiner(decomp, model)
+        assert calls == []
+        assert result.matrix is decomp.coords
+        assert result.intertwining_residual == decomp.reconstruction_residual
 
 
 def test_a_character_off_the_quotient_support_is_named():
@@ -332,20 +355,16 @@ def test_a_character_off_the_quotient_support_is_named():
     spectrum = np.zeros(16, dtype=complex)
     spectrum[[1, 3, 5]] = 1.0
     space = gns_construct(inverse_fourier(DualFunction(G, spectrum)))
-    rep = make_representation(G, [np.diag(np.exp(2j * np.pi * np.array([1, 3, 6]) / 16))])
-    pvm = spectral_measure(rep)
-    model = diagonalize(cyclic_decomposition(pvm)[0])
     xi = DualFunction(G, np.isin(np.arange(16), [1, 3, 6]).astype(complex))
-    for build in (intertwiner, lambda space, _, xi: build_decomposition(space, xi)):
-        with pytest.raises(InconsistencyError, match=r"characters \[\(6,\)\] have no component"):
-            build(space, model, xi)
+    with pytest.raises(InconsistencyError, match=r"characters \[\(6,\)\] have no component"):
+        build_decomposition(space, xi)
 
 
 def test_intertwiner_rejects_mixed_groups():
     G = make_group((2,))
-    model, _, space, _ = rigged_system(G)
+    _, _, _, decomp = rigged_system(G)
     with pytest.raises(GroupMismatchError):
-        intertwiner(space, model, ones_amplitude(make_group((3,))))
+        intertwiner(decomp, regular_model(make_group((3,))))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +384,7 @@ def test_full_pipeline_residuals(orders, rng):
             reconstruct_operator(decomp, space, g), space.operator(g), atol=1e-9)
         for chi in decomp.support:
             assert eigen_residual(decomp, space, g, chi) < 1e-9
-    result = intertwiner(space, model, xi)
+    result = intertwiner(decomp, model)
     assert result.unitarity_residual < 1e-9
     assert result.intertwining_residual < 1e-9
 
@@ -380,7 +399,7 @@ def test_pipeline_respects_the_haar_weight(rng):
     for g in G.elements:
         np.testing.assert_allclose(
             reconstruct_operator(decomp, space, g), space.operator(g), atol=1e-10)
-    result = intertwiner(space, model, xi)
+    result = intertwiner(decomp, model)
     assert result.unitarity_residual < 1e-10
     assert result.intertwining_residual < 1e-10
 
@@ -493,7 +512,7 @@ def test_certified_residuals_bound_the_per_element_oracles(monkeypatch, rng, ord
         patch_slots(monkeypatch, swap_first_two)
     for model, xi, space in planted_components(orders, dim, mult, rng):
         decomp = build_decomposition(space, xi, tol=1.0)
-        result = intertwiner(space, model, xi)
+        result = intertwiner(decomp, model)
         oracles = oracle_maxima(model, space, decomp, result.matrix)
         certified = (decomp.reconstruction_residual, decomp.eigen_equation_residual,
                      result.intertwining_residual)
@@ -509,7 +528,7 @@ def test_stored_maxima_see_mixed_eigenvector_coordinates(monkeypatch, tmp_path, 
     model, xi, space, _ = random_multiplicity_free_system(rng)
     patch_slots(monkeypatch, swap_first_two)
     decomp = build_decomposition(space, xi, tol=1.0)
-    result = intertwiner(space, model, xi)
+    result = intertwiner(decomp, model)
     certified = (decomp.reconstruction_residual, decomp.eigen_equation_residual,
                  result.intertwining_residual)
     for value, oracle in zip(certified, oracle_maxima(model, space, decomp, result.matrix)):
@@ -517,7 +536,10 @@ def test_stored_maxima_see_mixed_eigenvector_coordinates(monkeypatch, tmp_path, 
     # the CLI reports the breach and exits 4
     code, report = rig_regular_representation(tmp_path)
     assert code == 4
-    assert "passed: False" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert "passed: False" in out
+    failed = [item.split()[0] for item in out[-1].removeprefix("failed: ").split(", ")]
+    assert failed == ["reconstruction", "eigen_equation", "intertwiner"]
     assert report["passed"] is False
 
 
@@ -525,10 +547,12 @@ def test_a_repeated_slot_breaks_the_intertwiners_unitarity(monkeypatch, tmp_path
     # W^dagger W = diag(count of each slot): one slot twice and one never
     model, xi, space, _ = random_multiplicity_free_system(rng)
     patch_slots(monkeypatch, repeat_first)
-    assert intertwiner(space, model, xi).unitarity_residual == np.sqrt(2)
+    assert intertwiner(build_decomposition(space, xi), model).unitarity_residual == np.sqrt(2)
     code, report = rig_regular_representation(tmp_path)
     assert code == 4
-    assert "passed: False" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert "passed: False" in out
+    assert out[-1].startswith("failed: ") and "intertwiner_unitarity 1.414e+00" in out[-1]
     assert report["residuals"]["intertwiner_unitarity"] == np.sqrt(2)
 
 
