@@ -24,12 +24,12 @@ orders |G| in {256, 4096, 65536}:
   the fixed cost of each call sets the time: (3,) d1, (4, 4) d4 and
   (2,)^8 d32 with multiplicity 4 (``SMALL_MEASURES``; these rows carry
   their ``multiplicity``);
-- ``rigging.build_decomposition`` and ``rigging.intertwiner``, which
-  reads the decomposition, together, off the ladder, on one planted layer
-  of rank r (the one cyclic component of a planted representation of
-  dimension r, with random amplitudes on its support) for each of
-  ``RIG_LAYERS``: (65536,) at r in {64, 202} and
-  (2,)^16 at r = 64; these rows carry r as their ``dim``;
+- ``rigging.build_decomposition`` followed by ``rigging.intertwiner`` on
+  its result, off the ladder, on one planted layer of rank r (the one
+  cyclic component of a planted representation of dimension r, with
+  random amplitudes on its support) for each of ``RIG_LAYERS``: (65536,)
+  at r in {64, 202} and (2,)^16 at r = 64; these rows carry r as their
+  ``dim``;
 - ``cli.main``, one in-process ``gns`` request on a planted rank-r phi
   file on the shape (n,) and one on the full-rank point mass on (2,)^log2 n,
   and one ``decompose`` and one ``rig`` request on a planted

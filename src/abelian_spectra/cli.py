@@ -219,13 +219,10 @@ def _report_skeleton(command: str, args: argparse.Namespace, tol: float,
     }
 
 
-def _verdict_lines(residuals: dict, tol: float, passed: bool) -> list[str]:
+def _verdict_lines(residuals: dict, tol: float) -> list[str]:
     """The summary's verdict, naming each residual above ``tol`` when it failed."""
-    lines = [f"passed: {passed}"]
-    if not passed:
-        lines.append("failed: " + ", ".join(
-            f"{key} {value:.3e}" for key, value in residuals.items() if not value <= tol))
-    return lines
+    failed = [f"{key} {value:.3e}" for key, value in residuals.items() if not value <= tol]
+    return [f"passed: {not failed}"] + (["failed: " + ", ".join(failed)] if failed else [])
 
 
 def cmd_fourier(args: argparse.Namespace, tol: float):
@@ -285,7 +282,7 @@ def cmd_decompose(args: argparse.Namespace, tol: float):
         f"support: {len(pvm.indices)} characters, dim {rep.dim}",
         f"components: {len(components)}",
         f"max residual: {max(residuals.values()):.3e}",
-        *_verdict_lines(residuals, tol, passed),
+        *_verdict_lines(residuals, tol),
     ]
     return report, lines, EXIT_OK if passed else EXIT_NUMERICAL
 
@@ -382,7 +379,7 @@ def cmd_rig(args: argparse.Namespace, tol: float):
     lines += [f"component {i}: {len(payload['support'])} eigenvectors, "
               f"max residual {max(payload['residuals'].values()):.3e}"
               for i, payload in enumerate(comp_payloads)]
-    lines += _verdict_lines(worst, tol, passed)
+    lines += _verdict_lines(worst, tol)
     return report, lines, EXIT_OK if passed else EXIT_NUMERICAL
 
 
