@@ -281,6 +281,16 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
+def extract(rev: str, directory: Path) -> str:
+    """Extract revision ``rev``'s ``src/`` into ``directory`` with ``git archive``;
+    return its full SHA."""
+    sha = git("rev-parse", rev)
+    archive = subprocess.run(["git", "archive", sha, "src"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(directory)], input=archive, check=True)
+    return sha
+
+
 def measure_round(tree: Path) -> list[dict]:
     """Every case once, measured in a child interpreter on ``tree``'s ``src/``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
@@ -316,11 +326,7 @@ def main(argv=None) -> int:
     trees = {}
     with tempfile.TemporaryDirectory() as tmp:
         if args.parent:
-            sha = git("rev-parse", args.parent)
-            archive = subprocess.run(["git", "archive", sha, "src"], cwd=ROOT,
-                                     capture_output=True, check=True).stdout
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-            trees["parent"] = (Path(tmp), sha)
+            trees["parent"] = (Path(tmp), extract(args.parent, Path(tmp)))
         dirty = bool(git("status", "--porcelain", "--untracked-files=no", "src"))
         trees["change"] = (ROOT, git("rev-parse", "HEAD") + ("+dirty" if dirty else ""))
         rounds: dict[str, list] = {label: [] for label in trees}

@@ -53,7 +53,7 @@ from .representations import (
     relation_certificate,
     spectral_measure,
 )
-from .rigging import build_decomposition, intertwiner, phi_from_cyclic
+from .rigging import build_decomposition, identity_chunk, intertwiner, quotient_from_cyclic
 from .selftest import SelftestConfig, run_selftest
 
 DEFAULT_TOL = 1e-9
@@ -61,17 +61,15 @@ DEFAULT_TOL = 1e-9
 # and selftest exit 2 first when their estimated peak is over it, and every
 # command refuses an input file over 3/128 of it (6 MiB) before parsing it.
 OPERATOR_STACK_BUDGET = 256 * 2**20
-# (STACKS, PER_ENTRY, PER_ELEMENT), tracemalloc peaks rounded up.  A "stack"
-# is 16 dim^2 (min(dim, |G|) + 10 k) bytes for decompose and rig, k the
-# number of factors: the binary powers and the certificate's chunks, and the
-# k dim^2 parsed generator entries at about 155 bytes each; nothing is
-# n_j-sized (fitted on fresh interpreters after one tiny request).  It is
-# 16 N max(N, dim^2) for selftest.  Then bytes per dim x dim entry (range
-# bases, kets and isometries) and per group element (decompose's
-# multiplicity list; rig's phi and quotient, and its identity check, which
-# draws 8 x 4 x |G| floats), plus PEAK_BASE; tests/test_budget.py checks
-# every term.
-PEAK_MODEL = {"decompose": (1, 256, 128), "rig": (1, 256, 1792), "selftest": (6, 256, 0)}
+# (STACKS, PER_ENTRY, PER_ELEMENT, PER_PAIR), tracemalloc peaks rounded up.
+# A "stack" is 16 dim^2 (min(dim, |G|) + 10 k) bytes for decompose and rig,
+# k the number of factors: the binary powers and the certificate's chunks,
+# and the k dim^2 parsed generator entries at about 155 bytes each; nothing
+# is n_j-sized.  It is 16 N max(N, dim^2) for selftest.  Then bytes per
+# dim x dim entry (range bases, kets, isometries), per group element (the
+# multiplicity list; phi, quotient and coordinate table) and per element and
+# pair of rig's identity-check chunk, plus PEAK_BASE; see tests/test_budget.py.
+PEAK_MODEL = {"decompose": (1, 256, 128, 0), "rig": (1, 256, 384, 128), "selftest": (6, 256, 0, 0)}
 PEAK_BASE = 2**20
 TOL_ENV_VAR = "ABELIAN_SPECTRA_TOL"
 
@@ -178,13 +176,12 @@ def _check_seed(args: argparse.Namespace) -> None:
 def peak_estimate(command: str, orders: Sequence[int], dim: int) -> int:
     """PEAK_MODEL's bytes for ``command`` on the group with factor orders
     ``orders`` and dimension ``dim`` (for selftest, the largest it draws)."""
-    stacks, per_entry, per_element = PEAK_MODEL[command]
+    stacks, per_entry, per_element, per_pair = PEAK_MODEL[command]
     size = math.prod(orders)
-    if command == "selftest":
-        stack = 16 * size * max(size, dim ** 2)
-    else:
-        stack = 16 * dim ** 2 * (min(dim, size) + 10 * len(orders))
-    return int(stacks * stack) + per_entry * dim ** 2 + per_element * size + PEAK_BASE
+    stack = (16 * size * max(size, dim ** 2) if command == "selftest"
+             else 16 * dim ** 2 * (min(dim, size) + 10 * len(orders)))
+    return (int(stacks * stack) + per_entry * dim ** 2 + PEAK_BASE
+            + (per_element + per_pair * identity_chunk(size)) * size)
 
 
 def _check_budget(command: str, orders: Sequence[int], dim: int) -> None:
@@ -335,38 +332,27 @@ def cmd_rig(args: argparse.Namespace, tol: float):
 
     pvm = spectral_measure(rep)
     components = [diagonalize(comp) for comp in cyclic_decomposition(pvm)]
-    comp_payloads = []
-    worst = dict.fromkeys(("identity", "reconstruction", "eigen_equation",
-                           "intertwiner_unitarity", "intertwiner"), 0.0)
-    decomp = None
+    comp_payloads, decomp = [], None
     for index, comp in enumerate(components):
-        # A layer's rigging depends only on its support and xi there.  Layer i
-        # holds the characters of multiplicity >= i, so equal supports are
-        # consecutive: a layer on the previous layer's support reuses its results.
+        # A layer's rigging depends only on its support and xi there, and layer i
+        # holds the characters of multiplicity >= i: a repeated support repeats.
         if decomp is None or not np.array_equal(comp.columns, decomp.columns):
             vals = np.zeros(group.size, dtype=complex)
             vals[comp.columns] = xi_global.values[comp.columns] if xi_global is not None else 1.0
             xi = DualFunction(group, vals)
-            space = gns_construct(phi_from_cyclic(comp, xi))
-            decomp = build_decomposition(
-                space, xi, tol=tol,
-                rng=np.random.default_rng([args.seed, index]))
+            decomp = build_decomposition(quotient_from_cyclic(comp, xi), xi, tol=tol,
+                                         rng=np.random.default_rng([args.seed, index]))
             itw = intertwiner(decomp, comp)
-
-        residuals = {
-            "identity": decomp.identity_residual,
-            "reconstruction": decomp.reconstruction_residual,
-            "eigen_equation": decomp.eigen_equation_residual,
-            "intertwiner_unitarity": itw.unitarity_residual,
-            "intertwiner": itw.intertwining_residual,
-        }
-        for key, value in residuals.items():
-            worst[key] = max(worst[key], value)
-        comp_payloads.append({
-            "support": group.coords_at(decomp.columns).tolist(),
-            "weights": decomp.weights.tolist(),
-            "residuals": residuals,
-        })
+            payload = {"support": group.coords_at(decomp.columns).tolist(),
+                       "weights": decomp.weights.tolist(),
+                       "residuals": {"identity": decomp.identity_residual,
+                                     "reconstruction": decomp.reconstruction_residual,
+                                     "eigen_equation": decomp.eigen_equation_residual,
+                                     "intertwiner_unitarity": itw.unitarity_residual,
+                                     "intertwiner": itw.intertwining_residual}}
+        comp_payloads.append(payload)
+    worst = {key: max(entry["residuals"][key] for entry in comp_payloads)
+             for key in payload["residuals"]}
 
     passed = all(v <= tol for v in worst.values())
     results = {"components": comp_payloads}

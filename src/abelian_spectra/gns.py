@@ -7,11 +7,11 @@ quotient by the form's null space is therefore spanned by the characters
 in the support of F, each scaled to unit form norm.  Left translation by
 g acts on it diagonally through the pairing <g|psi>, and the class of the
 identity point mass is a cyclic vector whose diagonal matrix coefficient
-recovers phi.  Everything, the positivity verdict (F >= 0) included,
-follows from one transform of phi, checked against the form applied by
-FFT to a few random combinations of the support characters (Freivalds,
-"Probabilistic machines can use less running time", 1977); the dense form
-stays in ``algebra`` as the oracle.
+recovers phi: ``quotient_space`` reads it all off F.  ``gns_construct``
+takes F as one transform of phi with the verdict (F >= 0), checked against
+the form applied by FFT to a few random combinations of the support
+characters (Freivalds, "Probabilistic machines can use less running time",
+1977); ``rigging`` knows F in closed form.  The dense form is the oracle.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ class GNSSpace:
 
     ``eigenvalues`` are the form's eigenvalues weight * Re F over all
     characters, in descending order (ties keep enumeration order); the
-    first ``rank`` of those characters are the support, whose indices
+    first ``rank`` of those are the support, whose character indices
     ``support`` holds.  With ``eta``, the class of the identity point mass,
-    they fix the quotient; ``positivity`` is the report it was admitted on.
-    Every accessor reads the pairing at the support through
-    ``Group.pairing_at`` or one transform.
+    they fix the quotient; ``positivity`` is F's report.  Every accessor
+    reads the pairing at the support (``Group.pairing_at``) or one transform.
     """
 
     group: Group
@@ -78,19 +77,18 @@ class GNSSpace:
 
 
 def gns_construct(phi: GroupFunction) -> GNSSpace:
-    """Build the quotient space of a positive-type function in closed form.
+    """Build the quotient space of a positive-type function from one transform.
 
-    One transform of phi gives the verdict, the eigenvalues, the support and
-    eta in O(|G| log |G|), with no |G| x rank table.  The rank counts the
-    eigenvalues above RANK_TOL relative to the largest.  Raises
-    NumericalDegeneracyError when the transform of phi, or the form applied
-    in the construction check, overflows; PositiveTypeError when the
-    transform is not non-negative; and InconsistencyError when the support
-    characters are not eigenvectors of the form, which only a bug can cause.
+    O(|G| log |G|), with no |G| x rank table.  Raises NumericalDegeneracyError
+    when the transform of phi, or the form applied in the construction check,
+    overflows; PositiveTypeError when the transform is not non-negative; and
+    InconsistencyError when the support characters are not eigenvectors of
+    the form, which only a bug can cause.
     """
     group = phi.group
     F = checked_finite("transform of phi", lambda: fourier(phi)).values
-    report = transform_positivity(F, group.haar_weight)
+    space = quotient_space(phi, F)
+    report, support = space.positivity, space.support
     if not report.verdict:
         raise PositiveTypeError(
             f"function is not of positive type (min transform {report.min_fourier:.6e}, "
@@ -99,21 +97,13 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
             min_fourier=report.min_fourier,
             min_gram_eigenvalue=report.min_gram_eigenvalue)
 
-    lam = group.haar_weight * F.real
-    order = np.argsort(-lam, kind="stable")
-    eigvals = lam[order]
-
-    lam_max = float(eigvals[0])
-    rank = 0 if lam_max <= 0.0 else int(np.count_nonzero(eigvals > RANK_TOL * lam_max))
-    support = order[:rank]
-
     # Freivalds' check: the form scales each conjugated support character by
     # weight * F, so it maps v = sum_s a_s conj(psi_s), one transform of a
     # placed on the support, to the transform of weight * F * a (both taken
     # in one stacked transform).  The FFT's round-off is O(eps log |G|) of
     # the image's RMS size, <= lam_max ||a||.  Near float max the scaling and
     # both transforms overflow too, so all of it is one checked stage.
-    draws = np.random.default_rng(0).standard_normal((2, rank, CHECK_COMBINATIONS))
+    draws = np.random.default_rng(0).standard_normal((2, space.rank, CHECK_COMBINATIONS))
     a = draws[0] + 1j * draws[1]
 
     def form_gap():
@@ -124,17 +114,27 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
         return apply_hermitian_form(phi, v) - image
 
     gap = checked_finite("form applied to the support characters", form_gap)
-    residual = 0.0 if rank == 0 else float(np.max(
-        np.linalg.norm(gap / lam_max, axis=0)
+    residual = 0.0 if space.rank == 0 else float(np.max(
+        np.linalg.norm(gap / space.eigenvalues[0], axis=0)
         / (np.sqrt(group.size) * np.linalg.norm(a, axis=0))))
     if residual > 1e-12:
         raise InconsistencyError(
             f"support characters are not eigenvectors of the form "
             f"(RMS gap {residual:.3e} of lam_max ||a||, bound 1.0e-12)")
+    return space
 
-    return GNSSpace(group=group, phi=phi, eigenvalues=eigvals, rank=rank, support=support,
+
+def quotient_space(phi: GroupFunction, F: np.ndarray) -> GNSSpace:
+    """The quotient space of phi read off its transform F, unchecked: the rank
+    counts the eigenvalues above RANK_TOL relative to the largest."""
+    group = phi.group
+    lam = group.haar_weight * F.real
+    order = np.argsort(-lam, kind="stable")
+    eigvals = lam[order]
+    rank = 0 if eigvals[0] <= 0.0 else int(np.count_nonzero(eigvals > RANK_TOL * eigvals[0]))
+    return GNSSpace(group=group, phi=phi, eigenvalues=eigvals, rank=rank, support=order[:rank],
                     eta=np.sqrt(eigvals[:rank] / group.size) / group.haar_weight,
-                    positivity=report)
+                    positivity=transform_positivity(F, group.haar_weight))
 
 
 def _support_sums(space: GNSSpace, f: GroupFunction) -> np.ndarray:

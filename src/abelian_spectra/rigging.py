@@ -1,12 +1,12 @@
 """Generalized eigenvectors and spectral resolution of quotient representations.
 
 Starting from a diagonal model and a nowhere-vanishing cyclic amplitude
-xi on its support, the induced positive-type function is assembled; the
-quotient representation of that function admits one generalized
-eigenvector per support character.  Each eigenvector is an antilinear
-functional on test functions whose quotient coordinate form is a unit
-eigenvector, so the weight-1 counting measure resolves both the identity
-and every group operator.
+xi on its support, the induced positive-type function is assembled; its
+quotient, L^2 of |xi|^2 times counting measure on the support, is read
+off in closed form with one generalized eigenvector per support character:
+an antilinear functional on test functions whose quotient coordinate form
+is a unit eigenvector, so the weight-1 counting measure resolves both the
+identity and every group operator.
 
 Orientation note: the quotient form pairs a test function with the
 transform of translates, which evaluates Fourier data at the inverse
@@ -30,7 +30,7 @@ from .errors import (
     NotCyclicError,
     SupportError,
 )
-from .gns import GNSSpace
+from .gns import GNSSpace, quotient_space
 from .groups import Character, Element, Group
 from .representations import CyclicComponent, binary_power_indices, certified_gap
 
@@ -136,6 +136,17 @@ def phi_from_cyclic(model: CyclicComponent, xi: DualFunction) -> GroupFunction:
         group, _transform(group, moduli ** 2, inverse=True)))
 
 
+def quotient_from_cyclic(model: CyclicComponent, xi: DualFunction) -> GNSSpace:
+    """Quotient space of ``phi_from_cyclic(model, xi)`` in closed form: phi's
+    transform is weight |G| |xi|^2 on the model support and 0 off it.  Raises
+    as ``phi_from_cyclic`` does, and NumericalDegeneracyError on an overflow."""
+    phi, group = phi_from_cyclic(model, xi), model.group
+    moduli = np.zeros(group.size)
+    moduli[model.columns] = np.abs(xi.values[model.columns])
+    return quotient_space(phi, checked_finite(
+        "spectrum of the cyclic amplitude", lambda: group.haar_weight * group.size * moduli ** 2))
+
+
 def _eigenvector_slots(space: GNSSpace, columns: np.ndarray) -> np.ndarray:
     """Quotient slot of each character at the enumeration indices ``columns``.
     By character orthogonality, Q^dagger applied to the inverse character of
@@ -191,8 +202,8 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
     amps = xi.values[keep]
     weights = np.hypot(amps.real, amps.imag)  # bit-equal to abs(complex); np.abs is not
 
-    residual = _identity_residual(space, keep, weights,
-                                  rng if rng is not None else np.random.default_rng(0))
+    residual = checked_finite("inner-product identity check", lambda: _identity_residual(
+        space, keep, weights, rng if rng is not None else np.random.default_rng(0)))
     if residual > tol:
         raise InconsistencyError(
             f"inner-product identity residual {residual:.3e} exceeds {tol:.1e}; "
@@ -215,23 +226,30 @@ def _identity_residual(space: GNSSpace, columns: np.ndarray, weights: np.ndarray
     """Worst deviation of <f|h>_phi from sum_chi F_chi(f) conj(F_chi(h)).
 
     Deliberately evaluated through ``_functional_values``, the formula ``act``
-    applies, so a corrupted eigenvector formula is caught, not compensated for:
-    one call on the stacked f columns and one on the h columns.  Their
-    transposes are made C-contiguous (pair x character) before the sums,
-    whose pairwise rounding follows the memory layout.  Both sides grow with
+    applies, so a corrupted eigenvector formula is caught, not compensated for.
+    The sums run over C-contiguous (pair x character) rows, whose pairwise
+    rounding follows the memory layout, one pair at a time, so drawing the
+    pairs ``identity_chunk`` at a time changes no bit.  Both sides grow with
     |G| and |xi|^2, so each gap is divided by the Cauchy-Schwarz bound
     sqrt(<f|f>_phi <h|h>_phi) whenever that is positive.
     """
-    group = space.group
-    draws = rng.standard_normal((IDENTITY_CHECK_PAIRS, 4, group.size))
-    f, h = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
-    del draws  # not held through the form's transforms
-    lhs = np.sum(f.conj() * apply_hermitian_form(space.phi, h.T).T, axis=1)
-    act_f, act_h = (np.ascontiguousarray(_functional_values(group, columns, weights, side.T).T)
-                    for side in (f, h))
-    bound = np.linalg.norm(act_f, axis=1) * np.linalg.norm(act_h, axis=1)
-    gaps = np.abs(lhs - np.sum(act_f * act_h.conj(), axis=1)) / np.where(bound > 0, bound, 1.0)
-    return float(gaps.max(initial=0.0))
+    group, gaps, step = space.group, [], identity_chunk(space.group.size)
+    for start in range(0, IDENTITY_CHECK_PAIRS, step):
+        draws = rng.standard_normal((min(step, IDENTITY_CHECK_PAIRS - start), 4, group.size))
+        f, h = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
+        del draws  # not held through the form's transforms
+        lhs = np.sum(f.conj() * apply_hermitian_form(space.phi, h.T).T, axis=1)
+        act_f, act_h = (np.ascontiguousarray(_functional_values(group, columns, weights, side.T).T)
+                        for side in (f, h))
+        bound = np.linalg.norm(act_f, axis=1) * np.linalg.norm(act_h, axis=1)
+        gaps.append(np.abs(lhs - np.sum(act_f * act_h.conj(), axis=1))
+                    / np.where(bound > 0, bound, 1.0))
+    return float(np.concatenate(gaps).max(initial=0.0))
+
+
+def identity_chunk(size: int) -> int:
+    """Identity-check pairs drawn at once: 4 MiB of 4 |G| draws each, 1 to 8."""
+    return min(IDENTITY_CHECK_PAIRS, max(1, 2**17 // size))
 
 
 def reconstruct_operator(decomp: SpectralDecomposition, space: GNSSpace,

@@ -50,7 +50,7 @@ from .representations import (
     reconstruction_residual,
     spectral_measure,
 )
-from .rigging import build_decomposition, intertwiner, phi_from_cyclic
+from .rigging import build_decomposition, intertwiner, quotient_from_cyclic
 
 ORACLE_TOL = 1e-7
 
@@ -632,20 +632,16 @@ def _prop_quotient_algebra_action(rng, cfg):
 def _rig_setup(rng, cfg):
     group = random_group(rng, cfg.max_group_size)
     rep = random_multiplicity_free_representation(rng, group, cfg.max_dim)
-    pvm = spectral_measure(rep)
-    (component,) = cyclic_decomposition(pvm)
+    (component,) = cyclic_decomposition(spectral_measure(rep))
     model = diagonalize(component)
     vals = np.zeros(group.size, dtype=complex)
-    for col in model.columns:
-        radius = rng.uniform(0.5, 2.0)
-        phase = rng.uniform(0.0, 2 * np.pi)
-        vals[col] = radius * np.exp(1j * phase)
+    for col in model.columns:  # the radius is drawn before the phase
+        vals[col] = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
     xi = DualFunction(group, vals)
-    phi = phi_from_cyclic(model, xi)
-    space = gns_construct(phi)
+    space = quotient_from_cyclic(model, xi)
     decomp = build_decomposition(
         space, xi, rng=np.random.default_rng(int(rng.integers(0, 2 ** 32))))
-    return rep, model, xi, phi, space, decomp
+    return rep, model, xi, space.phi, space, decomp
 
 
 def _resolution_data(space, decomp):

@@ -11,8 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from abelian_spectra import cli, make_group, make_representation
-from abelian_spectra.fileio import dump_json, representation_to_payload
+from abelian_spectra import DualFunction, cli, make_group, make_representation
+from abelian_spectra.fileio import dump_json, function_to_payload, representation_to_payload
 from abelian_spectra.selftest import random_unitary
 
 
@@ -48,12 +48,19 @@ CASES = [((256,), 1, 1), ((4, 4, 4), 1, 1), ((2,) * 8, 8, 1), ((16, 16), 8, 4),
 LARGE_CASES = [((2,) * 16, 16, 1), ((65536,), 4, 1), ((65536,), 64, 1)]
 
 
-def traced_planted_run(tmp_path, command, orders, dim, mult):
-    """The traced peak of ``command`` on a planted representation, which must exit 0."""
+def traced_planted_run(tmp_path, command, orders, dim, mult, xi=False):
+    """The traced peak of ``command`` on a planted representation, which must
+    exit 0; with ``xi``, rig also reads a random amplitude on all of G."""
     rep = planted_representation(orders, dim, mult, seed=dim + mult)
     src = tmp_path / "rep.json"
     dump_json(representation_to_payload(rep), src)
-    code, peak = traced_peak([command, "--input", str(src), "--output", str(tmp_path / "out.json")])
+    argv = [command, "--input", str(src), "--output", str(tmp_path / "out.json")]
+    if xi:
+        rng = np.random.default_rng(0)
+        amps = rng.uniform(0.5, 2.0, rep.group.size) * np.exp(2j * np.pi * rng.random(rep.group.size))
+        dump_json(function_to_payload(DualFunction(rep.group, amps)), tmp_path / "xi.json")
+        argv += ["--xi", str(tmp_path / "xi.json")]
+    code, peak = traced_peak(argv)
     assert code == 0
     return peak
 
@@ -74,6 +81,13 @@ def test_decompose_peaks_within_its_estimate_on_65536_elements(tmp_path, orders,
 @pytest.mark.parametrize("orders, dim, mult", LARGE_CASES)
 def test_rig_peaks_within_its_estimate_on_65536_elements(tmp_path, orders, dim, mult):
     peak = traced_planted_run(tmp_path, "rig", orders, dim, mult)
+    assert peak <= cli.peak_estimate("rig", orders, dim)
+
+
+@pytest.mark.parametrize("orders, dim", [((2,) * 16, 4), ((65536,), 8)])
+def test_rig_with_an_amplitude_file_peaks_within_its_estimate(tmp_path, orders, dim):
+    # the parsed amplitudes add to the per-element arrays
+    peak = traced_planted_run(tmp_path, "rig", orders, dim, 1, xi=True)
     assert peak <= cli.peak_estimate("rig", orders, dim)
 
 

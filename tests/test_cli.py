@@ -434,20 +434,28 @@ def test_rig_builds_each_distinct_layer_once(tmp_path, capsys, monkeypatch, laye
     # (multiplicities 1, 2, 3) build three; every layer is still diagonalized
     src = (planted_rep_file(tmp_path, (4, 4, 4, 4), 32, mult=4) if layers == "planted"
            else layered_rep_file(tmp_path, [1, 2, 3]))
-    calls = {name: 0 for name in ("diagonalize", "phi_from_cyclic", "gns_construct",
+    calls = {name: 0 for name in ("diagonalize", "quotient_from_cyclic", "gns_construct",
                                   "build_decomposition", "intertwiner")}
     for name in calls:
         def spy(*args, _name=name, _call=getattr(cli, name), **kwargs):
             calls[_name] += 1
             return _call(*args, **kwargs)
         monkeypatch.setattr(cli, name, spy)
+    # each quotient is read off its model: no transform of phi, no construction-check draw
+    calls["fourier"] = calls["draws"] = 0
+    fourier, default_rng = gns.fourier, np.random.default_rng
+    monkeypatch.setattr(gns, "fourier", lambda f: calls.update(fourier=calls["fourier"] + 1)
+                        or fourier(f))
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: calls.update(
+        draws=calls["draws"] + (args == (0,))) or default_rng(*args))
     code, report, err = stdout_report(capsys, ["rig", "--input", str(src)])
     assert code == 0, err
     sizes = [len(comp["support"]) for comp in report["results"]["components"]]
     assert sizes == ([8] * 4 if layers == "planted" else [3, 2, 1])
     built = 1 if layers == "planted" else 3
-    assert calls == {"diagonalize": len(sizes), "phi_from_cyclic": built,
-                     "gns_construct": built, "build_decomposition": built, "intertwiner": built}
+    assert calls == {"diagonalize": len(sizes), "quotient_from_cyclic": built,
+                     "gns_construct": 0, "build_decomposition": built, "intertwiner": built,
+                     "fourier": 0, "draws": 0}
 
 
 @pytest.mark.parametrize("layers", ["planted", "mixed"])
@@ -772,10 +780,11 @@ def test_gns_overflow_in_the_construction_check_exits_4_and_names_it(tmp_path, c
 @pytest.mark.parametrize("command", ["gns", "rig"])
 def test_overflow_near_float_max_in_the_construction_check_raises_no_warning(
         tmp_path, capsys, command):
-    # the support characters' scaling by weight * F and their transforms
-    # overflow before the form is applied: a (256,) point mass of 3e307, and
-    # a flat xi of 4.642e152 on a planted d8 representation; pytest turns
-    # any numpy RuntimeWarning into an error
+    # gns: the support characters' scaling by weight * F and their transforms
+    # overflow before the form is applied, on a (256,) point mass of 3e307;
+    # rig: the form applied in the identity check overflows, on a flat xi of
+    # 4.642e152 on a planted d8 representation; pytest turns any numpy
+    # RuntimeWarning into an error
     if command == "gns":
         argv = ["gns", "--input", str(write_function(tmp_path / "phi.json", (256,),
                                                      3e307 * np.eye(256)[0]))]
@@ -784,8 +793,9 @@ def test_overflow_near_float_max_in_the_construction_check_raises_no_warning(
         argv = ["rig", "--input", str(planted_rep_file(tmp_path, (256,), 8)), "--xi", str(xi)]
     code, _, err = run_cli(capsys, argv)
     assert code == 4
-    assert err == ("error: form applied to the support characters is not finite: "
-                   "it overflowed on finite input\n")
+    stage = "form applied to the support characters" if command == "gns" else \
+        "inner-product identity check"
+    assert err == f"error: {stage} is not finite: it overflowed on finite input\n"
 
 
 def test_gns_catches_a_wrong_transform_value_at_full_rank_65536(tmp_path, capsys, monkeypatch):

@@ -32,6 +32,7 @@ from abelian_spectra import (
     trivial_representation,
 )
 from abelian_spectra import rigging
+from abelian_spectra.rigging import quotient_from_cyclic
 from abelian_spectra.algebra import _transform, apply_hermitian_form
 from conftest import random_function
 
@@ -696,3 +697,91 @@ def test_rig_reads_the_functionals_twice_per_distinct_layer(monkeypatch, tmp_pat
     assert len(components) == 4
     assert len({str(comp["support"]) for comp in components}) == 1
     assert calls == [(G.size, rigging.IDENTITY_CHECK_PAIRS)] * 2
+
+
+def test_identity_check_in_chunks_is_bit_equal_to_one_chunk(monkeypatch):
+    # at (65536,) the byte bound draws and transforms two pairs at a time, from
+    # the same generator in the same order; one chunk of all 8 pairs gives the
+    # same residual to the last bit
+    space, decomp = weighted_quotient((65536,), 8, np.random.default_rng(8))
+    shapes = []
+    values = rigging._functional_values
+    monkeypatch.setattr(rigging, "_functional_values",
+                        lambda *args: shapes.append(args[3].shape) or values(*args))
+
+    def residual(seed):
+        shapes.clear()
+        return rigging._identity_residual(space, decomp.columns, decomp.weights,
+                                          np.random.default_rng(seed))
+
+    for seed in range(2):
+        chunked = residual(seed)
+        assert shapes == [(65536, 2)] * rigging.IDENTITY_CHECK_PAIRS
+        with monkeypatch.context() as m:
+            m.setattr(rigging, "identity_chunk", lambda size: rigging.IDENTITY_CHECK_PAIRS)
+            assert residual(seed) == chunked
+            assert shapes == [(65536, rigging.IDENTITY_CHECK_PAIRS)] * 2
+
+
+# ---------------------------------------------------------------------------
+# the closed-form quotient
+# ---------------------------------------------------------------------------
+
+def planted_model(G, r, rng):
+    """The one cyclic component of V diag(<e_j|chi_b>) V^dagger on r drawn characters."""
+    slots = rng.choice(G.size, size=r, replace=False)
+    V, _ = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+    rep = make_representation(G, [V @ np.diag(d) @ V.conj().T
+                                  for d in G.pairing_at(G.generator_indices, slots)])
+    (component,) = cyclic_decomposition(spectral_measure(rep))
+    return diagonalize(component)
+
+
+def computed_quotient(model, xi):
+    return gns_construct(phi_from_cyclic(model, xi))
+
+
+@pytest.mark.parametrize("amplitude", ["ones", "random"])
+@pytest.mark.parametrize("orders, haar", [((64,), 1.0), ((8, 8), 1.0), ((2,) * 6, 1.0),
+                                          ((64,), 0.5)])
+def test_closed_form_quotient_agrees_with_gns_construct(orders, haar, amplitude, rng):
+    # ones gives exact ties in the closed form, which the computed transform
+    # breaks by round-off: the supports agree as sets
+    G = Group(orders, haar_weight=haar)
+    model = planted_model(G, 8, rng)
+    vals = np.zeros(G.size, dtype=complex)
+    vals[model.columns] = 1.0 if amplitude == "ones" else (
+        rng.uniform(0.5, 2.0, 8) * np.exp(2j * np.pi * rng.random(8)))
+    xi = DualFunction(G, vals)
+    closed, computed = quotient_from_cyclic(model, xi), computed_quotient(model, xi)
+    assert closed.rank == computed.rank == 8
+    assert set(closed.support.tolist()) == set(computed.support.tolist()) \
+        == set(model.columns.tolist())
+    np.testing.assert_array_equal(closed.phi.values, computed.phi.values)
+    lam = dict(zip(computed.support.tolist(), computed.eigenvalues))
+    np.testing.assert_allclose(closed.eigenvalues[:8], [lam[s] for s in closed.support.tolist()],
+                               rtol=1e-13)
+    np.testing.assert_allclose(closed.eigenvalues[:8],
+                               haar ** 2 * G.size * np.abs(vals[closed.support]) ** 2, rtol=1e-15)
+    assert not closed.eigenvalues[8:].any()
+    assert closed.positivity.verdict
+
+
+def test_an_amplitude_below_the_rank_tolerance_fails_on_both_routes(rng):
+    # |xi| = 1e-6 relative puts its eigenvalue at 1e-12 of the largest, below
+    # RANK_TOL: both quotients drop that character and the system is refused
+    G = make_group((64,))
+    model = planted_model(G, 8, rng)
+    vals = np.zeros(G.size, dtype=complex)
+    vals[model.columns] = 1.0
+    vals[model.columns[3]] = 1e-6
+    xi = DualFunction(G, vals)
+    messages = []
+    for route in (quotient_from_cyclic, computed_quotient):
+        space = route(model, xi)
+        assert space.rank == 7
+        with pytest.raises(InconsistencyError) as error:
+            build_decomposition(space, xi)
+        messages.append(str(error.value))
+    assert messages[0] == messages[1] == \
+        "cyclic amplitude is supported on 8 characters but the quotient rank is 7"

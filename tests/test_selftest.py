@@ -237,3 +237,24 @@ def test_selftest_command_exits_4_on_a_non_finite_residual(monkeypatch, capsys, 
     failed = [p for p in report["properties"] if p["name"] == "projection-reconstruction"]
     assert failed[0]["max_residual"] == ERROR_RESIDUAL
     assert "Traceback" not in err
+
+
+def test_rig_properties_read_each_quotient_off_its_model(monkeypatch):
+    # the six rig properties build 31 quotients in closed form: no
+    # gns_construct call, no forward transform of phi, no construction-check draw
+    from abelian_spectra import gns
+    calls = dict.fromkeys(("quotient_from_cyclic", "gns_construct", "fourier", "draws"), 0)
+    for module, name in ((selftest_mod, "quotient_from_cyclic"),
+                         (selftest_mod, "gns_construct"), (gns, "fourier")):
+        def spy(*args, _name=name, _call=getattr(module, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(module, name, spy)
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: calls.update(
+        draws=calls["draws"] + (args == (0,))) or default_rng(*args))
+    rig = ["eigenvector-system", "operator-reconstruction", "eigenvalue-equation",
+           "intertwiner", "functional-coordinate-agreement", "eigenvector-orthonormality"]
+    results = [run_property(name, SelftestConfig()) for name in rig]
+    assert all(res.passed for res in results)
+    assert calls == {"quotient_from_cyclic": 31, "gns_construct": 0, "fourier": 0, "draws": 0}
