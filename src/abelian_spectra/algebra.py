@@ -17,12 +17,10 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .errors import (GroupMismatchError, InconsistencyError, NumericalDegeneracyError,
-                     ShapeMismatchError)
+from .errors import GroupMismatchError, InconsistencyError, ShapeMismatchError, check
 from .groups import Character, Element, Group
 
 POSITIVITY_TOL = 1e-10
@@ -101,17 +99,6 @@ def _transform(group: Group, values: np.ndarray, inverse: bool = False) -> np.nd
     return out.reshape(values.shape)
 
 
-def checked_finite(stage: str, compute: Callable[[], GroupFunction | DualFunction | np.ndarray]):
-    """compute() with numpy's overflow warnings off; NumericalDegeneracyError
-    naming ``stage`` when its values (or the array it returns) are not finite,
-    as when finite input overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = compute()
-    if not np.all(np.isfinite(getattr(out, "values", out))):
-        raise NumericalDegeneracyError(f"{stage} is not finite: it overflowed on finite input")
-    return out
-
-
 def delta(group: Group, at: Element | None = None) -> GroupFunction:
     """Indicator of a single element (the identity by default)."""
     values = np.zeros(group.size, dtype=complex)
@@ -164,17 +151,21 @@ def hermitian_form(phi: GroupFunction) -> np.ndarray:
     return flipped[group.difference_indices()]
 
 
-def apply_hermitian_form(phi: GroupFunction, v: np.ndarray) -> np.ndarray:
-    """hermitian_form(phi) @ v by FFT: (M v)[g'] = weight^2 sum_y phi(-y) v(g' - y).
+def form_symbol(phi: GroupFunction) -> np.ndarray:
+    """The transform of phi(-.), by which ``apply_hermitian_form`` multiplies."""
+    return _transform(phi.group, np.conj(involution(phi).values))
 
-    One stacked transform of phi(-.) and the columns of v, one inverse.  It
-    bypasses ``fourier``, so it stays independent of the spectrum callers read.
-    """
+
+def apply_hermitian_form(phi: GroupFunction, v: np.ndarray,
+                         symbol: np.ndarray | None = None) -> np.ndarray:
+    """hermitian_form(phi) @ v by FFT: (M v)[g'] = weight^2 sum_y phi(-y) v(g' - y), the
+    columns of v transformed, times ``symbol`` (``form_symbol(phi)``, which a caller may pass
+    to transform phi once for many calls) and transformed back.  It bypasses ``fourier``, so
+    it stays independent of the spectrum callers read."""
     group = phi.group
-    v = np.asarray(v, dtype=complex)
-    reflected = np.conj(involution(phi).values)  # phi(-y)
-    stacked = _transform(group, np.column_stack([reflected, v.reshape(group.size, -1)]))
-    out = _transform(group, stacked[:, 1:] * stacked[:, :1], inverse=True)
+    symbol = form_symbol(phi) if symbol is None else symbol
+    out = _transform(group, _transform(group, v.reshape(group.size, -1)) * symbol[:, None],
+                     inverse=True)
     return (group.haar_weight ** 2 / group.size) * out.reshape(v.shape)
 
 
@@ -229,10 +220,9 @@ def is_positive_type(phi: GroupFunction) -> PositivityReport:
         # Verdicts may only differ when a diagnostic sits within round-off
         # of the tolerance boundary; a real spread between the routes means
         # the algebra is broken.
-        if (abs(min_gram - route_b.min_fourier) > tol
-                or abs(max_gram_imag - route_b.max_fourier_imag) > tol):
-            raise InconsistencyError(
-                "positive-type routes disagree: min eigenvalue "
-                f"{min_gram:.6e} vs min transform {route_b.min_fourier:.6e}")
+        check("positive-type routes", {"min gap": abs(min_gram - route_b.min_fourier),
+                                       "imag gap": abs(max_gram_imag - route_b.max_fourier_imag)},
+              tol, InconsistencyError, "{stage} disagree: min eigenvalue {gram:.6e} vs min "
+              "transform {fourier:.6e}", gram=min_gram, fourier=route_b.min_fourier)
     return replace(route_b, verdict=bool(ok_gram and route_b.verdict),
                    min_gram_eigenvalue=min_gram, max_gram_imag=max_gram_imag)

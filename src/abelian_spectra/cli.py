@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ._version import __version__
-from .algebra import DualFunction, GroupFunction, checked_finite, fourier, inverse_fourier
+from .algebra import DualFunction, GroupFunction, fourier, inverse_fourier
 from .errors import (
     FileFormatError,
     GroupMismatchError,
@@ -34,6 +34,8 @@ from .errors import (
     RepresentationValidationError,
     ShapeMismatchError,
     SupportError,
+    describe,
+    stage,
 )
 from .fileio import (
     dump_json,
@@ -57,19 +59,20 @@ from .rigging import build_decomposition, identity_chunk, intertwiner, quotient_
 from .selftest import SelftestConfig, run_selftest
 
 DEFAULT_TOL = 1e-9
-# The memory budget: fourier and gns hold a few k x |G| arrays; decompose, rig
+# The memory budget: fourier holds a few k x |G| arrays; decompose, gns, rig
 # and selftest exit 2 first when their estimated peak is over it, and every
 # command refuses an input file over 3/128 of it (6 MiB) before parsing it.
 OPERATOR_STACK_BUDGET = 256 * 2**20
-# (STACKS, PER_ENTRY, PER_ELEMENT, PER_PAIR), tracemalloc peaks rounded up.
-# A "stack" is 16 dim^2 (min(dim, |G|) + 10 k) bytes for decompose and rig,
-# k the number of factors: the binary powers and the certificate's chunks,
-# and the k dim^2 parsed generator entries at about 155 bytes each; nothing
-# is n_j-sized.  It is 16 N max(N, dim^2) for selftest.  Then bytes per
-# dim x dim entry (range bases, kets, isometries), per group element (the
-# multiplicity list; phi, quotient and coordinate table) and per element and
-# pair of rig's identity-check chunk, plus PEAK_BASE; see tests/test_budget.py.
-PEAK_MODEL = {"decompose": (1, 256, 128, 0), "rig": (1, 256, 384, 128), "selftest": (6, 256, 0, 0)}
+# (STACKS, PER_ENTRY, PER_ELEMENT, PER_PAIR), tracemalloc peaks rounded up (for
+# gns, at dim 0, its larger ru_maxrss growth).  A "stack" is 16 dim^2 (min(dim,
+# |G|) + 10 k) bytes for decompose and rig, k the number of factors: the binary
+# powers and the certificate's chunks, and the k dim^2 parsed generator entries
+# at about 155 bytes each; nothing is n_j-sized.  It is 16 N max(N, dim^2) for
+# selftest.  Then bytes per dim x dim entry (range bases, kets, isometries), per
+# group element (the multiplicity list; phi, quotient and coordinate table) and
+# per element and pair of rig's identity-check chunk, plus PEAK_BASE; see tests/test_budget.py.
+PEAK_MODEL = {"decompose": (1, 256, 128, 0), "rig": (1, 256, 384, 128), "selftest": (6, 256, 0, 0),
+              "gns": (0, 0, 1280, 0)}
 PEAK_BASE = 2**20
 TOL_ENV_VAR = "ABELIAN_SPECTRA_TOL"
 
@@ -114,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                              f"env {TOL_ENV_VAR} overrides)")
         sp.add_argument("--max-group-size", type=int, default=None,
                         help=f"largest admitted group order (default {DEFAULT_SIZE_CAP}, "
-                             "16 for selftest); decompose, rig and selftest are "
-                             "also refused when their estimated peak memory is "
+                             "16 for selftest); decompose, gns, rig and selftest "
+                             "are also refused when their estimated peak memory is "
                              f"over the budget of {OPERATOR_STACK_BUDGET // 2**20} MiB")
 
     sp = sub.add_parser("fourier", help="transform a function file")
@@ -188,8 +191,8 @@ def _check_budget(command: str, orders: Sequence[int], dim: int) -> None:
     estimate = peak_estimate(command, orders, dim)
     if estimate > OPERATOR_STACK_BUDGET:
         raise InvalidGroupError(
-            f"{command} on |G| = {math.prod(orders)}, dim {dim} would take about "
-            f"{estimate} bytes at its peak, over the memory budget of "
+            f"{command} on |G| = {math.prod(orders)}{f', dim {dim}' if dim else ''} would "
+            f"take about {estimate} bytes at its peak, over the memory budget of "
             f"{OPERATOR_STACK_BUDGET} bytes")
 
 
@@ -218,25 +221,18 @@ def _report_skeleton(command: str, args: argparse.Namespace, tol: float,
 
 def _verdict_lines(residuals: dict, tol: float) -> list[str]:
     """The summary's verdict, naming each residual above ``tol`` when it failed."""
-    failed = [f"{key} {value:.3e}" for key, value in residuals.items() if not value <= tol]
-    return [f"passed: {not failed}"] + (["failed: " + ", ".join(failed)] if failed else [])
+    failed = {key: value for key, value in residuals.items() if not value <= tol}
+    return [f"passed: {not failed}"] + (["failed: " + describe(failed)] if failed else [])
 
 
 def cmd_fourier(args: argparse.Namespace, tol: float):
     f = function_from_payload(_load(args.input), size_cap=_size_cap(args))
-    if args.direction == "forward":
-        if not isinstance(f, GroupFunction):
-            raise FileFormatError(
-                "forward transform needs field 'domain' == 'group'")
-        transform = fourier
-    else:
-        if not isinstance(f, DualFunction):
-            raise FileFormatError(
-                "inverse transform needs field 'domain' == 'dual'")
-        transform = inverse_fourier
-    out = checked_finite(f"{args.direction} transform", lambda: transform(f))
-    lines = [f"fourier {args.direction}: orders {list(f.group.orders)}, "
-             f"{f.group.size} values"]
+    transform, domain, name = {"forward": (fourier, GroupFunction, "group"),
+                               "inverse": (inverse_fourier, DualFunction, "dual")}[args.direction]
+    if not isinstance(f, domain):
+        raise FileFormatError(f"{args.direction} transform needs field 'domain' == '{name}'")
+    out = stage(f"{args.direction} transform", lambda: transform(f))
+    lines = [f"fourier {args.direction}: orders {list(f.group.orders)}, {f.group.size} values"]
     return function_to_payload(out), lines, EXIT_OK
 
 
@@ -288,6 +284,7 @@ def cmd_gns(args: argparse.Namespace, tol: float):
     f = function_from_payload(_load(args.input), size_cap=_size_cap(args))
     if not isinstance(f, GroupFunction):
         raise FileFormatError("quotient construction needs field 'domain' == 'group'")
+    _check_budget("gns", f.group.orders, 0)
     space = gns_construct(f)
     check_diagonal_generators(f.group, space.generator_images())  # raises on a breach
     # relative to max |phi|, whose size the FFT round-off scales with (phi = 0

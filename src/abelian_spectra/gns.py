@@ -25,15 +25,15 @@ from .algebra import (
     PositivityReport,
     _transform,
     apply_hermitian_form,
-    checked_finite,
     fourier,
     transform_positivity,
 )
-from .errors import GroupMismatchError, InconsistencyError, PositiveTypeError
+from .errors import GroupMismatchError, InconsistencyError, PositiveTypeError, check, stage
 from .groups import Element, Group
 from .representations import RANK_TOL, UnitaryRep, make_representation
 
 CHECK_COMBINATIONS = 4  # random combinations of support characters in the construction check
+FORM_STAGE = "form applied to the support characters"  # the construction check's stage
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
     the form, which only a bug can cause.
     """
     group = phi.group
-    F = checked_finite("transform of phi", lambda: fourier(phi)).values
+    F = stage("transform of phi", lambda: fourier(phi)).values
     space = quotient_space(phi, F)
     report, support = space.positivity, space.support
     if not report.verdict:
@@ -94,33 +94,30 @@ def gns_construct(phi: GroupFunction) -> GNSSpace:
             f"function is not of positive type (min transform {report.min_fourier:.6e}, "
             f"max |Im transform| {report.max_fourier_imag:.6e}, "
             f"min form eigenvalue {report.min_gram_eigenvalue:.6e}, tol {report.tol:.1e})",
-            min_fourier=report.min_fourier,
-            min_gram_eigenvalue=report.min_gram_eigenvalue)
+            residuals={key: getattr(report, key) for key in ("min_fourier", "min_gram_eigenvalue")})
 
     # Freivalds' check: the form scales each conjugated support character by
     # weight * F, so it maps v = sum_s a_s conj(psi_s), one transform of a
     # placed on the support, to the transform of weight * F * a (both taken
     # in one stacked transform).  The FFT's round-off is O(eps log |G|) of
-    # the image's RMS size, <= lam_max ||a||.  Near float max the scaling and
-    # both transforms overflow too, so all of it is one checked stage.
+    # the image's RMS size, <= lam_max ||a||.  Near float max the scaling, both
+    # transforms and the gap's norm overflow too, so all of it is one stage.
     draws = np.random.default_rng(0).standard_normal((2, space.rank, CHECK_COMBINATIONS))
     a = draws[0] + 1j * draws[1]
 
-    def form_gap():
+    def rms_gap():
         placed = np.zeros((group.size, 2 * CHECK_COMBINATIONS), dtype=complex)
         placed[support, :CHECK_COMBINATIONS] = a
         placed[support, CHECK_COMBINATIONS:] = a * (group.haar_weight * F[support])[:, None]
         v, image = np.split(_transform(group, placed), 2, axis=1)
-        return apply_hermitian_form(phi, v) - image
+        gap = apply_hermitian_form(phi, v) - image
+        return 0.0 if space.rank == 0 else float(np.max(
+            np.linalg.norm(gap / space.eigenvalues[0], axis=0)
+            / (np.sqrt(group.size) * np.linalg.norm(a, axis=0))))
 
-    gap = checked_finite("form applied to the support characters", form_gap)
-    residual = 0.0 if space.rank == 0 else float(np.max(
-        np.linalg.norm(gap / space.eigenvalues[0], axis=0)
-        / (np.sqrt(group.size) * np.linalg.norm(a, axis=0))))
-    if residual > 1e-12:
-        raise InconsistencyError(
-            f"support characters are not eigenvectors of the form "
-            f"(RMS gap {residual:.3e} of lam_max ||a||, bound 1.0e-12)")
+    check(FORM_STAGE, {"RMS gap": stage(FORM_STAGE, rms_gap)}, 1e-12, InconsistencyError,
+          "support characters are not eigenvectors of the form ({residuals} of lam_max ||a||, "
+          "bound {tol:.1e})")
     return space
 
 

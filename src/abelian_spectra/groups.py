@@ -170,8 +170,12 @@ class Group:
 
     @cached_property
     def _neg_index(self) -> np.ndarray:
-        """index(-g) at every enumeration index g, read-only."""
-        neg = (-self._coords % self._orders_arr) @ self._strides
+        """index(-g) at every index g, read-only: the index grid with each factor axis
+        read at -x mod n, which is x itself on the orders 1 and 2; no coordinate table."""
+        neg = np.arange(self.size).reshape(self.orders)
+        for axis, n in enumerate(self.orders):
+            neg = np.take(neg, -np.arange(n) % n, axis) if n > 2 else neg
+        neg = neg.flatten()
         neg.setflags(write=False)
         return neg
 

@@ -21,10 +21,10 @@ from .algebra import GroupFunction, fourier
 from .errors import (
     GroupMismatchError,
     NotSelfAdjointError,
-    NumericalDegeneracyError,
     RepresentationValidationError,
     ShapeMismatchError,
     SupportError,
+    check,
 )
 from .groups import Character, Element, Group
 
@@ -34,6 +34,8 @@ ORDER_TOL = 1e-9
 PVM_TOL = 1e-9
 RANK_TOL = 1e-9
 BLOCK_BYTES = 2**18
+NOT_UNITARY = "generator {j} not unitary ({residuals})"  # unitary[j]'s message
+WRONG_ORDER = "generator {j} does not have order dividing {n} ({residuals})"  # order[j]'s
 
 
 @dataclass(frozen=True)
@@ -80,19 +82,10 @@ def generator_powers(U: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _require(relation: str, message: str, residual, tol: float) -> None:
-    """Raise RepresentationValidationError unless residual <= tol (NaN fails)."""
-    residual = float(residual)
-    if not (residual <= tol):
-        raise RepresentationValidationError(
-            f"{message} (residual {residual:.3e})", relation=relation, residual=residual)
-
-
 def make_representation(group: Group, generator_images: Sequence[np.ndarray]) -> UnitaryRep:
-    """Validate generator images and assemble a UnitaryRep: one square image
-    per factor with a common dimension, unitarity, pairwise commutation and
-    U_j^{n_j} = I, in that order.  A failure names the relation and its
-    residual norm; a NaN residual fails."""
+    """Validate generator images and assemble a UnitaryRep: one square image per
+    factor with a common dimension, then the stages unitary[j], commute[i,j] and
+    order[j] (U_j^{n_j} = I), in that order, each on a residual norm (NaN fails)."""
     mats = [np.asarray(U, dtype=complex) for U in generator_images]
     if len(mats) != group.num_factors:
         raise ShapeMismatchError(
@@ -105,14 +98,15 @@ def make_representation(group: Group, generator_images: Sequence[np.ndarray]) ->
 
     eye = np.eye(dim)
     for j, U in enumerate(mats):
-        _require(f"unitary[{j}]", f"generator {j} not unitary",
-                 np.linalg.norm(U.conj().T @ U - eye), UNITARY_TOL)
-    for i, j in combinations(range(len(mats)), 2):
-        _require(f"commute[{i},{j}]", f"generators {i} and {j} do not commute",
-                 np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i]), COMMUTE_TOL)
+        check("unitary[{j}]", {"residual": np.linalg.norm(U.conj().T @ U - eye)}, UNITARY_TOL,
+              RepresentationValidationError, NOT_UNITARY, j=j)
+    for (i, A), (j, B) in combinations(enumerate(mats), 2):
+        check("commute[{i},{j}]", {"residual": np.linalg.norm(A @ B - B @ A)}, COMMUTE_TOL,
+              RepresentationValidationError, "generators {i} and {j} do not commute ({residuals})",
+              i=i, j=j)
     for j, (U, n) in enumerate(zip(mats, group.orders)):
-        _require(f"order[{j}]", f"generator {j} does not have order dividing {n}",
-                 np.linalg.norm(np.linalg.matrix_power(U, n) - eye), ORDER_TOL)
+        check("order[{j}]", {"residual": np.linalg.norm(np.linalg.matrix_power(U, n) - eye)},
+              ORDER_TOL, RepresentationValidationError, WRONG_ORDER, j=j, n=n)
 
     for U in mats:
         U.setflags(write=False)
@@ -125,10 +119,10 @@ def check_diagonal_generators(group: Group, diagonals: np.ndarray) -> None:
     its largest entry (the operator norm), as the Frobenius norm of n_j eps
     entries grows as sqrt(r) and would refuse exact phases at large rank."""
     for j, (s, n) in enumerate(zip(diagonals, group.orders)):
-        _require(f"unitary[{j}]", f"generator {j} not unitary",
-                 np.abs(np.abs(s) ** 2 - 1.0).max(initial=0.0), UNITARY_TOL)
-        _require(f"order[{j}]", f"generator {j} does not have order dividing {n}",
-                 np.abs(s ** n - 1.0).max(initial=0.0), ORDER_TOL)
+        check("unitary[{j}]", {"residual": np.abs(np.abs(s) ** 2 - 1.0).max(initial=0.0)},
+              UNITARY_TOL, RepresentationValidationError, NOT_UNITARY, j=j)
+        check("order[{j}]", {"residual": np.abs(s ** n - 1.0).max(initial=0.0)}, ORDER_TOL,
+              RepresentationValidationError, WRONG_ORDER, j=j, n=n)
 
 
 def regular_representation(group: Group) -> UnitaryRep:
@@ -272,11 +266,7 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
     W.setflags(write=False)
     residuals = {"completeness": float(np.linalg.norm(W.conj().T @ W - np.eye(d))),
                  "invariance": float(invariance), "restriction": float(restriction)}
-    failed = {k: v for k, v in residuals.items() if not v <= PVM_TOL}
-    if failed:
-        raise NumericalDegeneracyError("projection-valued measure violates its invariants ("
-                                       + ", ".join(f"{k} {v:.3e}" for k, v in failed.items())
-                                       + ")", residuals=residuals)
+    check("projection-valued measure", residuals, PVM_TOL)
     return ProjectionValuedMeasure(rep=rep, indices=indices, multiplicities=widths, basis=W,
                                    residuals=residuals)
 

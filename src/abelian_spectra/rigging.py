@@ -22,14 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (DualFunction, GroupFunction, _transform, apply_hermitian_form,
-                      checked_finite)
-from .errors import (
-    GroupMismatchError,
-    InconsistencyError,
-    NotCyclicError,
-    SupportError,
-)
+from .algebra import DualFunction, GroupFunction, _transform, apply_hermitian_form, form_symbol
+from .errors import (GroupMismatchError, InconsistencyError, NotCyclicError, SupportError, check,
+                     stage)
 from .gns import GNSSpace, quotient_space
 from .groups import Character, Element, Group
 from .representations import CyclicComponent, binary_power_indices, certified_gap
@@ -132,7 +127,7 @@ def phi_from_cyclic(model: CyclicComponent, xi: DualFunction) -> GroupFunction:
                              f"{model.support[t].coords} (|xi| = {abs(amps[t]):.3e})")
     moduli = np.zeros(group.size)
     moduli[model.columns] = np.abs(amps)
-    return checked_finite("phi of the cyclic amplitude", lambda: GroupFunction(
+    return stage("phi of the cyclic amplitude", lambda: GroupFunction(
         group, _transform(group, moduli ** 2, inverse=True)))
 
 
@@ -143,7 +138,7 @@ def quotient_from_cyclic(model: CyclicComponent, xi: DualFunction) -> GNSSpace:
     phi, group = phi_from_cyclic(model, xi), model.group
     moduli = np.zeros(group.size)
     moduli[model.columns] = np.abs(xi.values[model.columns])
-    return quotient_space(phi, checked_finite(
+    return quotient_space(phi, stage(
         "spectrum of the cyclic amplitude", lambda: group.haar_weight * group.size * moduli ** 2))
 
 
@@ -202,12 +197,11 @@ def build_decomposition(space: GNSSpace, xi: DualFunction, *,
     amps = xi.values[keep]
     weights = np.hypot(amps.real, amps.imag)  # bit-equal to abs(complex); np.abs is not
 
-    residual = checked_finite("inner-product identity check", lambda: _identity_residual(
+    residual = stage("inner-product identity check", lambda: _identity_residual(
         space, keep, weights, rng if rng is not None else np.random.default_rng(0)))
-    if residual > tol:
-        raise InconsistencyError(
-            f"inner-product identity residual {residual:.3e} exceeds {tol:.1e}; "
-            "the quotient space does not match the cyclic amplitude")
+    check("inner-product identity check", {"inner-product identity residual": residual}, tol,
+          InconsistencyError, "{residuals} exceeds {tol:.1e}; the quotient space does not "
+          "match the cyclic amplitude")
 
     rows = binary_power_indices(group)
     gaps = np.abs(group.pairing_at(rows, keep) - group.pairing_at(rows, space.support[slots]))
@@ -234,11 +228,12 @@ def _identity_residual(space: GNSSpace, columns: np.ndarray, weights: np.ndarray
     sqrt(<f|f>_phi <h|h>_phi) whenever that is positive.
     """
     group, gaps, step = space.group, [], identity_chunk(space.group.size)
+    symbol = form_symbol(space.phi)  # once for every chunk
     for start in range(0, IDENTITY_CHECK_PAIRS, step):
         draws = rng.standard_normal((min(step, IDENTITY_CHECK_PAIRS - start), 4, group.size))
         f, h = draws[:, 0] + 1j * draws[:, 1], draws[:, 2] + 1j * draws[:, 3]
         del draws  # not held through the form's transforms
-        lhs = np.sum(f.conj() * apply_hermitian_form(space.phi, h.T).T, axis=1)
+        lhs = np.sum(f.conj() * apply_hermitian_form(space.phi, h.T, symbol).T, axis=1)
         act_f, act_h = (np.ascontiguousarray(_functional_values(group, columns, weights, side.T).T)
                         for side in (f, h))
         bound = np.linalg.norm(act_f, axis=1) * np.linalg.norm(act_h, axis=1)

@@ -1,17 +1,20 @@
 """Each admission estimate bounds the command's measured peak.
 
-``cli.peak_estimate`` is what decompose, rig and selftest are admitted on.
-These tests run each command in-process under tracemalloc on small planted
-inputs and check the traced peak against the command's own estimate, so a
-change that grows a peak must also grow its estimate.
+``cli.peak_estimate`` is what decompose, gns, rig and selftest are admitted
+on.  These tests run each command in-process under tracemalloc on small
+planted inputs and check the traced peak against the command's own estimate,
+so a change that grows a peak must also grow its estimate; gns, whose
+estimate is fitted to its RSS growth, is also measured in a fresh interpreter.
 """
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from abelian_spectra import DualFunction, cli, make_group, make_representation
+from abelian_spectra import DualFunction, cli, delta, make_group, make_representation
 from abelian_spectra.fileio import dump_json, function_to_payload, representation_to_payload
 from abelian_spectra.selftest import random_unitary
 
@@ -107,3 +110,57 @@ def test_selftest_peaks_within_its_estimate(tmp_path, dim):
                               "--output", str(tmp_path / "out.json")])
     assert code == 0
     assert peak <= cli.peak_estimate("selftest", (16,), dim)
+
+
+def fresh_rss_growth(argv):
+    """Exit code and ru_maxrss growth, in bytes, of one CLI run over the
+    interpreter that imported the package, in a process started from a fresh
+    interpreter: a child's ru_maxrss starts from the RSS of its parent."""
+    inner = ("import resource, sys; from abelian_spectra import cli; "
+             "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+             "code = cli.main(sys.argv[1:]); "
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)")
+    outer = "import subprocess, sys; subprocess.run([sys.executable, '-c', *sys.argv[1:]])"
+    out = subprocess.run([sys.executable, "-c", outer, inner, *argv], capture_output=True,
+                         text=True, check=True).stdout.splitlines()[-1].split()
+    return int(out[0]), int(out[1]) * 1024  # ru_maxrss is in KiB
+
+
+def largest_admitted_size(command):
+    """The largest |G| ``command`` admits at dim 0, from its all-per-element model."""
+    stacks, per_entry, per_element, per_pair = cli.PEAK_MODEL[command]
+    assert (stacks, per_entry, per_pair) == (0, 0, 0)
+    return (cli.OPERATOR_STACK_BUDGET - cli.PEAK_BASE) // per_element
+
+
+def point_mass_argv(tmp_path, orders):
+    dump_json(function_to_payload(delta(make_group(orders, size_cap=2**20))), tmp_path / "phi.json")
+    return ["gns", "--input", str(tmp_path / "phi.json"), "--output", str(tmp_path / "out.json"),
+            "--max-group-size", str(2**20)]
+
+
+def test_gns_on_the_largest_admitted_point_mass_stays_within_its_estimate(tmp_path):
+    size = largest_admitted_size("gns")
+    estimate = cli.peak_estimate("gns", (size,), 0)
+    assert estimate <= cli.OPERATOR_STACK_BUDGET < cli.peak_estimate("gns", (size + 1,), 0)
+    argv = point_mass_argv(tmp_path, (size,))
+    code, peak = traced_peak(argv)
+    assert code == 0 and peak <= estimate
+    code, growth = fresh_rss_growth(argv)
+    assert code == 0 and growth <= estimate
+
+
+def test_gns_on_the_2_17_point_mass_grows_its_rss_within_its_estimate(tmp_path):
+    # (2,)^k takes the most bytes per element; 2^17 is the largest such group admitted
+    orders = (2,) * 17
+    assert 2 * 2**17 > largest_admitted_size("gns") >= 2**17
+    code, growth = fresh_rss_growth(point_mass_argv(tmp_path, orders))
+    assert code == 0 and growth <= cli.peak_estimate("gns", orders, 0)
+
+
+def test_gns_one_element_above_the_largest_admitted_exits_2(tmp_path, capsys):
+    size = largest_admitted_size("gns") + 1
+    assert cli.main(point_mass_argv(tmp_path, (size,))) == 2
+    err = capsys.readouterr().err
+    assert f"gns on |G| = {size}" in err and "over the memory budget" in err
+    assert not (tmp_path / "out.json").exists()

@@ -70,8 +70,8 @@ def test_non_positive_function_is_rejected_with_diagnostics():
     G = make_group((2,))
     with pytest.raises(PositiveTypeError) as exc:
         gns_construct(GroupFunction(G, np.array([1.0, 2.0], dtype=complex)))
-    assert exc.value.min_fourier == pytest.approx(-1.0, abs=1e-9)
-    assert exc.value.min_gram_eigenvalue == pytest.approx(-1.0, abs=1e-9)
+    assert exc.value.residuals == {"min_fourier": pytest.approx(-1.0, abs=1e-9),
+                                   "min_gram_eigenvalue": pytest.approx(-1.0, abs=1e-9)}
     assert "not of positive type" in str(exc.value)
 
 

@@ -1,6 +1,7 @@
 """Group construction, enumeration, arithmetic, and the character pairing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,27 @@ def test_neg_indices_read_one_cached_array(orders):
     assert G.neg_indices().base is cached and not cached.flags.writeable
     with pytest.raises(ValueError):
         G.neg_indices()[0] = 1
+
+
+@pytest.mark.parametrize("orders", [(1,), (5,), (3, 4), (2,) * 16, (65536,), (4, 4, 4, 4),
+                                    (1, 3, 1, 2), (256, 256)])
+def test_neg_indices_match_the_coordinate_formula_without_a_coordinate_table(orders):
+    G = make_group(orders)
+    neg = G.neg_indices()
+    assert "_coords" not in vars(G)
+    coords = np.array(np.unravel_index(np.arange(G.size), orders)).T
+    np.testing.assert_array_equal(neg, (-coords % np.array(orders)) @ G._strides)
+
+
+def test_neg_indices_on_2_16_peak_at_two_index_vectors():
+    G = make_group((2,) * 16)
+    tracemalloc.start()
+    try:
+        G.neg_indices()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * G.size  # the index grid and its negation, 0.5 MiB each
 
 
 def test_element_order():

@@ -723,6 +723,18 @@ def test_identity_check_in_chunks_is_bit_equal_to_one_chunk(monkeypatch):
             assert shapes == [(65536, rigging.IDENTITY_CHECK_PAIRS)] * 2
 
 
+def test_identity_check_transforms_phi_once_for_all_its_chunks(monkeypatch):
+    # at (65536,) the pairs come two at a time, four chunks, one reflection of phi
+    from abelian_spectra import algebra
+    space, decomp = weighted_quotient((65536,), 8, np.random.default_rng(8))
+    assert rigging.identity_chunk(65536) == 2
+    calls = []
+    involution = algebra.involution
+    monkeypatch.setattr(algebra, "involution", lambda f: calls.append(f) or involution(f))
+    rigging._identity_residual(space, decomp.columns, decomp.weights, np.random.default_rng(0))
+    assert calls == [space.phi]
+
+
 # ---------------------------------------------------------------------------
 # the closed-form quotient
 # ---------------------------------------------------------------------------
