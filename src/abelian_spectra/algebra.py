@@ -10,8 +10,8 @@ enumeration in C order (last coordinate fastest) the sum over
 Z_{n_1} x ... x Z_{n_k} is numpy's N-d FFT on the factor grid, so
 transforms and convolution cost O(|G| log |G|); so do the form applied
 as a correlation and the positivity route read off the transform.  Only
-the dense form and the eigenvalue route built on it stay dense, as the
-oracle.
+the eigenvalue route of ``is_positive_type`` stays dense, on the form
+from ``oracle``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import GroupMismatchError, InconsistencyError, ShapeMismatchError, check
 from .groups import Character, Element, Group
+from .oracle import hermitian_form
 
 POSITIVITY_TOL = 1e-10
 
@@ -134,21 +135,6 @@ def inverse_fourier(F: DualFunction) -> GroupFunction:
     group = F.group
     out = _transform(group, F.values, inverse=True)
     return GroupFunction(group, out / (group.haar_weight * group.size))
-
-
-def hermitian_form(phi: GroupFunction) -> np.ndarray:
-    """Matrix M of the sesquilinear form attached to phi.
-
-    M[g', g] = phi(g - g'), arranged so that <h|f>_phi = sum conj(h) M f
-    and so that the quotient construction returns phi itself as the
-    diagonal matrix coefficient of its cyclic vector.  Dense by design:
-    it is the oracle side of the positive-type test.
-    """
-    group = phi.group
-    # difference_indices gives index(g_i - g_j); the form needs the
-    # transposed difference g_j - g_i, i.e. phi(-.) = conj(phi*).
-    flipped = (group.haar_weight ** 2) * np.conj(involution(phi).values)
-    return flipped[group.difference_indices()]
 
 
 def form_symbol(phi: GroupFunction) -> np.ndarray:

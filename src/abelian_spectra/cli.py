@@ -48,7 +48,6 @@ from .fileio import (
 from .gns import gns_construct, reconstruct_phi
 from .groups import DEFAULT_SIZE_CAP
 from .representations import (
-    check_diagonal_generators,
     cyclic_decomposition,
     diagonalize,
     dirac_kets,
@@ -286,7 +285,6 @@ def cmd_gns(args: argparse.Namespace, tol: float):
         raise FileFormatError("quotient construction needs field 'domain' == 'group'")
     _check_budget("gns", f.group.orders, 0)
     space = gns_construct(f)
-    check_diagonal_generators(f.group, space.generator_images())  # raises on a breach
     # relative to max |phi|, whose size the FFT round-off scales with (phi = 0
     # reconstructs exactly)
     gap, size = np.abs(reconstruct_phi(space).values - f.values).max(), np.abs(f.values).max()

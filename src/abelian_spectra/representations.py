@@ -4,8 +4,8 @@ A representation is stored through the images of the cyclic-factor
 generators.  Their eigenvectors, refined factor by factor, give the
 projection-valued measure as one unitary basis, from which cyclic
 components, diagonal models, ket systems and functional calculus follow.
-The character average (1/|G|) sum_g conj(<g|chi>) pi(g), which the measure
-equals, is formed only by the oracles, over ``UnitaryRep.operators``.
+The all-G residuals against the |G| operators ``UnitaryRep.operators``
+are references, kept in ``oracle``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .errors import (
     SupportError,
     check,
 )
-from .groups import Character, Element, Group
+from .groups import Character, Group
+from .oracle import diagonalization_residual, operator_stack, reconstruction_residual
 
 UNITARY_TOL = 1e-10
 COMMUTE_TOL = 1e-10
@@ -34,8 +35,6 @@ ORDER_TOL = 1e-9
 PVM_TOL = 1e-9
 RANK_TOL = 1e-9
 BLOCK_BYTES = 2**18
-NOT_UNITARY = "generator {j} not unitary ({residuals})"  # unitary[j]'s message
-WRONG_ORDER = "generator {j} does not have order dividing {n} ({residuals})"  # order[j]'s
 
 
 @dataclass(frozen=True)
@@ -46,40 +45,7 @@ class UnitaryRep:
     dim: int
     generators: tuple[np.ndarray, ...]
 
-    def apply(self, g: Element) -> np.ndarray:
-        """pi(g) as the product of generator powers prod_j U_j^{g_j}."""
-        self.group._check_coords(g.coords, "element")
-        out = np.eye(self.dim, dtype=complex)
-        for U, power in zip(self.generators, g.coords):
-            if power:
-                out = out @ np.linalg.matrix_power(U, power)
-        return out
-
-    @cached_property
-    def operators(self) -> np.ndarray:
-        """All |G| operators in element enumeration order: an oracle for the
-        all-G residuals, the self-test and the tests; the CLI never builds it."""
-        d = self.dim
-        stack = np.eye(d, dtype=complex)[None]
-        for U, n in zip(self.generators, self.group.orders):
-            stack = (stack[:, None] @ generator_powers(U, n)[None]).reshape(-1, d, d)
-        return stack
-
-
-def generator_powers(U: np.ndarray, n: int) -> np.ndarray:
-    """U^0, ..., U^{n-1} by doubling: the block [m, 2m) is the block [0, m)
-    times U^m, ceil(log2 n) batched products instead of n - 1 chained ones."""
-    d = U.shape[0]
-    out = np.empty((n, d, d), dtype=complex)
-    out[0] = np.eye(d)
-    step, filled = U, 1  # step = U^filled
-    while filled < n:
-        m = min(filled, n - filled)
-        np.matmul(out[:m], step, out=out[filled:filled + m])
-        filled += m
-        if filled < n:
-            step = step @ step
-    return out
+    operators = cached_property(operator_stack)  # all |G| operators, for the oracles
 
 
 def make_representation(group: Group, generator_images: Sequence[np.ndarray]) -> UnitaryRep:
@@ -99,30 +65,19 @@ def make_representation(group: Group, generator_images: Sequence[np.ndarray]) ->
     eye = np.eye(dim)
     for j, U in enumerate(mats):
         check("unitary[{j}]", {"residual": np.linalg.norm(U.conj().T @ U - eye)}, UNITARY_TOL,
-              RepresentationValidationError, NOT_UNITARY, j=j)
+              RepresentationValidationError, "generator {j} not unitary ({residuals})", j=j)
     for (i, A), (j, B) in combinations(enumerate(mats), 2):
         check("commute[{i},{j}]", {"residual": np.linalg.norm(A @ B - B @ A)}, COMMUTE_TOL,
               RepresentationValidationError, "generators {i} and {j} do not commute ({residuals})",
               i=i, j=j)
     for j, (U, n) in enumerate(zip(mats, group.orders)):
         check("order[{j}]", {"residual": np.linalg.norm(np.linalg.matrix_power(U, n) - eye)},
-              ORDER_TOL, RepresentationValidationError, WRONG_ORDER, j=j, n=n)
+              ORDER_TOL, RepresentationValidationError,
+              "generator {j} does not have order dividing {n} ({residuals})", j=j, n=n)
 
     for U in mats:
         U.setflags(write=False)
     return UnitaryRep(group=group, dim=dim, generators=tuple(mats))
-
-
-def check_diagonal_generators(group: Group, diagonals: np.ndarray) -> None:
-    """``make_representation``'s unitarity and order checks in O(k r) for the
-    k x r diagonals s of diagonal images: |s| = 1 and s^{n_j} = 1.  A gap is
-    its largest entry (the operator norm), as the Frobenius norm of n_j eps
-    entries grows as sqrt(r) and would refuse exact phases at large rank."""
-    for j, (s, n) in enumerate(zip(diagonals, group.orders)):
-        check("unitary[{j}]", {"residual": np.abs(np.abs(s) ** 2 - 1.0).max(initial=0.0)},
-              UNITARY_TOL, RepresentationValidationError, NOT_UNITARY, j=j)
-        check("order[{j}]", {"residual": np.abs(s ** n - 1.0).max(initial=0.0)}, ORDER_TOL,
-              RepresentationValidationError, WRONG_ORDER, j=j, n=n)
 
 
 def regular_representation(group: Group) -> UnitaryRep:
@@ -271,15 +226,6 @@ def spectral_measure(rep: UnitaryRep) -> ProjectionValuedMeasure:
                                    residuals=residuals)
 
 
-def reconstruction_residual(pvm: ProjectionValuedMeasure) -> float:
-    """max_g || pi(g) - sum_chi <g|chi> P(chi) ||, over the operator stack: an
-    oracle, which ``relation_certificate`` bounds from the binary powers."""
-    group = pvm.group
-    gap = pvm.combine(group.pairing_at(np.arange(group.size), pvm.indices))
-    gap -= pvm.rep.operators
-    return float(np.max(np.linalg.norm(gap, axis=(1, 2))))
-
-
 def apply_algebra(pvm: ProjectionValuedMeasure, f: GroupFunction) -> np.ndarray:
     """sum_g f(g) pi(g) through the spectral measure.  As pi(g) = sum_chi
     <g|chi> P(chi), the symbol on the chi block is the transform at the
@@ -338,23 +284,6 @@ def diagonalize(component: CyclicComponent) -> CyclicComponent:
     its cyclic vector can vanish; ``relation_certificate`` bounds how far
     V^dagger pi(g) V = diag(<g|chi>) holds over all of G."""
     return component
-
-
-def diagonalization_residual(model: CyclicComponent, rep: UnitaryRep) -> float:
-    """max_g || V^dagger pi(g) V - diag(<g|chi>) ||, an oracle over the stack."""
-    V = model.isometry
-    D = V.conj().T @ rep.operators @ V
-    diag = np.arange(V.shape[1])
-    D[:, diag, diag] -= model.symbols(np.arange(model.group.size))
-    return float(np.max(np.linalg.norm(D, axis=(1, 2))))
-
-
-def invariance_residual(component: CyclicComponent, rep: UnitaryRep) -> float:
-    """max_g || (I - V V^dagger) pi(g) V V^dagger ||, an oracle over the stack:
-    zero when pi(G) leaves the component's range invariant."""
-    proj = component.isometry @ component.isometry.conj().T
-    leak = (np.eye(rep.dim) - proj) @ rep.operators @ proj
-    return float(np.max(np.linalg.norm(leak, axis=(1, 2))))
 
 
 def binary_power_indices(group: Group) -> np.ndarray:

@@ -27,9 +27,8 @@ from .errors import (GroupMismatchError, InconsistencyError, NotCyclicError, Sup
                      stage)
 from .gns import GNSSpace, quotient_space
 from .groups import Character, Element, Group
-from .representations import CyclicComponent, binary_power_indices, certified_gap
+from .representations import RANK_TOL, CyclicComponent, binary_power_indices, certified_gap
 
-WEIGHT_FLOOR = 1e-12
 IDENTITY_TOL = 1e-9
 IDENTITY_CHECK_PAIRS = 8
 
@@ -102,9 +101,10 @@ class SpectralDecomposition:
 
 
 def _vanishes(amps: np.ndarray) -> np.ndarray:
-    """Where |amps| is at most WEIGHT_FLOOR relative to max |amps| (everywhere if 0)."""
+    """Where |amps|^2 <= RANK_TOL max |amps|^2 (everywhere if 0), as ``quotient_space`` drops
+    a character; taken relative to the maximum first, so no square overflows."""
     mods = np.abs(amps)
-    return mods <= WEIGHT_FLOOR * mods.max(initial=0.0)
+    return (mods / (mods.max(initial=0.0) or 1.0)) ** 2 <= RANK_TOL
 
 
 def phi_from_cyclic(model: CyclicComponent, xi: DualFunction) -> GroupFunction:

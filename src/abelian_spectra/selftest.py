@@ -2,9 +2,8 @@
 
 Every property draws its instances from a single seed, computes a worst
 residual, and reports one line.  The suite doubles as the numerical
-regression gate: spectral projections are cross-checked against an
-independent joint-eigendecomposition oracle that never touches the
-character-averaging route used by the library.
+regression gate: the production routes are cross-checked against the
+independent dense and all-G references of ``oracle``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .algebra import (
     convolve,
     delta,
     fourier,
-    hermitian_form,
     inverse_fourier,
     involution,
     is_positive_type,
@@ -36,18 +34,23 @@ from .fileio import (
 )
 from .gns import gns_algebra_action, gns_construct, reconstruct_phi
 from .groups import Element, Group
+from .oracle import (
+    diagonalization_residual,
+    hermitian_form,
+    invariance_residual,
+    joint_eigenprojections,
+    operator_at,
+    reconstruction_residual,
+)
 from .representations import (
     ProjectionValuedMeasure,
     UnitaryRep,
     apply_algebra,
     cyclic_decomposition,
-    diagonalization_residual,
     diagonalize,
     dirac_kets,
     functional_calculus,
-    invariance_residual,
     make_representation,
-    reconstruction_residual,
     spectral_measure,
 )
 from .rigging import build_decomposition, intertwiner, quotient_from_cyclic
@@ -160,58 +163,6 @@ def random_multiplicity_free_representation(rng: np.random.Generator, group: Gro
     dim = int(rng.integers(1, min(max_dim, group.size) + 1))
     slots = rng.choice(group.size, size=dim, replace=False)
     return _rep_from_slots(rng, group, slots)
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: joint eigendecomposition of the commuting generators
-
-
-def _split_eigenspaces(basis: np.ndarray, herm: np.ndarray,
-                       gap: float = 1e-6) -> list[np.ndarray]:
-    """Refine an orthonormal basis into eigenspaces of a Hermitian block."""
-    w, v = np.linalg.eigh(herm)
-    pieces = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > gap:
-            pieces.append(basis @ v[:, start:i])
-            start = i
-    return pieces
-
-
-def joint_eigenprojections(rep: UnitaryRep) -> dict:
-    """Spectral projections obtained by recursive eigendecomposition.
-
-    Splits the space by the Hermitian and anti-Hermitian parts of each
-    generator in turn (they commute, so every refinement stays invariant),
-    then labels each joint eigenspace by reading off the generator
-    eigenvalue angles.  Entirely independent of the character-averaging
-    construction, hence usable as an oracle for it.
-    """
-    group = rep.group
-    subspaces = [np.eye(rep.dim, dtype=complex)]
-    for gen in rep.generators:
-        refined = []
-        for basis in subspaces:
-            block = basis.conj().T @ gen @ basis
-            for piece in _split_eigenspaces(basis, (block + block.conj().T) / 2):
-                sub = piece.conj().T @ gen @ piece
-                refined.extend(
-                    _split_eigenspaces(piece, (sub - sub.conj().T) / 2j))
-        subspaces = refined
-
-    projections: dict = {}
-    for basis in subspaces:
-        coords = []
-        for j, gen in enumerate(rep.generators):
-            n = group.orders[j]
-            vec = basis[:, 0]
-            lam = complex(vec.conj() @ gen @ vec)
-            coords.append(int(round(n * np.angle(lam) / (2 * np.pi))) % n)
-        chi = group.character(tuple(coords))
-        proj = basis @ basis.conj().T
-        projections[chi] = projections.get(chi, 0) + proj
-    return projections
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +523,7 @@ def _prop_quotient_representation(rng, cfg):
             og, oh = space.operator(g), space.operator(h)
             r = max(r, float(np.linalg.norm(og @ oh - space.operator(group.op(g, h)))))
             r = max(r, float(np.linalg.norm(og.conj().T @ og - eye)))
-            r = max(r, float(np.linalg.norm(og - rep.apply(g))))
+            r = max(r, float(np.linalg.norm(og - operator_at(rep, g))))
         yield r, dict(function=phi)
 
 

@@ -32,9 +32,9 @@ from abelian_spectra import (
     reconstruction_residual,
     spectral_measure,
 )
+from abelian_spectra.oracle import joint_eigenprojections
 from abelian_spectra.selftest import (
     SelftestConfig,
-    joint_eigenprojections,
     random_multiplicity_free_representation,
     random_orders,
     random_positive_type,

@@ -558,9 +558,9 @@ def test_a_repeated_slot_breaks_the_intertwiners_unitarity(monkeypatch, tmp_path
 
 
 def test_rig_builds_no_character_table(monkeypatch, tmp_path):
-    # every character value is read through Group.pairing_at; gns reads the
-    # generator rows and decompose and rig certify on the identity and the
-    # L binary powers, so no call reads more than 1 + L rows of the table
+    # every character value is read through Group.pairing_at; gns reads none,
+    # and decompose and rig certify on the identity and the L binary powers,
+    # so no call reads more than 1 + L rows of the table
     from abelian_spectra import cli
     from abelian_spectra.fileio import dump_json, function_to_payload, representation_to_payload
     pairing_at = Group.pairing_at
@@ -581,7 +581,8 @@ def test_rig_builds_no_character_table(monkeypatch, tmp_path):
             code = cli.main([command, "--input", str(path), "--output", str(tmp_path / "o.json")])
             monkeypatch.setattr(Group, "pairing_at", pairing_at)
             assert code == 0
-            assert rows and max(rows) <= rows_bound, (orders, command, rows)
+            assert bool(rows) == (command != "gns"), (orders, command)
+            assert max(rows, default=0) <= rows_bound, (orders, command, rows)
 
 
 def test_phi_from_cyclic_equals_the_per_character_sum(rng):
@@ -781,7 +782,8 @@ def test_closed_form_quotient_agrees_with_gns_construct(orders, haar, amplitude,
 
 def test_an_amplitude_below_the_rank_tolerance_fails_on_both_routes(rng):
     # |xi| = 1e-6 relative puts its eigenvalue at 1e-12 of the largest, below
-    # RANK_TOL: both quotients drop that character and the system is refused
+    # RANK_TOL: xi vanishes there by the same comparison, so both routes refuse
+    # it as not cyclic before a quotient could drop that character
     G = make_group((64,))
     model = planted_model(G, 8, rng)
     vals = np.zeros(G.size, dtype=complex)
@@ -790,10 +792,8 @@ def test_an_amplitude_below_the_rank_tolerance_fails_on_both_routes(rng):
     xi = DualFunction(G, vals)
     messages = []
     for route in (quotient_from_cyclic, computed_quotient):
-        space = route(model, xi)
-        assert space.rank == 7
-        with pytest.raises(InconsistencyError) as error:
-            build_decomposition(space, xi)
+        with pytest.raises(NotCyclicError) as error:
+            route(model, xi)
         messages.append(str(error.value))
-    assert messages[0] == messages[1] == \
-        "cyclic amplitude is supported on 8 characters but the quotient rank is 7"
+    assert messages[0] == messages[1] == ("cyclic amplitude vanishes at support character "
+                                          f"({model.columns[3]},) (|xi| = 1.000e-06)")

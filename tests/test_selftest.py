@@ -8,12 +8,12 @@ import pytest
 
 import abelian_spectra.selftest as selftest_mod
 from abelian_spectra import Group, make_group, regular_representation
+from abelian_spectra.oracle import joint_eigenprojections
 from abelian_spectra.selftest import (
     ERROR_RESIDUAL,
     PROPERTIES,
     PropertyResult,
     SelftestConfig,
-    joint_eigenprojections,
     random_multiplicity_free_representation,
     random_orders,
     run_property,

@@ -16,8 +16,7 @@ from abelian_spectra.errors import (AbelianSpectraError, InconsistencyError,
                                     NumericalDegeneracyError, RepresentationValidationError,
                                     check, describe, stage)
 from abelian_spectra.gns import gns_construct
-from abelian_spectra.representations import (check_diagonal_generators, cyclic_decomposition,
-                                             spectral_measure)
+from abelian_spectra.representations import cyclic_decomposition, spectral_measure
 from abelian_spectra.rigging import build_decomposition, phi_from_cyclic, quotient_from_cyclic
 
 
@@ -137,14 +136,6 @@ def test_a_generator_of_the_wrong_order_names_its_relation():
     exc = raised(make_representation, make_group((3,)), [np.diag([1.0, -1.0])])
     assert_names(exc, RepresentationValidationError, "order[0]", "residual")
     assert "generator 0 does not have order dividing 3 (residual" in str(exc)
-
-
-@pytest.mark.parametrize("diagonal, name", [([1.0, 1.1], "unitary[1]"),
-                                            ([1.0, 1j], "order[1]")])
-def test_a_broken_generator_diagonal_names_its_relation(diagonal, name):
-    G = make_group((2, 2))
-    exc = raised(check_diagonal_generators, G, np.array([[1.0, -1.0], diagonal]))
-    assert_names(exc, RepresentationValidationError, name, "residual")
 
 
 def test_a_measure_that_is_not_complete_names_the_key(non_idempotent_measure):
