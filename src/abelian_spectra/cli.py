@@ -54,7 +54,8 @@ from .representations import (
     relation_certificate,
     spectral_measure,
 )
-from .rigging import build_decomposition, identity_chunk, intertwiner, quotient_from_cyclic
+from .rigging import (build_decomposition, cyclic_moduli, identity_chunk, intertwiner,
+                      quotient_from_cyclic)
 from .selftest import SelftestConfig, run_selftest
 
 DEFAULT_TOL = 1e-9
@@ -306,7 +307,7 @@ def cmd_gns(args: argparse.Namespace, tol: float):
     lines = [
         f"rank: {space.rank} (group size {f.group.size})",
         f"reconstruction residual: {recon:.3e}",
-        f"passed: {passed}",
+        *_verdict_lines(residuals, tol),
     ]
     return report, lines, EXIT_OK if passed else EXIT_NUMERICAL
 
@@ -334,12 +335,14 @@ def cmd_rig(args: argparse.Namespace, tol: float):
         if decomp is None or not np.array_equal(comp.columns, decomp.columns):
             vals = np.zeros(group.size, dtype=complex)
             vals[comp.columns] = xi_global.values[comp.columns] if xi_global is not None else 1.0
-            xi = DualFunction(group, vals)
+            # checked as given; 2^-e xi, exact, has moduli in [1/2, 1) and the same rigging
+            e = int(np.frexp(cyclic_moduli(comp, DualFunction(group, vals)).max())[1])
+            xi = DualFunction(group, np.ldexp(vals.view(float), -e).view(complex))
             decomp = build_decomposition(quotient_from_cyclic(comp, xi), xi, tol=tol,
                                          rng=np.random.default_rng([args.seed, index]))
             itw = intertwiner(decomp, comp)
             payload = {"support": group.coords_at(decomp.columns).tolist(),
-                       "weights": decomp.weights.tolist(),
+                       "weights": np.ldexp(decomp.weights, e).tolist(),
                        "residuals": {"identity": decomp.identity_residual,
                                      "reconstruction": decomp.reconstruction_residual,
                                      "eigen_equation": decomp.eigen_equation_residual,

@@ -93,8 +93,7 @@ def parse_complex_array(raw: Any, field: str, expected: int | None = None) -> np
         raise FileFormatError(
             f"field '{field}' has {len(raw)} entries, expected {expected}")
     out = _bulk_pairs(raw)
-    if out is None:  # some entry is not a pair of numbers in the float range
-        out = np.empty(len(raw), dtype=complex)
+    if out is None:  # some entry is not a pair of numbers in the float range: raise at the first
         for i, entry in enumerate(raw):
             if (not isinstance(entry, list) or len(entry) != 2
                     or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -103,7 +102,7 @@ def parse_complex_array(raw: Any, field: str, expected: int | None = None) -> np
                     f"field '{field}' entry {i} must be a [re, im] number pair, "
                     f"got {entry!r}")
             try:
-                out[i] = complex(entry[0], entry[1])
+                complex(*entry)
             except OverflowError as exc:
                 raise FileFormatError(f"field '{field}' entry {i} must be finite") from exc
     bad = np.flatnonzero(~np.isfinite(out))

@@ -107,6 +107,19 @@ def _vanishes(amps: np.ndarray) -> np.ndarray:
     return (mods / (mods.max(initial=0.0) or 1.0)) ** 2 <= RANK_TOL
 
 
+def cyclic_moduli(model: CyclicComponent, xi: DualFunction) -> np.ndarray:
+    """|xi| on the model support, 0 off it; NotCyclicError where xi vanishes (not cyclic there)."""
+    amps = xi.values[model.columns]
+    vanishes = _vanishes(amps)
+    if vanishes.any():
+        t = int(vanishes.argmax())
+        raise NotCyclicError(f"cyclic amplitude vanishes at support character "
+                             f"{model.support[t].coords} (|xi| = {abs(amps[t]):.3e})")
+    moduli = np.zeros(model.group.size)
+    moduli[model.columns] = np.abs(amps)
+    return moduli
+
+
 def phi_from_cyclic(model: CyclicComponent, xi: DualFunction) -> GroupFunction:
     """Positive-type function of the cyclic vector xi in a diagonal model.
 
@@ -118,15 +131,7 @@ def phi_from_cyclic(model: CyclicComponent, xi: DualFunction) -> GroupFunction:
     """
     if xi.group != model.group:
         raise GroupMismatchError("cyclic amplitude lives on a different group")
-    group = model.group
-    amps = xi.values[model.columns]
-    vanishes = _vanishes(amps)
-    if vanishes.any():
-        t = int(vanishes.argmax())
-        raise NotCyclicError(f"cyclic amplitude vanishes at support character "
-                             f"{model.support[t].coords} (|xi| = {abs(amps[t]):.3e})")
-    moduli = np.zeros(group.size)
-    moduli[model.columns] = np.abs(amps)
+    group, moduli = model.group, cyclic_moduli(model, xi)
     return stage("phi of the cyclic amplitude", lambda: GroupFunction(
         group, _transform(group, moduli ** 2, inverse=True)))
 
@@ -135,9 +140,7 @@ def quotient_from_cyclic(model: CyclicComponent, xi: DualFunction) -> GNSSpace:
     """Quotient space of ``phi_from_cyclic(model, xi)`` in closed form: phi's
     transform is weight |G| |xi|^2 on the model support and 0 off it.  Raises
     as ``phi_from_cyclic`` does, and NumericalDegeneracyError on an overflow."""
-    phi, group = phi_from_cyclic(model, xi), model.group
-    moduli = np.zeros(group.size)
-    moduli[model.columns] = np.abs(xi.values[model.columns])
+    phi, group, moduli = phi_from_cyclic(model, xi), model.group, cyclic_moduli(model, xi)
     return quotient_space(phi, stage(
         "spectrum of the cyclic amplitude", lambda: group.haar_weight * group.size * moduli ** 2))
 

@@ -17,6 +17,7 @@ from ._version import __version__
 from .algebra import (
     DualFunction,
     GroupFunction,
+    _transform,
     convolve,
     delta,
     fourier,
@@ -43,6 +44,7 @@ from .oracle import (
     reconstruction_residual,
 )
 from .representations import (
+    CyclicComponent,
     ProjectionValuedMeasure,
     UnitaryRep,
     apply_algebra,
@@ -144,25 +146,26 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _rep_from_slots(rng: np.random.Generator, group: Group,
-                    slots: np.ndarray) -> UnitaryRep:
-    V = random_unitary(rng, len(slots))
+def _planted(rng, group, max_dim, *, distinct) -> tuple[UnitaryRep, CyclicComponent]:
+    """V diag(<e_j|slots>) V^dagger, V random unitary, on up to ``max_dim`` slots (``distinct``
+    or not), and its diagonal model: V's columns by ascending slot, their sum the cyclic vector."""
+    dim = int(rng.integers(1, (min(max_dim, group.size) if distinct else max_dim) + 1))
+    slots = rng.choice(group.size, size=dim, replace=not distinct)
+    V = random_unitary(rng, dim)
     diagonals = group.pairing_at(group.generator_indices, slots)
-    return make_representation(group, [V @ np.diag(d) @ V.conj().T for d in diagonals])
+    order = sorted(range(dim), key=slots.__getitem__)  # np.argsort would add ~0.4 MB RSS
+    return (make_representation(group, [V @ np.diag(d) @ V.conj().T for d in diagonals]),
+            CyclicComponent(group, V[:, order].sum(axis=1), slots[order], V[:, order]))
 
 
 def random_representation(rng: np.random.Generator, group: Group,
                           max_dim: int) -> UnitaryRep:
-    dim = int(rng.integers(1, max_dim + 1))
-    slots = rng.integers(0, group.size, size=dim)
-    return _rep_from_slots(rng, group, slots)
+    return _planted(rng, group, max_dim, distinct=False)[0]
 
 
 def random_multiplicity_free_representation(rng: np.random.Generator, group: Group,
                                             max_dim: int) -> UnitaryRep:
-    dim = int(rng.integers(1, min(max_dim, group.size) + 1))
-    slots = rng.choice(group.size, size=dim, replace=False)
-    return _rep_from_slots(rng, group, slots)
+    return _planted(rng, group, max_dim, distinct=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +549,9 @@ def _prop_quotient_cyclicity(rng, cfg):
         group = random_group(rng, cfg.max_group_size)
         phi = random_positive_type(rng, group, clean=True)
         space = gns_construct(phi)
-        coords = np.stack([space.class_coordinates(delta(group, g))
-                           for g in group.elements])
-        sing = np.linalg.svd(coords, compute_uv=False)
-        numeric_rank = int(np.sum(sing > 1e-9 * max(sing[0], 1e-30)))
+        sums = _transform(group, np.eye(group.size), inverse=True)[space.support]  # all delta_g
+        coords = np.sqrt(space.eigenvalues[:space.rank, None] / group.size) * sums
+        numeric_rank = np.linalg.matrix_rank(coords, rtol=1e-9)
         yield abs(numeric_rank - space.rank), dict(function=phi)
 
 
@@ -582,9 +584,7 @@ def _prop_quotient_algebra_action(rng, cfg):
 
 def _rig_setup(rng, cfg):
     group = random_group(rng, cfg.max_group_size)
-    rep = random_multiplicity_free_representation(rng, group, cfg.max_dim)
-    (component,) = cyclic_decomposition(spectral_measure(rep))
-    model = diagonalize(component)
+    rep, model = _planted(rng, group, cfg.max_dim, distinct=True)
     vals = np.zeros(group.size, dtype=complex)
     for col in model.columns:  # the radius is drawn before the phase
         vals[col] = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
@@ -592,7 +592,7 @@ def _rig_setup(rng, cfg):
     space = quotient_from_cyclic(model, xi)
     decomp = build_decomposition(
         space, xi, rng=np.random.default_rng(int(rng.integers(0, 2 ** 32))))
-    return rep, model, xi, space.phi, space, decomp
+    return rep, model, xi, space, decomp
 
 
 def _resolution_data(space, decomp):
@@ -607,7 +607,7 @@ def _resolution_data(space, decomp):
 @_property("eigenvector-system")
 def _prop_eigenvector_system(rng, cfg):
     for _ in range(6):
-        rep, model, xi, phi, space, decomp = _rig_setup(rng, cfg)
+        rep, model, xi, space, decomp = _rig_setup(rng, cfg)
         r = decomp.identity_residual
         r = max(r, abs(len(decomp.support) - space.rank))
         r = max([r] + [abs(vec.weight - abs(xi(vec.character))) for vec in decomp.eigenvectors])
@@ -617,7 +617,7 @@ def _prop_eigenvector_system(rng, cfg):
 @_property("operator-reconstruction")
 def _prop_operator_reconstruction(rng, cfg):
     for _ in range(5):
-        rep, model, xi, phi, space, decomp = _rig_setup(rng, cfg)
+        rep, model, xi, space, decomp = _rig_setup(rng, cfg)
         group = space.group
         C, P, ops = _resolution_data(space, decomp)
         # sum_chi <g|chi> |F_chi><F_chi| for every g, against pi(g) and as
@@ -634,7 +634,7 @@ def _prop_operator_reconstruction(rng, cfg):
 @_property("eigenvalue-equation")
 def _prop_eigenvalue_equation(rng, cfg):
     for _ in range(5):
-        rep, model, xi, phi, space, decomp = _rig_setup(rng, cfg)
+        rep, model, xi, space, decomp = _rig_setup(rng, cfg)
         C, P, ops = _resolution_data(space, decomp)
         # pi(g)^dagger F_chi - conj(<g|chi>) F_chi for every g and chi
         gaps = ops.conj().swapaxes(1, 2) @ C.T - P.conj()[:, None, :] * C.T
@@ -646,7 +646,7 @@ def _prop_eigenvalue_equation(rng, cfg):
 @_property("intertwiner")
 def _prop_intertwiner(rng, cfg):
     for _ in range(5):
-        rep, model, xi, phi, space, decomp = _rig_setup(rng, cfg)
+        rep, model, xi, space, decomp = _rig_setup(rng, cfg)
         result = intertwiner(decomp, model)
         r = max(result.unitarity_residual, result.intertwining_residual)
         yield r, dict(xi=xi)
@@ -655,7 +655,7 @@ def _prop_intertwiner(rng, cfg):
 @_property("functional-coordinate-agreement", 1e-10)
 def _prop_functional_coordinate_agreement(rng, cfg):
     for _ in range(5):
-        rep, model, xi, phi, space, decomp = _rig_setup(rng, cfg)
+        rep, model, xi, space, decomp = _rig_setup(rng, cfg)
         group = space.group
         r = 0.0
         for _ in range(4):
@@ -669,7 +669,7 @@ def _prop_functional_coordinate_agreement(rng, cfg):
 @_property("eigenvector-orthonormality")
 def _prop_eigenvector_orthonormality(rng, cfg):
     for _ in range(5):
-        rep, model, xi, phi, space, decomp = _rig_setup(rng, cfg)
+        rep, model, xi, space, decomp = _rig_setup(rng, cfg)
         gram = decomp.coords.conj() @ decomp.coords.T
         yield float(np.linalg.norm(gram - np.eye(len(decomp.columns)))), dict(xi=xi)
 

@@ -242,6 +242,18 @@ def test_gns_rejects_a_small_function_that_is_not_of_positive_type(tmp_path, cap
     assert "not of positive type" in err
 
 
+def test_gns_summary_names_its_failed_residual(tmp_path, capsys):
+    # a random positive-type function reconstructs to round-off, above --tol 0
+    from abelian_spectra.selftest import random_positive_type
+    phi = random_positive_type(np.random.default_rng(2), make_group((12,)))
+    src = write_function(tmp_path / "phi.json", (12,), phi.values)
+    code, report, err = stdout_report(capsys, ["gns", "--input", str(src), "--tol", "0"])
+    assert code == 4
+    recon = report["residuals"]["reconstruction"]
+    assert recon > 0
+    assert err.splitlines()[-2:] == ["passed: False", f"failed: reconstruction {recon:.3e}"]
+
+
 def test_gns_requires_group_domain(tmp_path, capsys):
     src = write_function(tmp_path / "phi.json", (2,), [1, 0], domain="dual")
     code, _, err = run_cli(capsys, ["gns", "--input", str(src)])
@@ -762,19 +774,66 @@ def test_non_finite_input_is_an_input_error(tmp_path, command, bad):
 @pytest.mark.parametrize("command, stage", [
     (["fourier"], "forward transform is not finite"),
     (["gns"], "transform of phi is not finite"),
-    (["rig", "--xi", "{xi}"], "phi of the cyclic amplitude is not finite"),
 ])
 def test_an_overflowing_stage_exits_4_and_names_itself(tmp_path, capsys, command, stage):
-    # finite inputs whose transform (4 x 1e308) or sum |xi|^2 (1e400) overflows;
-    # pytest turns any numpy RuntimeWarning into an error
+    # finite inputs whose transform (4 x 1e308) overflows; pytest turns any
+    # numpy RuntimeWarning into an error
     f = write_function(tmp_path / "f.json", (4,), [1e308] * 4)
-    rep = write_representation(tmp_path / "rep.json", regular_representation(make_group((4,))))
-    xi = write_function(tmp_path / "xi.json", (4,), [1e200] * 4, domain="dual")
-    argv = [a.format(xi=xi) for a in command]
-    code, _, err = run_cli(capsys, [*argv, "--input", str(rep if "rig" in argv else f)])
+    code, _, err = run_cli(capsys, [*command, "--input", str(f)])
     assert code == 4
     assert stage in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("rep, values", [
+    ("regular", [1e200] * 4),  # sum |xi|^2 = 4e400 in phi of the cyclic amplitude
+    ("trivial", [1e154, 0, 0, 0]),  # |G| |xi|^2 = 4e308 in its spectrum
+], ids=["phi", "spectrum"])
+def test_rig_takes_an_amplitude_whose_squares_overflow(tmp_path, capsys, rep, values):
+    # rig scales each layer's xi by a power of two, which changes no rigging:
+    # these exited 4 as overflows, and the weights come back exactly
+    group = make_group((4,))
+    reps = {"regular": regular_representation(group),
+            "trivial": make_representation(group, [np.eye(1)])}
+    src = write_representation(tmp_path / "rep.json", reps[rep])
+    xi = write_function(tmp_path / "xi.json", (4,), values, domain="dual")
+    code, report, err = stdout_report(capsys, ["rig", "--input", str(src), "--xi", str(xi)])
+    assert code == 0, err
+    (comp,) = report["results"]["components"]
+    assert comp["weights"] == [v for v in values if v]
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("s", [1e-170, 1e-160, 1e-150, 1.0, 1e150, 1e200, 1e300])
+def test_rig_takes_a_flat_amplitude_of_any_finite_scale(tmp_path, capsys, s):
+    # |xi|^2 underflowed at s = 1e-170 and 1e-160 (exit 4, "the quotient rank
+    # is 0" and an identity residual of 2.9e-4) and overflowed at 1e200 and 1e300
+    src = write_representation(tmp_path / "rep.json",
+                               make_representation(make_group((2,)), [np.diag([1.0, -1.0])]))
+    xi = write_function(tmp_path / "xi.json", (2,), [s, s], domain="dual")
+    code, report, err = stdout_report(capsys, ["rig", "--input", str(src), "--xi", str(xi)])
+    assert code == 0, err
+    assert report["results"]["components"][0]["weights"] == [s, s]
+
+
+@pytest.mark.parametrize("power", [-600, 600])
+def test_rig_reports_the_same_for_xi_and_a_power_of_two_times_xi(tmp_path, capsys, power):
+    # two layers on a planted (16,) d8 representation of multiplicity 2; only
+    # the weights change, each by exactly 2^power
+    src = planted_rep_file(tmp_path, (16,), 8, mult=2)
+    rng = np.random.default_rng(11)
+    amps = rng.uniform(0.5, 2.0, 16) * np.exp(2j * np.pi * rng.random(16))
+    reports = []
+    for name, values in [("xi", amps), ("scaled", np.ldexp(amps.view(float), power).view(complex))]:
+        xi = write_function(tmp_path / f"{name}.json", (16,), values, domain="dual")
+        code, report, err = stdout_report(capsys, ["rig", "--input", str(src), "--xi", str(xi)])
+        assert code == 0, err
+        reports.append(report)
+    plain, scaled = reports
+    assert len(plain["results"]["components"]) == 2
+    for a, b in zip(plain["results"]["components"], scaled["results"]["components"]):
+        assert np.ldexp(a.pop("weights"), power).tolist() == b.pop("weights")
+    assert plain == scaled
 
 
 def test_gns_overflow_in_the_construction_check_exits_4_and_names_it(tmp_path, capsys):
@@ -792,20 +851,22 @@ def test_overflow_near_float_max_in_the_construction_check_raises_no_warning(
         tmp_path, capsys, command):
     # gns: the support characters' scaling by weight * F and their transforms
     # overflow before the form is applied, on a (256,) point mass of 3e307;
-    # rig: the form applied in the identity check overflows, on a flat xi of
-    # 4.642e152 on a planted d8 representation; pytest turns any numpy
-    # RuntimeWarning into an error
+    # rig: the form applied in the identity check overflowed (exit 4) on a flat
+    # xi of 4.642e152 on a planted d8 representation, and now runs on 2^-e xi;
+    # pytest turns any numpy RuntimeWarning into an error
     if command == "gns":
         argv = ["gns", "--input", str(write_function(tmp_path / "phi.json", (256,),
                                                      3e307 * np.eye(256)[0]))]
-    else:
-        xi = write_function(tmp_path / "xi.json", (256,), [4.642e152] * 256, domain="dual")
-        argv = ["rig", "--input", str(planted_rep_file(tmp_path, (256,), 8)), "--xi", str(xi)]
-    code, _, err = run_cli(capsys, argv)
-    assert code == 4
-    stage = "form applied to the support characters" if command == "gns" else \
-        "inner-product identity check"
-    assert err == f"error: {stage} is not finite: it overflowed on finite input\n"
+        code, _, err = run_cli(capsys, argv)
+        assert code == 4
+        assert err == ("error: form applied to the support characters is not finite: "
+                       "it overflowed on finite input\n")
+        return
+    xi = write_function(tmp_path / "xi.json", (256,), [4.642e152] * 256, domain="dual")
+    argv = ["rig", "--input", str(planted_rep_file(tmp_path, (256,), 8)), "--xi", str(xi)]
+    code, report, err = stdout_report(capsys, argv)
+    assert code == 0, err
+    assert report["results"]["components"][0]["weights"] == [4.642e152] * 8
 
 
 def test_gns_catches_a_wrong_transform_value_at_full_rank_65536(tmp_path, capsys, monkeypatch):

@@ -206,6 +206,24 @@ def test_multiplicity_free_generator_matches_its_name():
         assert all(m == 1 for m in pvm.multiplicities)
 
 
+@pytest.mark.parametrize("max_group_size, max_dim", [(64, 16), (4, 2)])
+def test_the_planted_model_is_the_measured_one(max_group_size, max_dim):
+    # the rigging properties read their diagonal model off the planting; the
+    # spectral measure must find the same support, and its isometry may
+    # differ from V's columns only by a phase per column
+    from abelian_spectra import cyclic_decomposition, spectral_measure
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        group = selftest_mod.random_group(rng, max_group_size)
+        rep, planted = selftest_mod._planted(rng, group, max_dim, distinct=True)
+        (measured,) = cyclic_decomposition(spectral_measure(rep))
+        np.testing.assert_array_equal(planted.columns, measured.columns)
+        overlap = planted.isometry.conj().T @ measured.isometry
+        phases = np.diagonal(overlap)
+        np.testing.assert_allclose(np.abs(phases), 1.0, atol=1e-9)
+        np.testing.assert_allclose(overlap - np.diag(phases), 0.0, atol=1e-9)
+
+
 def test_oracle_agrees_on_the_regular_representation():
     G = make_group((2, 3))
     rep = regular_representation(G)
